@@ -2,13 +2,14 @@
 pivoted above a conducting plate and restored by the Casimir-Polder force.
 
 The library layers are importable on their own: forces (atom-plate
-potentials and forces), pendulum (geometry, torques, equation of motion),
-analytic (linearized frequency/period), integrator (RK4 and adaptive
-Dormand-Prince with period extraction), design (parameter estimation and
-regime validation), config/report/cli (run plumbing).
+potentials and forces), pendulum (geometry, torques and energies in SI
+units), analytic (linearized frequency/period), integrator (the one time
+stepper: fixed-step RK4 or adaptive Dormand-Prince on the dimensionless
+equation of motion, with period extraction), design (parameter estimation
+and regime validation), config/report/cli (run plumbing).
 """
 
-from .analytic import AnalyticSolution, analytic_solution, harmonic_state, linear_omega, linear_period
+from .analytic import linear_omega, linear_period
 from .config import ConfigError, RunConfig, load_config, load_preset, parse_config, preset_names
 from .constants import Constants, constants, crossover_length
 from .design import NanostringSpec, ValidityReport, estimate_params, validate
@@ -33,13 +34,11 @@ from .integrator import (
     energy_drift,
     estimate_period,
     integrate,
-    step_rk4,
 )
 from .pendulum import (
     GeometryError,
     PendulumParams,
     State,
-    eom_rhs,
     moment_of_inertia,
     potential_energy,
     tip_distance,
@@ -52,7 +51,6 @@ from .report import SimulationReport, build_report, write_report_json, write_tra
 __version__ = "0.1.0"
 
 __all__ = [
-    "AnalyticSolution",
     "AtomProperties",
     "ConfigError",
     "Constants",
@@ -71,18 +69,15 @@ __all__ = [
     "Trajectory",
     "ValidityReport",
     "Zone",
-    "analytic_solution",
     "build_report",
     "classify_regime",
     "constants",
     "crossover_length",
     "energy_drift",
-    "eom_rhs",
     "estimate_params",
     "estimate_period",
     "force_far",
     "force_near",
-    "harmonic_state",
     "integrate",
     "linear_omega",
     "linear_period",
@@ -94,7 +89,6 @@ __all__ = [
     "potential_far",
     "potential_near",
     "preset_names",
-    "step_rk4",
     "tip_distance",
     "torque_casimir",
     "torque_gravity",

@@ -6,34 +6,19 @@ cos(phi) ~ 1 turns the equation of motion into a harmonic oscillator with
 
     omega^2 = 9 * (1+beta) * hbar * omega0 * alpha0 / (32*pi * M * l * (d-l)^4)
 
-The resulting frequency, period and cosine trajectory serve as the oracle
-against which the numerical integrator is checked.  Gravity is ignored here
-regardless of the simulation flag; the report layer surfaces both numbers
-so the (tiny) discrepancy stays visible.
+The resulting frequency and period serve as the oracle against which the
+numerical integrator is checked, and linear_omega sets its time scale.
+Gravity is ignored here regardless of the simulation flag; the report layer
+surfaces both numbers so the (tiny) discrepancy stays visible.
 """
 
 import math
-from dataclasses import dataclass
 
 from .constants import constants
 from .forces import total_restoring_factor
-from .pendulum import PendulumParams, State
+from .pendulum import PendulumParams
 
-__all__ = ["AnalyticSolution", "linear_omega", "linear_period", "analytic_solution", "harmonic_state"]
-
-
-@dataclass(frozen=True)
-class AnalyticSolution:
-    """Linearized solution summary: angular frequency omega (rad/s), period
-    (s, = 2*pi/omega) and release amplitude phi0 (rad)."""
-
-    omega: float
-    period: float
-    phi0: float
-
-    def __post_init__(self) -> None:
-        if not self.omega > 0:
-            raise ValueError(f"omega must be positive, got {self.omega!r}")
+__all__ = ["linear_omega", "linear_period"]
 
 
 def linear_omega(params: PendulumParams) -> float:
@@ -55,17 +40,3 @@ def linear_period(params: PendulumParams) -> float:
     """Small-angle oscillation period 2*pi/omega, s."""
     return 2.0 * math.pi / linear_omega(params)
 
-
-def analytic_solution(params: PendulumParams, phi0: float) -> AnalyticSolution:
-    """Bundle omega, period and amplitude for a release from rest at phi0."""
-    omega = linear_omega(params)
-    return AnalyticSolution(omega=omega, period=2.0 * math.pi / omega, phi0=phi0)
-
-
-def harmonic_state(params: PendulumParams, phi0: float, t: float) -> State:
-    """State of the linearized pendulum released from rest at phi0:
-
-        phi(t) = phi0*cos(omega*t),  phi_dot(t) = -phi0*omega*sin(omega*t)
-    """
-    omega = linear_omega(params)
-    return State(t=t, phi=phi0 * math.cos(omega * t), phi_dot=-phi0 * omega * math.sin(omega * t))

@@ -1,8 +1,9 @@
 """Command-line interface.
 
 Subcommands: simulate, period, sweep, validate, estimate.  Exit codes: 0 on
-success, 1 on usage/config errors, 2 when a simulation ends by collision or
-step exhaustion rather than reaching t_max.
+success, 1 on usage/config errors, 2 when a simulation ends by collision,
+step exhaustion or a stall (a step too small to advance time) rather than
+reaching t_max.
 """
 
 import argparse

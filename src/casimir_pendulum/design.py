@@ -15,8 +15,15 @@ clear of the plate), and the small-angle envelope.
 import math
 from dataclasses import dataclass
 
-from .constants import constants, crossover_length
-from .forces import AtomProperties, force_near, total_restoring_factor
+from .constants import constants
+from .forces import (
+    DEFAULT_MARGIN,
+    AtomProperties,
+    Zone,
+    classify_regime,
+    force_near,
+    total_restoring_factor,
+)
 from .pendulum import PendulumParams, tip_distance
 
 __all__ = [
@@ -116,27 +123,26 @@ def estimate_params(spec: NanostringSpec, gap_r: float) -> PendulumParams:
     return PendulumParams(d=l + gap_r, l=l, mass=spec.n_atoms * m_atom, atom=atom)
 
 
-def validate(params: PendulumParams, phi0: float, margin: float = 10.0) -> ValidityReport:
+def validate(params: PendulumParams, phi0: float, margin: float = DEFAULT_MARGIN) -> ValidityReport:
     """Check params + release amplitude against the model's assumptions.
 
-    near_zone_ok    -- R(phi0) * margin <= c/omega0 (R is maximal at the
-                       amplitude, so the whole swing stays in the near zone)
+    near_zone_ok    -- classify_regime puts R(phi0) in the near zone at this
+                       margin (R is maximal at the amplitude, so the whole
+                       swing stays in the near zone); near_zone_ratio is
+                       its c/omega0 / R(phi0)
     gravity_negligible -- Casimir torque coefficient at phi = 0 is at least
                        100x the gravity coefficient M*g*l/2
     geometry_ok     -- d > l (by type) and equilibrium gap R(0) >= 2e-10 m
     small_angle_ok  -- phi0 within the supported amplitude envelope
 
-    Reports, never raises for physics reasons.
+    Reports, never raises for physics reasons; raises ValueError for a
+    non-finite phi0 or a margin below 1.
     """
     if not math.isfinite(phi0):
         raise ValueError(f"phi0 must be finite, got {phi0!r}")
-    if not margin >= 1:
-        raise ValueError(f"margin must be >= 1, got {margin!r}")
 
-    r_max = tip_distance(abs(phi0), params)
-    rc = crossover_length(params.atom.omega0)
-    near_zone_ratio = rc / r_max
-    near_zone_ok = r_max * margin <= rc
+    regime = classify_regime(tip_distance(abs(phi0), params), params.atom, margin)
+    near_zone_ok = regime.zone is Zone.NEAR
 
     cas_coeff = (
         total_restoring_factor(params.beta)
@@ -152,7 +158,7 @@ def validate(params: PendulumParams, phi0: float, margin: float = 10.0) -> Valid
 
     return ValidityReport(
         near_zone_ok=near_zone_ok,
-        near_zone_ratio=near_zone_ratio,
+        near_zone_ratio=regime.ratio,
         gravity_negligible=gravity_negligible,
         gravity_ratio=gravity_ratio,
         geometry_ok=geometry_ok,

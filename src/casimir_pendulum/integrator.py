@@ -10,16 +10,19 @@ which turns the dynamics into the O(1) dimensionless system
 
 with R0 = d - l the equilibrium tip gap and gamma the gravity-to-vacuum
 stiffness ratio (~5e-6 for realistic designs, 0 when gravity is off).
-Recorded samples are converted back to SI.
+This module is the package's only time stepper.  Recorded samples are
+converted back to SI in one pass at the end of the run; the energy column is
+the system's first integral scaled to joules.
 
-Two methods are provided: classical fixed-step RK4 and an embedded
+One driver loop serves two methods, which differ only in the trial step and
+in whether the step size adapts: classical fixed-step RK4, and an embedded
 Dormand-Prince 5(4) pair with the textbook step controller
 new_h = 0.9 * h * err^(-1/5), clamped to [h/10, 10*h].
 
 A run never raises for physics reasons: the tip reaching the safety gap,
-|phi| reaching pi/2, or the step budget running out all end the run with a
-reported termination status, so parameter sweeps survive pathological
-points.
+|phi| reaching pi/2, the step budget running out, or a step too small to
+advance time (stalled) all end the run with a reported termination status,
+so parameter sweeps survive pathological points.
 """
 
 import math
@@ -35,9 +38,8 @@ from .pendulum import (
     GeometryError,
     PendulumParams,
     State,
-    eom_rhs,
+    moment_of_inertia,
     tip_distance,
-    total_energy,
 )
 
 __all__ = [
@@ -49,7 +51,6 @@ __all__ = [
     "InsufficientCyclesError",
     "DEFAULT_COLLISION_GAP",
     "integrate",
-    "step_rk4",
     "estimate_period",
     "energy_drift",
 ]
@@ -68,6 +69,7 @@ class Termination(Enum):
     COMPLETED = "completed"
     COLLISION = "collision"
     STEP_LIMIT = "step_limit"
+    STALLED = "stalled"
 
 
 class InsufficientCyclesError(ValueError):
@@ -216,35 +218,41 @@ def _dp45_step(phi, psi, h, lam, gamma):
     return phi5, psi5, err_phi, err_psi
 
 
-class _Recorder:
-    """Converts accepted dimensionless states back to SI rows."""
+def _dimensionless_system(params: PendulumParams) -> tuple[float, float, float]:
+    """Scales of the dimensionless system: (w_ref, lam, gamma) with w_ref the
+    linearized frequency, lam = l/R0 and gamma the gravity-to-vacuum
+    stiffness ratio (0 when gravity is off)."""
+    w_ref = linear_omega(params)
+    lam = params.l / (params.d - params.l)
+    if params.include_gravity:
+        gamma = 3.0 * constants().g_accel / (2.0 * params.l * w_ref**2)
+    else:
+        gamma = 0.0
+    return w_ref, lam, gamma
 
-    def __init__(self, params: PendulumParams, w_ref: float):
-        self.params = params
-        self.w_ref = w_ref
-        self.rows: list[tuple[float, float, float, float, float]] = []
-        self.last_tau: float | None = None
 
-    def record(self, tau: float, phi: float, psi: float, t: float | None = None) -> None:
-        if t is None:
-            t = tau / self.w_ref
-        phi_dot = psi * self.w_ref
-        r = tip_distance(phi, self.params)
-        e = total_energy(State(t=t, phi=phi, phi_dot=phi_dot), self.params)
-        self.rows.append((t, phi, phi_dot, r, e))
-        self.last_tau = tau
+def _trajectory(rows, params: PendulumParams, termination: Termination) -> Trajectory:
+    """SI columns from recorded (t, phi, psi) rows.
 
-    def build(self, termination: Termination) -> Trajectory:
-        cols = list(zip(*self.rows))
-        return Trajectory(
-            t=np.array(cols[0]),
-            phi=np.array(cols[1]),
-            phi_dot=np.array(cols[2]),
-            r=np.array(cols[3]),
-            energy=np.array(cols[4]),
-            params=self.params,
-            termination=termination,
-        )
+    The energy column is the first integral of the dimensionless system,
+
+        E = I * w_ref^2 * (psi^2/2 - q^-3/(3*lam) - gamma*cos(phi)),
+
+    which equals total_energy of the same state up to rounding.
+    """
+    w_ref, lam, gamma = _dimensionless_system(params)
+    t, phi, psi = (np.array(col) for col in zip(*rows))
+    q = 1.0 + lam * 2.0 * np.sin(0.5 * phi) ** 2
+    invariant = 0.5 * psi**2 - 1.0 / (3.0 * lam * q**3) - gamma * np.cos(phi)
+    return Trajectory(
+        t=t,
+        phi=phi,
+        phi_dot=psi * w_ref,
+        r=np.array([tip_distance(p, params) for p in phi.tolist()]),
+        energy=moment_of_inertia(params) * w_ref**2 * invariant,
+        params=params,
+        termination=termination,
+    )
 
 
 def integrate(params: PendulumParams, initial: State, config: IntegratorConfig) -> Trajectory:
@@ -252,130 +260,69 @@ def integrate(params: PendulumParams, initial: State, config: IntegratorConfig) 
     config.t_max.
 
     Deterministic: identical inputs produce bit-identical trajectories.
-    Collision (tip at or below the safety gap, or |phi| >= pi/2) and step
-    exhaustion are reported terminations, not exceptions; the violating
-    state itself is not recorded, so every sample in the result is valid.
+    Collision (tip at or below the safety gap, or |phi| >= pi/2), step
+    exhaustion and a step too small to advance time are reported
+    terminations, not exceptions; the violating state itself is not
+    recorded, so every sample in the result is valid.
     """
     if not abs(initial.phi) < MAX_ANGLE:
         raise GeometryError(f"|initial.phi| must be below pi/2, got {initial.phi!r}")
     if not config.t_max > initial.t:
         raise ValueError(f"t_max={config.t_max!r} must exceed initial.t={initial.t!r}")
 
-    w_ref = linear_omega(params)
-    lam = params.l / (params.d - params.l)
-    if params.include_gravity:
-        gamma = 3.0 * constants().g_accel / (2.0 * params.l * w_ref**2)
-    else:
-        gamma = 0.0
-
+    w_ref, lam, gamma = _dimensionless_system(params)
     gap = config.collision_gap
 
     def collides(phi: float) -> bool:
         return abs(phi) >= MAX_ANGLE or tip_distance(phi, params) <= gap
 
-    rec = _Recorder(params, w_ref)
     tau = initial.t * w_ref
     tau_end = config.t_max * w_ref
     phi = initial.phi
     psi = initial.phi_dot / w_ref
-    rec.record(tau, phi, psi, t=initial.t)
+    rows = [(initial.t, phi, psi)]
     if collides(phi):
-        return rec.build(Termination.COLLISION)
+        return _trajectory(rows, params, Termination.COLLISION)
 
-    if config.method is Method.RK4_FIXED:
-        termination = _run_fixed(rec, config, tau, tau_end, phi, psi, lam, gamma, w_ref, collides)
-    else:
-        termination = _run_adaptive(rec, config, tau, tau_end, phi, psi, lam, gamma, collides)
-    return rec.build(termination)
-
-
-def _run_fixed(rec, config, tau, tau_end, phi, psi, lam, gamma, w_ref, collides) -> Termination:
-    dtau = config.dt * w_ref
+    adaptive = config.method is Method.RK45_ADAPTIVE
+    rtol = config.rel_tol
+    atol = config.abs_tol
+    h_next = _INITIAL_PHASE_STEP if adaptive else config.dt * w_ref
     steps = 0
     since_record = 0
-    stalled = False
+    termination = Termination.COMPLETED
     while tau < tau_end:
         if steps >= config.max_steps:
+            termination = Termination.STEP_LIMIT
             break
-        h = min(dtau, tau_end - tau)
-        if tau + h == tau:  # step underflow: cannot advance further
-            stalled = True
+        h = min(h_next, tau_end - tau)
+        if tau + h == tau:
+            termination = Termination.STALLED
             break
-        phi_new, psi_new = _rk4_step(phi, psi, h, lam, gamma)
+        if adaptive:
+            phi_new, psi_new, e_phi, e_psi = _dp45_step(phi, psi, h, lam, gamma)
+            scale_phi = atol + rtol * max(abs(phi), abs(phi_new))
+            scale_psi = atol + rtol * max(abs(psi), abs(psi_new))
+            err = max(abs(e_phi) / scale_phi, abs(e_psi) / scale_psi)
+            factor = _MAX_FACTOR if err == 0.0 else _SAFETY * err**-0.2
+            h_next = h * min(_MAX_FACTOR, max(_MIN_FACTOR, factor))
+            if not err <= 1.0:  # rejected, also when err is NaN
+                continue
+        else:
+            phi_new, psi_new = _rk4_step(phi, psi, h, lam, gamma)
         steps += 1
         if collides(phi_new):
-            if rec.last_tau < tau:
-                rec.record(tau, phi, psi)
-            return Termination.COLLISION
+            termination = Termination.COLLISION
+            break
         tau += h
         phi, psi = phi_new, psi_new
         since_record += 1
         if since_record >= config.record_stride:
-            rec.record(tau, phi, psi)
+            rows.append((tau / w_ref, phi, psi))
             since_record = 0
-    if rec.last_tau < tau:
-        rec.record(tau, phi, psi)
-    if tau >= tau_end or stalled:
-        return Termination.COMPLETED
-    return Termination.STEP_LIMIT
-
-
-def _run_adaptive(rec, config, tau, tau_end, phi, psi, lam, gamma, collides) -> Termination:
-    rtol = config.rel_tol
-    atol = config.abs_tol
-    h = min(_INITIAL_PHASE_STEP, tau_end - tau)
-    steps = 0
-    since_record = 0
-    stalled = False
-    while tau < tau_end:
-        if steps >= config.max_steps:
-            break
-        h = min(h, tau_end - tau)
-        if tau + h == tau:
-            stalled = True
-            break
-        phi_new, psi_new, e_phi, e_psi = _dp45_step(phi, psi, h, lam, gamma)
-        scale_phi = atol + rtol * max(abs(phi), abs(phi_new))
-        scale_psi = atol + rtol * max(abs(psi), abs(psi_new))
-        err = max(abs(e_phi) / scale_phi, abs(e_psi) / scale_psi)
-        if err <= 1.0:
-            steps += 1
-            if collides(phi_new):
-                if rec.last_tau < tau:
-                    rec.record(tau, phi, psi)
-                return Termination.COLLISION
-            tau += h
-            phi, psi = phi_new, psi_new
-            since_record += 1
-            if since_record >= config.record_stride:
-                rec.record(tau, phi, psi)
-                since_record = 0
-        factor = _MAX_FACTOR if err == 0.0 else _SAFETY * err**-0.2
-        h *= min(_MAX_FACTOR, max(_MIN_FACTOR, factor))
-    if rec.last_tau < tau:
-        rec.record(tau, phi, psi)
-    if tau >= tau_end or stalled:
-        return Termination.COMPLETED
-    return Termination.STEP_LIMIT
-
-
-def step_rk4(state: State, params: PendulumParams, dt: float) -> State:
-    """One classical RK4 step of the SI equation of motion.
-
-    Raises GeometryError if any stage leaves |phi| < pi/2.
-    """
-    if not dt > 0:
-        raise ValueError(f"dt must be positive, got {dt!r}")
-    t, phi, pd = state.t, state.phi, state.phi_dot
-    k1p, k1v = eom_rhs(state, params)
-    k2p, k2v = eom_rhs(State(t + 0.5 * dt, phi + 0.5 * dt * k1p, pd + 0.5 * dt * k1v), params)
-    k3p, k3v = eom_rhs(State(t + 0.5 * dt, phi + 0.5 * dt * k2p, pd + 0.5 * dt * k2v), params)
-    k4p, k4v = eom_rhs(State(t + dt, phi + dt * k3p, pd + dt * k3v), params)
-    return State(
-        t=t + dt,
-        phi=phi + dt / 6.0 * (k1p + 2.0 * k2p + 2.0 * k3p + k4p),
-        phi_dot=pd + dt / 6.0 * (k1v + 2.0 * k2v + 2.0 * k3v + k4v),
-    )
+    if since_record:  # the last accepted state is always recorded
+        rows.append((tau / w_ref, phi, psi))
+    return _trajectory(rows, params, termination)
 
 
 def estimate_period(traj: Trajectory) -> PeriodEstimate:

@@ -8,9 +8,11 @@ smallest when the string hangs straight down.
 
 Both torques about the pivot (gravity on the centre of mass, amplified
 Casimir-Polder force on the tip) restore the string toward phi = 0, so the
-system oscillates.  The near-zone force law is used at every angle; use the
-validation module to confirm the configuration actually stays in the near
-zone over the whole swing.
+system oscillates with I * phi_ddot = torque_gravity + torque_casimir.  The
+integrator module steps that equation in dimensionless form; the SI
+functions here are its independent reference.  The near-zone force law is
+used at every angle; use the validation module to confirm the configuration
+actually stays in the near zone over the whole swing.
 """
 
 import math
@@ -27,7 +29,6 @@ __all__ = [
     "moment_of_inertia",
     "torque_gravity",
     "torque_casimir",
-    "eom_rhs",
     "potential_energy",
     "total_energy",
 ]
@@ -121,16 +122,6 @@ def torque_casimir(phi: float, params: PendulumParams) -> float:
     """
     f = total_restoring_factor(params.beta) * force_near(tip_distance(phi, params), params.atom)
     return f * params.l * math.sin(phi)
-
-
-def eom_rhs(state: State, params: PendulumParams) -> tuple[float, float]:
-    """Right-hand side (dphi/dt, dphi_dot/dt) of the equation of motion:
-
-        I * phi_ddot = torque_gravity(phi) + torque_casimir(phi)
-    """
-    _check_angle(state.phi)
-    torque = torque_gravity(state.phi, params) + torque_casimir(state.phi, params)
-    return state.phi_dot, torque / moment_of_inertia(params)
 
 
 def potential_energy(phi: float, params: PendulumParams) -> float:

@@ -26,7 +26,6 @@ __all__ = [
     "SimulationReport",
     "build_report",
     "report_to_dict",
-    "dumps_report",
     "write_report_json",
     "write_trajectory_csv",
     "validity_to_dict",
@@ -114,13 +113,9 @@ def report_to_dict(report: SimulationReport) -> dict:
     }
 
 
-def dumps_report(report: SimulationReport) -> str:
-    return json.dumps(report_to_dict(report), indent=2) + "\n"
-
-
 def write_report_json(report: SimulationReport, path: str) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(dumps_report(report))
+        fh.write(json.dumps(report_to_dict(report), indent=2) + "\n")
 
 
 def _fmt(x: float) -> str:

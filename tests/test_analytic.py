@@ -1,11 +1,11 @@
-"""Linearized frequency/period and the closed-form harmonic trajectory."""
+"""Linearized frequency and period."""
 
 import math
 from dataclasses import replace
 
 import pytest
 
-from casimir_pendulum import analytic_solution, harmonic_state, linear_omega, linear_period
+from casimir_pendulum import linear_omega, linear_period
 
 # Hand evaluations of omega = sqrt(9*(1+beta)*hbar*omega0*alpha0 /
 # (32*pi*M*l*(d-l)^4)) for the reference design.
@@ -58,30 +58,3 @@ class TestScalingLaws:
         faster = replace(params, atom=atom4)
         assert linear_omega(faster) / linear_omega(params) == pytest.approx(2.0, rel=1e-12)
 
-
-class TestHarmonicState:
-    def test_release_point(self, params):
-        s = harmonic_state(params, 1e-3, 0.0)
-        assert (s.phi, s.phi_dot) == (1e-3, 0.0)
-
-    def test_quarter_period_zero_crossing(self, params):
-        t_quarter = linear_period(params) / 4
-        s = harmonic_state(params, 1e-3, t_quarter)
-        assert abs(s.phi) < 1e-3 * 1e-9
-        assert s.phi_dot == pytest.approx(-1e-3 * OMEGA_BETA2, rel=1e-9)
-
-    def test_half_period_inversion(self, params):
-        s = harmonic_state(params, 1e-3, linear_period(params) / 2)
-        assert s.phi == pytest.approx(-1e-3, rel=1e-9)
-
-    def test_full_period_return(self, params):
-        s = harmonic_state(params, 1e-3, linear_period(params))
-        assert s.phi == pytest.approx(1e-3, rel=1e-9)
-        assert abs(s.phi_dot) < 1e-3 * OMEGA_BETA2 * 1e-9
-
-
-def test_solution_bundle(params):
-    sol = analytic_solution(params, 0.01)
-    assert sol.omega == linear_omega(params)
-    assert sol.period == pytest.approx(2 * math.pi / sol.omega, rel=1e-15)
-    assert sol.phi0 == 0.01

@@ -31,10 +31,11 @@ from casimir_pendulum import (
     estimate_period,
     integrate,
     linear_period,
+    load_preset,
     moment_of_inertia,
     potential_energy,
-    step_rk4,
     tip_distance,
+    total_energy,
 )
 
 
@@ -163,6 +164,23 @@ class TestTrajectoryInvariants:
         assert sparse.t[-1] == dense.t[-1]
         assert sparse.phi[-1] == dense.phi[-1]
 
+    @pytest.mark.parametrize("design", ["paper-defaults", "gravity-off", "colliding"])
+    def test_energy_column_is_total_energy(self, design, params_vacuum_only, atom):
+        """The column comes from the dimensionless invariant; the SI
+        total_energy is the independent reference."""
+        if design == "paper-defaults":
+            config = load_preset(design)
+            initial = State(0.0, config.phi0_rad, 0.0)
+            traj = integrate(config.params, initial, config.build_integrator())
+        elif design == "gravity-off":
+            traj = release(params_vacuum_only, 0.3, n_periods=3.0)
+        else:
+            traj = release(PendulumParams(d=1.019e-8, l=1e-8, mass=1e-24, atom=atom), 0.3)
+            assert traj.termination is Termination.COLLISION
+        for t, phi, phi_dot, energy in zip(traj.t, traj.phi, traj.phi_dot, traj.energy):
+            expected = total_energy(State(t, phi, phi_dot), traj.params)
+            assert energy == pytest.approx(expected, rel=1e-12)
+
     def test_initial_sample_is_exact_initial_state(self, params):
         traj = integrate(
             params, State(t=1.5e-9, phi=1e-2, phi_dot=0.0), IntegratorConfig(t_max=1e-7)
@@ -203,26 +221,47 @@ class TestTerminations:
     def test_completed(self, params):
         assert release(params, 1e-3, n_periods=2.0).termination is Termination.COMPLETED
 
+    def test_stalled(self):
+        # at t = 1 s a 1e-30 s step no longer changes the time
+        config = IntegratorConfig(t_max=2.0, method=Method.RK4_FIXED, dt=1e-30)
+        params = load_preset("paper-defaults").params
+        traj = integrate(params, State(t=1.0, phi=1e-3, phi_dot=0.0), config)
+        assert traj.termination is Termination.STALLED
+        assert len(traj) == 1
+        assert traj.t[0] == 1.0
+
+
+def rk4_one_step(params, state: State, dt: float) -> Trajectory:
+    config = IntegratorConfig(t_max=state.t + dt, method=Method.RK4_FIXED, dt=dt)
+    return integrate(params, state, config)
+
 
 class TestStepRk4:
+    """The fixed-step RK4 method of integrate."""
+
     def test_equilibrium_fixed_point(self, params):
-        s = step_rk4(State(0.0, 0.0, 0.0), params, 1e-9)
+        traj = rk4_one_step(params, State(0.0, 0.0, 0.0), 1e-9)
+        s = traj.final_state()
+        assert len(traj) == 2
         assert (s.phi, s.phi_dot) == (0.0, 0.0)
-        assert s.t == 1e-9
+        assert s.t == pytest.approx(1e-9, rel=1e-15)
 
     def test_restoring_first_step(self, params):
-        dt = linear_period(params) / 1000
-        s = step_rk4(State(0.0, 1e-3, 0.0), params, dt)
+        s = rk4_one_step(params, State(0.0, 1e-3, 0.0), linear_period(params) / 1000).final_state()
         assert 0 < s.phi < 1e-3
         assert s.phi_dot < 0
 
-    def test_rejects_nonpositive_dt(self, params):
-        with pytest.raises(ValueError):
-            step_rk4(State(0.0, 1e-3, 0.0), params, 0.0)
+    def test_rejects_nonpositive_dt(self):
+        for dt in (0.0, -1e-9):
+            with pytest.raises(ValueError):
+                IntegratorConfig(t_max=1e-7, method=Method.RK4_FIXED, dt=dt)
 
     def test_geometry_violation_surfaces(self, params):
-        with pytest.raises(GeometryError):
-            step_rk4(State(0.0, 1.57, 1e9), params, 1e-7)
+        # the step carries phi past pi/2: a collision, not an exception
+        traj = rk4_one_step(params, State(0.0, 1.57, 1e9), 1e-7)
+        assert traj.termination is Termination.COLLISION
+        assert len(traj) == 1
+        assert traj.phi[-1] == 1.57
 
     def test_order_of_convergence(self, params_vacuum_only):
         """Halving dt must shrink the one-period state error ~16x."""

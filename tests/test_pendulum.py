@@ -1,7 +1,9 @@
 """Geometry, torques, equation of motion and energies of the nanostring.
 
 Expected numbers are hand evaluations for the reference design (d = 2e-8,
-l = 1e-8, M = 1e-24, generic atom, beta = 2).
+l = 1e-8, M = 1e-24, generic atom, beta = 2).  The equation of motion is
+stepped only in the integrator's dimensionless form, so it is checked here
+against the SI torques.
 """
 
 import math
@@ -13,9 +15,10 @@ import pytest
 from casimir_pendulum import (
     AtomProperties,
     GeometryError,
+    IntegratorConfig,
     PendulumParams,
     State,
-    eom_rhs,
+    integrate,
     moment_of_inertia,
     potential_energy,
     tip_distance,
@@ -23,6 +26,7 @@ from casimir_pendulum import (
     torque_gravity,
     total_energy,
 )
+from casimir_pendulum.integrator import _dimensionless_rhs, _dimensionless_system
 
 INERTIA = 3.333333333333333e-41  # kg*m^2, M*l^2/3
 TIP_AT_001 = 1.0000499995833348e-08  # m, R(0.01) = 2e-8 - 1e-8*cos(0.01)
@@ -86,23 +90,41 @@ class TestTorques:
         )
 
 
+def core_rhs(phi: float, psi: float, params: PendulumParams) -> tuple[float, float]:
+    """The integrator's (dphi/dtau, dpsi/dtau) for params."""
+    _, lam, gamma = _dimensionless_system(params)
+    return _dimensionless_rhs(phi, psi, lam, gamma)
+
+
+def core_acceleration(phi: float, params: PendulumParams) -> float:
+    """phi_ddot in rad/s^2 from the dimensionless core: w_ref^2 * dpsi/dtau."""
+    w_ref, _, _ = _dimensionless_system(params)
+    return w_ref**2 * core_rhs(phi, 0.0, params)[1]
+
+
 class TestEquationOfMotion:
     def test_rhs_at_rest_displaced(self, params):
-        phi_dot_out, acc = eom_rhs(State(t=0.0, phi=0.01, phi_dot=0.0), params)
-        assert phi_dot_out == 0.0
-        assert acc == pytest.approx(ACC_001, rel=1e-12)
+        assert core_rhs(0.01, 0.0, params)[0] == 0.0
+        assert core_acceleration(0.01, params) == pytest.approx(ACC_001, rel=1e-12)
+
+    @pytest.mark.parametrize("include_gravity", [True, False])
+    @pytest.mark.parametrize("phi", [0.01, -0.01, 0.2, -0.2, 0.45, -0.45])
+    def test_core_matches_si_torques(self, params, phi, include_gravity):
+        p = replace(params, include_gravity=include_gravity)
+        si = (torque_gravity(phi, p) + torque_casimir(phi, p)) / moment_of_inertia(p)
+        assert core_acceleration(phi, p) == pytest.approx(si, rel=1e-12)
 
     def test_rhs_passes_velocity_through(self, params):
-        phi_dot_out, _ = eom_rhs(State(t=0.0, phi=0.0, phi_dot=123.0), params)
-        assert phi_dot_out == 123.0
+        for phi in (0.0, 0.2, -0.45):
+            assert core_rhs(phi, 0.123, params)[0] == 0.123
 
     def test_equilibrium_is_fixed_point(self, params):
-        assert eom_rhs(State(t=0.0, phi=0.0, phi_dot=0.0), params) == (0.0, 0.0)
+        assert core_rhs(0.0, 0.0, params) == (0.0, 0.0)
 
     @pytest.mark.parametrize("phi", [math.pi / 2, -math.pi / 2, 2.0])
     def test_rejects_horizontal_string(self, params, phi):
         with pytest.raises(GeometryError):
-            eom_rhs(State(t=0.0, phi=phi, phi_dot=0.0), params)
+            integrate(params, State(t=0.0, phi=phi, phi_dot=0.0), IntegratorConfig(t_max=1e-7))
 
 
 class TestEnergy:

@@ -16,7 +16,7 @@ from casimir_pendulum import (
     write_report_json,
     write_trajectory_csv,
 )
-from casimir_pendulum.report import dumps_report, report_to_dict
+from casimir_pendulum.report import report_to_dict
 
 REPORT_KEYS = [
     "analytic_omega_rad_s",
@@ -103,10 +103,12 @@ def test_equilibrium_reports_absent_period(params):
     assert doc["termination"] == "completed"
 
 
-def test_reports_are_deterministic(params):
-    def once() -> str:
+def test_reports_are_deterministic(params, tmp_path):
+    def once(name: str) -> bytes:
         config = IntegratorConfig(t_max=4 * linear_period(params))
         traj = integrate(params, State(0.0, 1e-3, 0.0), config)
-        return dumps_report(build_report(traj, validate(params, 1e-3)))
+        path = tmp_path / name
+        write_report_json(build_report(traj, validate(params, 1e-3)), str(path))
+        return path.read_bytes()
 
-    assert once() == once()
+    assert once("a.json") == once("b.json")
