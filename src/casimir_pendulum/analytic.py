@@ -22,17 +22,24 @@ __all__ = ["linear_omega", "linear_period"]
 
 
 def linear_omega(params: PendulumParams) -> float:
-    """Small-angle angular frequency, rad/s (gravity excluded)."""
+    """Small-angle angular frequency, rad/s (gravity excluded).  Raises
+    ValueError when omega^2 is not a finite positive float."""
     hbar = constants().hbar
     gap = params.d - params.l
-    stiffness = (
-        9.0
-        * total_restoring_factor(params.beta)
-        * hbar
-        * params.atom.omega0
-        * params.atom.alpha0
-        / (32.0 * math.pi * params.mass * params.l * gap**4)
-    )
+    try:
+        stiffness = (
+            9.0
+            * total_restoring_factor(params.beta)
+            * hbar
+            * params.atom.omega0
+            * params.atom.alpha0
+            / (32.0 * math.pi * params.mass * params.l * gap**4)
+        )
+    except (OverflowError, ZeroDivisionError):
+        stiffness = math.nan
+    if not 0.0 < stiffness < math.inf:
+        raise ValueError(f"no finite positive stiffness for d={params.d!r}, "
+                         f"l={params.l!r}, mass={params.mass!r}")
     return math.sqrt(stiffness)
 
 

@@ -3,13 +3,13 @@
 Subcommands: simulate, period, sweep, validate, estimate.  Exit codes: 0 on
 success, 1 on usage/config errors, 2 when a simulation ends by collision,
 step exhaustion or a stall (a step too small to advance time) rather than
-reaching t_max.
+reaching t_max.  A sweep evaluates its points one after another in this
+process; each row depends only on the base config and its own value.
 """
 
 import argparse
 import json
 import sys
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
@@ -38,9 +38,6 @@ DEFAULT_TRAJECTORY_CSV = "trajectory.csv"
 DEFAULT_REPORT_JSON = "report.json"
 
 SWEEP_HEADER = ("param_value", "T_analytic", "T_simulated", "validity_verdict")
-
-# Below this many sweep points, process startup costs more than it saves.
-PARALLEL_SWEEP_THRESHOLD = 8
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -155,20 +152,20 @@ def cmd_period(args) -> int:
     return EXIT_OK if traj.termination is Termination.COMPLETED else EXIT_PHYSICS
 
 
-def _sweep_point(task) -> tuple[float, float | None, float | None, bool]:
+def _sweep_point(base: RunConfig, name: str,
+                 value: float) -> tuple[float, float | None, float | None, bool]:
     """Evaluate one sweep point: (value, T_analytic, T_simulated, verdict).
 
-    Module-level so process pools can pickle it.  Points whose parameters
-    are unbuildable or fail validation carry verdict False and skip the
-    simulation.
+    Points whose parameters are unbuildable or have no finite small-angle
+    period carry verdict False and no periods; points that fail validation
+    carry verdict False and skip the simulation.
     """
-    base, name, value = task
     try:
         config = base.with_swept_value(name, value)
-    except (ConfigError, ValueError):
+        analytic = linear_period(config.params)
+    except ValueError:  # includes ConfigError
         return value, None, None, False
     params = config.params
-    analytic = linear_period(params)
     if not validate(params, config.phi0_rad).verdict:
         return value, analytic, None, False
 
@@ -195,12 +192,7 @@ def cmd_sweep(args) -> int:
     else:
         values = np.linspace(args.from_, args.to, args.points)
 
-    tasks = [(config, args.param, float(v)) for v in values]
-    if args.points >= PARALLEL_SWEEP_THRESHOLD:
-        with ProcessPoolExecutor() as pool:
-            rows = list(pool.map(_sweep_point, tasks))
-    else:
-        rows = [_sweep_point(t) for t in tasks]
+    rows = [_sweep_point(config, args.param, float(v)) for v in values]
 
     def fmt(x: float | None) -> str:
         return "" if x is None else repr(float(x))

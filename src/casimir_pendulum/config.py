@@ -21,9 +21,9 @@ import json
 from dataclasses import dataclass, replace
 from importlib import resources
 
-from .analytic import linear_period
+from .analytic import linear_omega, linear_period
 from .forces import AtomProperties
-from .integrator import DEFAULT_COLLISION_GAP, IntegratorConfig, Method
+from .integrator import IntegratorConfig, Method
 from .pendulum import MAX_ANGLE, PendulumParams
 
 __all__ = [
@@ -55,19 +55,20 @@ class RunConfig:
     t_max is None when the file leaves the run length to the default of
     DEFAULT_T_MAX_PERIODS linearized periods; build_integrator resolves it
     against a concrete parameter set (the sweep runner re-resolves per
-    point, so each point gets the same number of cycles).
+    point, so each point gets the same number of cycles).  The other
+    integrator settings default to IntegratorConfig's.
     """
 
     params: PendulumParams
     phi0_rad: float = 0.0
-    method: Method = Method.RK45_ADAPTIVE
+    method: Method = IntegratorConfig.method
     t_max: float | None = None
     dt: float | None = None
-    rel_tol: float = 1e-10
-    abs_tol: float = 1e-12
-    max_steps: int = 1_000_000
-    record_stride: int = 1
-    collision_gap: float = DEFAULT_COLLISION_GAP
+    rel_tol: float = IntegratorConfig.rel_tol
+    abs_tol: float = IntegratorConfig.abs_tol
+    max_steps: int = IntegratorConfig.max_steps
+    record_stride: int = IntegratorConfig.record_stride
+    collision_gap: float = IntegratorConfig.collision_gap
     trajectory_csv: str | None = None
     report_json: str | None = None
 
@@ -136,9 +137,7 @@ def _get_number(section: dict, key: str, where: str, default=_MISSING):
     return float(value)
 
 
-def _get_int(section: dict, key: str, where: str, default: int) -> int:
-    if key not in section:
-        return default
+def _get_int(section: dict, key: str, where: str) -> int:
     value = section[key]
     if isinstance(value, bool) or not isinstance(value, int):
         raise ConfigError(f"config key {where}{key!r} must be an integer, got {value!r}")
@@ -189,6 +188,7 @@ def parse_config(data: dict) -> RunConfig:
             beta=_get_number(p, "beta", "params.", default=2.0),
             include_gravity=_get_bool(p, "include_gravity", "params.", default=True),
         )
+        linear_omega(params)  # every run's time scale
     except ConfigError:
         raise
     except ValueError as exc:
@@ -207,33 +207,29 @@ def parse_config(data: dict) -> RunConfig:
          "collision_gap"},
         "integrator.",
     )
+    settings = {}  # only the keys present; RunConfig holds the defaults
     method_name = _get_str(integ, "method", "integrator.")
-    if method_name is None:
-        method = Method.RK45_ADAPTIVE
-    elif method_name in _METHODS:
-        method = _METHODS[method_name]
-    else:
-        raise ConfigError(
-            f"config key integrator.'method' must be one of {sorted(_METHODS)}, "
-            f"got {method_name!r}"
-        )
+    if method_name is not None:
+        if method_name not in _METHODS:
+            raise ConfigError(
+                f"config key integrator.'method' must be one of {sorted(_METHODS)}, "
+                f"got {method_name!r}"
+            )
+        settings["method"] = _METHODS[method_name]
     out = _require_mapping(data.get("outputs", {}), "'outputs'")
     _reject_unknown(out, {"trajectory_csv", "report_json"}, "outputs.")
+    for key in ("t_max", "dt", "rel_tol", "abs_tol", "max_steps", "record_stride",
+                "collision_gap"):
+        if key in integ:
+            get = _get_int if key in ("max_steps", "record_stride") else _get_number
+            settings[key] = get(integ, key, "integrator.")
 
     config = RunConfig(
         params=params,
         phi0_rad=phi0,
-        method=method,
-        t_max=_get_number(integ, "t_max", "integrator.", default=None),
-        dt=_get_number(integ, "dt", "integrator.", default=None),
-        rel_tol=_get_number(integ, "rel_tol", "integrator.", default=1e-10),
-        abs_tol=_get_number(integ, "abs_tol", "integrator.", default=1e-12),
-        max_steps=_get_int(integ, "max_steps", "integrator.", 1_000_000),
-        record_stride=_get_int(integ, "record_stride", "integrator.", 1),
-        collision_gap=_get_number(integ, "collision_gap", "integrator.",
-                                  default=DEFAULT_COLLISION_GAP),
         trajectory_csv=_get_str(out, "trajectory_csv", "outputs."),
         report_json=_get_str(out, "report_json", "outputs."),
+        **settings,
     )
     try:
         config.build_integrator()

@@ -17,7 +17,10 @@ the system's first integral scaled to joules.
 One driver loop serves two methods, which differ only in the trial step and
 in whether the step size adapts: classical fixed-step RK4, and an embedded
 Dormand-Prince 5(4) pair with the textbook step controller
-new_h = 0.9 * h * err^(-1/5), clamped to [h/10, 10*h].
+new_h = 0.9 * h * err^(-1/5), clamped to [h/10, 10*h].  The Dormand-Prince
+pair is "first same as last": its 7th stage sits at the propagated solution,
+so the loop carries that acceleration into the next step and an accepted
+step costs 6 evaluations of _accel, not 7.
 
 A run never raises for physics reasons: the tip reaching the safety gap,
 |phi| reaching pi/2, the step budget running out, or a step too small to
@@ -162,60 +165,62 @@ class PeriodEstimate:
     cycles_observed: int
 
 
-# Dormand-Prince 5(4) tableau.  The propagated solution is 5th order; the
-# last row of weights gives the embedded 4th-order error estimate.
-_DP_A = (
-    (),
-    (1 / 5,),
-    (3 / 40, 9 / 40),
-    (44 / 45, -56 / 15, 32 / 9),
-    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
-    (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
-    (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
-)
-_DP_B5 = (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0)
-_DP_ERR = (71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40)
-
 _SAFETY = 0.9
 _MIN_FACTOR = 0.1
 _MAX_FACTOR = 10.0
 _INITIAL_PHASE_STEP = 0.1  # trial first step, radians of linearized phase
 
 
-def _dimensionless_rhs(phi: float, psi: float, lam: float, gamma: float) -> tuple[float, float]:
+def _accel(phi: float, lam: float, gamma: float) -> float:
+    """dpsi/dtau of the dimensionless system; dphi/dtau is psi itself."""
     # q = R(phi)/R0; 2*sin^2(phi/2) avoids the 1-cos cancellation.
     q = 1.0 + lam * 2.0 * math.sin(0.5 * phi) ** 2
-    return psi, -math.sin(phi) * ((1.0 / q) ** 4 + gamma)
+    return -math.sin(phi) * ((1.0 / q) ** 4 + gamma)
 
 
 def _rk4_step(phi, psi, h, lam, gamma):
-    k1p, k1v = _dimensionless_rhs(phi, psi, lam, gamma)
-    k2p, k2v = _dimensionless_rhs(phi + 0.5 * h * k1p, psi + 0.5 * h * k1v, lam, gamma)
-    k3p, k3v = _dimensionless_rhs(phi + 0.5 * h * k2p, psi + 0.5 * h * k2v, lam, gamma)
-    k4p, k4v = _dimensionless_rhs(phi + h * k3p, psi + h * k3v, lam, gamma)
-    phi_new = phi + h / 6.0 * (k1p + 2.0 * k2p + 2.0 * k3p + k4p)
-    psi_new = psi + h / 6.0 * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
+    a1 = _accel(phi, lam, gamma)
+    v2 = psi + 0.5 * h * a1
+    a2 = _accel(phi + 0.5 * h * psi, lam, gamma)
+    v3 = psi + 0.5 * h * a2
+    a3 = _accel(phi + 0.5 * h * v2, lam, gamma)
+    v4 = psi + h * a3
+    a4 = _accel(phi + h * v3, lam, gamma)
+    phi_new = phi + h / 6.0 * (psi + 2.0 * v2 + 2.0 * v3 + v4)
+    psi_new = psi + h / 6.0 * (a1 + 2.0 * a2 + 2.0 * a3 + a4)
     return phi_new, psi_new
 
 
-def _dp45_step(phi, psi, h, lam, gamma):
-    """One Dormand-Prince trial step: returns (phi5, psi5, err_phi, err_psi)."""
-    kp = []
-    kv = []
-    for row in _DP_A:
-        dp = 0.0
-        dv = 0.0
-        for a, p, v in zip(row, kp, kv):
-            dp += a * p
-            dv += a * v
-        p, v = _dimensionless_rhs(phi + h * dp, psi + h * dv, lam, gamma)
-        kp.append(p)
-        kv.append(v)
-    phi5 = phi + h * sum(b * k for b, k in zip(_DP_B5, kp))
-    psi5 = psi + h * sum(b * k for b, k in zip(_DP_B5, kv))
-    err_phi = h * sum(e * k for e, k in zip(_DP_ERR, kp))
-    err_psi = h * sum(e * k for e, k in zip(_DP_ERR, kv))
-    return phi5, psi5, err_phi, err_psi
+def _dp45_step(phi, psi, a1, h, lam, gamma):
+    """One Dormand-Prince trial step from (phi, psi) with a1 = _accel(phi):
+    returns (phi5, psi5, a7, err_phi, err_psi).  Stage i sits at
+    (phi + h*sum_j a_ij*v_j, v_i) with v_1 = psi; the last stage is the
+    propagated solution, so a7 is the next step's a1."""
+    # Zero weights are left out; the other terms keep the tableau's order.
+    v2 = psi + h * (1 / 5 * a1)
+    a2 = _accel(phi + h * (1 / 5 * psi), lam, gamma)
+    v3 = psi + h * (3 / 40 * a1 + 9 / 40 * a2)
+    a3 = _accel(phi + h * (3 / 40 * psi + 9 / 40 * v2), lam, gamma)
+    v4 = psi + h * (44 / 45 * a1 - 56 / 15 * a2 + 32 / 9 * a3)
+    a4 = _accel(phi + h * (44 / 45 * psi - 56 / 15 * v2 + 32 / 9 * v3), lam, gamma)
+    v5 = psi + h * (19372 / 6561 * a1 - 25360 / 2187 * a2 + 64448 / 6561 * a3
+                    - 212 / 729 * a4)
+    a5 = _accel(phi + h * (19372 / 6561 * psi - 25360 / 2187 * v2 + 64448 / 6561 * v3
+                           - 212 / 729 * v4), lam, gamma)
+    v6 = psi + h * (9017 / 3168 * a1 - 355 / 33 * a2 + 46732 / 5247 * a3 + 49 / 176 * a4
+                    - 5103 / 18656 * a5)
+    a6 = _accel(phi + h * (9017 / 3168 * psi - 355 / 33 * v2 + 46732 / 5247 * v3
+                           + 49 / 176 * v4 - 5103 / 18656 * v5), lam, gamma)
+    phi5 = phi + h * (35 / 384 * psi + 500 / 1113 * v3 + 125 / 192 * v4 - 2187 / 6784 * v5
+                      + 11 / 84 * v6)
+    psi5 = psi + h * (35 / 384 * a1 + 500 / 1113 * a3 + 125 / 192 * a4 - 2187 / 6784 * a5
+                      + 11 / 84 * a6)
+    a7 = _accel(phi5, lam, gamma)
+    err_phi = h * (71 / 57600 * psi - 71 / 16695 * v3 + 71 / 1920 * v4
+                   - 17253 / 339200 * v5 + 22 / 525 * v6 - 1 / 40 * psi5)
+    err_psi = h * (71 / 57600 * a1 - 71 / 16695 * a3 + 71 / 1920 * a4
+                   - 17253 / 339200 * a5 + 22 / 525 * a6 - 1 / 40 * a7)
+    return phi5, psi5, a7, err_phi, err_psi
 
 
 def _dimensionless_system(params: PendulumParams) -> tuple[float, float, float]:
@@ -272,19 +277,16 @@ def integrate(params: PendulumParams, initial: State, config: IntegratorConfig) 
 
     w_ref, lam, gamma = _dimensionless_system(params)
     gap = config.collision_gap
-
-    def collides(phi: float) -> bool:
-        return abs(phi) >= MAX_ANGLE or tip_distance(phi, params) <= gap
-
     tau = initial.t * w_ref
     tau_end = config.t_max * w_ref
     phi = initial.phi
     psi = initial.phi_dot / w_ref
     rows = [(initial.t, phi, psi)]
-    if collides(phi):
+    if tip_distance(phi, params) <= gap:
         return _trajectory(rows, params, Termination.COLLISION)
 
     adaptive = config.method is Method.RK45_ADAPTIVE
+    acc = _accel(phi, lam, gamma)  # a1 of the first Dormand-Prince step
     rtol = config.rel_tol
     atol = config.abs_tol
     h_next = _INITIAL_PHASE_STEP if adaptive else config.dt * w_ref
@@ -300,7 +302,7 @@ def integrate(params: PendulumParams, initial: State, config: IntegratorConfig) 
             termination = Termination.STALLED
             break
         if adaptive:
-            phi_new, psi_new, e_phi, e_psi = _dp45_step(phi, psi, h, lam, gamma)
+            phi_new, psi_new, acc_new, e_phi, e_psi = _dp45_step(phi, psi, acc, h, lam, gamma)
             scale_phi = atol + rtol * max(abs(phi), abs(phi_new))
             scale_psi = atol + rtol * max(abs(psi), abs(psi_new))
             err = max(abs(e_phi) / scale_phi, abs(e_psi) / scale_psi)
@@ -308,10 +310,11 @@ def integrate(params: PendulumParams, initial: State, config: IntegratorConfig) 
             h_next = h * min(_MAX_FACTOR, max(_MIN_FACTOR, factor))
             if not err <= 1.0:  # rejected, also when err is NaN
                 continue
+            acc = acc_new
         else:
             phi_new, psi_new = _rk4_step(phi, psi, h, lam, gamma)
         steps += 1
-        if collides(phi_new):
+        if abs(phi_new) >= MAX_ANGLE or tip_distance(phi_new, params) <= gap:
             termination = Termination.COLLISION
             break
         tau += h

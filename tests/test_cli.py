@@ -8,6 +8,7 @@ import csv
 import json
 import math
 
+import numpy as np
 import pytest
 
 from casimir_pendulum.cli import main
@@ -141,7 +142,7 @@ class TestSweep:
         assert all(r["validity_verdict"] == "true" for r in rows)
 
     def test_gap_square_law_parallel(self, tmp_path):
-        """20 log-spaced points exercise the process pool; T ~ (d-l)^2."""
+        """20 log-spaced points across the near-zone edge; T ~ (d-l)^2."""
         out = str(tmp_path / "d.csv")
         code = main(["sweep", "--preset", "paper-defaults", "--param", "d_m",
                      "--from", "1.5e-8", "--to", "5e-8", "--points", "20",
@@ -182,6 +183,32 @@ class TestSweep:
         assert rows[0]["validity_verdict"] == "false"
         assert rows[0]["T_analytic"] == ""
         assert rows[-1]["validity_verdict"] == "true"
+
+    def test_no_finite_period_carries_false(self, tmp_path):
+        # at d = 1e300 the stiffness (d-l)^-4 is not a float; the row says so
+        out = str(tmp_path / "s.csv")
+        code = main(["sweep", "--preset", "paper-defaults", "--param", "d_m",
+                     "--from", "1.5e-8", "--to", "1e300", "--points", "2", "--out", out])
+        assert code == 0
+        rows = read_csv(out)
+        assert rows[0]["validity_verdict"] == "true"
+        assert rows[1] == {"param_value": "1e+300", "T_analytic": "", "T_simulated": "",
+                           "validity_verdict": "false"}
+
+    def test_row_independent_of_other_points(self, tmp_path):
+        """A point's row is the same bytes alone as among 20 points."""
+        def data_lines(start, stop, points):
+            out = str(tmp_path / "s.csv")
+            assert main(["sweep", "--preset", "paper-defaults", "--param", "d_m",
+                         "--from", repr(start), "--to", repr(stop), "--points", str(points),
+                         "--log", "--out", out]) == 0
+            with open(out) as fh:
+                return fh.read().splitlines()[1:]
+
+        values = np.geomspace(1.5e-8, 5e-8, 20).tolist()
+        full = data_lines(values[0], values[-1], 20)
+        for i in range(0, 20, 2):
+            assert data_lines(values[i], values[i + 1], 2) == full[i:i + 2]
 
     def test_unknown_param_is_usage_error(self, tmp_path):
         with pytest.raises(SystemExit) as exc:

@@ -4,6 +4,8 @@ import json
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from casimir_pendulum import (
     ConfigError,
@@ -173,6 +175,26 @@ class TestRejection:
     def test_section_must_be_object(self):
         with pytest.raises(ConfigError, match="params"):
             parse_config({"params": [1, 2, 3]})
+
+    @pytest.mark.parametrize("key, value", [
+        ("d_m", 1e300),  # (d-l)^4 overflows
+        ("mass_kg", 1e-300),  # the stiffness denominator underflows to 0
+        ("d_m", math.inf),  # json.load accepts Infinity
+    ])
+    def test_extreme_params_name_the_geometry(self, key, value):
+        doc = {"params": dict(FULL_DOC["params"], **{key: value})}
+        with pytest.raises(ConfigError, match="params.*d=.*l=.*mass="):
+            parse_config(doc)
+
+
+@settings(derandomize=True, database=None, max_examples=300)
+@given(key=st.sampled_from(sorted(FULL_DOC["params"])),
+       value=st.floats() | st.sampled_from([1e300, -1e300, 1e-300, -1e-300, 5e-324]))
+def test_any_float_in_params_raises_only_config_error(key, value):
+    try:
+        parse_config({"params": dict(FULL_DOC["params"], **{key: value})})
+    except ConfigError:
+        pass
 
 
 class TestFiles:

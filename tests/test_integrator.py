@@ -18,6 +18,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+import casimir_pendulum.integrator as integrator_module
 from casimir_pendulum import (
     GeometryError,
     InsufficientCyclesError,
@@ -281,6 +282,26 @@ class TestStepRk4:
         errors = [abs(final_phi(n) - reference) for n in (64, 128, 256)]
         slopes = [math.log2(errors[i] / errors[i + 1]) for i in range(2)]
         assert all(3.7 <= s <= 4.3 for s in slopes)
+
+
+class TestDormandPrinceStep:
+    @pytest.mark.parametrize("phi0", [1e-3, 0.2])
+    def test_six_rhs_calls_per_accepted_step(self, monkeypatch, phi0):
+        """The last stage is the next step's first (FSAL): 6 calls, not 7."""
+        calls = 0
+        accel = integrator_module._accel
+
+        def counting_accel(*args):
+            nonlocal calls
+            calls += 1
+            return accel(*args)
+
+        monkeypatch.setattr(integrator_module, "_accel", counting_accel)
+        config = load_preset("paper-defaults")
+        assert config.record_stride == 1
+        traj = integrate(config.params, State(0.0, phi0, 0.0), config.build_integrator())
+        assert traj.termination is Termination.COMPLETED
+        assert calls / (len(traj) - 1) <= 6.05
 
 
 class TestEstimatePeriod:

@@ -26,7 +26,7 @@ from casimir_pendulum import (
     torque_gravity,
     total_energy,
 )
-from casimir_pendulum.integrator import _dimensionless_rhs, _dimensionless_system
+from casimir_pendulum.integrator import _accel, _dimensionless_system, _dp45_step, _rk4_step
 
 INERTIA = 3.333333333333333e-41  # kg*m^2, M*l^2/3
 TIP_AT_001 = 1.0000499995833348e-08  # m, R(0.01) = 2e-8 - 1e-8*cos(0.01)
@@ -90,21 +90,21 @@ class TestTorques:
         )
 
 
-def core_rhs(phi: float, psi: float, params: PendulumParams) -> tuple[float, float]:
-    """The integrator's (dphi/dtau, dpsi/dtau) for params."""
+def core_steps(phi: float, psi: float, h: float, params: PendulumParams):
+    """(phi, psi) after one step of h in tau, by RK4 and by Dormand-Prince."""
     _, lam, gamma = _dimensionless_system(params)
-    return _dimensionless_rhs(phi, psi, lam, gamma)
+    dp = _dp45_step(phi, psi, _accel(phi, lam, gamma), h, lam, gamma)
+    return _rk4_step(phi, psi, h, lam, gamma), dp[:2]
 
 
 def core_acceleration(phi: float, params: PendulumParams) -> float:
     """phi_ddot in rad/s^2 from the dimensionless core: w_ref^2 * dpsi/dtau."""
-    w_ref, _, _ = _dimensionless_system(params)
-    return w_ref**2 * core_rhs(phi, 0.0, params)[1]
+    w_ref, lam, gamma = _dimensionless_system(params)
+    return w_ref**2 * _accel(phi, lam, gamma)
 
 
 class TestEquationOfMotion:
     def test_rhs_at_rest_displaced(self, params):
-        assert core_rhs(0.01, 0.0, params)[0] == 0.0
         assert core_acceleration(0.01, params) == pytest.approx(ACC_001, rel=1e-12)
 
     @pytest.mark.parametrize("include_gravity", [True, False])
@@ -115,11 +115,15 @@ class TestEquationOfMotion:
         assert core_acceleration(phi, p) == pytest.approx(si, rel=1e-12)
 
     def test_rhs_passes_velocity_through(self, params):
+        # dphi/dtau = psi: over a short step either method moves phi by h*psi
+        h = 1e-7
         for phi in (0.0, 0.2, -0.45):
-            assert core_rhs(phi, 0.123, params)[0] == 0.123
+            for phi_new, _ in core_steps(phi, 0.123, h, params):
+                assert (phi_new - phi) / h == pytest.approx(0.123, rel=1e-5)
 
     def test_equilibrium_is_fixed_point(self, params):
-        assert core_rhs(0.0, 0.0, params) == (0.0, 0.0)
+        assert core_acceleration(0.0, params) == 0.0
+        assert core_steps(0.0, 0.0, 0.1, params) == ((0.0, 0.0), (0.0, 0.0))
 
     @pytest.mark.parametrize("phi", [math.pi / 2, -math.pi / 2, 2.0])
     def test_rejects_horizontal_string(self, params, phi):
