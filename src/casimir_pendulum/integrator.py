@@ -265,7 +265,8 @@ def integrate(params: PendulumParams, initial: State, config: IntegratorConfig) 
     config.t_max.
 
     Deterministic: identical inputs produce bit-identical trajectories.
-    Collision (tip at or below the safety gap, or |phi| >= pi/2), step
+    Collision (tip at or below the safety gap, |phi| >= pi/2, or a fixed
+    step so large that a stage angle overflows), step
     exhaustion and a step too small to advance time are reported
     terminations, not exceptions; the violating state itself is not
     recorded, so every sample in the result is valid.
@@ -312,7 +313,11 @@ def integrate(params: PendulumParams, initial: State, config: IntegratorConfig) 
                 continue
             acc = acc_new
         else:
-            phi_new, psi_new = _rk4_step(phi, psi, h, lam, gamma)
+            try:
+                phi_new, psi_new = _rk4_step(phi, psi, h, lam, gamma)
+            except ValueError:  # math.sin of a stage angle that overflowed to inf
+                termination = Termination.COLLISION
+                break
         steps += 1
         if abs(phi_new) >= MAX_ANGLE or tip_distance(phi_new, params) <= gap:
             termination = Termination.COLLISION

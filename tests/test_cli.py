@@ -28,6 +28,14 @@ def write_config(tmp_path, doc, name="run.json"):
     return str(path)
 
 
+# the first RK4 step overflows a stage angle to inf (see test_integrator.py)
+OVERFLOW_DOC = {
+    "params": PARAMS,
+    "initial": {"phi0_rad": 0.3},
+    "integrator": {"method": "rk4_fixed", "dt": 1e283, "t_max": 1e300},
+}
+
+
 def read_csv(path):
     with open(path, newline="") as fh:
         return list(csv.DictReader(fh))
@@ -96,6 +104,16 @@ class TestSimulate:
         code = main(["simulate", "--config", write_config(tmp_path, doc),
                      "--out", str(tmp_path / "t.csv"), "--report", str(tmp_path / "r.json")])
         assert code == 2
+
+    def test_overflowing_fixed_step_exits_2(self, tmp_path):
+        out = tmp_path / "t.csv"
+        rep = tmp_path / "r.json"
+        code = main(["simulate", "--config", write_config(tmp_path, OVERFLOW_DOC),
+                     "--out", str(out), "--report", str(rep)])
+        assert code == 2
+        assert json.loads(rep.read_text())["termination"] == "collision"
+        rows = read_csv(out)  # the start state only
+        assert [(r["t_s"], r["phi_rad"], r["phi_dot_rad_s"]) for r in rows] == [("0.0", "0.3", "0.0")]
 
     def test_identical_configs_identical_artifacts(self, tmp_path):
         doc = {"params": PARAMS, "initial": {"phi0_rad": 1e-3}}
@@ -194,6 +212,17 @@ class TestSweep:
         assert rows[0]["validity_verdict"] == "true"
         assert rows[1] == {"param_value": "1e+300", "T_analytic": "", "T_simulated": "",
                            "validity_verdict": "false"}
+
+    def test_overflowing_fixed_step_carries_true(self, tmp_path):
+        # valid designs whose run ends at once as a collision: no period
+        out = str(tmp_path / "s.csv")
+        code = main(["sweep", "--config", write_config(tmp_path, OVERFLOW_DOC),
+                     "--param", "beta", "--from", "1.5", "--to", "2", "--points", "2",
+                     "--out", out])
+        assert code == 0
+        rows = read_csv(out)
+        assert [(r["param_value"], r["T_simulated"], r["validity_verdict"]) for r in rows] == [
+            ("1.5", "", "true"), ("2.0", "", "true")]
 
     def test_row_independent_of_other_points(self, tmp_path):
         """A point's row is the same bytes alone as among 20 points."""

@@ -231,6 +231,16 @@ class TestTerminations:
         assert len(traj) == 1
         assert traj.t[0] == 1.0
 
+    @pytest.mark.parametrize("dt", [1e152, 1e283])
+    def test_overflowing_fixed_step_is_collision(self, params, dt):
+        # a stage angle of the first step overflows to inf, whose sine is a
+        # math domain error: the run ends with only the start state recorded
+        config = IntegratorConfig(t_max=1e300, method=Method.RK4_FIXED, dt=dt)
+        traj = integrate(params, State(0.0, 0.3, 0.0), config)
+        assert traj.termination is Termination.COLLISION
+        assert len(traj) == 1
+        assert (traj.t[0], traj.phi[0], traj.phi_dot[0]) == (0.0, 0.3, 0.0)
+
 
 def rk4_one_step(params, state: State, dt: float) -> Trajectory:
     config = IntegratorConfig(t_max=state.t + dt, method=Method.RK4_FIXED, dt=dt)
