@@ -2,14 +2,16 @@
 
 Subcommands: simulate, period, sweep, validate, estimate.  Exit codes: 0 on
 success, 1 on usage/config errors, 2 when a simulation ends by collision,
-step exhaustion or a stall (a step too small to advance time) rather than
-reaching t_max.  A sweep evaluates its points one after another in this
-process; each row depends only on the base config and its own value.
+step exhaustion or a stall (a step that cannot advance time to a larger
+finite value) rather than reaching t_max.  A sweep evaluates its points one
+after another in this process; each row depends only on the base config and
+its own value.
 """
 
 import argparse
 import json
 import sys
+from dataclasses import asdict
 
 import numpy as np
 
@@ -20,17 +22,12 @@ from .config import (
     RunConfig,
     load_config,
     load_preset,
+    params_to_dict,
 )
 from .design import NanostringSpec, estimate_params, validate
 from .integrator import InsufficientCyclesError, Termination, estimate_period, integrate
 from .pendulum import GeometryError, State
-from .report import (
-    build_report,
-    params_to_dict,
-    validity_to_dict,
-    write_report_json,
-    write_trajectory_csv,
-)
+from .report import build_report, write_report_json, write_trajectory_csv
 
 __all__ = ["main"]
 
@@ -121,7 +118,7 @@ def cmd_simulate(args) -> int:
     params = config.params
     validity = validate(params, config.phi0_rad)
     initial = State(t=0.0, phi=config.phi0_rad, phi_dot=0.0)
-    traj = integrate(params, initial, config.build_integrator())
+    traj = integrate(params, initial, config.integrator)
     report = build_report(traj, validity)
 
     csv_path = args.out or config.trajectory_csv or DEFAULT_TRAJECTORY_CSV
@@ -144,7 +141,7 @@ def cmd_period(args) -> int:
         return EXIT_OK
 
     initial = State(t=0.0, phi=config.phi0_rad, phi_dot=0.0)
-    traj = integrate(params, initial, config.build_integrator())
+    traj = integrate(params, initial, config.integrator)
     try:
         print(f"T_simulated = {estimate_period(traj).mean_period:.4e} s")
     except InsufficientCyclesError:
@@ -172,7 +169,7 @@ def _sweep_point(base: RunConfig, name: str,
     simulated = None
     try:
         initial = State(t=0.0, phi=config.phi0_rad, phi_dot=0.0)
-        traj = integrate(params, initial, config.build_integrator(params))
+        traj = integrate(params, initial, config.integrator)
         simulated = estimate_period(traj).mean_period
     except (GeometryError, InsufficientCyclesError):
         pass
@@ -209,7 +206,7 @@ def cmd_sweep(args) -> int:
 def cmd_validate(args) -> int:
     config = _load_run_config(args)
     report = validate(config.params, config.phi0_rad)
-    print(json.dumps(validity_to_dict(report), indent=2))
+    print(json.dumps(asdict(report), indent=2))
     return EXIT_OK
 
 

@@ -13,15 +13,19 @@ Schema (only "params" is required):
     }
 
 Unknown keys anywhere are rejected with an error naming the key; so are
-values of the wrong type.  When "t_max" is omitted the run covers a fixed
-number of linearized periods of the configured pendulum.
+values of the wrong type.  The "params" keys live in one table, _PARAMS,
+which drives parsing, sweeping and params_to_dict; each "integrator" key
+maps to its reader in _INTEGRATOR, and an omitted one keeps
+IntegratorConfig's default.  An omitted "t_max" stays None: integrate then
+runs DEFAULT_T_MAX_PERIODS linearized periods of the pendulum it integrates,
+so every point of a sweep covers the same number of cycles.
 """
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from importlib import resources
 
-from .analytic import linear_omega, linear_period
+from .analytic import linear_omega
 from .forces import AtomProperties
 from .integrator import IntegratorConfig, Method
 from .pendulum import MAX_ANGLE, PendulumParams
@@ -29,17 +33,30 @@ from .pendulum import MAX_ANGLE, PendulumParams
 __all__ = [
     "ConfigError",
     "RunConfig",
-    "DEFAULT_T_MAX_PERIODS",
     "SWEEPABLE_PARAMS",
     "load_config",
     "parse_config",
+    "params_to_dict",
     "preset_names",
     "load_preset",
 ]
 
-DEFAULT_T_MAX_PERIODS = 12  # enough cycles for a stable period estimate
+_MISSING = object()
 
-SWEEPABLE_PARAMS = ("d_m", "l_m", "mass_kg", "alpha0_m3", "omega0_rad_s", "beta", "phi0_rad")
+# "params" key -> (PendulumParams field, type, default); the atom's two
+# fields are listed flat, and _MISSING marks a required key.
+_PARAMS = {
+    "d_m": ("d", float, _MISSING),
+    "l_m": ("l", float, _MISSING),
+    "mass_kg": ("mass", float, _MISSING),
+    "alpha0_m3": ("alpha0", float, _MISSING),
+    "omega0_rad_s": ("omega0", float, _MISSING),
+    "beta": ("beta", float, PendulumParams.beta),
+    "include_gravity": ("include_gravity", bool, PendulumParams.include_gravity),
+}
+_PHI0 = "phi0_rad"
+
+SWEEPABLE_PARAMS = tuple(k for k, (_, kind, _) in _PARAMS.items() if kind is float) + (_PHI0,)
 
 _METHODS = {m.value: m for m in Method}
 
@@ -48,67 +65,50 @@ class ConfigError(ValueError):
     """Invalid run configuration; the message names the offending field."""
 
 
+def _flat_fields(params: PendulumParams) -> dict:
+    """The fields of params with the atom's inlined, as _PARAMS names them."""
+    fields = asdict(params)
+    fields.update(fields.pop("atom"))
+    return fields
+
+
+def _build_params(fields: dict) -> PendulumParams:
+    """Inverse of _flat_fields; raises ValueError for invalid values."""
+    atom = AtomProperties(alpha0=fields.pop("alpha0"), omega0=fields.pop("omega0"))
+    return PendulumParams(atom=atom, **fields)
+
+
+def params_to_dict(params: PendulumParams) -> dict:
+    """The "params" section that parses back to params."""
+    fields = _flat_fields(params)
+    return {key: kind(fields[name]) for key, (name, kind, _) in _PARAMS.items()}
+
+
 @dataclass(frozen=True)
 class RunConfig:
-    """Fully parsed run configuration.
-
-    t_max is None when the file leaves the run length to the default of
-    DEFAULT_T_MAX_PERIODS linearized periods; build_integrator resolves it
-    against a concrete parameter set (the sweep runner re-resolves per
-    point, so each point gets the same number of cycles).  The other
-    integrator settings default to IntegratorConfig's.
-    """
+    """Fully parsed run configuration; integrator.t_max is None when the
+    file leaves the run length to integrate's default."""
 
     params: PendulumParams
     phi0_rad: float = 0.0
-    method: Method = IntegratorConfig.method
-    t_max: float | None = None
-    dt: float | None = None
-    rel_tol: float = IntegratorConfig.rel_tol
-    abs_tol: float = IntegratorConfig.abs_tol
-    max_steps: int = IntegratorConfig.max_steps
-    record_stride: int = IntegratorConfig.record_stride
-    collision_gap: float = IntegratorConfig.collision_gap
+    integrator: IntegratorConfig = IntegratorConfig()
     trajectory_csv: str | None = None
     report_json: str | None = None
 
     def build_integrator(self, params: PendulumParams | None = None) -> IntegratorConfig:
-        if params is None:
-            params = self.params
-        t_max = self.t_max
-        if t_max is None:
-            t_max = DEFAULT_T_MAX_PERIODS * linear_period(params)
-        return IntegratorConfig(
-            t_max=t_max,
-            method=self.method,
-            dt=self.dt,
-            rel_tol=self.rel_tol,
-            abs_tol=self.abs_tol,
-            max_steps=self.max_steps,
-            record_stride=self.record_stride,
-            collision_gap=self.collision_gap,
-        )
+        """The integrator field; params is ignored, since integrate resolves
+        the default run length itself.  Kept for benchmarks/replay.py."""
+        return self.integrator
 
     def with_swept_value(self, name: str, value: float) -> "RunConfig":
         """Copy of this config with one sweepable field replaced."""
-        if name == "phi0_rad":
-            return replace(self, phi0_rad=value)
-        p = self.params
-        if name == "d_m":
-            new_params = replace(p, d=value)
-        elif name == "l_m":
-            new_params = replace(p, l=value)
-        elif name == "mass_kg":
-            new_params = replace(p, mass=value)
-        elif name == "beta":
-            new_params = replace(p, beta=value)
-        elif name == "alpha0_m3":
-            new_params = replace(p, atom=AtomProperties(alpha0=value, omega0=p.atom.omega0))
-        elif name == "omega0_rad_s":
-            new_params = replace(p, atom=AtomProperties(alpha0=p.atom.alpha0, omega0=value))
-        else:
+        if name not in SWEEPABLE_PARAMS:
             raise ConfigError(f"unknown sweep parameter {name!r}; choose from {SWEEPABLE_PARAMS}")
-        return replace(self, params=new_params)
+        if name == _PHI0:
+            return replace(self, phi0_rad=value)
+        fields = _flat_fields(self.params)
+        fields[_PARAMS[name][0]] = value
+        return replace(self, params=_build_params(fields))
 
 
 def _require_mapping(value, where: str) -> dict:
@@ -117,13 +117,10 @@ def _require_mapping(value, where: str) -> dict:
     return value
 
 
-def _reject_unknown(section: dict, allowed: set[str], where: str) -> None:
+def _reject_unknown(section: dict, allowed, where: str) -> None:
     for key in section:
         if key not in allowed:
             raise ConfigError(f"unknown config key {where}{key!r}")
-
-
-_MISSING = object()
 
 
 def _get_number(section: dict, key: str, where: str, default=_MISSING):
@@ -134,7 +131,12 @@ def _get_number(section: dict, key: str, where: str, default=_MISSING):
     value = section[key]
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"config key {where}{key!r} must be a number, got {value!r}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:  # an integer literal beyond the float range
+        raise ConfigError(
+            f"config key {where}{key!r} must be a number within the float range"
+        ) from None
 
 
 def _get_int(section: dict, key: str, where: str) -> int:
@@ -162,6 +164,28 @@ def _get_str(section: dict, key: str, where: str) -> str | None:
     return value
 
 
+def _get_method(section: dict, key: str, where: str) -> Method:
+    name = _get_str(section, key, where)
+    if name not in _METHODS:
+        raise ConfigError(
+            f"config key {where}{key!r} must be one of {sorted(_METHODS)}, got {name!r}"
+        )
+    return _METHODS[name]
+
+
+# "integrator" key (an IntegratorConfig field) -> reader
+_INTEGRATOR = {
+    "method": _get_method,
+    "t_max": _get_number,
+    "dt": _get_number,
+    "rel_tol": _get_number,
+    "abs_tol": _get_number,
+    "max_steps": _get_int,
+    "record_stride": _get_int,
+    "collision_gap": _get_number,
+}
+
+
 def parse_config(data: dict) -> RunConfig:
     """Validate a decoded JSON document and build a RunConfig."""
     _require_mapping(data, "config")
@@ -170,72 +194,36 @@ def parse_config(data: dict) -> RunConfig:
     if "params" not in data:
         raise ConfigError("missing required config section 'params'")
     p = _require_mapping(data["params"], "'params'")
-    _reject_unknown(
-        p,
-        {"d_m", "l_m", "mass_kg", "alpha0_m3", "omega0_rad_s", "beta", "include_gravity"},
-        "params.",
-    )
+    _reject_unknown(p, _PARAMS, "params.")
+    fields = {
+        name: (_get_bool if kind is bool else _get_number)(p, key, "params.", default)
+        for key, (name, kind, default) in _PARAMS.items()
+    }
     try:
-        atom = AtomProperties(
-            alpha0=_get_number(p, "alpha0_m3", "params."),
-            omega0=_get_number(p, "omega0_rad_s", "params."),
-        )
-        params = PendulumParams(
-            d=_get_number(p, "d_m", "params."),
-            l=_get_number(p, "l_m", "params."),
-            mass=_get_number(p, "mass_kg", "params."),
-            atom=atom,
-            beta=_get_number(p, "beta", "params.", default=2.0),
-            include_gravity=_get_bool(p, "include_gravity", "params.", default=True),
-        )
+        params = _build_params(fields)
         linear_omega(params)  # every run's time scale
-    except ConfigError:
-        raise
     except ValueError as exc:
         raise ConfigError(f"invalid 'params' section: {exc}") from exc
 
     init = _require_mapping(data.get("initial", {}), "'initial'")
-    _reject_unknown(init, {"phi0_rad"}, "initial.")
-    phi0 = _get_number(init, "phi0_rad", "initial.", default=0.0)
+    _reject_unknown(init, {_PHI0}, "initial.")
+    phi0 = _get_number(init, _PHI0, "initial.", default=0.0)
     if not abs(phi0) < MAX_ANGLE:
-        raise ConfigError(f"initial.'phi0_rad' must satisfy |phi0| < pi/2, got {phi0!r}")
+        raise ConfigError(f"initial.{_PHI0!r} must satisfy |phi0| < pi/2, got {phi0!r}")
 
     integ = _require_mapping(data.get("integrator", {}), "'integrator'")
-    _reject_unknown(
-        integ,
-        {"method", "t_max", "dt", "rel_tol", "abs_tol", "max_steps", "record_stride",
-         "collision_gap"},
-        "integrator.",
-    )
-    settings = {}  # only the keys present; RunConfig holds the defaults
-    method_name = _get_str(integ, "method", "integrator.")
-    if method_name is not None:
-        if method_name not in _METHODS:
-            raise ConfigError(
-                f"config key integrator.'method' must be one of {sorted(_METHODS)}, "
-                f"got {method_name!r}"
-            )
-        settings["method"] = _METHODS[method_name]
+    _reject_unknown(integ, _INTEGRATOR, "integrator.")
+    settings = {key: read(integ, key, "integrator.")
+                for key, read in _INTEGRATOR.items() if key in integ}
     out = _require_mapping(data.get("outputs", {}), "'outputs'")
     _reject_unknown(out, {"trajectory_csv", "report_json"}, "outputs.")
-    for key in ("t_max", "dt", "rel_tol", "abs_tol", "max_steps", "record_stride",
-                "collision_gap"):
-        if key in integ:
-            get = _get_int if key in ("max_steps", "record_stride") else _get_number
-            settings[key] = get(integ, key, "integrator.")
-
-    config = RunConfig(
-        params=params,
-        phi0_rad=phi0,
-        trajectory_csv=_get_str(out, "trajectory_csv", "outputs."),
-        report_json=_get_str(out, "report_json", "outputs."),
-        **settings,
-    )
+    trajectory_csv = _get_str(out, "trajectory_csv", "outputs.")
+    report_json = _get_str(out, "report_json", "outputs.")
     try:
-        config.build_integrator()
+        integrator = IntegratorConfig(**settings)
     except ValueError as exc:
         raise ConfigError(f"invalid 'integrator' section: {exc}") from exc
-    return config
+    return RunConfig(params, phi0, integrator, trajectory_csv, report_json)
 
 
 def load_config(path: str) -> RunConfig:

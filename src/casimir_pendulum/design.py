@@ -24,7 +24,7 @@ from .forces import (
     force_near,
     total_restoring_factor,
 )
-from .pendulum import PendulumParams, tip_distance
+from .pendulum import MIN_TIP_GAP, PendulumParams, tip_distance
 
 __all__ = [
     "NanostringSpec",
@@ -33,7 +33,6 @@ __all__ = [
     "DEFAULT_ALPHA0",
     "DEFAULT_OMEGA0",
     "ATOM_SPACING_RADII",
-    "MIN_TIP_GAP",
     "MAX_SMALL_ANGLE",
     "GRAVITY_RATIO_THRESHOLD",
     "estimate_params",
@@ -49,8 +48,6 @@ DEFAULT_OMEGA0 = 1e15  # rad/s
 
 ATOM_SPACING_RADII = 3.0  # adjacent chain atoms sit ~3 radii apart
 
-# Below two atom radii the point-atom force law stops meaning anything.
-MIN_TIP_GAP = 2e-10  # m
 MAX_SMALL_ANGLE = 0.3  # rad, supported amplitude envelope
 GRAVITY_RATIO_THRESHOLD = 100.0
 
@@ -132,7 +129,7 @@ def validate(params: PendulumParams, phi0: float, margin: float = DEFAULT_MARGIN
                        its c/omega0 / R(phi0)
     gravity_negligible -- Casimir torque coefficient at phi = 0 is at least
                        100x the gravity coefficient M*g*l/2
-    geometry_ok     -- d > l (by type) and equilibrium gap R(0) >= 2e-10 m
+    geometry_ok     -- d > l (by type) and equilibrium gap R(0) >= MIN_TIP_GAP
     small_angle_ok  -- phi0 within the supported amplitude envelope
 
     Reports, never raises for physics reasons; raises ValueError for a

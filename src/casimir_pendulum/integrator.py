@@ -23,9 +23,10 @@ so the loop carries that acceleration into the next step and an accepted
 step costs 6 evaluations of _accel, not 7.
 
 A run never raises for physics reasons: the tip reaching the safety gap,
-|phi| reaching pi/2, the step budget running out, or a step too small to
-advance time (stalled) all end the run with a reported termination status,
-so parameter sweeps survive pathological points.
+|phi| reaching pi/2, the step budget running out, or a step that cannot
+advance time to a larger finite value (stalled) all end the run with a
+reported termination status, so parameter sweeps survive pathological
+points.
 """
 
 import math
@@ -34,10 +35,11 @@ from enum import Enum
 
 import numpy as np
 
-from .analytic import linear_omega
+from .analytic import linear_omega, linear_period
 from .constants import constants
 from .pendulum import (
     MAX_ANGLE,
+    MIN_TIP_GAP,
     GeometryError,
     PendulumParams,
     State,
@@ -52,15 +54,13 @@ __all__ = [
     "Trajectory",
     "PeriodEstimate",
     "InsufficientCyclesError",
-    "DEFAULT_COLLISION_GAP",
+    "DEFAULT_T_MAX_PERIODS",
     "integrate",
     "estimate_period",
     "energy_drift",
 ]
 
-# Two typical atom radii: closer than this the point-atom force law is
-# meaningless, so the run is cut off ("collision").
-DEFAULT_COLLISION_GAP = 2e-10
+DEFAULT_T_MAX_PERIODS = 12  # enough cycles for a stable period estimate
 
 
 class Method(Enum):
@@ -84,7 +84,9 @@ class InsufficientCyclesError(ValueError):
 class IntegratorConfig:
     """Integration settings.
 
-    t_max         -- absolute end time of the run, s
+    t_max         -- absolute end time of the run, s; None runs for
+                     DEFAULT_T_MAX_PERIODS linearized periods of the
+                     integrated pendulum
     method        -- fixed-step RK4 or adaptive Dormand-Prince 5(4)
     dt            -- fixed step size, s (required for RK4_FIXED)
     rel_tol, abs_tol -- adaptive error control on the dimensionless state
@@ -94,17 +96,17 @@ class IntegratorConfig:
     collision_gap -- tip-plate distance, m, at or below which the run stops
     """
 
-    t_max: float
+    t_max: float | None = None
     method: Method = Method.RK45_ADAPTIVE
     dt: float | None = None
     rel_tol: float = 1e-10
     abs_tol: float = 1e-12
     max_steps: int = 1_000_000
     record_stride: int = 1
-    collision_gap: float = DEFAULT_COLLISION_GAP
+    collision_gap: float = MIN_TIP_GAP
 
     def __post_init__(self) -> None:
-        if not self.t_max > 0:
+        if self.t_max is not None and not self.t_max > 0:
             raise ValueError(f"t_max must be positive, got {self.t_max!r}")
         if self.method is Method.RK4_FIXED:
             if self.dt is None or not self.dt > 0:
@@ -262,24 +264,28 @@ def _trajectory(rows, params: PendulumParams, termination: Termination) -> Traje
 
 def integrate(params: PendulumParams, initial: State, config: IntegratorConfig) -> Trajectory:
     """Integrate the nonlinear equation of motion from initial.t to
-    config.t_max.
+    config.t_max (by default DEFAULT_T_MAX_PERIODS linearized periods of
+    params).
 
     Deterministic: identical inputs produce bit-identical trajectories.
     Collision (tip at or below the safety gap, |phi| >= pi/2, or a fixed
-    step so large that a stage angle overflows), step
-    exhaustion and a step too small to advance time are reported
+    step so large that a stage angle overflows), step exhaustion and a step
+    that cannot advance time to a larger finite value are reported
     terminations, not exceptions; the violating state itself is not
     recorded, so every sample in the result is valid.
     """
     if not abs(initial.phi) < MAX_ANGLE:
         raise GeometryError(f"|initial.phi| must be below pi/2, got {initial.phi!r}")
-    if not config.t_max > initial.t:
-        raise ValueError(f"t_max={config.t_max!r} must exceed initial.t={initial.t!r}")
+    t_max = config.t_max
+    if t_max is None:
+        t_max = DEFAULT_T_MAX_PERIODS * linear_period(params)
+    if not t_max > initial.t:
+        raise ValueError(f"t_max={t_max!r} must exceed initial.t={initial.t!r}")
 
     w_ref, lam, gamma = _dimensionless_system(params)
     gap = config.collision_gap
     tau = initial.t * w_ref
-    tau_end = config.t_max * w_ref
+    tau_end = t_max * w_ref
     phi = initial.phi
     psi = initial.phi_dot / w_ref
     rows = [(initial.t, phi, psi)]
@@ -299,7 +305,7 @@ def integrate(params: PendulumParams, initial: State, config: IntegratorConfig) 
             termination = Termination.STEP_LIMIT
             break
         h = min(h_next, tau_end - tau)
-        if tau + h == tau:
+        if not tau < tau + h < math.inf:  # h underflowed, overflowed or is NaN
             termination = Termination.STALLED
             break
         if adaptive:

@@ -23,6 +23,7 @@ from .forces import AtomProperties, force_near, potential_near, total_restoring_
 
 __all__ = [
     "GeometryError",
+    "MIN_TIP_GAP",
     "PendulumParams",
     "State",
     "tip_distance",
@@ -34,6 +35,10 @@ __all__ = [
 ]
 
 MAX_ANGLE = math.pi / 2.0
+
+# Two typical atom radii: closer to the plate than this the point-atom force
+# law stops meaning anything.
+MIN_TIP_GAP = 2e-10  # m
 
 
 class GeometryError(ValueError):

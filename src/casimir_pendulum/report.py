@@ -6,7 +6,7 @@ platform.  The trajectory CSV is written in fixed blocks of whole rows.
 """
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -19,7 +19,6 @@ from .integrator import (
     energy_drift,
     estimate_period,
 )
-from .pendulum import PendulumParams
 
 __all__ = [
     "TRAJECTORY_HEADER",
@@ -28,8 +27,6 @@ __all__ = [
     "report_to_dict",
     "write_report_json",
     "write_trajectory_csv",
-    "validity_to_dict",
-    "params_to_dict",
 ]
 
 TRAJECTORY_HEADER = ("t_s", "phi_rad", "phi_dot_rad_s", "R_m", "energy_J")
@@ -77,30 +74,6 @@ def build_report(traj: Trajectory, validity: ValidityReport) -> SimulationReport
     )
 
 
-def validity_to_dict(validity: ValidityReport) -> dict:
-    return {
-        "near_zone_ok": validity.near_zone_ok,
-        "near_zone_ratio": float(validity.near_zone_ratio),
-        "gravity_negligible": validity.gravity_negligible,
-        "gravity_ratio": float(validity.gravity_ratio),
-        "geometry_ok": validity.geometry_ok,
-        "small_angle_ok": validity.small_angle_ok,
-        "verdict": validity.verdict,
-    }
-
-
-def params_to_dict(params: PendulumParams) -> dict:
-    return {
-        "d_m": float(params.d),
-        "l_m": float(params.l),
-        "mass_kg": float(params.mass),
-        "alpha0_m3": float(params.atom.alpha0),
-        "omega0_rad_s": float(params.atom.omega0),
-        "beta": float(params.beta),
-        "include_gravity": params.include_gravity,
-    }
-
-
 def report_to_dict(report: SimulationReport) -> dict:
     return {
         "analytic_omega_rad_s": float(report.analytic_omega),
@@ -110,7 +83,7 @@ def report_to_dict(report: SimulationReport) -> dict:
         "period_rel_diff": None if report.period_rel_diff is None
         else float(report.period_rel_diff),
         "energy_drift": float(report.energy_drift),
-        "validity": validity_to_dict(report.validity),
+        "validity": asdict(report.validity),
         "termination": report.termination.value,
     }
 

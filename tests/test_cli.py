@@ -7,10 +7,15 @@ with code 1 (code 2 is reserved for physics terminations).
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import casimir_pendulum
 from casimir_pendulum.cli import main
 
 PARAMS = {
@@ -34,6 +39,19 @@ OVERFLOW_DOC = {
     "initial": {"phi0_rad": 0.3},
     "integrator": {"method": "rk4_fixed", "dt": 1e283, "t_max": 1e300},
 }
+
+
+# at equilibrium the error estimate is 0, so the step grows tenfold each
+# step; t_max * omega_ref overflows to inf, so only the stall test ends the run
+HUGE_T_MAX_DOC = {"params": PARAMS, "integrator": {"t_max": 1e302}}
+
+
+def run_cli(args, cwd):
+    """The CLI in a child process, so a run that never ends fails the test
+    by its timeout instead of hanging the suite."""
+    env = dict(os.environ, PYTHONPATH=str(Path(casimir_pendulum.__file__).parents[1]))
+    return subprocess.run([sys.executable, "-m", "casimir_pendulum.cli", *args], cwd=cwd,
+                          env=env, capture_output=True, text=True, timeout=30)
 
 
 def read_csv(path):
@@ -114,6 +132,17 @@ class TestSimulate:
         assert json.loads(rep.read_text())["termination"] == "collision"
         rows = read_csv(out)  # the start state only
         assert [(r["t_s"], r["phi_rad"], r["phi_dot_rad_s"]) for r in rows] == [("0.0", "0.3", "0.0")]
+
+    def test_overflowing_end_time_stalls(self, tmp_path):
+        cfg = write_config(tmp_path, HUGE_T_MAX_DOC)
+        sim = run_cli(["simulate", "--config", cfg, "--out", "t.csv", "--report", "r.json"],
+                      tmp_path)
+        assert sim.returncode == 2, sim.stderr
+        assert json.loads((tmp_path / "r.json").read_text())["termination"] == "stalled"
+        assert len(read_csv(tmp_path / "t.csv")) > 1
+        per = run_cli(["period", "--config", cfg, "--simulate"], tmp_path)
+        assert per.returncode == 2, per.stderr
+        assert "T_simulated = n/a" in per.stdout
 
     def test_identical_configs_identical_artifacts(self, tmp_path):
         doc = {"params": PARAMS, "initial": {"phi0_rad": 1e-3}}
@@ -223,6 +252,15 @@ class TestSweep:
         rows = read_csv(out)
         assert [(r["param_value"], r["T_simulated"], r["validity_verdict"]) for r in rows] == [
             ("1.5", "", "true"), ("2.0", "", "true")]
+
+    def test_overflowing_end_time_writes_csv(self, tmp_path):
+        cfg = write_config(tmp_path, HUGE_T_MAX_DOC)
+        result = run_cli(["sweep", "--config", cfg, "--param", "d_m", "--from", "1.5e-8",
+                          "--to", "3e-8", "--points", "2", "--out", "s.csv"], tmp_path)
+        assert result.returncode == 0, result.stderr
+        rows = read_csv(tmp_path / "s.csv")
+        assert [(r["param_value"], r["T_simulated"], r["validity_verdict"]) for r in rows] == [
+            ("1.5e-08", "", "true"), ("3e-08", "", "true")]
 
     def test_row_independent_of_other_points(self, tmp_path):
         """A point's row is the same bytes alone as among 20 points."""

@@ -8,14 +8,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from casimir_pendulum import (
+    AtomProperties,
     ConfigError,
+    IntegratorConfig,
     Method,
+    PendulumParams,
+    State,
+    integrate,
     linear_period,
     load_config,
     load_preset,
     parse_config,
     preset_names,
 )
+from casimir_pendulum.config import SWEEPABLE_PARAMS, params_to_dict
 
 FULL_DOC = {
     "params": {
@@ -52,14 +58,14 @@ def test_full_document_round_trip():
     assert config.params.beta == 1.5
     assert config.params.include_gravity is False
     assert config.phi0_rad == 0.01
-    assert config.method is Method.RK4_FIXED
-    assert config.t_max == 1e-6
-    assert config.dt == 1e-10
-    assert config.rel_tol == 1e-9
-    assert config.abs_tol == 1e-11
-    assert config.max_steps == 5000
-    assert config.record_stride == 3
-    assert config.collision_gap == 3e-10
+    assert config.integrator.method is Method.RK4_FIXED
+    assert config.integrator.t_max == 1e-6
+    assert config.integrator.dt == 1e-10
+    assert config.integrator.rel_tol == 1e-9
+    assert config.integrator.abs_tol == 1e-11
+    assert config.integrator.max_steps == 5000
+    assert config.integrator.record_stride == 3
+    assert config.integrator.collision_gap == 3e-10
     assert config.trajectory_csv == "a.csv"
     assert config.report_json == "b.json"
 
@@ -67,13 +73,13 @@ def test_full_document_round_trip():
 def test_minimal_document_defaults():
     config = parse_config({"params": FULL_DOC["params"]})
     assert config.phi0_rad == 0.0
-    assert config.method is Method.RK45_ADAPTIVE
-    assert config.t_max is None
-    assert config.rel_tol == 1e-10
-    assert config.abs_tol == 1e-12
-    assert config.max_steps == 1_000_000
-    assert config.record_stride == 1
-    assert config.collision_gap == 2e-10
+    assert config.integrator.method is Method.RK45_ADAPTIVE
+    assert config.integrator.t_max is None
+    assert config.integrator.rel_tol == 1e-10
+    assert config.integrator.abs_tol == 1e-12
+    assert config.integrator.max_steps == 1_000_000
+    assert config.integrator.record_stride == 1
+    assert config.integrator.collision_gap == 2e-10
     assert config.trajectory_csv is None
 
 
@@ -86,14 +92,14 @@ def test_default_beta_and_gravity():
 
 
 def test_default_run_length_is_twelve_periods():
-    config = parse_config({"params": FULL_DOC["params"]})
-    integ = config.build_integrator()
-    assert integ.t_max == pytest.approx(12 * linear_period(config.params), rel=1e-15)
+    params = parse_config({"params": FULL_DOC["params"]}).params
+    traj = integrate(params, State(0.0, 0.1, 0.0), IntegratorConfig())
+    assert traj.t[-1] == pytest.approx(12 * linear_period(params), rel=1e-12)
 
 
 def test_explicit_t_max_wins():
     doc = {"params": FULL_DOC["params"], "integrator": {"t_max": 5e-7}}
-    assert parse_config(doc).build_integrator().t_max == 5e-7
+    assert parse_config(doc).integrator.t_max == 5e-7
 
 
 class TestRejection:
@@ -197,6 +203,81 @@ def test_any_float_in_params_raises_only_config_error(key, value):
         pass
 
 
+# every name the schema knows, plus strangers
+SCHEMA_NAMES = sorted({*FULL_DOC, *(k for body in FULL_DOC.values() for k in body),
+                       "stranger", ""})
+JSON_LEAVES = (st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4)
+               | st.sampled_from(["rk4_fixed", "rk45_adaptive", 10**400, -10**400]))
+JSON_VALUES = st.recursive(
+    JSON_LEAVES,
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.sampled_from(SCHEMA_NAMES), inner, max_size=5),
+    max_leaves=12,
+)
+
+
+@st.composite
+def mutated_docs(draw):
+    """FULL_DOC with one to three section entries set to arbitrary JSON."""
+    doc = json.loads(json.dumps(FULL_DOC))
+    for _ in range(draw(st.integers(1, 3))):
+        section = doc[draw(st.sampled_from(sorted(doc)))]
+        section[draw(st.sampled_from(SCHEMA_NAMES))] = draw(JSON_VALUES)
+    return doc
+
+
+@settings(derandomize=True, database=None, max_examples=300)
+@given(doc=JSON_VALUES | mutated_docs())
+def test_any_json_raises_only_config_error(doc):
+    try:
+        parse_config(doc)
+    except ConfigError:
+        pass
+
+
+def test_integer_beyond_float_range_names_the_key():
+    doc = {"params": dict(FULL_DOC["params"], mass_kg=10**400)}  # json.loads keeps it an int
+    with pytest.raises(ConfigError, match="mass_kg"):
+        parse_config(doc)
+
+
+@settings(derandomize=True, database=None, max_examples=200)
+@given(l=st.floats(1e-9, 1e-6), gap=st.floats(1e-3, 10.0), mass=st.floats(1e-27, 1e-20),
+       alpha0=st.floats(1e-31, 1e-28), omega0=st.floats(1e13, 1e17), beta=st.floats(1.0, 2.0),
+       gravity=st.booleans())
+def test_params_to_dict_round_trip(l, gap, mass, alpha0, omega0, beta, gravity):
+    params = PendulumParams(d=l * (1.0 + gap), l=l, mass=mass,
+                            atom=AtomProperties(alpha0=alpha0, omega0=omega0), beta=beta,
+                            include_gravity=gravity)
+    assert parse_config({"params": params_to_dict(params)}).params == params
+
+
+@st.composite
+def swept_values(draw):
+    key = draw(st.sampled_from(SWEEPABLE_PARAMS))
+    base = {**FULL_DOC["params"], **FULL_DOC["initial"]}[key]
+    return key, draw(st.floats(0.5, 2.0).map(lambda f: f * base) | st.floats())
+
+
+@settings(derandomize=True, database=None, max_examples=300)
+@given(swept=swept_values())
+def test_swept_value_equals_parsed_replacement(swept):
+    key, value = swept
+    doc = json.loads(json.dumps(FULL_DOC))
+    doc["initial" if key in doc["initial"] else "params"][key] = value
+    try:
+        expected = parse_config(doc)
+    except ConfigError:
+        expected = None
+    try:
+        swept_config = parse_config(FULL_DOC).with_swept_value(key, value)
+    except ValueError:
+        assert expected is None
+    else:
+        if expected is not None:
+            assert swept_config == expected
+
+
 class TestFiles:
     def test_load_config(self, tmp_path):
         path = tmp_path / "run.json"
@@ -227,9 +308,9 @@ class TestPresets:
         assert config.params.atom.omega0 == 1e15
         assert config.params.beta == 2.0
         assert config.phi0_rad == 1e-3
-        assert config.method is Method.RK45_ADAPTIVE
-        assert config.rel_tol == 1e-10
-        assert config.abs_tol == 1e-12
+        assert config.integrator.method is Method.RK45_ADAPTIVE
+        assert config.integrator.rel_tol == 1e-10
+        assert config.integrator.abs_tol == 1e-12
 
     def test_unknown_preset(self):
         with pytest.raises(ConfigError, match="paper-defaults"):

@@ -172,7 +172,7 @@ class TestTrajectoryInvariants:
         if design == "paper-defaults":
             config = load_preset(design)
             initial = State(0.0, config.phi0_rad, 0.0)
-            traj = integrate(config.params, initial, config.build_integrator())
+            traj = integrate(config.params, initial, config.integrator)
         elif design == "gravity-off":
             traj = release(params_vacuum_only, 0.3, n_periods=3.0)
         else:
@@ -308,8 +308,8 @@ class TestDormandPrinceStep:
 
         monkeypatch.setattr(integrator_module, "_accel", counting_accel)
         config = load_preset("paper-defaults")
-        assert config.record_stride == 1
-        traj = integrate(config.params, State(0.0, phi0, 0.0), config.build_integrator())
+        assert config.integrator.record_stride == 1
+        traj = integrate(config.params, State(0.0, phi0, 0.0), config.integrator)
         assert traj.termination is Termination.COMPLETED
         assert calls / (len(traj) - 1) <= 6.05
 
