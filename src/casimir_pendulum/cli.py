@@ -3,9 +3,9 @@
 Subcommands: simulate, period, sweep, validate, estimate.  Exit codes: 0 on
 success, 1 on usage/config errors, 2 when a simulation ends by collision,
 step exhaustion or a stall (a step that cannot advance time to a larger
-finite value) rather than reaching t_max.  A sweep evaluates its points one
-after another in this process; each row depends only on the base config and
-its own value.
+finite value) rather than reaching t_max.  A sweep integrates all its valid
+points together in this process, each as one lane of numpy arrays; each row
+depends only on the base config and its own value.
 """
 
 import argparse
@@ -25,8 +25,14 @@ from .config import (
     params_to_dict,
 )
 from .design import NanostringSpec, estimate_params, validate
-from .integrator import InsufficientCyclesError, Termination, estimate_period, integrate
-from .pendulum import GeometryError, State
+from .integrator import (
+    InsufficientCyclesError,
+    Termination,
+    _lockstep_periods,
+    estimate_period,
+    integrate,
+)
+from .pendulum import State
 from .report import build_report, write_report_json, write_trajectory_csv
 
 __all__ = ["main"]
@@ -149,33 +155,6 @@ def cmd_period(args) -> int:
     return EXIT_OK if traj.termination is Termination.COMPLETED else EXIT_PHYSICS
 
 
-def _sweep_point(base: RunConfig, name: str,
-                 value: float) -> tuple[float, float | None, float | None, bool]:
-    """Evaluate one sweep point: (value, T_analytic, T_simulated, verdict).
-
-    Points whose parameters are unbuildable or have no finite small-angle
-    period carry verdict False and no periods; points that fail validation
-    carry verdict False and skip the simulation.
-    """
-    try:
-        config = base.with_swept_value(name, value)
-        analytic = linear_period(config.params)
-    except ValueError:  # includes ConfigError
-        return value, None, None, False
-    params = config.params
-    if not validate(params, config.phi0_rad).verdict:
-        return value, analytic, None, False
-
-    simulated = None
-    try:
-        initial = State(t=0.0, phi=config.phi0_rad, phi_dot=0.0)
-        traj = integrate(params, initial, config.integrator)
-        simulated = estimate_period(traj).mean_period
-    except (GeometryError, InsufficientCyclesError):
-        pass
-    return value, analytic, simulated, True
-
-
 def cmd_sweep(args) -> int:
     config = _load_run_config(args)
     if not args.from_ < args.to:
@@ -189,7 +168,28 @@ def cmd_sweep(args) -> int:
     else:
         values = np.linspace(args.from_, args.to, args.points)
 
-    rows = [_sweep_point(config, args.param, float(v)) for v in values]
+    # Each row is [value, T_analytic, T_simulated, verdict]. Points whose
+    # parameters are unbuildable or have no finite small-angle period carry
+    # verdict False and no periods; points that fail validation carry
+    # verdict False and are not simulated; the rest are integrated together.
+    rows = []
+    runs = []
+    for v in values:
+        value = float(v)
+        try:
+            point = config.with_swept_value(args.param, value)
+            analytic = linear_period(point.params)
+        except ValueError:  # includes ConfigError
+            rows.append([value, None, None, False])
+            continue
+        verdict = validate(point.params, point.phi0_rad).verdict
+        rows.append([value, analytic, None, verdict])
+        if verdict:
+            runs.append((point.params, State(t=0.0, phi=point.phi0_rad, phi_dot=0.0)))
+    periods = iter(_lockstep_periods(runs, config.integrator))
+    for row in rows:
+        if row[3]:
+            row[2] = next(periods)[1]
 
     def fmt(x: float | None) -> str:
         return "" if x is None else repr(float(x))

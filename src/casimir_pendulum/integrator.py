@@ -22,6 +22,15 @@ pair is "first same as last": its 7th stage sits at the propagated solution,
 so the loop carries that acceleration into the next step and an accepted
 step costs 6 evaluations of _accel, not 7.
 
+A sweep steps all its runs together in a second driver, _lockstep_periods:
+each run is one lane of numpy arrays with its own step size, accept mask
+and termination, and keeps only the samples around its zero crossings.  Both
+drivers share the one tableau (_accel, _rk4_step, _dp45_step take sin as
+math.sin or np.sin).  _accel uses no ** and the lanes mirror Python's
+max/min and the controller's ** per lane, so every lane equals a serial
+integrate bit for bit wherever np.sin and np.cos equal math.sin and
+math.cos, as they do on common numpy builds.
+
 A run never raises for physics reasons: the tip reaching the safety gap,
 |phi| reaching pi/2, the step budget running out, or a step that cannot
 advance time to a larger finite value (stalled) all end the run with a
@@ -121,7 +130,7 @@ class IntegratorConfig:
             raise ValueError(f"max_steps must be >= 1, got {self.max_steps!r}")
         if self.record_stride < 1:
             raise ValueError(f"record_stride must be >= 1, got {self.record_stride!r}")
-        if self.collision_gap < 0:
+        if not self.collision_gap >= 0:  # also rejects NaN
             raise ValueError(f"collision_gap must be >= 0, got {self.collision_gap!r}")
 
 
@@ -173,51 +182,57 @@ _MAX_FACTOR = 10.0
 _INITIAL_PHASE_STEP = 0.1  # trial first step, radians of linearized phase
 
 
-def _accel(phi: float, lam: float, gamma: float) -> float:
-    """dpsi/dtau of the dimensionless system; dphi/dtau is psi itself."""
-    # q = R(phi)/R0; 2*sin^2(phi/2) avoids the 1-cos cancellation.
-    q = 1.0 + lam * 2.0 * math.sin(0.5 * phi) ** 2
-    return -math.sin(phi) * ((1.0 / q) ** 4 + gamma)
+def _accel(phi, lam, gamma, sin=math.sin):
+    """dpsi/dtau of the dimensionless system; dphi/dtau is psi itself.
+
+    Floats with math.sin, or lane arrays with np.sin: only + - * / and sin
+    are used, so both give the same bits wherever np.sin equals math.sin.
+    """
+    # r = R0/R(phi); 2*sin^2(phi/2) avoids the 1-cos cancellation.
+    s = sin(0.5 * phi)
+    r = 1.0 / (1.0 + lam * 2.0 * (s * s))
+    r2 = r * r
+    return -sin(phi) * (r2 * r2 + gamma)
 
 
-def _rk4_step(phi, psi, h, lam, gamma):
-    a1 = _accel(phi, lam, gamma)
+def _rk4_step(phi, psi, h, lam, gamma, sin=math.sin):
+    a1 = _accel(phi, lam, gamma, sin)
     v2 = psi + 0.5 * h * a1
-    a2 = _accel(phi + 0.5 * h * psi, lam, gamma)
+    a2 = _accel(phi + 0.5 * h * psi, lam, gamma, sin)
     v3 = psi + 0.5 * h * a2
-    a3 = _accel(phi + 0.5 * h * v2, lam, gamma)
+    a3 = _accel(phi + 0.5 * h * v2, lam, gamma, sin)
     v4 = psi + h * a3
-    a4 = _accel(phi + h * v3, lam, gamma)
+    a4 = _accel(phi + h * v3, lam, gamma, sin)
     phi_new = phi + h / 6.0 * (psi + 2.0 * v2 + 2.0 * v3 + v4)
     psi_new = psi + h / 6.0 * (a1 + 2.0 * a2 + 2.0 * a3 + a4)
     return phi_new, psi_new
 
 
-def _dp45_step(phi, psi, a1, h, lam, gamma):
+def _dp45_step(phi, psi, a1, h, lam, gamma, sin=math.sin):
     """One Dormand-Prince trial step from (phi, psi) with a1 = _accel(phi):
     returns (phi5, psi5, a7, err_phi, err_psi).  Stage i sits at
     (phi + h*sum_j a_ij*v_j, v_i) with v_1 = psi; the last stage is the
     propagated solution, so a7 is the next step's a1."""
     # Zero weights are left out; the other terms keep the tableau's order.
     v2 = psi + h * (1 / 5 * a1)
-    a2 = _accel(phi + h * (1 / 5 * psi), lam, gamma)
+    a2 = _accel(phi + h * (1 / 5 * psi), lam, gamma, sin)
     v3 = psi + h * (3 / 40 * a1 + 9 / 40 * a2)
-    a3 = _accel(phi + h * (3 / 40 * psi + 9 / 40 * v2), lam, gamma)
+    a3 = _accel(phi + h * (3 / 40 * psi + 9 / 40 * v2), lam, gamma, sin)
     v4 = psi + h * (44 / 45 * a1 - 56 / 15 * a2 + 32 / 9 * a3)
-    a4 = _accel(phi + h * (44 / 45 * psi - 56 / 15 * v2 + 32 / 9 * v3), lam, gamma)
+    a4 = _accel(phi + h * (44 / 45 * psi - 56 / 15 * v2 + 32 / 9 * v3), lam, gamma, sin)
     v5 = psi + h * (19372 / 6561 * a1 - 25360 / 2187 * a2 + 64448 / 6561 * a3
                     - 212 / 729 * a4)
     a5 = _accel(phi + h * (19372 / 6561 * psi - 25360 / 2187 * v2 + 64448 / 6561 * v3
-                           - 212 / 729 * v4), lam, gamma)
+                           - 212 / 729 * v4), lam, gamma, sin)
     v6 = psi + h * (9017 / 3168 * a1 - 355 / 33 * a2 + 46732 / 5247 * a3 + 49 / 176 * a4
                     - 5103 / 18656 * a5)
     a6 = _accel(phi + h * (9017 / 3168 * psi - 355 / 33 * v2 + 46732 / 5247 * v3
-                           + 49 / 176 * v4 - 5103 / 18656 * v5), lam, gamma)
+                           + 49 / 176 * v4 - 5103 / 18656 * v5), lam, gamma, sin)
     phi5 = phi + h * (35 / 384 * psi + 500 / 1113 * v3 + 125 / 192 * v4 - 2187 / 6784 * v5
                       + 11 / 84 * v6)
     psi5 = psi + h * (35 / 384 * a1 + 500 / 1113 * a3 + 125 / 192 * a4 - 2187 / 6784 * a5
                       + 11 / 84 * a6)
-    a7 = _accel(phi5, lam, gamma)
+    a7 = _accel(phi5, lam, gamma, sin)
     err_phi = h * (71 / 57600 * psi - 71 / 16695 * v3 + 71 / 1920 * v4
                    - 17253 / 339200 * v5 + 22 / 525 * v6 - 1 / 40 * psi5)
     err_psi = h * (71 / 57600 * a1 - 71 / 16695 * a3 + 71 / 1920 * a4
@@ -255,11 +270,26 @@ def _trajectory(rows, params: PendulumParams, termination: Termination) -> Traje
         t=t,
         phi=phi,
         phi_dot=psi * w_ref,
-        r=np.array([tip_distance(p, params) for p in phi.tolist()]),
+        r=params.d - params.l * np.cos(phi),  # tip_distance of every sample
         energy=moment_of_inertia(params) * w_ref**2 * invariant,
         params=params,
         termination=termination,
     )
+
+
+def _run_scales(params: PendulumParams, initial: State,
+                config: IntegratorConfig) -> tuple[float, float, float, float]:
+    """(w_ref, lam, gamma, tau_end) of one run, after checking its initial
+    angle (GeometryError) and its end time (ValueError)."""
+    if not abs(initial.phi) < MAX_ANGLE:
+        raise GeometryError(f"|initial.phi| must be below pi/2, got {initial.phi!r}")
+    t_max = config.t_max
+    if t_max is None:
+        t_max = DEFAULT_T_MAX_PERIODS * linear_period(params)
+    if not t_max > initial.t:
+        raise ValueError(f"t_max={t_max!r} must exceed initial.t={initial.t!r}")
+    w_ref, lam, gamma = _dimensionless_system(params)
+    return w_ref, lam, gamma, t_max * w_ref
 
 
 def integrate(params: PendulumParams, initial: State, config: IntegratorConfig) -> Trajectory:
@@ -274,26 +304,18 @@ def integrate(params: PendulumParams, initial: State, config: IntegratorConfig) 
     terminations, not exceptions; the violating state itself is not
     recorded, so every sample in the result is valid.
     """
-    if not abs(initial.phi) < MAX_ANGLE:
-        raise GeometryError(f"|initial.phi| must be below pi/2, got {initial.phi!r}")
-    t_max = config.t_max
-    if t_max is None:
-        t_max = DEFAULT_T_MAX_PERIODS * linear_period(params)
-    if not t_max > initial.t:
-        raise ValueError(f"t_max={t_max!r} must exceed initial.t={initial.t!r}")
-
-    w_ref, lam, gamma = _dimensionless_system(params)
+    w_ref, lam, gamma, tau_end = _run_scales(params, initial, config)
     gap = config.collision_gap
     tau = initial.t * w_ref
-    tau_end = t_max * w_ref
     phi = initial.phi
     psi = initial.phi_dot / w_ref
     rows = [(initial.t, phi, psi)]
     if tip_distance(phi, params) <= gap:
         return _trajectory(rows, params, Termination.COLLISION)
 
+    sin = math.sin
     adaptive = config.method is Method.RK45_ADAPTIVE
-    acc = _accel(phi, lam, gamma)  # a1 of the first Dormand-Prince step
+    acc = _accel(phi, lam, gamma, sin)  # a1 of the first Dormand-Prince step
     rtol = config.rel_tol
     atol = config.abs_tol
     h_next = _INITIAL_PHASE_STEP if adaptive else config.dt * w_ref
@@ -309,7 +331,8 @@ def integrate(params: PendulumParams, initial: State, config: IntegratorConfig) 
             termination = Termination.STALLED
             break
         if adaptive:
-            phi_new, psi_new, acc_new, e_phi, e_psi = _dp45_step(phi, psi, acc, h, lam, gamma)
+            phi_new, psi_new, acc_new, e_phi, e_psi = _dp45_step(phi, psi, acc, h, lam, gamma,
+                                                                 sin)
             scale_phi = atol + rtol * max(abs(phi), abs(phi_new))
             scale_psi = atol + rtol * max(abs(psi), abs(psi_new))
             err = max(abs(e_phi) / scale_phi, abs(e_psi) / scale_psi)
@@ -320,7 +343,7 @@ def integrate(params: PendulumParams, initial: State, config: IntegratorConfig) 
             acc = acc_new
         else:
             try:
-                phi_new, psi_new = _rk4_step(phi, psi, h, lam, gamma)
+                phi_new, psi_new = _rk4_step(phi, psi, h, lam, gamma, sin)
             except ValueError:  # math.sin of a stage angle that overflowed to inf
                 termination = Termination.COLLISION
                 break
@@ -339,6 +362,185 @@ def integrate(params: PendulumParams, initial: State, config: IntegratorConfig) 
     return _trajectory(rows, params, termination)
 
 
+# Lane ends in _lockstep_periods, indexed by a lane's end code; 0 marks a
+# running lane and _RAISED one for which integrate raises.
+_LANE_ENDS = (None, Termination.COMPLETED, Termination.COLLISION, Termination.STEP_LIMIT,
+              Termination.STALLED)
+_COMPLETED, _COLLISION, _STEP_LIMIT, _STALLED, _RAISED = 1, 2, 3, 4, 5
+
+
+def _py_max(a, b):
+    """Python's max(a, b) for each lane: b only where b > a, so a NaN b is
+    dropped and a NaN a is kept."""
+    return np.where(b > a, b, a)
+
+
+def _py_min(a, b):
+    """Python's min(a, b) for each lane."""
+    return np.where(b < a, b, a)
+
+
+def _lockstep_periods(runs: list[tuple[PendulumParams, State]],
+                      config: IntegratorConfig) -> list[tuple[Termination | None, float | None]]:
+    """Integrate many runs together and keep only their periods.
+
+    Each run is one lane of numpy arrays stepped through the same
+    _dp45_step or _rk4_step as integrate, with np.sin in place of
+    math.sin, and with its own step size, accept mask, FSAL acceleration,
+    step count, record counter and end; a lane that ends leaves the arrays.
+    Of the rows integrate would record, a lane keeps only the two around
+    each descending zero crossing.
+
+    Returns, for each run, (termination, period): what integrate and then
+    estimate_period(...).mean_period give for it, bit for bit wherever
+    np.sin and np.cos equal math.sin and math.cos.  The period is None when
+    fewer than two cycles were seen, and both are None when integrate
+    raises GeometryError.  If integrate raises anything else for some run,
+    this raises what it raises for the first such run.
+    """
+    results: list[tuple[Termination | None, float | None]] = [(None, None)] * len(runs)
+    failures: dict[int, Exception] = {}  # run -> what integrate raises for it
+    gap = config.collision_gap
+    adaptive = config.method is Method.RK45_ADAPTIVE
+    start = []
+    for i, (params, initial) in enumerate(runs):
+        try:
+            w_ref, lam, gamma, tau_end = _run_scales(params, initial, config)
+        except GeometryError:
+            continue
+        except (ArithmeticError, ValueError) as exc:
+            failures[i] = exc
+            continue
+        if tip_distance(initial.phi, params) <= gap:
+            results[i] = (Termination.COLLISION, None)
+            continue
+        h0 = _INITIAL_PHASE_STEP if adaptive else config.dt * w_ref
+        start.append((i, w_ref, lam, gamma, params.d, params.l, initial.t * w_ref, tau_end,
+                      initial.phi, initial.phi_dot / w_ref, h0, initial.t))
+
+    (idx, w_ref, lam, gamma, d, l, tau, tau_end, phi, psi, h_next, t_rec) = (
+        np.array(start, dtype=float).reshape(-1, 12).T.copy())
+    idx = idx.astype(np.intp)
+    phi_rec = phi.copy()  # (t_rec, phi_rec): the last row integrate would record
+    steps = np.zeros(len(idx), dtype=np.int64)
+    since_record = np.zeros(len(idx), dtype=np.int64)
+    ended = np.zeros(len(idx), dtype=np.int8)  # end code, an index into _LANE_ENDS
+    brackets: list[list] = [[] for _ in runs]  # (t0, t1, p0, p1) of each crossing
+    rtol, atol = config.rel_tol, config.abs_tol
+
+    angles = []  # every stage angle of the current trial step
+
+    def sin(x):
+        angles.append(x)
+        return np.sin(x)
+
+    def record(rows, t, p):
+        """Record sample (t, p) on the lanes in rows, keeping the samples
+        around each descending zero crossing."""
+        nonlocal t_rec, phi_rec
+        for j in (rows & (phi_rec > 0.0) & (p <= 0.0)).nonzero()[0].tolist():
+            brackets[idx[j]].append((t_rec[j], t[j], phi_rec[j], p[j]))
+        t_rec = np.where(rows, t, t_rec)
+        phi_rec = np.where(rows, p, phi_rec)
+        since_record[rows] = 0
+
+    with np.errstate(all="ignore"):
+        acc = _accel(phi, lam, gamma, np.sin)
+        while len(idx):
+            # integrate's loop head; the first of its tests a lane fails names its end
+            h = _py_min(h_next, tau_end - tau)
+            tau_new = tau + h
+            running = ((ended == 0) & (tau < tau_end) & (steps < config.max_steps)
+                       & (tau < tau_new) & (tau_new < math.inf))
+            if np.count_nonzero(running) < len(idx):
+                for code, test in ((_COMPLETED, ~(tau < tau_end)),
+                                   (_STEP_LIMIT, steps >= config.max_steps),
+                                   (_STALLED, ~running)):
+                    ended = np.where((ended == 0) & test, code, ended)
+                done = ~running
+                record(done & (since_record > 0), tau / w_ref, phi)
+                for j in (done & (ended != _RAISED)).nonzero()[0].tolist():
+                    i = idx[j]
+                    try:
+                        cols = np.array(brackets[i], dtype=float).reshape(-1, 4).T
+                        period = _period_estimate(*cols).mean_period
+                    except InsufficientCyclesError:
+                        period = None
+                    results[i] = (_LANE_ENDS[ended[j]], period)
+                (idx, w_ref, lam, gamma, d, l, tau, tau_end, phi, psi, acc, h_next, h, tau_new,
+                 steps, since_record, ended, t_rec, phi_rec) = (
+                    a[running] for a in (idx, w_ref, lam, gamma, d, l, tau, tau_end, phi, psi,
+                                         acc, h_next, h, tau_new, steps, since_record, ended,
+                                         t_rec, phi_rec))
+                if not len(idx):
+                    break
+
+            angles.clear()
+            if adaptive:
+                phi_new, psi_new, acc_new, e_phi, e_psi = _dp45_step(phi, psi, acc, h, lam,
+                                                                     gamma, sin)
+                scale_phi = atol + rtol * _py_max(np.abs(phi), np.abs(phi_new))
+                scale_psi = atol + rtol * _py_max(np.abs(psi), np.abs(psi_new))
+                err = _py_max(np.abs(e_phi) / scale_phi, np.abs(e_psi) / scale_psi)
+                # Python's ** for each lane: np.power may differ in the last bit
+                factor = np.array([_MAX_FACTOR if e == 0.0 else _SAFETY * e**-0.2
+                                   for e in err.tolist()])
+                h_next = h * _py_min(_MAX_FACTOR, _py_max(_MIN_FACTOR, factor))
+                accepted = err <= 1.0
+                acc = np.where(accepted, acc_new, acc)
+                nan_stage = np.isnan(e_psi)
+            else:
+                phi_new, psi_new = _rk4_step(phi, psi, h, lam, gamma, sin)
+                accepted = np.ones(len(idx), dtype=bool)
+                nan_stage = np.isnan(psi_new)
+            # math.sin raises on a stage angle at +-inf, where np.sin gives
+            # NaN; every stage feeds e_psi (Dormand-Prince) and psi_new (RK4),
+            # so only a lane with a NaN there can have one.
+            overflow = False
+            if np.count_nonzero(nan_stage):
+                overflow = np.logical_or.reduce([np.isinf(x) for x in angles])
+                if adaptive and overflow.any():
+                    try:
+                        math.sin(math.inf)
+                    except ValueError as exc:  # what integrate raises there
+                        failures.update((i, exc) for i in idx[overflow].tolist())
+                    ended[overflow] = _RAISED
+                    accepted &= ~overflow
+                    overflow = False
+            steps += accepted
+            collided = accepted & (overflow | (np.abs(phi_new) >= MAX_ANGLE)
+                                   | (d - l * np.cos(phi_new) <= gap))
+            ended[collided] = _COLLISION
+            accepted &= ~collided
+            tau = np.where(accepted, tau_new, tau)
+            phi = np.where(accepted, phi_new, phi)
+            psi = np.where(accepted, psi_new, psi)
+            since_record += accepted
+            due = since_record >= config.record_stride
+            if np.count_nonzero(due):
+                record(due, tau / w_ref, phi)
+    if failures:
+        raise failures[min(failures)]
+    return results
+
+
+def _period_estimate(t0, t1, p0, p1) -> PeriodEstimate:
+    """Period from the samples (t0, p0) and (t1, p1) that bracket each
+    descending zero crossing, in time order: each crossing time by linear
+    interpolation, then the mean spacing of successive crossings."""
+    if len(t0) < 2:
+        raise InsufficientCyclesError(
+            f"need >= 2 descending zero crossings to measure a period, found {len(t0)}"
+        )
+    crossings = t0 + p0 * (t1 - t0) / (p0 - p1)
+    per_cycle = np.diff(crossings)
+    return PeriodEstimate(
+        mean_period=float(per_cycle.mean()),
+        per_cycle_periods=per_cycle,
+        cycles_observed=len(per_cycle),
+    )
+
+
 def estimate_period(traj: Trajectory) -> PeriodEstimate:
     """Measure the oscillation period from descending zero crossings of phi.
 
@@ -350,21 +552,8 @@ def estimate_period(traj: Trajectory) -> PeriodEstimate:
     phi = traj.phi
     t = traj.t
     descending = np.nonzero((phi[:-1] > 0.0) & (phi[1:] <= 0.0))[0]
-    if len(descending) < 2:
-        raise InsufficientCyclesError(
-            f"need >= 2 descending zero crossings to measure a period, found {len(descending)}"
-        )
-    t0 = t[descending]
-    t1 = t[descending + 1]
-    p0 = phi[descending]
-    p1 = phi[descending + 1]
-    crossings = t0 + p0 * (t1 - t0) / (p0 - p1)
-    per_cycle = np.diff(crossings)
-    return PeriodEstimate(
-        mean_period=float(per_cycle.mean()),
-        per_cycle_periods=per_cycle,
-        cycles_observed=len(per_cycle),
-    )
+    return _period_estimate(t[descending], t[descending + 1], phi[descending],
+                            phi[descending + 1])
 
 
 def energy_drift(traj: Trajectory) -> float:

@@ -138,6 +138,13 @@ class TestRejection:
         with pytest.raises(ConfigError, match="mass_kg"):
             parse_config(doc)
 
+    def test_nan_collision_gap(self):
+        # json.load accepts NaN, and no tip distance is <= NaN: such a gap
+        # would switch the collision test off
+        doc = {"params": FULL_DOC["params"], "integrator": {"collision_gap": math.nan}}
+        with pytest.raises(ConfigError, match="collision_gap"):
+            parse_config(doc)
+
     def test_string_where_number_expected(self):
         doc = {"params": dict(FULL_DOC["params"], d_m="2e-8")}
         with pytest.raises(ConfigError, match="d_m"):

@@ -12,14 +12,19 @@ phi = phi0*sin(theta) (which removes the turning-point singularity).
 """
 
 import math
+import re
+import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 import casimir_pendulum.integrator as integrator_module
 from casimir_pendulum import (
+    AtomProperties,
     GeometryError,
     InsufficientCyclesError,
     IntegratorConfig,
@@ -384,3 +389,74 @@ class TestConfigValidation:
     def test_integrate_rejects_empty_time_window(self, params):
         with pytest.raises(ValueError):
             integrate(params, State(1e-6, 1e-3, 0.0), IntegratorConfig(t_max=1e-7))
+
+
+def serial_outcome(params, initial, config):
+    """(termination, period) of integrate then estimate_period; (None, None)
+    when integrate raises GeometryError."""
+    try:
+        traj = integrate(params, initial, config)
+    except GeometryError:
+        return None, None
+    try:
+        return traj.termination, estimate_period(traj).mean_period
+    except InsufficientCyclesError:
+        return traj.termination, None
+
+
+def exact(outcomes):
+    return [(end, None if period is None else period.hex()) for end, period in outcomes]
+
+
+LANE_ATOM = AtomProperties(alpha0=1e-30, omega0=1e15)
+
+# (d, l): realistic designs, some colliding at release or mid-swing; and
+# gravity-dominated ones whose Dormand-Prince stages overflow, with NaN error
+# estimates (d = 1.82e70) or without, or whose scales cannot be built (1e75).
+lane_geometry = st.one_of(
+    st.tuples(st.floats(1.05e-8, 4e-8), st.floats(0.3, 0.995)).map(lambda g: (g[0], g[0] * g[1])),
+    st.sampled_from([(1.019e-8, 1e-8), (1.5e70, 1e-8), (1.82e70, 1e-8), (1e75, 1e-8)]),
+)
+lane = st.tuples(lane_geometry, st.sampled_from([0.0, 1e-3, 0.3, 1.6]) | st.floats(-0.5, 0.5),
+                 st.booleans())
+REF = ((2e-8, 1e-8), 1e-3, True)
+
+
+class TestLockstepLanes:
+    """The sweep integrates its points as lanes of numpy arrays; each lane
+    must equal a serial integrate + estimate_period bit for bit."""
+
+    @settings(derandomize=True, database=None, max_examples=30, deadline=None)
+    @given(method=st.sampled_from(Method), dt=st.sampled_from([1e-9, 4e-9, 1e283]),
+           t_max=st.sampled_from([None, 3e-6, 1e302]), stride=st.sampled_from([1, 3, 50]),
+           max_steps=st.sampled_from([40, 400]), lanes=st.lists(lane, min_size=1, max_size=4))
+    # stalled: at equilibrium the step grows until t + h no longer moves
+    @example(Method.RK45_ADAPTIVE, None, 1e302, 1, 400, [((2e-8, 1e-8), 0.0, True), REF])
+    # the first RK4 step overflows a stage angle: collision
+    @example(Method.RK4_FIXED, 1e283, 1e300, 1, 400, [((2e-8, 1e-8), 0.3, True), REF])
+    # collision mid-swing, and completed runs
+    @example(Method.RK45_ADAPTIVE, None, 1.2e-6, 7, 10**6, [((1.019e-8, 1e-8), 0.3, True), REF])
+    @example(Method.RK4_FIXED, 4e-9, 1.2e-6, 1, 10**6, [REF, ((3e-8, 1.2e-8), -0.2, False)])
+    # integrate raises for the second and third runs: the second one's error
+    @example(Method.RK45_ADAPTIVE, None, None, 1, 400,
+             [REF, ((1.82e70, 1e-8), 0.3, True), ((1e75, 1e-8), 0.3, True)])
+    def test_lanes_equal_serial_runs(self, method, dt, t_max, stride, max_steps, lanes):
+        config = IntegratorConfig(t_max=t_max, method=method,
+                                  dt=dt if method is Method.RK4_FIXED else None,
+                                  max_steps=max_steps, record_stride=stride)
+        runs = [(PendulumParams(d=d, l=l, mass=1e-24, atom=LANE_ATOM, include_gravity=gravity),
+                 State(0.0, phi0, 0.0)) for (d, l), phi0, gravity in lanes]
+        expected = []
+        try:
+            for params, initial in runs:
+                expected.append(serial_outcome(params, initial, config))
+        except (ArithmeticError, ValueError) as exc:
+            with pytest.raises(type(exc), match=f"^{re.escape(str(exc))}$"):
+                integrator_module._lockstep_periods(runs, config)
+            return
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no RuntimeWarning from np.sin(inf) and the like
+            outcomes = integrator_module._lockstep_periods(runs, config)
+        assert exact(outcomes) == exact(expected), (
+            "lanes differ from serial runs; first suspect: this numpy build's np.sin or "
+            "np.cos is not bit-identical to math.sin or math.cos")
