@@ -4,7 +4,8 @@ Subcommands: simulate, period, sweep, validate, estimate.  Exit codes: 0 on
 success, 1 on usage/config errors, 2 when a simulation ends by collision,
 step exhaustion or a stall (a step that cannot advance time to a larger
 finite value) rather than reaching t_max.  A sweep integrates all its valid
-points together in this process, each as one lane of numpy arrays; each row
+points together in this process, each as one lane of numpy arrays (a few
+points, or the last ones left running, finish one at a time); each row
 depends only on the base config and its own value.
 """
 

@@ -22,14 +22,17 @@ pair is "first same as last": its 7th stage sits at the propagated solution,
 so the loop carries that acceleration into the next step and an accepted
 step costs 6 evaluations of _accel, not 7.
 
-A sweep steps all its runs together in a second driver, _lockstep_periods:
+A sweep steps its runs together in a second driver, _lockstep_periods:
 each run is one lane of numpy arrays with its own step size, accept mask
-and termination, and keeps only the samples around its zero crossings.  Both
-drivers share the one tableau (_accel, _rk4_step, _dp45_step take sin as
-math.sin or np.sin).  _accel uses no ** and the lanes mirror Python's
+and termination, and keeps only the samples around its zero crossings.
+Both drivers share the one tableau (_accel, _rk4_step, _dp45_step take sin
+as math.sin or np.sin).  _accel uses no ** and the lanes mirror Python's
 max/min and the controller's ** per lane, so every lane equals a serial
 integrate bit for bit wherever np.sin and np.cos equal math.sin and
-math.cos, as they do on common numpy builds.
+math.cos, as they do on common numpy builds.  A lockstep iteration costs
+as much as some 30 single steps whatever the lane count, so once fewer
+lanes than that are running (from the start in a small sweep), each
+finishes alone in integrate's own loop, _advance.
 
 A run never raises for physics reasons: the tip reaching the safety gap,
 |phi| reaching pi/2, the step budget running out, or a step that cannot
@@ -298,29 +301,38 @@ def integrate(params: PendulumParams, initial: State, config: IntegratorConfig) 
     params).
 
     Deterministic: identical inputs produce bit-identical trajectories.
-    Collision (tip at or below the safety gap, |phi| >= pi/2, or a fixed
-    step so large that a stage angle overflows), step exhaustion and a step
-    that cannot advance time to a larger finite value are reported
-    terminations, not exceptions; the violating state itself is not
-    recorded, so every sample in the result is valid.
+    Collision (tip at or below the safety gap, |phi| >= pi/2, or a step so
+    large that a stage angle overflows), step exhaustion and a step that
+    cannot advance time to a larger finite value are reported terminations,
+    not exceptions; the violating state itself is not recorded, so every
+    sample in the result is valid.
     """
-    w_ref, lam, gamma, tau_end = _run_scales(params, initial, config)
-    gap = config.collision_gap
-    tau = initial.t * w_ref
+    scales = _run_scales(params, initial, config)
+    w_ref, lam, gamma, _ = scales
     phi = initial.phi
     psi = initial.phi_dot / w_ref
     rows = [(initial.t, phi, psi)]
-    if tip_distance(phi, params) <= gap:
+    if tip_distance(phi, params) <= config.collision_gap:
         return _trajectory(rows, params, Termination.COLLISION)
+    adaptive = config.method is Method.RK45_ADAPTIVE
+    h_next = _INITIAL_PHASE_STEP if adaptive else config.dt * w_ref
+    termination = _advance(params, config, scales, initial.t * w_ref, phi, psi,
+                           _accel(phi, lam, gamma), h_next, 0, 0, rows)
+    return _trajectory(rows, params, termination)
 
+
+def _advance(params: PendulumParams, config: IntegratorConfig, scales, tau, phi, psi, acc,
+             h_next, steps, since_record, rows) -> Termination:
+    """integrate's loop, from the state (tau, phi, psi) with acc = _accel(phi),
+    the trial step h_next and the counts of accepted steps and of those since
+    the last recorded row: appends each row integrate records to rows and
+    returns the run's termination."""
+    w_ref, lam, gamma, tau_end = scales
+    gap = config.collision_gap
     sin = math.sin
     adaptive = config.method is Method.RK45_ADAPTIVE
-    acc = _accel(phi, lam, gamma, sin)  # a1 of the first Dormand-Prince step
     rtol = config.rel_tol
     atol = config.abs_tol
-    h_next = _INITIAL_PHASE_STEP if adaptive else config.dt * w_ref
-    steps = 0
-    since_record = 0
     termination = Termination.COMPLETED
     while tau < tau_end:
         if steps >= config.max_steps:
@@ -330,9 +342,16 @@ def integrate(params: PendulumParams, initial: State, config: IntegratorConfig) 
         if not tau < tau + h < math.inf:  # h underflowed, overflowed or is NaN
             termination = Termination.STALLED
             break
+        try:
+            if adaptive:
+                phi_new, psi_new, acc_new, e_phi, e_psi = _dp45_step(phi, psi, acc, h, lam,
+                                                                     gamma, sin)
+            else:
+                phi_new, psi_new = _rk4_step(phi, psi, h, lam, gamma, sin)
+        except ValueError:  # math.sin of a stage angle that overflowed to inf
+            termination = Termination.COLLISION
+            break
         if adaptive:
-            phi_new, psi_new, acc_new, e_phi, e_psi = _dp45_step(phi, psi, acc, h, lam, gamma,
-                                                                 sin)
             scale_phi = atol + rtol * max(abs(phi), abs(phi_new))
             scale_psi = atol + rtol * max(abs(psi), abs(psi_new))
             err = max(abs(e_phi) / scale_phi, abs(e_psi) / scale_psi)
@@ -341,12 +360,6 @@ def integrate(params: PendulumParams, initial: State, config: IntegratorConfig) 
             if not err <= 1.0:  # rejected, also when err is NaN
                 continue
             acc = acc_new
-        else:
-            try:
-                phi_new, psi_new = _rk4_step(phi, psi, h, lam, gamma, sin)
-            except ValueError:  # math.sin of a stage angle that overflowed to inf
-                termination = Termination.COLLISION
-                break
         steps += 1
         if abs(phi_new) >= MAX_ANGLE or tip_distance(phi_new, params) <= gap:
             termination = Termination.COLLISION
@@ -359,14 +372,21 @@ def integrate(params: PendulumParams, initial: State, config: IntegratorConfig) 
             since_record = 0
     if since_record:  # the last accepted state is always recorded
         rows.append((tau / w_ref, phi, psi))
-    return _trajectory(rows, params, termination)
+    return termination
 
+
+# Below this many running lanes, the lanes left finish one at a time in
+# _advance.  A lockstep iteration is some 200 numpy calls whatever the lane
+# count: about 230 us with Dormand-Prince and 100 us with RK4, the cost of
+# 30-40 of integrate's steps (7.3 and 2.6 us) on a 2-core x86-64 machine
+# with numpy 2.4.
+_LOCKSTEP_MIN_LANES = 32
 
 # Lane ends in _lockstep_periods, indexed by a lane's end code; 0 marks a
-# running lane and _RAISED one for which integrate raises.
+# running lane.
 _LANE_ENDS = (None, Termination.COMPLETED, Termination.COLLISION, Termination.STEP_LIMIT,
               Termination.STALLED)
-_COMPLETED, _COLLISION, _STEP_LIMIT, _STALLED, _RAISED = 1, 2, 3, 4, 5
+_COMPLETED, _COLLISION, _STEP_LIMIT, _STALLED = 1, 2, 3, 4
 
 
 def _py_max(a, b):
@@ -388,8 +408,10 @@ def _lockstep_periods(runs: list[tuple[PendulumParams, State]],
     _dp45_step or _rk4_step as integrate, with np.sin in place of
     math.sin, and with its own step size, accept mask, FSAL acceleration,
     step count, record counter and end; a lane that ends leaves the arrays.
-    Of the rows integrate would record, a lane keeps only the two around
-    each descending zero crossing.
+    Once fewer than _LOCKSTEP_MIN_LANES lanes run (from the start in a small
+    sweep), each of them finishes alone in integrate's loop, _advance.  Of
+    the rows integrate would record, a lane keeps only the two around each
+    descending zero crossing.
 
     Returns, for each run, (termination, period): what integrate and then
     estimate_period(...).mean_period give for it, bit for bit wherever
@@ -444,6 +466,15 @@ def _lockstep_periods(runs: list[tuple[PendulumParams, State]],
         phi_rec = np.where(rows, p, phi_rec)
         since_record[rows] = 0
 
+    def finish(i, termination):
+        """Store run i's termination and the period of its crossings."""
+        try:
+            cols = np.array(brackets[i], dtype=float).reshape(-1, 4).T
+            period = _period_estimate(*cols).mean_period
+        except InsufficientCyclesError:
+            period = None
+        results[i] = (termination, period)
+
     with np.errstate(all="ignore"):
         acc = _accel(phi, lam, gamma, np.sin)
         while len(idx):
@@ -459,21 +490,25 @@ def _lockstep_periods(runs: list[tuple[PendulumParams, State]],
                     ended = np.where((ended == 0) & test, code, ended)
                 done = ~running
                 record(done & (since_record > 0), tau / w_ref, phi)
-                for j in (done & (ended != _RAISED)).nonzero()[0].tolist():
-                    i = idx[j]
-                    try:
-                        cols = np.array(brackets[i], dtype=float).reshape(-1, 4).T
-                        period = _period_estimate(*cols).mean_period
-                    except InsufficientCyclesError:
-                        period = None
-                    results[i] = (_LANE_ENDS[ended[j]], period)
+                for j in done.nonzero()[0].tolist():
+                    finish(idx[j], _LANE_ENDS[ended[j]])
                 (idx, w_ref, lam, gamma, d, l, tau, tau_end, phi, psi, acc, h_next, h, tau_new,
                  steps, since_record, ended, t_rec, phi_rec) = (
                     a[running] for a in (idx, w_ref, lam, gamma, d, l, tau, tau_end, phi, psi,
                                          acc, h_next, h, tau_new, steps, since_record, ended,
                                          t_rec, phi_rec))
-                if not len(idx):
-                    break
+            if len(idx) < _LOCKSTEP_MIN_LANES:
+                # the rest finish alone, each from its last recorded row
+                lanes = zip(*(a.tolist() for a in (idx, w_ref, lam, gamma, tau_end, t_rec, phi_rec,
+                                                   tau, phi, psi, acc, h_next, steps,
+                                                   since_record)))
+                for i, w, lm, g, te, t_last, phi_last, *state in lanes:
+                    rows = [(t_last, phi_last, None)]
+                    termination = _advance(runs[i][0], config, (w, lm, g, te), *state, rows)
+                    brackets[i] += [(t0, t1, p0, p1) for (t0, p0, _), (t1, p1, _)
+                                    in zip(rows, rows[1:]) if p0 > 0.0 and p1 <= 0.0]
+                    finish(i, termination)
+                break
 
             angles.clear()
             if adaptive:
@@ -494,22 +529,15 @@ def _lockstep_periods(runs: list[tuple[PendulumParams, State]],
                 accepted = np.ones(len(idx), dtype=bool)
                 nan_stage = np.isnan(psi_new)
             # math.sin raises on a stage angle at +-inf, where np.sin gives
-            # NaN; every stage feeds e_psi (Dormand-Prince) and psi_new (RK4),
-            # so only a lane with a NaN there can have one.
+            # NaN, and integrate then ends the run as a collision; every
+            # stage feeds e_psi (Dormand-Prince) and psi_new (RK4), so only a
+            # lane with a NaN there can have one.
             overflow = False
             if np.count_nonzero(nan_stage):
                 overflow = np.logical_or.reduce([np.isinf(x) for x in angles])
-                if adaptive and overflow.any():
-                    try:
-                        math.sin(math.inf)
-                    except ValueError as exc:  # what integrate raises there
-                        failures.update((i, exc) for i in idx[overflow].tolist())
-                    ended[overflow] = _RAISED
-                    accepted &= ~overflow
-                    overflow = False
             steps += accepted
-            collided = accepted & (overflow | (np.abs(phi_new) >= MAX_ANGLE)
-                                   | (d - l * np.cos(phi_new) <= gap))
+            collided = overflow | (accepted & ((np.abs(phi_new) >= MAX_ANGLE)
+                                               | (d - l * np.cos(phi_new) <= gap)))
             ended[collided] = _COLLISION
             accepted &= ~collided
             tau = np.where(accepted, tau_new, tau)

@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 import casimir_pendulum
+from casimir_pendulum import integrator
 from casimir_pendulum.cli import main
 
 PARAMS = {
@@ -275,6 +276,23 @@ class TestSweep:
         values = np.geomspace(1.5e-8, 5e-8, 20).tolist()
         full = data_lines(values[0], values[-1], 20)
         for i in range(0, 20, 2):
+            assert data_lines(values[i], values[i + 1], 2) == full[i:i + 2]
+
+    def test_lockstep_rows_equal_lone_rows(self, tmp_path):
+        """With 48 points (about 40 valid) the lanes step in lockstep; with
+        2 each lane runs alone.  The rows agree byte for byte."""
+        def data_lines(start, stop, points):
+            out = str(tmp_path / "s.csv")
+            assert main(["sweep", "--preset", "paper-defaults", "--param", "d_m",
+                         "--from", repr(start), "--to", repr(stop), "--points", str(points),
+                         "--log", "--out", out]) == 0
+            with open(out) as fh:
+                return fh.read().splitlines()[1:]
+
+        values = np.geomspace(1.5e-8, 5e-8, 48).tolist()
+        full = data_lines(values[0], values[-1], 48)
+        assert sum(line.endswith(",true") for line in full) > integrator._LOCKSTEP_MIN_LANES
+        for i in range(0, 48, 2):
             assert data_lines(values[i], values[i + 1], 2) == full[i:i + 2]
 
     def test_unknown_param_is_usage_error(self, tmp_path):

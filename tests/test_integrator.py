@@ -15,6 +15,7 @@ import math
 import re
 import warnings
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -246,6 +247,14 @@ class TestTerminations:
         assert len(traj) == 1
         assert (traj.t[0], traj.phi[0], traj.phi_dot[0]) == (0.0, 0.3, 0.0)
 
+    def test_overflowing_adaptive_stage_is_collision(self, atom):
+        # gravity-to-vacuum ratio ~2.6e307: a Dormand-Prince stage angle of
+        # the first trial step overflows to inf
+        params = PendulumParams(d=1.5e70, l=1e-8, mass=1e-24, atom=atom, include_gravity=True)
+        traj = integrate(params, State(0.0, 0.3, 0.0), IntegratorConfig())
+        assert traj.termination is Termination.COLLISION
+        assert len(traj) == 1
+
 
 def rk4_one_step(params, state: State, dt: float) -> Trajectory:
     config = IntegratorConfig(t_max=state.t + dt, method=Method.RK4_FIXED, dt=dt)
@@ -411,8 +420,9 @@ def exact(outcomes):
 LANE_ATOM = AtomProperties(alpha0=1e-30, omega0=1e15)
 
 # (d, l): realistic designs, some colliding at release or mid-swing; and
-# gravity-dominated ones whose Dormand-Prince stages overflow, with NaN error
-# estimates (d = 1.82e70) or without, or whose scales cannot be built (1e75).
+# gravity-dominated ones whose first Dormand-Prince step has a stage angle at
+# inf (d = 1.5e70) or only at NaN, which rejects the step (1.82e70), or whose
+# scales cannot be built (1e75).
 lane_geometry = st.one_of(
     st.tuples(st.floats(1.05e-8, 4e-8), st.floats(0.3, 0.995)).map(lambda g: (g[0], g[0] * g[1])),
     st.sampled_from([(1.019e-8, 1e-8), (1.5e70, 1e-8), (1.82e70, 1e-8), (1e75, 1e-8)]),
@@ -426,21 +436,30 @@ class TestLockstepLanes:
     """The sweep integrates its points as lanes of numpy arrays; each lane
     must equal a serial integrate + estimate_period bit for bit."""
 
+    # min_lanes stands in for _LOCKSTEP_MIN_LANES: at 1 the lanes step
+    # together to the end, above it the last ones finish alone
     @settings(derandomize=True, database=None, max_examples=30, deadline=None)
     @given(method=st.sampled_from(Method), dt=st.sampled_from([1e-9, 4e-9, 1e283]),
            t_max=st.sampled_from([None, 3e-6, 1e302]), stride=st.sampled_from([1, 3, 50]),
-           max_steps=st.sampled_from([40, 400]), lanes=st.lists(lane, min_size=1, max_size=4))
+           max_steps=st.sampled_from([40, 400]), lanes=st.lists(lane, min_size=1, max_size=4),
+           min_lanes=st.integers(1, 3))
     # stalled: at equilibrium the step grows until t + h no longer moves
-    @example(Method.RK45_ADAPTIVE, None, 1e302, 1, 400, [((2e-8, 1e-8), 0.0, True), REF])
-    # the first RK4 step overflows a stage angle: collision
-    @example(Method.RK4_FIXED, 1e283, 1e300, 1, 400, [((2e-8, 1e-8), 0.3, True), REF])
-    # collision mid-swing, and completed runs
-    @example(Method.RK45_ADAPTIVE, None, 1.2e-6, 7, 10**6, [((1.019e-8, 1e-8), 0.3, True), REF])
-    @example(Method.RK4_FIXED, 4e-9, 1.2e-6, 1, 10**6, [REF, ((3e-8, 1.2e-8), -0.2, False)])
-    # integrate raises for the second and third runs: the second one's error
+    @example(Method.RK45_ADAPTIVE, None, 1e302, 1, 400, [((2e-8, 1e-8), 0.0, True), REF], 1)
+    # the first step overflows a stage angle: collision
+    @example(Method.RK4_FIXED, 1e283, 1e300, 1, 400, [((2e-8, 1e-8), 0.3, True), REF], 1)
     @example(Method.RK45_ADAPTIVE, None, None, 1, 400,
-             [REF, ((1.82e70, 1e-8), 0.3, True), ((1e75, 1e-8), 0.3, True)])
-    def test_lanes_equal_serial_runs(self, method, dt, t_max, stride, max_steps, lanes):
+             [REF, ((1.5e70, 1e-8), 0.3, True), ((1.82e70, 1e-8), 0.3, True)], 1)
+    # collision mid-swing, and completed runs, the last one finishing alone
+    # from its step count and its last recorded row
+    @example(Method.RK45_ADAPTIVE, None, 1.2e-6, 7, 10**6, [((1.019e-8, 1e-8), 0.3, True), REF],
+             2)
+    @example(Method.RK4_FIXED, 4e-9, 1.2e-6, 1, 10**6, [REF, ((3e-8, 1.2e-8), -0.2, False)], 2)
+    @example(Method.RK45_ADAPTIVE, None, None, 1, 400, [((1.019e-8, 1e-8), 0.3, True), REF], 2)
+    @example(Method.RK4_FIXED, 4e-9, 1.2e-6, 50, 10**6, [((1.05e-8, 1e-8), 0.25, True), REF], 2)
+    # integrate raises for the second run
+    @example(Method.RK45_ADAPTIVE, None, None, 1, 400, [REF, ((1e75, 1e-8), 0.3, True)], 1)
+    def test_lanes_equal_serial_runs(self, method, dt, t_max, stride, max_steps, lanes,
+                                     min_lanes):
         config = IntegratorConfig(t_max=t_max, method=method,
                                   dt=dt if method is Method.RK4_FIXED else None,
                                   max_steps=max_steps, record_stride=stride)
@@ -451,10 +470,12 @@ class TestLockstepLanes:
             for params, initial in runs:
                 expected.append(serial_outcome(params, initial, config))
         except (ArithmeticError, ValueError) as exc:
-            with pytest.raises(type(exc), match=f"^{re.escape(str(exc))}$"):
+            with (pytest.raises(type(exc), match=f"^{re.escape(str(exc))}$"),
+                  mock.patch.object(integrator_module, "_LOCKSTEP_MIN_LANES", min_lanes)):
                 integrator_module._lockstep_periods(runs, config)
             return
-        with warnings.catch_warnings():
+        with (warnings.catch_warnings(),
+              mock.patch.object(integrator_module, "_LOCKSTEP_MIN_LANES", min_lanes)):
             warnings.simplefilter("error")  # no RuntimeWarning from np.sin(inf) and the like
             outcomes = integrator_module._lockstep_periods(runs, config)
         assert exact(outcomes) == exact(expected), (
