@@ -25,10 +25,13 @@ step costs 6 evaluations of _accel, not 7.
 A sweep steps its runs together in a second driver, _lockstep_periods:
 each run is one lane of numpy arrays with its own step size, accept mask
 and termination, and keeps only the samples around its zero crossings.
-Both drivers share the one tableau (_accel, _rk4_step, _dp45_step take sin
-as math.sin or np.sin).  _accel uses no ** and the lanes mirror Python's
-max/min and the controller's ** per lane, so every lane equals a serial
-integrate bit for bit wherever np.sin and np.cos equal math.sin and
+Both drivers share _accel (math.sin or np.sin).  The lanes hold their
+state as one (2, n) array [phi; psi] and step it with _rk4_lanes and
+_dp45_lanes, the tableau of _rk4_step and _dp45_step written once more so
+that phi and psi take one numpy call per term; each sum keeps the scalar
+step's terms in its order.  _accel uses no ** and the lanes mirror
+Python's max/min and the controller's ** per lane, so every lane equals a
+serial integrate bit for bit wherever np.sin and np.cos equal math.sin and
 math.cos, as they do on common numpy builds.  A lockstep iteration costs
 as much as some 30 single steps whatever the lane count, so once fewer
 lanes than that are running (from the start in a small sweep), each
@@ -198,44 +201,44 @@ def _accel(phi, lam, gamma, sin=math.sin):
     return -sin(phi) * (r2 * r2 + gamma)
 
 
-def _rk4_step(phi, psi, h, lam, gamma, sin=math.sin):
-    a1 = _accel(phi, lam, gamma, sin)
+def _rk4_step(phi, psi, h, lam, gamma):
+    a1 = _accel(phi, lam, gamma)
     v2 = psi + 0.5 * h * a1
-    a2 = _accel(phi + 0.5 * h * psi, lam, gamma, sin)
+    a2 = _accel(phi + 0.5 * h * psi, lam, gamma)
     v3 = psi + 0.5 * h * a2
-    a3 = _accel(phi + 0.5 * h * v2, lam, gamma, sin)
+    a3 = _accel(phi + 0.5 * h * v2, lam, gamma)
     v4 = psi + h * a3
-    a4 = _accel(phi + h * v3, lam, gamma, sin)
+    a4 = _accel(phi + h * v3, lam, gamma)
     phi_new = phi + h / 6.0 * (psi + 2.0 * v2 + 2.0 * v3 + v4)
     psi_new = psi + h / 6.0 * (a1 + 2.0 * a2 + 2.0 * a3 + a4)
     return phi_new, psi_new
 
 
-def _dp45_step(phi, psi, a1, h, lam, gamma, sin=math.sin):
+def _dp45_step(phi, psi, a1, h, lam, gamma):
     """One Dormand-Prince trial step from (phi, psi) with a1 = _accel(phi):
     returns (phi5, psi5, a7, err_phi, err_psi).  Stage i sits at
     (phi + h*sum_j a_ij*v_j, v_i) with v_1 = psi; the last stage is the
     propagated solution, so a7 is the next step's a1."""
     # Zero weights are left out; the other terms keep the tableau's order.
     v2 = psi + h * (1 / 5 * a1)
-    a2 = _accel(phi + h * (1 / 5 * psi), lam, gamma, sin)
+    a2 = _accel(phi + h * (1 / 5 * psi), lam, gamma)
     v3 = psi + h * (3 / 40 * a1 + 9 / 40 * a2)
-    a3 = _accel(phi + h * (3 / 40 * psi + 9 / 40 * v2), lam, gamma, sin)
+    a3 = _accel(phi + h * (3 / 40 * psi + 9 / 40 * v2), lam, gamma)
     v4 = psi + h * (44 / 45 * a1 - 56 / 15 * a2 + 32 / 9 * a3)
-    a4 = _accel(phi + h * (44 / 45 * psi - 56 / 15 * v2 + 32 / 9 * v3), lam, gamma, sin)
+    a4 = _accel(phi + h * (44 / 45 * psi - 56 / 15 * v2 + 32 / 9 * v3), lam, gamma)
     v5 = psi + h * (19372 / 6561 * a1 - 25360 / 2187 * a2 + 64448 / 6561 * a3
                     - 212 / 729 * a4)
     a5 = _accel(phi + h * (19372 / 6561 * psi - 25360 / 2187 * v2 + 64448 / 6561 * v3
-                           - 212 / 729 * v4), lam, gamma, sin)
+                           - 212 / 729 * v4), lam, gamma)
     v6 = psi + h * (9017 / 3168 * a1 - 355 / 33 * a2 + 46732 / 5247 * a3 + 49 / 176 * a4
                     - 5103 / 18656 * a5)
     a6 = _accel(phi + h * (9017 / 3168 * psi - 355 / 33 * v2 + 46732 / 5247 * v3
-                           + 49 / 176 * v4 - 5103 / 18656 * v5), lam, gamma, sin)
+                           + 49 / 176 * v4 - 5103 / 18656 * v5), lam, gamma)
     phi5 = phi + h * (35 / 384 * psi + 500 / 1113 * v3 + 125 / 192 * v4 - 2187 / 6784 * v5
                       + 11 / 84 * v6)
     psi5 = psi + h * (35 / 384 * a1 + 500 / 1113 * a3 + 125 / 192 * a4 - 2187 / 6784 * a5
                       + 11 / 84 * a6)
-    a7 = _accel(phi5, lam, gamma, sin)
+    a7 = _accel(phi5, lam, gamma)
     err_phi = h * (71 / 57600 * psi - 71 / 16695 * v3 + 71 / 1920 * v4
                    - 17253 / 339200 * v5 + 22 / 525 * v6 - 1 / 40 * psi5)
     err_psi = h * (71 / 57600 * a1 - 71 / 16695 * a3 + 71 / 1920 * a4
@@ -246,11 +249,18 @@ def _dp45_step(phi, psi, a1, h, lam, gamma, sin=math.sin):
 def _dimensionless_system(params: PendulumParams) -> tuple[float, float, float]:
     """Scales of the dimensionless system: (w_ref, lam, gamma) with w_ref the
     linearized frequency, lam = l/R0 and gamma the gravity-to-vacuum
-    stiffness ratio (0 when gravity is off)."""
+    stiffness ratio (0 when gravity is off).  Raises ValueError when that
+    ratio is not a finite float."""
     w_ref = linear_omega(params)
     lam = params.l / (params.d - params.l)
     if params.include_gravity:
-        gamma = 3.0 * constants().g_accel / (2.0 * params.l * w_ref**2)
+        try:
+            gamma = 3.0 * constants().g_accel / (2.0 * params.l * w_ref**2)
+        except ZeroDivisionError:  # the vacuum stiffness underflowed
+            gamma = math.inf
+        if gamma == math.inf:
+            raise ValueError(f"no finite gravity-to-vacuum stiffness ratio for "
+                             f"d={params.d!r}, l={params.l!r}, mass={params.mass!r}")
     else:
         gamma = 0.0
     return w_ref, lam, gamma
@@ -329,7 +339,6 @@ def _advance(params: PendulumParams, config: IntegratorConfig, scales, tau, phi,
     returns the run's termination."""
     w_ref, lam, gamma, tau_end = scales
     gap = config.collision_gap
-    sin = math.sin
     adaptive = config.method is Method.RK45_ADAPTIVE
     rtol = config.rel_tol
     atol = config.abs_tol
@@ -345,9 +354,9 @@ def _advance(params: PendulumParams, config: IntegratorConfig, scales, tau, phi,
         try:
             if adaptive:
                 phi_new, psi_new, acc_new, e_phi, e_psi = _dp45_step(phi, psi, acc, h, lam,
-                                                                     gamma, sin)
+                                                                     gamma)
             else:
-                phi_new, psi_new = _rk4_step(phi, psi, h, lam, gamma, sin)
+                phi_new, psi_new = _rk4_step(phi, psi, h, lam, gamma)
         except ValueError:  # math.sin of a stage angle that overflowed to inf
             termination = Termination.COLLISION
             break
@@ -376,10 +385,11 @@ def _advance(params: PendulumParams, config: IntegratorConfig, scales, tau, phi,
 
 
 # Below this many running lanes, the lanes left finish one at a time in
-# _advance.  A lockstep iteration is some 200 numpy calls whatever the lane
-# count: about 230 us with Dormand-Prince and 100 us with RK4, the cost of
-# 30-40 of integrate's steps (7.3 and 2.6 us) on a 2-core x86-64 machine
-# with numpy 2.4.
+# _advance.  At 24-32 lanes a lockstep iteration costs as much as 27-29 of
+# integrate's steps with Dormand-Prince and 30-32 with RK4 (medians of 15
+# back-to-back pairs; about 260 us against 9.1 us a step, and 140 us
+# against 4.6 us, on a 2-core x86-64 machine with numpy 2.4), so 32 keeps
+# RK4 lanes from stepping together below their break-even.
 _LOCKSTEP_MIN_LANES = 32
 
 # Lane ends in _lockstep_periods, indexed by a lane's end code; 0 marks a
@@ -400,15 +410,56 @@ def _py_min(a, b):
     return np.where(b < a, b, a)
 
 
+def _lane_stage(y, lam, gamma):
+    """The stage [v; a] of lanes at y = [angle; v], a (2, n) array."""
+    return np.array((y[1], _accel(y[0], lam, gamma, np.sin)))
+
+
+def _rk4_lanes(y, h, lam, gamma):
+    """_rk4_step on lanes: y = [phi; psi] and h are (2, n) arrays, each
+    stage is [v; a], and each sum takes the scalar step's terms in its
+    order, so both rows equal _rk4_step bit for bit wherever np.sin equals
+    math.sin.  Returns [phi_new; psi_new]."""
+    k1 = _lane_stage(y, lam, gamma)
+    hh = 0.5 * h
+    k2 = _lane_stage(y + hh * k1, lam, gamma)
+    k3 = _lane_stage(y + hh * k2, lam, gamma)
+    k4 = _lane_stage(y + h * k3, lam, gamma)
+    return y + h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+def _dp45_lanes(y, a1, h, lam, gamma):
+    """_dp45_step on lanes, as _rk4_lanes: returns (y5, a7, err) with
+    y5 = [phi5; psi5] and err = [err_phi; err_psi]."""
+    k1 = np.array((y[1], a1))
+    k2 = _lane_stage(y + h * (1 / 5 * k1), lam, gamma)
+    k3 = _lane_stage(y + h * (3 / 40 * k1 + 9 / 40 * k2), lam, gamma)
+    k4 = _lane_stage(y + h * (44 / 45 * k1 - 56 / 15 * k2 + 32 / 9 * k3), lam, gamma)
+    k5 = _lane_stage(y + h * (19372 / 6561 * k1 - 25360 / 2187 * k2 + 64448 / 6561 * k3
+                              - 212 / 729 * k4), lam, gamma)
+    k6 = _lane_stage(y + h * (9017 / 3168 * k1 - 355 / 33 * k2 + 46732 / 5247 * k3
+                              + 49 / 176 * k4 - 5103 / 18656 * k5), lam, gamma)
+    y5 = y + h * (35 / 384 * k1 + 500 / 1113 * k3 + 125 / 192 * k4 - 2187 / 6784 * k5
+                  + 11 / 84 * k6)
+    k7 = _lane_stage(y5, lam, gamma)
+    err = h * (71 / 57600 * k1 - 71 / 16695 * k3 + 71 / 1920 * k4 - 17253 / 339200 * k5
+               + 22 / 525 * k6 - 1 / 40 * k7)
+    return y5, k7[1], err
+
+
 def _lockstep_periods(runs: list[tuple[PendulumParams, State]],
                       config: IntegratorConfig) -> list[tuple[Termination | None, float | None]]:
     """Integrate many runs together and keep only their periods.
 
-    Each run is one lane of numpy arrays stepped through the same
-    _dp45_step or _rk4_step as integrate, with np.sin in place of
-    math.sin, and with its own step size, accept mask, FSAL acceleration,
-    step count, record counter and end; a lane that ends leaves the arrays.
-    Once fewer than _LOCKSTEP_MIN_LANES lanes run (from the start in a small
+    Each run is one lane of numpy arrays, with its own step size, accept
+    mask, FSAL acceleration, step count, record counter and end; a lane
+    that ends leaves the arrays.  The lanes' state is one (2, n) array
+    y = [phi; psi], stepped by _dp45_lanes or _rk4_lanes, the tableau of
+    _dp45_step and _rk4_step with phi and psi in one numpy call per term.
+    A lane whose err_psi (RK4: psi_new) is NaN is stepped again by the
+    scalar step to learn whether integrate's math.sin would raise there,
+    and the tip test runs only while some lane can reach the gap.  Once
+    fewer than _LOCKSTEP_MIN_LANES lanes run (from the start in a small
     sweep), each of them finishes alone in integrate's loop, _advance.  Of
     the rows integrate would record, a lane keeps only the two around each
     descending zero crossing.
@@ -443,18 +494,16 @@ def _lockstep_periods(runs: list[tuple[PendulumParams, State]],
     (idx, w_ref, lam, gamma, d, l, tau, tau_end, phi, psi, h_next, t_rec) = (
         np.array(start, dtype=float).reshape(-1, 12).T.copy())
     idx = idx.astype(np.intp)
+    y = np.array((phi, psi))
     phi_rec = phi.copy()  # (t_rec, phi_rec): the last row integrate would record
     steps = np.zeros(len(idx), dtype=np.int64)
     since_record = np.zeros(len(idx), dtype=np.int64)
     ended = np.zeros(len(idx), dtype=np.int8)  # end code, an index into _LANE_ENDS
     brackets: list[list] = [[] for _ in runs]  # (t0, t1, p0, p1) of each crossing
     rtol, atol = config.rel_tol, config.abs_tol
-
-    angles = []  # every stage angle of the current trial step
-
-    def sin(x):
-        angles.append(x)
-        return np.sin(x)
+    # A lane with d - l > gap never reaches the gap: cos <= 1 and rounding is
+    # monotone, so d - l*cos(phi) >= d - l > gap.
+    reach_gap = bool(np.any(d - l <= gap))
 
     def record(rows, t, p):
         """Record sample (t, p) on the lanes in rows, keeping the samples
@@ -476,7 +525,7 @@ def _lockstep_periods(runs: list[tuple[PendulumParams, State]],
         results[i] = (termination, period)
 
     with np.errstate(all="ignore"):
-        acc = _accel(phi, lam, gamma, np.sin)
+        acc = _accel(y[0], lam, gamma, np.sin)
         while len(idx):
             # integrate's loop head; the first of its tests a lane fails names its end
             h = _py_min(h_next, tau_end - tau)
@@ -489,18 +538,20 @@ def _lockstep_periods(runs: list[tuple[PendulumParams, State]],
                                    (_STALLED, ~running)):
                     ended = np.where((ended == 0) & test, code, ended)
                 done = ~running
-                record(done & (since_record > 0), tau / w_ref, phi)
+                record(done & (since_record > 0), tau / w_ref, y[0])
                 for j in done.nonzero()[0].tolist():
                     finish(idx[j], _LANE_ENDS[ended[j]])
-                (idx, w_ref, lam, gamma, d, l, tau, tau_end, phi, psi, acc, h_next, h, tau_new,
+                (idx, w_ref, lam, gamma, d, l, tau, tau_end, acc, h_next, h, tau_new,
                  steps, since_record, ended, t_rec, phi_rec) = (
-                    a[running] for a in (idx, w_ref, lam, gamma, d, l, tau, tau_end, phi, psi,
-                                         acc, h_next, h, tau_new, steps, since_record, ended,
+                    a[running] for a in (idx, w_ref, lam, gamma, d, l, tau, tau_end, acc,
+                                         h_next, h, tau_new, steps, since_record, ended,
                                          t_rec, phi_rec))
+                y = y[:, running]
+                reach_gap = bool(np.any(d - l <= gap))
             if len(idx) < _LOCKSTEP_MIN_LANES:
                 # the rest finish alone, each from its last recorded row
                 lanes = zip(*(a.tolist() for a in (idx, w_ref, lam, gamma, tau_end, t_rec, phi_rec,
-                                                   tau, phi, psi, acc, h_next, steps,
+                                                   tau, y[0], y[1], acc, h_next, steps,
                                                    since_record)))
                 for i, w, lm, g, te, t_last, phi_last, *state in lanes:
                     rows = [(t_last, phi_last, None)]
@@ -510,43 +561,54 @@ def _lockstep_periods(runs: list[tuple[PendulumParams, State]],
                     finish(i, termination)
                 break
 
-            angles.clear()
+            h2 = np.array((h, h))  # an (n,) h would cost a broadcast in every term
             if adaptive:
-                phi_new, psi_new, acc_new, e_phi, e_psi = _dp45_step(phi, psi, acc, h, lam,
-                                                                     gamma, sin)
-                scale_phi = atol + rtol * _py_max(np.abs(phi), np.abs(phi_new))
-                scale_psi = atol + rtol * _py_max(np.abs(psi), np.abs(psi_new))
-                err = _py_max(np.abs(e_phi) / scale_phi, np.abs(e_psi) / scale_psi)
+                y_new, acc_new, err2 = _dp45_lanes(y, acc, h2, lam, gamma)
+                nan_probe = err2[1]
+            else:
+                y_new = _rk4_lanes(y, h2, lam, gamma)
+                nan_probe = y_new[1]
+            # math.sin raises on a stage angle at +-inf, where np.sin gives
+            # NaN, and integrate then ends the run as a collision.  Every
+            # stage feeds err_psi (Dormand-Prince) and psi_new (RK4), so only
+            # a lane with a NaN there can have one; integrate's own step
+            # tells.
+            raised = []
+            for j in np.isnan(nan_probe).nonzero()[0].tolist():
+                try:
+                    if adaptive:
+                        _dp45_step(*(float(a[j]) for a in (y[0], y[1], acc, h, lam, gamma)))
+                    else:
+                        _rk4_step(*(float(a[j]) for a in (y[0], y[1], h, lam, gamma)))
+                except ValueError:
+                    raised.append(j)
+            if adaptive:
+                scale = atol + rtol * _py_max(np.abs(y), np.abs(y_new))
+                ratio = np.abs(err2) / scale
+                err = _py_max(ratio[0], ratio[1])
                 # Python's ** for each lane: np.power may differ in the last bit
                 factor = np.array([_MAX_FACTOR if e == 0.0 else _SAFETY * e**-0.2
                                    for e in err.tolist()])
                 h_next = h * _py_min(_MAX_FACTOR, _py_max(_MIN_FACTOR, factor))
                 accepted = err <= 1.0
                 acc = np.where(accepted, acc_new, acc)
-                nan_stage = np.isnan(e_psi)
             else:
-                phi_new, psi_new = _rk4_step(phi, psi, h, lam, gamma, sin)
                 accepted = np.ones(len(idx), dtype=bool)
-                nan_stage = np.isnan(psi_new)
-            # math.sin raises on a stage angle at +-inf, where np.sin gives
-            # NaN, and integrate then ends the run as a collision; every
-            # stage feeds e_psi (Dormand-Prince) and psi_new (RK4), so only a
-            # lane with a NaN there can have one.
-            overflow = False
-            if np.count_nonzero(nan_stage):
-                overflow = np.logical_or.reduce([np.isinf(x) for x in angles])
             steps += accepted
-            collided = overflow | (accepted & ((np.abs(phi_new) >= MAX_ANGLE)
-                                               | (d - l * np.cos(phi_new) <= gap)))
+            hit = np.abs(y_new[0]) >= MAX_ANGLE
+            if reach_gap:
+                hit |= d - l * np.cos(y_new[0]) <= gap
+            collided = accepted & hit
+            if raised:
+                collided[raised] = True
             ended[collided] = _COLLISION
             accepted &= ~collided
             tau = np.where(accepted, tau_new, tau)
-            phi = np.where(accepted, phi_new, phi)
-            psi = np.where(accepted, psi_new, psi)
+            y = np.where(accepted, y_new, y)
             since_record += accepted
             due = since_record >= config.record_stride
             if np.count_nonzero(due):
-                record(due, tau / w_ref, phi)
+                record(due, tau / w_ref, y[0])
     if failures:
         raise failures[min(failures)]
     return results

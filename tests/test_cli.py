@@ -395,3 +395,17 @@ class TestErrorHandling:
                      "--report", str(tmp_path / "r.json")])
         assert code == 1
         assert capsys.readouterr().err.startswith("error:")
+
+    # the vacuum stiffness 2*l*w_ref^2 underflows to 0 (d 1e75) or to a
+    # subnormal (d 1e72), so gravity's share of it is no finite float
+    @pytest.mark.parametrize("d_m", [1e72, 1e75])
+    @pytest.mark.parametrize("command", [["simulate", "--out", "t.csv", "--report", "r.json"],
+                                         ["period", "--simulate"]])
+    def test_gravity_ratio_beyond_float_range(self, tmp_path, capsys, monkeypatch, command, d_m):
+        doc = {"params": dict(PARAMS, d_m=d_m), "initial": {"phi0_rad": 0.3}}
+        cfg = write_config(tmp_path, doc)
+        monkeypatch.chdir(tmp_path)
+        assert main([*command[:1], "--config", cfg, *command[1:]]) == 1
+        assert capsys.readouterr().err.startswith(
+            "error: no finite gravity-to-vacuum stiffness ratio for d=")
+        assert not (tmp_path / "t.csv").exists()

@@ -417,15 +417,22 @@ def exact(outcomes):
     return [(end, None if period is None else period.hex()) for end, period in outcomes]
 
 
+def bits(values):
+    """Each value's exact bits; every NaN counts as one value."""
+    return ["nan" if math.isnan(x) else float(x).hex() for x in values]
+
+
 LANE_ATOM = AtomProperties(alpha0=1e-30, omega0=1e15)
 
 # (d, l): realistic designs, some colliding at release or mid-swing; and
 # gravity-dominated ones whose first Dormand-Prince step has a stage angle at
 # inf (d = 1.5e70) or only at NaN, which rejects the step (1.82e70), or whose
-# scales cannot be built (1e75).
+# gravity-to-vacuum ratio is no finite float, so that integrate raises (1e72,
+# 1e75).
 lane_geometry = st.one_of(
     st.tuples(st.floats(1.05e-8, 4e-8), st.floats(0.3, 0.995)).map(lambda g: (g[0], g[0] * g[1])),
-    st.sampled_from([(1.019e-8, 1e-8), (1.5e70, 1e-8), (1.82e70, 1e-8), (1e75, 1e-8)]),
+    st.sampled_from([(1.019e-8, 1e-8), (1.5e70, 1e-8), (1.82e70, 1e-8), (1e72, 1e-8),
+                     (1e75, 1e-8)]),
 )
 lane = st.tuples(lane_geometry, st.sampled_from([0.0, 1e-3, 0.3, 1.6]) | st.floats(-0.5, 0.5),
                  st.booleans())
@@ -458,6 +465,12 @@ class TestLockstepLanes:
     @example(Method.RK4_FIXED, 4e-9, 1.2e-6, 50, 10**6, [((1.05e-8, 1e-8), 0.25, True), REF], 2)
     # integrate raises for the second run
     @example(Method.RK45_ADAPTIVE, None, None, 1, 400, [REF, ((1e75, 1e-8), 0.3, True)], 1)
+    # the lanes skip the tip test while no lane has d - l <= gap: one that
+    # has collides mid-swing among lanes that cannot reach the gap
+    @example(Method.RK45_ADAPTIVE, None, None, 1, 400,
+             [REF, ((1.019e-8, 1e-8), 0.3, True), ((3e-8, 1.2e-8), -0.2, False)], 1)
+    @example(Method.RK4_FIXED, 4e-12, None, 1, 400,
+             [((1.019e-8, 1e-8), 0.3, True), REF, ((3e-8, 1.2e-8), 0.2, False)], 1)
     def test_lanes_equal_serial_runs(self, method, dt, t_max, stride, max_steps, lanes,
                                      min_lanes):
         config = IntegratorConfig(t_max=t_max, method=method,
@@ -481,3 +494,55 @@ class TestLockstepLanes:
         assert exact(outcomes) == exact(expected), (
             "lanes differ from serial runs; first suspect: this numpy build's np.sin or "
             "np.cos is not bit-identical to math.sin or math.cos")
+
+    def test_numpy_sin_cos_equal_math(self):
+        """The lanes equal serial runs only on a numpy build whose sin and cos
+        equal the math module's bit for bit."""
+        rng = np.random.default_rng(0)
+        x = np.concatenate([rng.uniform(-2.0, 2.0, 50_000), rng.uniform(-1e-3, 1e-3, 50_000),
+                            [0.0, -0.0, 5e-324, -5e-324, 1e-310, math.pi / 2, -math.pi / 2]])
+        for name in ("sin", "cos"):
+            expected = [getattr(math, name)(v).hex() for v in x.tolist()]
+            got = [v.hex() for v in getattr(np, name)(x).tolist()]
+            bad = [v for v, e, g in zip(x.tolist(), expected, got) if e != g]
+            assert not bad, (f"this numpy build's np.{name} differs from math.{name} at "
+                             f"{len(bad)} of {len(x)} samples, first at {bad[0]!r}; the "
+                             "sweep's lanes cannot equal serial runs on it")
+
+    # ±0.0, subnormals, and steps so large that a stage angle overflows to
+    # inf (where math.sin raises) or turns NaN
+    @settings(derandomize=True, database=None, max_examples=60, deadline=None)
+    @given(lanes=st.lists(st.tuples(
+        st.sampled_from([0.0, -0.0, 5e-324, -1e-310]) | st.floats(-1.6, 1.6),
+        st.sampled_from([0.0, -0.0, -5e-324, 1e-310]) | st.floats(-1e3, 1e3),
+        st.sampled_from([5e-324, 1e-300, 1e150, 1e283, 1e308]) | st.floats(1e-6, 10.0),
+        st.sampled_from([5e-324, 1e300]) | st.floats(1e-3, 1e3),
+        st.sampled_from([0.0, 2.6e307]) | st.floats(0.0, 1e3)), min_size=1, max_size=6))
+    # the first step at d_m 1.82e70: NaN stage angles, which math.sin accepts
+    @example([(0.3, 0.0, 0.1, 5.494505494505495e-79, 5.698458799451704e307),
+              (0.3, 0.0, 0.1, 1.0, 0.0)])
+    def test_lane_steps_equal_scalar_steps(self, lanes):
+        phi, psi, h, lam, gamma = (np.array(col) for col in zip(*lanes))
+        y = np.array((phi, psi))
+        h2 = np.array((h, h))
+        with np.errstate(all="ignore"):
+            a1 = integrator_module._accel(phi, lam, gamma, np.sin)
+            dp = integrator_module._dp45_lanes(y, a1, h2, lam, gamma)
+            rk = integrator_module._rk4_lanes(y, h2, lam, gamma)
+        lane_dp = zip(dp[0][0], dp[0][1], dp[1], dp[2][0], dp[2][1])
+        for lane, got_dp, got_rk in zip(lanes, lane_dp, rk.T):
+            p, v, step, lm, g = lane
+            try:
+                want_dp = integrator_module._dp45_step(p, v, integrator_module._accel(p, lm, g),
+                                                       step, lm, g)
+            except ValueError:  # a stage angle at inf: the lanes must see a NaN err_psi
+                assert math.isnan(got_dp[4]), lane
+            else:
+                assert bits(got_dp) == bits(want_dp), lane
+            try:
+                want_rk = integrator_module._rk4_step(p, v, step, lm, g)
+            except ValueError:  # likewise a NaN psi_new
+                assert math.isnan(got_rk[1]), lane
+            else:
+                assert bits(got_rk) == bits(want_rk), lane
+
