@@ -5,8 +5,10 @@ success, 1 on usage/config errors, 2 when a simulation ends by collision,
 step exhaustion or a stall (a step that cannot advance time to a larger
 finite value) rather than reaching t_max.  A sweep integrates all its valid
 points together in this process, each as one lane of numpy arrays (a few
-points, or the last ones left running, finish one at a time); each row
-depends only on the base config and its own value.
+points, or the last ones left running, finish one at a time), and keeps only
+each run's zero crossings, not its trajectory; each row depends only on the
+base config and its own value.  `period --simulate` takes the same
+crossing-only path with one run.
 """
 
 import argparse
@@ -26,13 +28,7 @@ from .config import (
     params_to_dict,
 )
 from .design import NanostringSpec, estimate_params, validate
-from .integrator import (
-    InsufficientCyclesError,
-    Termination,
-    _lockstep_periods,
-    estimate_period,
-    integrate,
-)
+from .integrator import Termination, _crossing_periods, integrate
 from .pendulum import State
 from .report import build_report, write_report_json, write_trajectory_csv
 
@@ -147,13 +143,14 @@ def cmd_period(args) -> int:
     if not args.simulate:
         return EXIT_OK
 
+    # load_config has rejected |phi0| >= pi/2, so the run has a termination
     initial = State(t=0.0, phi=config.phi0_rad, phi_dot=0.0)
-    traj = integrate(params, initial, config.integrator)
-    try:
-        print(f"T_simulated = {estimate_period(traj).mean_period:.4e} s")
-    except InsufficientCyclesError:
+    [(termination, period)] = _crossing_periods([(params, initial)], config.integrator)
+    if period is None:
         print("T_simulated = n/a (fewer than 2 full cycles observed)")
-    return EXIT_OK if traj.termination is Termination.COMPLETED else EXIT_PHYSICS
+    else:
+        print(f"T_simulated = {period:.4e} s")
+    return EXIT_OK if termination is Termination.COMPLETED else EXIT_PHYSICS
 
 
 def cmd_sweep(args) -> int:
@@ -187,7 +184,7 @@ def cmd_sweep(args) -> int:
         rows.append([value, analytic, None, verdict])
         if verdict:
             runs.append((point.params, State(t=0.0, phi=point.phi0_rad, phi_dot=0.0)))
-    periods = iter(_lockstep_periods(runs, config.integrator))
+    periods = iter(_crossing_periods(runs, config.integrator))
     for row in rows:
         if row[3]:
             row[2] = next(periods)[1]

@@ -22,20 +22,23 @@ pair is "first same as last": its 7th stage sits at the propagated solution,
 so the loop carries that acceleration into the next step and an accepted
 step costs 6 evaluations of _accel, not 7.
 
-A sweep steps its runs together in a second driver, _lockstep_periods:
-each run is one lane of numpy arrays with its own step size, accept mask
-and termination, and keeps only the samples around its zero crossings.
-Both drivers share _accel (math.sin or np.sin).  The lanes hold their
-state as one (2, n) array [phi; psi] and step it with _rk4_lanes and
-_dp45_lanes, the tableau of _rk4_step and _dp45_step written once more so
-that phi and psi take one numpy call per term; each sum keeps the scalar
-step's terms in its order.  _accel uses no ** and the lanes mirror
-Python's max/min and the controller's ** per lane, so every lane equals a
-serial integrate bit for bit wherever np.sin and np.cos equal math.sin and
-math.cos, as they do on common numpy builds.  A lockstep iteration costs
-as much as some 30 single steps whatever the lane count, so once fewer
-lanes than that are running (from the start in a small sweep), each
-finishes alone in integrate's own loop, _advance.
+Runs that need only their periods (a sweep, and `period --simulate` as a
+sweep of one) go through a second driver, _crossing_periods: each run is
+one lane of numpy arrays with its own step size, accept mask and
+termination, and keeps only the samples around its zero crossings.  The
+right-hand side is _accel (math.sin or np.sin); _rk4_step and the lanes
+call it, and _dp45_step writes it out in place with the same operations in
+the same order.  The lanes hold their state as one (2, n) array
+[phi; psi] and step it with _rk4_lanes and _dp45_lanes, the tableau of
+_rk4_step and _dp45_step written once more so that phi and psi take one
+numpy call per term; each sum keeps the scalar step's terms in its order.
+_accel uses no ** and the lanes mirror Python's max/min and the
+controller's ** per lane, so every lane equals a serial integrate bit for
+bit wherever np.sin and np.cos equal math.sin and math.cos, as they do on
+common numpy builds.  A lockstep iteration costs as much as some
+_LOCKSTEP_MIN_LANES single steps whatever the lane count, so once fewer
+lanes than that are running (from the start in a small sweep or a single
+period), each finishes alone in integrate's own loop, _advance.
 
 A run never raises for physics reasons: the tip reaching the safety gap,
 |phi| reaching pi/2, the step budget running out, or a step that cannot
@@ -218,27 +221,57 @@ def _dp45_step(phi, psi, a1, h, lam, gamma):
     """One Dormand-Prince trial step from (phi, psi) with a1 = _accel(phi):
     returns (phi5, psi5, a7, err_phi, err_psi).  Stage i sits at
     (phi + h*sum_j a_ij*v_j, v_i) with v_1 = psi; the last stage is the
-    propagated solution, so a7 is the next step's a1."""
+    propagated solution, so a7 is the next step's a1.
+
+    Each stage acceleration is _accel written out, with its operations in
+    _accel's order: lam * 2.0 * (s*s) associates left, so taking lam * 2.0
+    once per step leaves every bit as it was.  A stage angle at +-inf makes
+    math.sin raise ValueError, as _accel does."""
+    sin = math.sin
+    lam2 = lam * 2.0
     # Zero weights are left out; the other terms keep the tableau's order.
     v2 = psi + h * (1 / 5 * a1)
-    a2 = _accel(phi + h * (1 / 5 * psi), lam, gamma)
+    x = phi + h * (1 / 5 * psi)
+    s = sin(0.5 * x)
+    r = 1.0 / (1.0 + lam2 * (s * s))
+    r2 = r * r
+    a2 = -sin(x) * (r2 * r2 + gamma)
     v3 = psi + h * (3 / 40 * a1 + 9 / 40 * a2)
-    a3 = _accel(phi + h * (3 / 40 * psi + 9 / 40 * v2), lam, gamma)
+    x = phi + h * (3 / 40 * psi + 9 / 40 * v2)
+    s = sin(0.5 * x)
+    r = 1.0 / (1.0 + lam2 * (s * s))
+    r2 = r * r
+    a3 = -sin(x) * (r2 * r2 + gamma)
     v4 = psi + h * (44 / 45 * a1 - 56 / 15 * a2 + 32 / 9 * a3)
-    a4 = _accel(phi + h * (44 / 45 * psi - 56 / 15 * v2 + 32 / 9 * v3), lam, gamma)
+    x = phi + h * (44 / 45 * psi - 56 / 15 * v2 + 32 / 9 * v3)
+    s = sin(0.5 * x)
+    r = 1.0 / (1.0 + lam2 * (s * s))
+    r2 = r * r
+    a4 = -sin(x) * (r2 * r2 + gamma)
     v5 = psi + h * (19372 / 6561 * a1 - 25360 / 2187 * a2 + 64448 / 6561 * a3
                     - 212 / 729 * a4)
-    a5 = _accel(phi + h * (19372 / 6561 * psi - 25360 / 2187 * v2 + 64448 / 6561 * v3
-                           - 212 / 729 * v4), lam, gamma)
+    x = phi + h * (19372 / 6561 * psi - 25360 / 2187 * v2 + 64448 / 6561 * v3
+                   - 212 / 729 * v4)
+    s = sin(0.5 * x)
+    r = 1.0 / (1.0 + lam2 * (s * s))
+    r2 = r * r
+    a5 = -sin(x) * (r2 * r2 + gamma)
     v6 = psi + h * (9017 / 3168 * a1 - 355 / 33 * a2 + 46732 / 5247 * a3 + 49 / 176 * a4
                     - 5103 / 18656 * a5)
-    a6 = _accel(phi + h * (9017 / 3168 * psi - 355 / 33 * v2 + 46732 / 5247 * v3
-                           + 49 / 176 * v4 - 5103 / 18656 * v5), lam, gamma)
+    x = phi + h * (9017 / 3168 * psi - 355 / 33 * v2 + 46732 / 5247 * v3 + 49 / 176 * v4
+                   - 5103 / 18656 * v5)
+    s = sin(0.5 * x)
+    r = 1.0 / (1.0 + lam2 * (s * s))
+    r2 = r * r
+    a6 = -sin(x) * (r2 * r2 + gamma)
     phi5 = phi + h * (35 / 384 * psi + 500 / 1113 * v3 + 125 / 192 * v4 - 2187 / 6784 * v5
                       + 11 / 84 * v6)
     psi5 = psi + h * (35 / 384 * a1 + 500 / 1113 * a3 + 125 / 192 * a4 - 2187 / 6784 * a5
                       + 11 / 84 * a6)
-    a7 = _accel(phi5, lam, gamma)
+    s = sin(0.5 * phi5)
+    r = 1.0 / (1.0 + lam2 * (s * s))
+    r2 = r * r
+    a7 = -sin(phi5) * (r2 * r2 + gamma)
     err_phi = h * (71 / 57600 * psi - 71 / 16695 * v3 + 71 / 1920 * v4
                    - 17253 / 339200 * v5 + 22 / 525 * v6 - 1 / 40 * psi5)
     err_psi = h * (71 / 57600 * a1 - 71 / 16695 * a3 + 71 / 1920 * a4
@@ -336,63 +369,79 @@ def _advance(params: PendulumParams, config: IntegratorConfig, scales, tau, phi,
     """integrate's loop, from the state (tau, phi, psi) with acc = _accel(phi),
     the trial step h_next and the counts of accepted steps and of those since
     the last recorded row: appends each row integrate records to rows and
-    returns the run's termination."""
+    returns the run's termination.
+
+    The loop runs once per trial step, so it keeps to locals: min and max
+    are written out as the comparisons Python's min and max make (a NaN
+    keeps its place), and the tip test runs only when d - l <= gap, since
+    d - l*cos(phi) >= d - l otherwise (cos <= 1 and rounding is monotone).
+    """
     w_ref, lam, gamma, tau_end = scales
-    gap = config.collision_gap
+    d, l, gap = params.d, params.l, config.collision_gap
+    reach_gap = d - l <= gap
     adaptive = config.method is Method.RK45_ADAPTIVE
-    rtol = config.rel_tol
-    atol = config.abs_tol
+    rtol, atol = config.rel_tol, config.abs_tol
+    max_steps, stride = config.max_steps, config.record_stride
+    cos, inf = math.cos, math.inf
+    record = rows.append
     termination = Termination.COMPLETED
     while tau < tau_end:
-        if steps >= config.max_steps:
+        if steps >= max_steps:
             termination = Termination.STEP_LIMIT
             break
-        h = min(h_next, tau_end - tau)
-        if not tau < tau + h < math.inf:  # h underflowed, overflowed or is NaN
+        h = tau_end - tau
+        if not h < h_next:  # min(h_next, tau_end - tau)
+            h = h_next
+        if not tau < tau + h < inf:  # h underflowed, overflowed or is NaN
             termination = Termination.STALLED
             break
         try:
             if adaptive:
-                phi_new, psi_new, acc_new, e_phi, e_psi = _dp45_step(phi, psi, acc, h, lam,
-                                                                     gamma)
+                phi_new, psi_new, acc_new, e_phi, e_psi = _dp45_step(phi, psi, acc, h, lam, gamma)
             else:
                 phi_new, psi_new = _rk4_step(phi, psi, h, lam, gamma)
         except ValueError:  # math.sin of a stage angle that overflowed to inf
             termination = Termination.COLLISION
             break
         if adaptive:
-            scale_phi = atol + rtol * max(abs(phi), abs(phi_new))
-            scale_psi = atol + rtol * max(abs(psi), abs(psi_new))
-            err = max(abs(e_phi) / scale_phi, abs(e_psi) / scale_psi)
+            a, b = abs(phi), abs(phi_new)
+            scale_phi = atol + rtol * (b if b > a else a)
+            a, b = abs(psi), abs(psi_new)
+            scale_psi = atol + rtol * (b if b > a else a)
+            a, b = abs(e_phi) / scale_phi, abs(e_psi) / scale_psi
+            err = b if b > a else a
             factor = _MAX_FACTOR if err == 0.0 else _SAFETY * err**-0.2
-            h_next = h * min(_MAX_FACTOR, max(_MIN_FACTOR, factor))
+            if not factor > _MIN_FACTOR:
+                factor = _MIN_FACTOR
+            h_next = h * (factor if factor < _MAX_FACTOR else _MAX_FACTOR)
             if not err <= 1.0:  # rejected, also when err is NaN
                 continue
             acc = acc_new
         steps += 1
-        if abs(phi_new) >= MAX_ANGLE or tip_distance(phi_new, params) <= gap:
+        if abs(phi_new) >= MAX_ANGLE or reach_gap and d - l * cos(phi_new) <= gap:
             termination = Termination.COLLISION
             break
         tau += h
         phi, psi = phi_new, psi_new
         since_record += 1
-        if since_record >= config.record_stride:
-            rows.append((tau / w_ref, phi, psi))
+        if since_record >= stride:
+            record((tau / w_ref, phi, psi))
             since_record = 0
     if since_record:  # the last accepted state is always recorded
-        rows.append((tau / w_ref, phi, psi))
+        record((tau / w_ref, phi, psi))
     return termination
 
 
 # Below this many running lanes, the lanes left finish one at a time in
-# _advance.  At 24-32 lanes a lockstep iteration costs as much as 27-29 of
-# integrate's steps with Dormand-Prince and 30-32 with RK4 (medians of 15
-# back-to-back pairs; about 260 us against 9.1 us a step, and 140 us
-# against 4.6 us, on a 2-core x86-64 machine with numpy 2.4), so 32 keeps
-# RK4 lanes from stepping together below their break-even.
-_LOCKSTEP_MIN_LANES = 32
+# _advance.  At 32-56 lanes a lockstep iteration costs as much as 46-47 of
+# integrate's steps with Dormand-Prince and 42-44 with RK4 (medians of 15
+# back-to-back pairs; about 260-275 us against 5.8 us a step, and 135-140 us
+# against 3.2 us, on a 2-core x86-64 machine with numpy 2.4), so 46, the
+# larger break-even, keeps lanes of either method from stepping together
+# below theirs.
+_LOCKSTEP_MIN_LANES = 46
 
-# Lane ends in _lockstep_periods, indexed by a lane's end code; 0 marks a
+# Lane ends in _crossing_periods, indexed by a lane's end code; 0 marks a
 # running lane.
 _LANE_ENDS = (None, Termination.COMPLETED, Termination.COLLISION, Termination.STEP_LIMIT,
               Termination.STALLED)
@@ -447,7 +496,7 @@ def _dp45_lanes(y, a1, h, lam, gamma):
     return y5, k7[1], err
 
 
-def _lockstep_periods(runs: list[tuple[PendulumParams, State]],
+def _crossing_periods(runs: list[tuple[PendulumParams, State]],
                       config: IntegratorConfig) -> list[tuple[Termination | None, float | None]]:
     """Integrate many runs together and keep only their periods.
 
@@ -460,7 +509,9 @@ def _lockstep_periods(runs: list[tuple[PendulumParams, State]],
     scalar step to learn whether integrate's math.sin would raise there,
     and the tip test runs only while some lane can reach the gap.  Once
     fewer than _LOCKSTEP_MIN_LANES lanes run (from the start in a small
-    sweep), each of them finishes alone in integrate's loop, _advance.  Of
+    sweep or a single run), each of them finishes alone in integrate's
+    loop, _advance.  Each lane's initial acceleration is _accel's with
+    math.sin, as in integrate.  Of
     the rows integrate would record, a lane keeps only the two around each
     descending zero crossing.
 
@@ -489,10 +540,11 @@ def _lockstep_periods(runs: list[tuple[PendulumParams, State]],
             continue
         h0 = _INITIAL_PHASE_STEP if adaptive else config.dt * w_ref
         start.append((i, w_ref, lam, gamma, params.d, params.l, initial.t * w_ref, tau_end,
-                      initial.phi, initial.phi_dot / w_ref, h0, initial.t))
+                      initial.phi, initial.phi_dot / w_ref, _accel(initial.phi, lam, gamma), h0,
+                      initial.t))
 
-    (idx, w_ref, lam, gamma, d, l, tau, tau_end, phi, psi, h_next, t_rec) = (
-        np.array(start, dtype=float).reshape(-1, 12).T.copy())
+    (idx, w_ref, lam, gamma, d, l, tau, tau_end, phi, psi, acc, h_next, t_rec) = (
+        np.array(start, dtype=float).reshape(-1, 13).T.copy())
     idx = idx.astype(np.intp)
     y = np.array((phi, psi))
     phi_rec = phi.copy()  # (t_rec, phi_rec): the last row integrate would record
@@ -525,7 +577,6 @@ def _lockstep_periods(runs: list[tuple[PendulumParams, State]],
         results[i] = (termination, period)
 
     with np.errstate(all="ignore"):
-        acc = _accel(y[0], lam, gamma, np.sin)
         while len(idx):
             # integrate's loop head; the first of its tests a lane fails names its end
             h = _py_min(h_next, tau_end - tau)

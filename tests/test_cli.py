@@ -16,7 +16,15 @@ import numpy as np
 import pytest
 
 import casimir_pendulum
-from casimir_pendulum import integrator
+from casimir_pendulum import (
+    InsufficientCyclesError,
+    State,
+    Termination,
+    estimate_period,
+    integrate,
+    integrator,
+    load_config,
+)
 from casimir_pendulum.cli import main
 
 PARAMS = {
@@ -170,6 +178,37 @@ class TestPeriod:
         assert main(["period", "--preset", "paper-defaults", "--simulate"]) == 0
         assert "T_simulated = 3.7334e-07 s" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("doc, termination", [
+        ({"params": PARAMS, "initial": {"phi0_rad": 0.2}}, Termination.COMPLETED),
+        ({"params": PARAMS, "initial": {"phi0_rad": 0.2}, "integrator": {"max_steps": 300}},
+         Termination.STEP_LIMIT),
+        ({"params": dict(PARAMS, d_m=1.019e-8), "initial": {"phi0_rad": 0.3}},
+         Termination.COLLISION),
+        ({"params": PARAMS, "initial": {"phi0_rad": 0.2},
+          "integrator": {"method": "rk4_fixed", "dt": 4e-9}}, Termination.COMPLETED),
+        ({"params": PARAMS, "initial": {"phi0_rad": 0.0}}, Termination.COMPLETED),
+    ], ids=["completed", "step_limit", "collision", "rk4", "rest"])
+    def test_simulated_line_equals_integrate(self, tmp_path, capsys, monkeypatch, doc,
+                                             termination):
+        """period --simulate keeps only the crossings, yet prints what
+        integrate + estimate_period give, and builds no Trajectory."""
+        cfg = write_config(tmp_path, doc)
+        config = load_config(cfg)
+        traj = integrate(config.params, State(0.0, config.phi0_rad, 0.0), config.integrator)
+        assert traj.termination is termination
+        try:
+            expected = f"T_simulated = {estimate_period(traj).mean_period:.4e} s"
+        except InsufficientCyclesError:
+            expected = "T_simulated = n/a (fewer than 2 full cycles observed)"
+
+        def no_trajectory(*args):
+            raise AssertionError("period built a Trajectory")
+
+        monkeypatch.setattr(integrator, "_trajectory", no_trajectory)
+        code = main(["period", "--config", cfg, "--simulate"])
+        assert code == (0 if termination is Termination.COMPLETED else 2)
+        assert capsys.readouterr().out.splitlines()[-1] == expected
+
     def test_beta_one_period(self, tmp_path, capsys):
         doc = {"params": dict(PARAMS, beta=1.0)}
         assert main(["period", "--config", write_config(tmp_path, doc)]) == 0
@@ -279,8 +318,8 @@ class TestSweep:
             assert data_lines(values[i], values[i + 1], 2) == full[i:i + 2]
 
     def test_lockstep_rows_equal_lone_rows(self, tmp_path):
-        """With 48 points (about 40 valid) the lanes step in lockstep; with
-        2 each lane runs alone.  The rows agree byte for byte."""
+        """With 64 points (52 valid) the lanes step in lockstep; with 2 each
+        lane runs alone.  The rows agree byte for byte."""
         def data_lines(start, stop, points):
             out = str(tmp_path / "s.csv")
             assert main(["sweep", "--preset", "paper-defaults", "--param", "d_m",
@@ -289,10 +328,10 @@ class TestSweep:
             with open(out) as fh:
                 return fh.read().splitlines()[1:]
 
-        values = np.geomspace(1.5e-8, 5e-8, 48).tolist()
-        full = data_lines(values[0], values[-1], 48)
+        values = np.geomspace(1.5e-8, 5e-8, 64).tolist()
+        full = data_lines(values[0], values[-1], 64)
         assert sum(line.endswith(",true") for line in full) > integrator._LOCKSTEP_MIN_LANES
-        for i in range(0, 48, 2):
+        for i in range(0, 64, 2):
             assert data_lines(values[i], values[i + 1], 2) == full[i:i + 2]
 
     def test_unknown_param_is_usage_error(self, tmp_path):

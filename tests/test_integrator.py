@@ -15,6 +15,7 @@ import math
 import re
 import warnings
 from dataclasses import replace
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -311,21 +312,30 @@ class TestStepRk4:
 class TestDormandPrinceStep:
     @pytest.mark.parametrize("phi0", [1e-3, 0.2])
     def test_six_rhs_calls_per_accepted_step(self, monkeypatch, phi0):
-        """The last stage is the next step's first (FSAL): 6 calls, not 7."""
-        calls = 0
-        accel = integrator_module._accel
+        """The last stage is the next step's first (FSAL): _accel runs once,
+        for the initial acceleration; each trial step evaluates six stages of
+        two sines each; and rejected trials are rare, so an accepted step
+        costs 6 RHS evaluations, not 7."""
+        calls = {"_accel": 0, "_dp45_step": 0, "sin": 0}
 
-        def counting_accel(*args):
-            nonlocal calls
-            calls += 1
-            return accel(*args)
+        def counting(name, fn):
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+            return wrapper
 
-        monkeypatch.setattr(integrator_module, "_accel", counting_accel)
+        for name in ("_accel", "_dp45_step"):
+            monkeypatch.setattr(integrator_module, name,
+                                counting(name, getattr(integrator_module, name)))
+        monkeypatch.setattr(integrator_module, "math",
+                            SimpleNamespace(**dict(vars(math), sin=counting("sin", math.sin))))
         config = load_preset("paper-defaults")
         assert config.integrator.record_stride == 1
         traj = integrate(config.params, State(0.0, phi0, 0.0), config.integrator)
         assert traj.termination is Termination.COMPLETED
-        assert calls / (len(traj) - 1) <= 6.05
+        assert calls["_accel"] == 1
+        assert calls["sin"] == 12 * calls["_dp45_step"]
+        assert calls["_dp45_step"] / (len(traj) - 1) <= 1.01
 
 
 class TestEstimatePeriod:
@@ -485,12 +495,12 @@ class TestLockstepLanes:
         except (ArithmeticError, ValueError) as exc:
             with (pytest.raises(type(exc), match=f"^{re.escape(str(exc))}$"),
                   mock.patch.object(integrator_module, "_LOCKSTEP_MIN_LANES", min_lanes)):
-                integrator_module._lockstep_periods(runs, config)
+                integrator_module._crossing_periods(runs, config)
             return
         with (warnings.catch_warnings(),
               mock.patch.object(integrator_module, "_LOCKSTEP_MIN_LANES", min_lanes)):
             warnings.simplefilter("error")  # no RuntimeWarning from np.sin(inf) and the like
-            outcomes = integrator_module._lockstep_periods(runs, config)
+            outcomes = integrator_module._crossing_periods(runs, config)
         assert exact(outcomes) == exact(expected), (
             "lanes differ from serial runs; first suspect: this numpy build's np.sin or "
             "np.cos is not bit-identical to math.sin or math.cos")
