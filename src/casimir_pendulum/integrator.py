@@ -50,6 +50,7 @@ points.
 import math
 from dataclasses import dataclass
 from enum import Enum
+from itertools import chain
 
 import numpy as np
 
@@ -162,7 +163,7 @@ class Trajectory:
 
     def __post_init__(self) -> None:
         for name in ("t", "phi", "phi_dot", "r", "energy"):
-            arr = np.asarray(getattr(self, name), dtype=float)
+            arr = np.asarray(getattr(self, name), dtype=float).view()  # not the caller's array
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
         n = len(self.t)
@@ -309,7 +310,7 @@ def _trajectory(rows, params: PendulumParams, termination: Termination) -> Traje
     which equals total_energy of the same state up to rounding.
     """
     w_ref, lam, gamma = _dimensionless_system(params)
-    t, phi, psi = (np.array(col) for col in zip(*rows))
+    t, phi, psi = np.fromiter(chain.from_iterable(rows), float, 3 * len(rows)).reshape(-1, 3).T
     q = 1.0 + lam * 2.0 * np.sin(0.5 * phi) ** 2
     invariant = 0.5 * psi**2 - 1.0 / (3.0 * lam * q**3) - gamma * np.cos(phi)
     return Trajectory(

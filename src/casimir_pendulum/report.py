@@ -2,7 +2,8 @@
 
 Floats are written with Python's shortest round-trip repr so artifacts can
 feed regression tests byte-for-byte; CSV files use LF line endings on every
-platform.  The trajectory CSV is written in fixed blocks of whole rows.
+platform.  The trajectory CSV is written in fixed blocks of whole rows, each
+block formatted with one ``%`` over its flattened values.
 """
 
 import json
@@ -103,5 +104,5 @@ def write_trajectory_csv(traj: Trajectory, path: str) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(TRAJECTORY_HEADER) + "\n")
         for start in range(0, len(table), _BLOCK_ROWS):
-            rows = table[start:start + _BLOCK_ROWS].tolist()
-            fh.writelines(_ROW % tuple(row) for row in rows)
+            block = table[start:start + _BLOCK_ROWS]
+            fh.write(_ROW * len(block) % tuple(block.ravel().tolist()))

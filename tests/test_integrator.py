@@ -61,6 +61,9 @@ def quadrature_period(params: PendulumParams, phi0: float) -> float:
     return 4.0 * value
 
 
+COLUMNS = ("t", "phi", "phi_dot", "r", "energy")
+
+
 def release(params, phi0, n_periods=12.0, **overrides) -> Trajectory:
     config = IntegratorConfig(t_max=n_periods * linear_period(params), **overrides)
     return integrate(params, State(t=0.0, phi=phi0, phi_dot=0.0), config)
@@ -163,6 +166,14 @@ class TestTrajectoryInvariants:
         with pytest.raises(ValueError):
             traj.phi[0] = 1.0
 
+    def test_caller_arrays_stay_writable(self, params):
+        columns = {name: np.zeros(3) for name in COLUMNS}
+        traj = Trajectory(**columns, params=params, termination=Termination.COMPLETED)
+        for name, arr in columns.items():
+            arr[0] = 1.0  # the trajectory froze a view, not the caller's array
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(traj, name)[0] = 2.0
+
     def test_record_stride_thins_but_keeps_endpoints(self, params):
         dense = release(params, 1e-2, n_periods=2.0)
         sparse = release(params, 1e-2, n_periods=2.0, record_stride=7)
@@ -195,6 +206,57 @@ class TestTrajectoryInvariants:
         )
         assert traj.t[0] == 1.5e-9
         assert traj.phi[0] == 1e-2
+
+
+def zip_trajectory(rows, params, termination) -> Trajectory:
+    """_trajectory with the zip-and-np.array column build that fromiter replaced."""
+    w_ref, lam, gamma = integrator_module._dimensionless_system(params)
+    t, phi, psi = (np.array(col) for col in zip(*rows))
+    q = 1.0 + lam * 2.0 * np.sin(0.5 * phi) ** 2
+    invariant = 0.5 * psi**2 - 1.0 / (3.0 * lam * q**3) - gamma * np.cos(phi)
+    return Trajectory(t=t, phi=phi, phi_dot=psi * w_ref, r=params.d - params.l * np.cos(phi),
+                      energy=moment_of_inertia(params) * w_ref**2 * invariant,
+                      params=params, termination=termination)
+
+
+def recorded_rows(params, initial, config):
+    """The (t, phi, psi) rows and termination integrate hands to _trajectory."""
+    with mock.patch.object(integrator_module, "_trajectory",
+                           wraps=integrator_module._trajectory) as spy:
+        integrate(params, initial, config)
+    rows, _, termination = spy.call_args.args
+    return rows, termination
+
+
+class TestTrajectoryColumns:
+    """_trajectory's columns equal, bit for bit, those of the zip build."""
+
+    def assert_columns_equal_zip_build(self, rows, params):
+        new = integrator_module._trajectory(rows, params, Termination.COMPLETED)
+        old = zip_trajectory(rows, params, Termination.COMPLETED)
+        assert len(new) == len(rows)
+        for name in COLUMNS:
+            assert np.array_equal(getattr(new, name).view(np.int64),
+                                  getattr(old, name).view(np.int64)), name
+
+    @pytest.mark.parametrize("stride", [1, 3, 20])
+    def test_integrated_rows(self, params, stride):
+        config = IntegratorConfig(t_max=20 * linear_period(params), record_stride=stride)
+        rows, termination = recorded_rows(params, State(0.0, 0.2, 0.0), config)
+        assert termination is Termination.COMPLETED
+        assert len(rows) > 100
+        self.assert_columns_equal_zip_build(rows, params)
+
+    def test_single_row_at_the_gap(self, params):
+        config = IntegratorConfig(t_max=1e-7, collision_gap=tip_distance(0.0, params))
+        rows, termination = recorded_rows(params, State(0.0, 0.0, 0.0), config)
+        assert termination is Termination.COLLISION
+        assert len(rows) == 1
+        self.assert_columns_equal_zip_build(rows, params)
+
+    def test_signed_zeros_and_subnormals(self, params):
+        rows = [(0.0, -0.0, 5e-324), (5e-324, 5e-324, -0.0), (1e-9, -5e-324, -0.0)]
+        self.assert_columns_equal_zip_build(rows, params)
 
 
 class TestTerminations:

@@ -174,6 +174,15 @@ def test_csv_bytes_match_reference_writer_across_blocks(tmp_path, n):
     assert_matches_reference(table_trajectory(table), tmp_path)
 
 
+def test_csv_bytes_match_reference_writer_on_integrated_run(tmp_path):
+    config = load_preset("paper-defaults")
+    integ = replace(config.integrator, t_max=90 * linear_period(config.params), record_stride=1)
+    traj = integrate(config.params, State(0.0, config.phi0_rad, 0.0), integ)
+    assert traj.termination is Termination.COMPLETED
+    assert len(traj) > 2 * _BLOCK_ROWS
+    assert_matches_reference(traj, tmp_path)
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_refused_csv_leaves_existing_file(run, tmp_path, bad):
     traj, _ = run
