@@ -27,18 +27,19 @@ sweep of one) go through a second driver, _crossing_periods: each run is
 one lane of numpy arrays with its own step size, accept mask and
 termination, and keeps only the samples around its zero crossings.  The
 right-hand side is _accel (math.sin or np.sin); _rk4_step and the lanes
-call it, and _dp45_step writes it out in place with the same operations in
-the same order.  The lanes hold their state as one (2, n) array
-[phi; psi] and step it with _rk4_lanes and _dp45_lanes, the tableau of
-_rk4_step and _dp45_step written once more so that phi and psi take one
-numpy call per term; each sum keeps the scalar step's terms in its order.
-_accel uses no ** and the lanes mirror Python's max/min and the
-controller's ** per lane, so every lane equals a serial integrate bit for
-bit wherever np.sin and np.cos equal math.sin and math.cos, as they do on
-common numpy builds.  A lockstep iteration costs as much as some
-_LOCKSTEP_MIN_LANES single steps whatever the lane count, so once fewer
-lanes than that are running (from the start in a small sweep or a single
-period), each finishes alone in integrate's own loop, _advance.
+call it.  integrate's loop, _advance, holds the one scalar Dormand-Prince
+tableau, with _accel written out in place (same operations, same order),
+and keeps either the rows integrate records or only the rows around each
+crossing.  The lanes hold their state as one (2, n) array [phi; psi] and
+step it with _rk4_lanes and _dp45_lanes, the scalar tableaux written once
+more so that phi and psi take one numpy call per term; each sum keeps the
+scalar step's terms in its order.  _accel uses no ** and the lanes mirror
+Python's max/min and the controller's ** per lane, so every lane equals a
+serial integrate bit for bit wherever np.sin and np.cos equal math.sin and
+math.cos, as they do on common numpy builds.  A lockstep iteration costs
+as much as some _LOCKSTEP_MIN_LANES single steps whatever the lane count,
+so once fewer lanes than that are running (from the start in a small sweep
+or a single period), each finishes alone in integrate's own loop, _advance.
 
 A run never raises for physics reasons: the tip reaching the safety gap,
 |phi| reaching pi/2, the step budget running out, or a step that cannot
@@ -163,7 +164,7 @@ class Trajectory:
 
     def __post_init__(self) -> None:
         for name in ("t", "phi", "phi_dot", "r", "energy"):
-            arr = np.asarray(getattr(self, name), dtype=float).view()  # not the caller's array
+            arr = np.array(getattr(self, name), dtype=float)  # a copy, not the caller's array
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
         n = len(self.t)
@@ -216,68 +217,6 @@ def _rk4_step(phi, psi, h, lam, gamma):
     phi_new = phi + h / 6.0 * (psi + 2.0 * v2 + 2.0 * v3 + v4)
     psi_new = psi + h / 6.0 * (a1 + 2.0 * a2 + 2.0 * a3 + a4)
     return phi_new, psi_new
-
-
-def _dp45_step(phi, psi, a1, h, lam, gamma):
-    """One Dormand-Prince trial step from (phi, psi) with a1 = _accel(phi):
-    returns (phi5, psi5, a7, err_phi, err_psi).  Stage i sits at
-    (phi + h*sum_j a_ij*v_j, v_i) with v_1 = psi; the last stage is the
-    propagated solution, so a7 is the next step's a1.
-
-    Each stage acceleration is _accel written out, with its operations in
-    _accel's order: lam * 2.0 * (s*s) associates left, so taking lam * 2.0
-    once per step leaves every bit as it was.  A stage angle at +-inf makes
-    math.sin raise ValueError, as _accel does."""
-    sin = math.sin
-    lam2 = lam * 2.0
-    # Zero weights are left out; the other terms keep the tableau's order.
-    v2 = psi + h * (1 / 5 * a1)
-    x = phi + h * (1 / 5 * psi)
-    s = sin(0.5 * x)
-    r = 1.0 / (1.0 + lam2 * (s * s))
-    r2 = r * r
-    a2 = -sin(x) * (r2 * r2 + gamma)
-    v3 = psi + h * (3 / 40 * a1 + 9 / 40 * a2)
-    x = phi + h * (3 / 40 * psi + 9 / 40 * v2)
-    s = sin(0.5 * x)
-    r = 1.0 / (1.0 + lam2 * (s * s))
-    r2 = r * r
-    a3 = -sin(x) * (r2 * r2 + gamma)
-    v4 = psi + h * (44 / 45 * a1 - 56 / 15 * a2 + 32 / 9 * a3)
-    x = phi + h * (44 / 45 * psi - 56 / 15 * v2 + 32 / 9 * v3)
-    s = sin(0.5 * x)
-    r = 1.0 / (1.0 + lam2 * (s * s))
-    r2 = r * r
-    a4 = -sin(x) * (r2 * r2 + gamma)
-    v5 = psi + h * (19372 / 6561 * a1 - 25360 / 2187 * a2 + 64448 / 6561 * a3
-                    - 212 / 729 * a4)
-    x = phi + h * (19372 / 6561 * psi - 25360 / 2187 * v2 + 64448 / 6561 * v3
-                   - 212 / 729 * v4)
-    s = sin(0.5 * x)
-    r = 1.0 / (1.0 + lam2 * (s * s))
-    r2 = r * r
-    a5 = -sin(x) * (r2 * r2 + gamma)
-    v6 = psi + h * (9017 / 3168 * a1 - 355 / 33 * a2 + 46732 / 5247 * a3 + 49 / 176 * a4
-                    - 5103 / 18656 * a5)
-    x = phi + h * (9017 / 3168 * psi - 355 / 33 * v2 + 46732 / 5247 * v3 + 49 / 176 * v4
-                   - 5103 / 18656 * v5)
-    s = sin(0.5 * x)
-    r = 1.0 / (1.0 + lam2 * (s * s))
-    r2 = r * r
-    a6 = -sin(x) * (r2 * r2 + gamma)
-    phi5 = phi + h * (35 / 384 * psi + 500 / 1113 * v3 + 125 / 192 * v4 - 2187 / 6784 * v5
-                      + 11 / 84 * v6)
-    psi5 = psi + h * (35 / 384 * a1 + 500 / 1113 * a3 + 125 / 192 * a4 - 2187 / 6784 * a5
-                      + 11 / 84 * a6)
-    s = sin(0.5 * phi5)
-    r = 1.0 / (1.0 + lam2 * (s * s))
-    r2 = r * r
-    a7 = -sin(phi5) * (r2 * r2 + gamma)
-    err_phi = h * (71 / 57600 * psi - 71 / 16695 * v3 + 71 / 1920 * v4
-                   - 17253 / 339200 * v5 + 22 / 525 * v6 - 1 / 40 * psi5)
-    err_psi = h * (71 / 57600 * a1 - 71 / 16695 * a3 + 71 / 1920 * a4
-                   - 17253 / 339200 * a5 + 22 / 525 * a6 - 1 / 40 * a7)
-    return phi5, psi5, a7, err_phi, err_psi
 
 
 def _dimensionless_system(params: PendulumParams) -> tuple[float, float, float]:
@@ -366,11 +305,20 @@ def integrate(params: PendulumParams, initial: State, config: IntegratorConfig) 
 
 
 def _advance(params: PendulumParams, config: IntegratorConfig, scales, tau, phi, psi, acc,
-             h_next, steps, since_record, rows) -> Termination:
+             h_next, steps, since_record, out, last=None) -> Termination:
     """integrate's loop, from the state (tau, phi, psi) with acc = _accel(phi),
     the trial step h_next and the counts of accepted steps and of those since
-    the last recorded row: appends each row integrate records to rows and
-    returns the run's termination.
+    the last recorded row; returns the run's termination.  It appends to out
+    each (t, phi, psi) row integrate records or, given last = (t, phi) of the
+    last recorded row, only the (t0, t1, phi0, phi1) rows around each
+    descending zero crossing.
+
+    A Dormand-Prince trial step is written out here: stage i sits at
+    (phi + h*sum_j a_ij*v_j, v_i) with v_1 = psi, and its acceleration is
+    _accel with the same operations in the same order (lam * 2.0 * (s*s)
+    associates left, so lam * 2.0 is taken once).  The last stage sits at
+    the propagated solution, so its acceleration is the next step's acc.  A
+    stage angle at +-inf makes math.sin raise ValueError, as in _accel.
 
     The loop runs once per trial step, so it keeps to locals: min and max
     are written out as the comparisons Python's min and max make (a NaN
@@ -378,13 +326,17 @@ def _advance(params: PendulumParams, config: IntegratorConfig, scales, tau, phi,
     d - l*cos(phi) >= d - l otherwise (cos <= 1 and rounding is monotone).
     """
     w_ref, lam, gamma, tau_end = scales
+    lam2 = lam * 2.0
     d, l, gap = params.d, params.l, config.collision_gap
     reach_gap = d - l <= gap
     adaptive = config.method is Method.RK45_ADAPTIVE
     rtol, atol = config.rel_tol, config.abs_tol
     max_steps, stride = config.max_steps, config.record_stride
-    cos, inf = math.cos, math.inf
-    record = rows.append
+    sin, cos, inf = math.sin, math.cos, math.inf
+    record = out.append
+    crossings = last is not None
+    if crossings:
+        t_rec, phi_rec = last
     termination = Termination.COMPLETED
     while tau < tau_end:
         if steps >= max_steps:
@@ -398,13 +350,59 @@ def _advance(params: PendulumParams, config: IntegratorConfig, scales, tau, phi,
             break
         try:
             if adaptive:
-                phi_new, psi_new, acc_new, e_phi, e_psi = _dp45_step(phi, psi, acc, h, lam, gamma)
+                # Zero weights are left out; the other terms keep the tableau's order.
+                v2 = psi + h * (1 / 5 * acc)
+                x = phi + h * (1 / 5 * psi)
+                s = sin(0.5 * x)
+                r = 1.0 / (1.0 + lam2 * (s * s))
+                r2 = r * r
+                a2 = -sin(x) * (r2 * r2 + gamma)
+                v3 = psi + h * (3 / 40 * acc + 9 / 40 * a2)
+                x = phi + h * (3 / 40 * psi + 9 / 40 * v2)
+                s = sin(0.5 * x)
+                r = 1.0 / (1.0 + lam2 * (s * s))
+                r2 = r * r
+                a3 = -sin(x) * (r2 * r2 + gamma)
+                v4 = psi + h * (44 / 45 * acc - 56 / 15 * a2 + 32 / 9 * a3)
+                x = phi + h * (44 / 45 * psi - 56 / 15 * v2 + 32 / 9 * v3)
+                s = sin(0.5 * x)
+                r = 1.0 / (1.0 + lam2 * (s * s))
+                r2 = r * r
+                a4 = -sin(x) * (r2 * r2 + gamma)
+                v5 = psi + h * (19372 / 6561 * acc - 25360 / 2187 * a2 + 64448 / 6561 * a3
+                                - 212 / 729 * a4)
+                x = phi + h * (19372 / 6561 * psi - 25360 / 2187 * v2 + 64448 / 6561 * v3
+                               - 212 / 729 * v4)
+                s = sin(0.5 * x)
+                r = 1.0 / (1.0 + lam2 * (s * s))
+                r2 = r * r
+                a5 = -sin(x) * (r2 * r2 + gamma)
+                v6 = psi + h * (9017 / 3168 * acc - 355 / 33 * a2 + 46732 / 5247 * a3
+                                + 49 / 176 * a4 - 5103 / 18656 * a5)
+                x = phi + h * (9017 / 3168 * psi - 355 / 33 * v2 + 46732 / 5247 * v3
+                               + 49 / 176 * v4 - 5103 / 18656 * v5)
+                s = sin(0.5 * x)
+                r = 1.0 / (1.0 + lam2 * (s * s))
+                r2 = r * r
+                a6 = -sin(x) * (r2 * r2 + gamma)
+                phi_new = phi + h * (35 / 384 * psi + 500 / 1113 * v3 + 125 / 192 * v4
+                                     - 2187 / 6784 * v5 + 11 / 84 * v6)
+                psi_new = psi + h * (35 / 384 * acc + 500 / 1113 * a3 + 125 / 192 * a4
+                                     - 2187 / 6784 * a5 + 11 / 84 * a6)
+                s = sin(0.5 * phi_new)
+                r = 1.0 / (1.0 + lam2 * (s * s))
+                r2 = r * r
+                a7 = -sin(phi_new) * (r2 * r2 + gamma)
             else:
                 phi_new, psi_new = _rk4_step(phi, psi, h, lam, gamma)
         except ValueError:  # math.sin of a stage angle that overflowed to inf
             termination = Termination.COLLISION
             break
         if adaptive:
+            e_phi = h * (71 / 57600 * psi - 71 / 16695 * v3 + 71 / 1920 * v4
+                         - 17253 / 339200 * v5 + 22 / 525 * v6 - 1 / 40 * psi_new)
+            e_psi = h * (71 / 57600 * acc - 71 / 16695 * a3 + 71 / 1920 * a4
+                         - 17253 / 339200 * a5 + 22 / 525 * a6 - 1 / 40 * a7)
             a, b = abs(phi), abs(phi_new)
             scale_phi = atol + rtol * (b if b > a else a)
             a, b = abs(psi), abs(psi_new)
@@ -417,7 +415,7 @@ def _advance(params: PendulumParams, config: IntegratorConfig, scales, tau, phi,
             h_next = h * (factor if factor < _MAX_FACTOR else _MAX_FACTOR)
             if not err <= 1.0:  # rejected, also when err is NaN
                 continue
-            acc = acc_new
+            acc = a7
         steps += 1
         if abs(phi_new) >= MAX_ANGLE or reach_gap and d - l * cos(phi_new) <= gap:
             termination = Termination.COLLISION
@@ -426,10 +424,19 @@ def _advance(params: PendulumParams, config: IntegratorConfig, scales, tau, phi,
         phi, psi = phi_new, psi_new
         since_record += 1
         if since_record >= stride:
-            record((tau / w_ref, phi, psi))
             since_record = 0
+            if crossings:
+                t = tau / w_ref
+                if phi_rec > 0.0 and phi <= 0.0:
+                    record((t_rec, t, phi_rec, phi))
+                t_rec, phi_rec = t, phi
+            else:
+                record((tau / w_ref, phi, psi))
     if since_record:  # the last accepted state is always recorded
-        record((tau / w_ref, phi, psi))
+        if not crossings:
+            record((tau / w_ref, phi, psi))
+        elif phi_rec > 0.0 and phi <= 0.0:
+            record((t_rec, tau / w_ref, phi_rec, phi))
     return termination
 
 
@@ -460,38 +467,46 @@ def _py_min(a, b):
     return np.where(b < a, b, a)
 
 
-def _lane_stage(y, lam, gamma):
+def _lane_stage(y, lam, gamma, sin):
     """The stage [v; a] of lanes at y = [angle; v], a (2, n) array."""
-    return np.array((y[1], _accel(y[0], lam, gamma, np.sin)))
+    return np.array((y[1], _accel(y[0], lam, gamma, sin)))
 
 
-def _rk4_lanes(y, h, lam, gamma):
+def _math_sin(x):
+    """np.sin of lanes that raises ValueError where math.sin does: at +-inf."""
+    if np.isinf(x).any():
+        raise ValueError("math domain error")
+    return np.sin(x)
+
+
+def _rk4_lanes(y, h, lam, gamma, sin=np.sin):
     """_rk4_step on lanes: y = [phi; psi] and h are (2, n) arrays, each
     stage is [v; a], and each sum takes the scalar step's terms in its
     order, so both rows equal _rk4_step bit for bit wherever np.sin equals
     math.sin.  Returns [phi_new; psi_new]."""
-    k1 = _lane_stage(y, lam, gamma)
+    k1 = _lane_stage(y, lam, gamma, sin)
     hh = 0.5 * h
-    k2 = _lane_stage(y + hh * k1, lam, gamma)
-    k3 = _lane_stage(y + hh * k2, lam, gamma)
-    k4 = _lane_stage(y + h * k3, lam, gamma)
+    k2 = _lane_stage(y + hh * k1, lam, gamma, sin)
+    k3 = _lane_stage(y + hh * k2, lam, gamma, sin)
+    k4 = _lane_stage(y + h * k3, lam, gamma, sin)
     return y + h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def _dp45_lanes(y, a1, h, lam, gamma):
-    """_dp45_step on lanes, as _rk4_lanes: returns (y5, a7, err) with
-    y5 = [phi5; psi5] and err = [err_phi; err_psi]."""
+def _dp45_lanes(y, a1, h, lam, gamma, sin=np.sin):
+    """_advance's Dormand-Prince step on lanes, as _rk4_lanes, with a1 the
+    first stage's acceleration: returns (y5, a7, err) with y5 = [phi5; psi5]
+    and err = [err_phi; err_psi]."""
     k1 = np.array((y[1], a1))
-    k2 = _lane_stage(y + h * (1 / 5 * k1), lam, gamma)
-    k3 = _lane_stage(y + h * (3 / 40 * k1 + 9 / 40 * k2), lam, gamma)
-    k4 = _lane_stage(y + h * (44 / 45 * k1 - 56 / 15 * k2 + 32 / 9 * k3), lam, gamma)
+    k2 = _lane_stage(y + h * (1 / 5 * k1), lam, gamma, sin)
+    k3 = _lane_stage(y + h * (3 / 40 * k1 + 9 / 40 * k2), lam, gamma, sin)
+    k4 = _lane_stage(y + h * (44 / 45 * k1 - 56 / 15 * k2 + 32 / 9 * k3), lam, gamma, sin)
     k5 = _lane_stage(y + h * (19372 / 6561 * k1 - 25360 / 2187 * k2 + 64448 / 6561 * k3
-                              - 212 / 729 * k4), lam, gamma)
+                              - 212 / 729 * k4), lam, gamma, sin)
     k6 = _lane_stage(y + h * (9017 / 3168 * k1 - 355 / 33 * k2 + 46732 / 5247 * k3
-                              + 49 / 176 * k4 - 5103 / 18656 * k5), lam, gamma)
+                              + 49 / 176 * k4 - 5103 / 18656 * k5), lam, gamma, sin)
     y5 = y + h * (35 / 384 * k1 + 500 / 1113 * k3 + 125 / 192 * k4 - 2187 / 6784 * k5
                   + 11 / 84 * k6)
-    k7 = _lane_stage(y5, lam, gamma)
+    k7 = _lane_stage(y5, lam, gamma, sin)
     err = h * (71 / 57600 * k1 - 71 / 16695 * k3 + 71 / 1920 * k4 - 17253 / 339200 * k5
                + 22 / 525 * k6 - 1 / 40 * k7)
     return y5, k7[1], err
@@ -505,16 +520,16 @@ def _crossing_periods(runs: list[tuple[PendulumParams, State]],
     mask, FSAL acceleration, step count, record counter and end; a lane
     that ends leaves the arrays.  The lanes' state is one (2, n) array
     y = [phi; psi], stepped by _dp45_lanes or _rk4_lanes, the tableau of
-    _dp45_step and _rk4_step with phi and psi in one numpy call per term.
-    A lane whose err_psi (RK4: psi_new) is NaN is stepped again by the
-    scalar step to learn whether integrate's math.sin would raise there,
-    and the tip test runs only while some lane can reach the gap.  Once
-    fewer than _LOCKSTEP_MIN_LANES lanes run (from the start in a small
-    sweep or a single run), each of them finishes alone in integrate's
-    loop, _advance.  Each lane's initial acceleration is _accel's with
-    math.sin, as in integrate.  Of
-    the rows integrate would record, a lane keeps only the two around each
-    descending zero crossing.
+    _advance and _rk4_step with phi and psi in one numpy call per term.
+    A lane whose err_psi (RK4: psi_new) is NaN is stepped again alone,
+    with a sin that raises where math.sin does, to learn whether
+    integrate's step would raise there, and the tip test runs only while
+    some lane can reach the gap.  Once fewer than _LOCKSTEP_MIN_LANES lanes
+    run (from the start in a small sweep or a single run), each of them
+    finishes alone in integrate's loop, _advance, from its last recorded
+    row.  Each lane's initial acceleration is _accel's with math.sin, as in
+    integrate.  Of the rows integrate would record, a lane keeps only the
+    two around each descending zero crossing.
 
     Returns, for each run, (termination, period): what integrate and then
     estimate_period(...).mean_period give for it, bit for bit wherever
@@ -606,11 +621,8 @@ def _crossing_periods(runs: list[tuple[PendulumParams, State]],
                                                    tau, y[0], y[1], acc, h_next, steps,
                                                    since_record)))
                 for i, w, lm, g, te, t_last, phi_last, *state in lanes:
-                    rows = [(t_last, phi_last, None)]
-                    termination = _advance(runs[i][0], config, (w, lm, g, te), *state, rows)
-                    brackets[i] += [(t0, t1, p0, p1) for (t0, p0, _), (t1, p1, _)
-                                    in zip(rows, rows[1:]) if p0 > 0.0 and p1 <= 0.0]
-                    finish(i, termination)
+                    finish(i, _advance(runs[i][0], config, (w, lm, g, te), *state, brackets[i],
+                                       (t_last, phi_last)))
                 break
 
             h2 = np.array((h, h))  # an (n,) h would cost a broadcast in every term
@@ -623,15 +635,17 @@ def _crossing_periods(runs: list[tuple[PendulumParams, State]],
             # math.sin raises on a stage angle at +-inf, where np.sin gives
             # NaN, and integrate then ends the run as a collision.  Every
             # stage feeds err_psi (Dormand-Prince) and psi_new (RK4), so only
-            # a lane with a NaN there can have one; integrate's own step
-            # tells.
+            # a lane with a NaN there can have one; stepping it again alone
+            # with _math_sin tells.
             raised = []
             for j in np.isnan(nan_probe).nonzero()[0].tolist():
+                lane = slice(j, j + 1)
                 try:
                     if adaptive:
-                        _dp45_step(*(float(a[j]) for a in (y[0], y[1], acc, h, lam, gamma)))
+                        _dp45_lanes(y[:, lane], acc[lane], h2[:, lane], lam[lane], gamma[lane],
+                                    _math_sin)
                     else:
-                        _rk4_step(*(float(a[j]) for a in (y[0], y[1], h, lam, gamma)))
+                        _rk4_lanes(y[:, lane], h2[:, lane], lam[lane], gamma[lane], _math_sin)
                 except ValueError:
                     raised.append(j)
             if adaptive:

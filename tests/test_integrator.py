@@ -22,6 +22,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from rk_reference import dp45_step
 from scipy.integrate import quad
 
 import casimir_pendulum.integrator as integrator_module
@@ -170,9 +171,11 @@ class TestTrajectoryInvariants:
         columns = {name: np.zeros(3) for name in COLUMNS}
         traj = Trajectory(**columns, params=params, termination=Termination.COMPLETED)
         for name, arr in columns.items():
-            arr[0] = 1.0  # the trajectory froze a view, not the caller's array
+            arr[0] = 1.0  # the trajectory froze a copy, not the caller's array
             with pytest.raises(ValueError, match="read-only"):
                 getattr(traj, name)[0] = 2.0
+        for name in COLUMNS:  # and the caller's writes do not reach it
+            assert getattr(traj, name).tolist() == [0.0, 0.0, 0.0]
 
     def test_record_stride_thins_but_keeps_endpoints(self, params):
         dense = release(params, 1e-2, n_periods=2.0)
@@ -374,30 +377,27 @@ class TestStepRk4:
 class TestDormandPrinceStep:
     @pytest.mark.parametrize("phi0", [1e-3, 0.2])
     def test_six_rhs_calls_per_accepted_step(self, monkeypatch, phi0):
-        """The last stage is the next step's first (FSAL): _accel runs once,
-        for the initial acceleration; each trial step evaluates six stages of
-        two sines each; and rejected trials are rare, so an accepted step
+        """The last stage is the next step's first (FSAL): the initial
+        acceleration takes two sines, each trial step evaluates six stages of
+        two sines each, and rejected trials are rare, so an accepted step
         costs 6 RHS evaluations, not 7."""
-        calls = {"_accel": 0, "_dp45_step": 0, "sin": 0}
+        sines = 0
 
-        def counting(name, fn):
-            def wrapper(*args):
-                calls[name] += 1
-                return fn(*args)
-            return wrapper
+        def sin(x):
+            nonlocal sines
+            sines += 1
+            return math.sin(x)
 
-        for name in ("_accel", "_dp45_step"):
-            monkeypatch.setattr(integrator_module, name,
-                                counting(name, getattr(integrator_module, name)))
-        monkeypatch.setattr(integrator_module, "math",
-                            SimpleNamespace(**dict(vars(math), sin=counting("sin", math.sin))))
+        monkeypatch.setattr(integrator_module, "math", SimpleNamespace(**dict(vars(math), sin=sin)))
+        monkeypatch.setattr(integrator_module._accel, "__defaults__", (sin,))
         config = load_preset("paper-defaults")
         assert config.integrator.record_stride == 1
         traj = integrate(config.params, State(0.0, phi0, 0.0), config.integrator)
         assert traj.termination is Termination.COMPLETED
-        assert calls["_accel"] == 1
-        assert calls["sin"] == 12 * calls["_dp45_step"]
-        assert calls["_dp45_step"] / (len(traj) - 1) <= 1.01
+        trials, rest = divmod(sines - 2, 12)
+        assert rest == 0
+        accepted = len(traj) - 1
+        assert accepted <= trials <= 1.01 * accepted
 
 
 class TestEstimatePeriod:
@@ -543,6 +543,16 @@ class TestLockstepLanes:
              [REF, ((1.019e-8, 1e-8), 0.3, True), ((3e-8, 1.2e-8), -0.2, False)], 1)
     @example(Method.RK4_FIXED, 4e-12, None, 1, 400,
              [((1.019e-8, 1e-8), 0.3, True), REF, ((3e-8, 1.2e-8), 0.2, False)], 1)
+    # fewer lanes than min_lanes: every run finishes alone in _advance,
+    # keeping only its crossings.  The last crossing falls between the last
+    # row of the stride and the final row, which is always recorded ...
+    @example(Method.RK45_ADAPTIVE, None, 1.22e-6, 50, 10**6, [REF], 2)
+    @example(Method.RK4_FIXED, 4e-9, 1.22e-6, 50, 10**6, [REF], 2)
+    # ... step_limit ends and a mid-swing collision, each off the stride ...
+    @example(Method.RK45_ADAPTIVE, None, None, 3, 400,
+             [REF, ((1.019e-8, 1e-8), 0.3, True), ((1.05e-8, 1e-8), 0.25, True)], 4)
+    # ... and a stalled run
+    @example(Method.RK45_ADAPTIVE, None, 1e302, 1, 400, [((2e-8, 1e-8), 0.0, True), REF], 3)
     def test_lanes_equal_serial_runs(self, method, dt, t_max, stride, max_steps, lanes,
                                      min_lanes):
         config = IntegratorConfig(t_max=t_max, method=method,
@@ -605,8 +615,7 @@ class TestLockstepLanes:
         for lane, got_dp, got_rk in zip(lanes, lane_dp, rk.T):
             p, v, step, lm, g = lane
             try:
-                want_dp = integrator_module._dp45_step(p, v, integrator_module._accel(p, lm, g),
-                                                       step, lm, g)
+                want_dp = dp45_step(p, v, integrator_module._accel(p, lm, g), step, lm, g)
             except ValueError:  # a stage angle at inf: the lanes must see a NaN err_psi
                 assert math.isnan(got_dp[4]), lane
             else:
