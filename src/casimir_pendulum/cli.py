@@ -3,16 +3,17 @@
 Subcommands: simulate, period, sweep, validate, estimate.  Exit codes: 0 on
 success, 1 on usage/config errors, 2 when a simulation ends by collision,
 step exhaustion or a stall (a step that cannot advance time to a larger
-finite value) rather than reaching t_max.  A sweep integrates all its valid
-points together in this process, each as one lane of numpy arrays (a few
-points, or the last ones left running, finish one at a time), and keeps only
-each run's zero crossings, not its trajectory; each row depends only on the
-base config and its own value.  `period --simulate` takes the same
-crossing-only path with one run.
+finite value) rather than reaching t_max.  A sweep integrates its valid
+points in this process and keeps only each run's zero crossings, not its
+trajectory: adaptive points step together as lanes of numpy arrays until
+few are left running, and the rest, like every RK4 point, finish one at a
+time.  Each row depends only on the base config and its own value.
+`period --simulate` takes the same crossing-only path with one run.
 """
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import asdict
 
@@ -157,6 +158,8 @@ def cmd_sweep(args) -> int:
     config = _load_run_config(args)
     if not args.from_ < args.to:
         raise ConfigError(f"--from ({args.from_!r}) must be below --to ({args.to!r})")
+    if not math.isfinite(args.to - args.from_):  # an infinite end, or a span that overflows
+        raise ConfigError(f"--from ({args.from_!r}) to --to ({args.to!r}) is not a finite range")
     if args.points < 2:
         raise ConfigError(f"--points must be >= 2, got {args.points!r}")
     if args.log:

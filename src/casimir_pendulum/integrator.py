@@ -22,24 +22,18 @@ pair is "first same as last": its 7th stage sits at the propagated solution,
 so the loop carries that acceleration into the next step and an accepted
 step costs 6 evaluations of _accel, not 7.
 
-Runs that need only their periods (a sweep, and `period --simulate` as a
-sweep of one) go through a second driver, _crossing_periods: each run is
-one lane of numpy arrays with its own step size, accept mask and
-termination, and keeps only the samples around its zero crossings.  The
-right-hand side is _accel (math.sin or np.sin); _rk4_step and the lanes
-call it.  integrate's loop, _advance, holds the one scalar Dormand-Prince
-tableau, with _accel written out in place (same operations, same order),
-and keeps either the rows integrate records or only the rows around each
-crossing.  The lanes hold their state as one (2, n) array [phi; psi] and
-step it with _rk4_lanes and _dp45_lanes, the scalar tableaux written once
-more so that phi and psi take one numpy call per term; each sum keeps the
-scalar step's terms in its order.  _accel uses no ** and the lanes mirror
-Python's max/min and the controller's ** per lane, so every lane equals a
-serial integrate bit for bit wherever np.sin and np.cos equal math.sin and
-math.cos, as they do on common numpy builds.  A lockstep iteration costs
-as much as some _LOCKSTEP_MIN_LANES single steps whatever the lane count,
-so once fewer lanes than that are running (from the start in a small sweep
-or a single period), each finishes alone in integrate's own loop, _advance.
+integrate's loop, _advance, holds the one scalar Dormand-Prince tableau,
+with _accel written out in place (same operations, same order).  Runs that
+need only their periods (a sweep, and `period --simulate` as a sweep of
+one) go through _crossing_periods and keep only the samples around their
+zero crossings.  There adaptive runs step together as lanes of one (2, n)
+array [phi; psi] in _dp45_lanes, the tableau written once more so that phi
+and psi take one numpy call per term, each sum in the scalar step's order.
+_accel uses no ** and the lanes mirror Python's max/min and the
+controller's ** per lane, so every lane equals a serial integrate bit for
+bit wherever np.sin and np.cos equal math.sin and math.cos, as they do on
+common numpy builds.  RK4 runs, and the last lanes of an adaptive sweep,
+finish one at a time in _advance.
 
 A run never raises for physics reasons: the tip reaching the safety gap,
 |phi| reaching pi/2, the step budget running out, or a step that cannot
@@ -441,19 +435,10 @@ def _advance(params: PendulumParams, config: IntegratorConfig, scales, tau, phi,
 
 
 # Below this many running lanes, the lanes left finish one at a time in
-# _advance.  At 32-56 lanes a lockstep iteration costs as much as 46-47 of
-# integrate's steps with Dormand-Prince and 42-44 with RK4 (medians of 15
-# back-to-back pairs; about 260-275 us against 5.8 us a step, and 135-140 us
-# against 3.2 us, on a 2-core x86-64 machine with numpy 2.4), so 46, the
-# larger break-even, keeps lanes of either method from stepping together
-# below theirs.
+# _advance: at 32-56 lanes a lockstep iteration costs as much as 46-47 of
+# its Dormand-Prince steps (medians of 15 back-to-back pairs; about 260-275
+# us against 5.8 us a step, on a 2-core x86-64 machine with numpy 2.4).
 _LOCKSTEP_MIN_LANES = 46
-
-# Lane ends in _crossing_periods, indexed by a lane's end code; 0 marks a
-# running lane.
-_LANE_ENDS = (None, Termination.COMPLETED, Termination.COLLISION, Termination.STEP_LIMIT,
-              Termination.STALLED)
-_COMPLETED, _COLLISION, _STEP_LIMIT, _STALLED = 1, 2, 3, 4
 
 
 def _py_max(a, b):
@@ -479,23 +464,11 @@ def _math_sin(x):
     return np.sin(x)
 
 
-def _rk4_lanes(y, h, lam, gamma, sin=np.sin):
-    """_rk4_step on lanes: y = [phi; psi] and h are (2, n) arrays, each
-    stage is [v; a], and each sum takes the scalar step's terms in its
-    order, so both rows equal _rk4_step bit for bit wherever np.sin equals
-    math.sin.  Returns [phi_new; psi_new]."""
-    k1 = _lane_stage(y, lam, gamma, sin)
-    hh = 0.5 * h
-    k2 = _lane_stage(y + hh * k1, lam, gamma, sin)
-    k3 = _lane_stage(y + hh * k2, lam, gamma, sin)
-    k4 = _lane_stage(y + h * k3, lam, gamma, sin)
-    return y + h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-
-
 def _dp45_lanes(y, a1, h, lam, gamma, sin=np.sin):
-    """_advance's Dormand-Prince step on lanes, as _rk4_lanes, with a1 the
-    first stage's acceleration: returns (y5, a7, err) with y5 = [phi5; psi5]
-    and err = [err_phi; err_psi]."""
+    """_advance's Dormand-Prince step on lanes: y = [phi; psi] and h are
+    (2, n) arrays, each stage is [v; a] and a1 is the first stage's
+    acceleration.  Returns (y5, a7, err) with y5 = [phi5; psi5] and
+    err = [err_phi; err_psi]."""
     k1 = np.array((y[1], a1))
     k2 = _lane_stage(y + h * (1 / 5 * k1), lam, gamma, sin)
     k3 = _lane_stage(y + h * (3 / 40 * k1 + 9 / 40 * k2), lam, gamma, sin)
@@ -514,22 +487,13 @@ def _dp45_lanes(y, a1, h, lam, gamma, sin=np.sin):
 
 def _crossing_periods(runs: list[tuple[PendulumParams, State]],
                       config: IntegratorConfig) -> list[tuple[Termination | None, float | None]]:
-    """Integrate many runs together and keep only their periods.
+    """Integrate many runs and keep only their periods.
 
-    Each run is one lane of numpy arrays, with its own step size, accept
-    mask, FSAL acceleration, step count, record counter and end; a lane
-    that ends leaves the arrays.  The lanes' state is one (2, n) array
-    y = [phi; psi], stepped by _dp45_lanes or _rk4_lanes, the tableau of
-    _advance and _rk4_step with phi and psi in one numpy call per term.
-    A lane whose err_psi (RK4: psi_new) is NaN is stepped again alone,
-    with a sin that raises where math.sin does, to learn whether
-    integrate's step would raise there, and the tip test runs only while
-    some lane can reach the gap.  Once fewer than _LOCKSTEP_MIN_LANES lanes
-    run (from the start in a small sweep or a single run), each of them
-    finishes alone in integrate's loop, _advance, from its last recorded
-    row.  Each lane's initial acceleration is _accel's with math.sin, as in
-    integrate.  Of the rows integrate would record, a lane keeps only the
-    two around each descending zero crossing.
+    Each run is one lane with its own step size, accept mask, FSAL
+    acceleration, step count and record counter; a lane that ends leaves
+    the arrays.  Each lane's initial acceleration is _accel's with
+    math.sin, as in integrate, and of the rows integrate would record a
+    lane keeps only the two around each descending zero crossing.
 
     Returns, for each run, (termination, period): what integrate and then
     estimate_period(...).mean_period give for it, bit for bit wherever
@@ -566,7 +530,7 @@ def _crossing_periods(runs: list[tuple[PendulumParams, State]],
     phi_rec = phi.copy()  # (t_rec, phi_rec): the last row integrate would record
     steps = np.zeros(len(idx), dtype=np.int64)
     since_record = np.zeros(len(idx), dtype=np.int64)
-    ended = np.zeros(len(idx), dtype=np.int8)  # end code, an index into _LANE_ENDS
+    collided = np.zeros(len(idx), dtype=bool)  # by the last step
     brackets: list[list] = [[] for _ in runs]  # (t0, t1, p0, p1) of each crossing
     rtol, atol = config.rel_tol, config.abs_tol
     # A lane with d - l > gap never reaches the gap: cos <= 1 and rounding is
@@ -594,28 +558,32 @@ def _crossing_periods(runs: list[tuple[PendulumParams, State]],
 
     with np.errstate(all="ignore"):
         while len(idx):
-            # integrate's loop head; the first of its tests a lane fails names its end
+            # integrate's loop head; a lane failing any of its tests ends
             h = _py_min(h_next, tau_end - tau)
             tau_new = tau + h
-            running = ((ended == 0) & (tau < tau_end) & (steps < config.max_steps)
+            running = (~collided & (tau < tau_end) & (steps < config.max_steps)
                        & (tau < tau_new) & (tau_new < math.inf))
             if np.count_nonzero(running) < len(idx):
-                for code, test in ((_COMPLETED, ~(tau < tau_end)),
-                                   (_STEP_LIMIT, steps >= config.max_steps),
-                                   (_STALLED, ~running)):
-                    ended = np.where((ended == 0) & test, code, ended)
                 done = ~running
                 record(done & (since_record > 0), tau / w_ref, y[0])
-                for j in done.nonzero()[0].tolist():
-                    finish(idx[j], _LANE_ENDS[ended[j]])
+                for j in done.nonzero()[0].tolist():  # in the order of _advance's tests
+                    if collided[j]:
+                        termination = Termination.COLLISION
+                    elif not tau[j] < tau_end[j]:
+                        termination = Termination.COMPLETED
+                    elif steps[j] >= config.max_steps:
+                        termination = Termination.STEP_LIMIT
+                    else:
+                        termination = Termination.STALLED
+                    finish(idx[j], termination)
                 (idx, w_ref, lam, gamma, d, l, tau, tau_end, acc, h_next, h, tau_new,
-                 steps, since_record, ended, t_rec, phi_rec) = (
+                 steps, since_record, t_rec, phi_rec) = (
                     a[running] for a in (idx, w_ref, lam, gamma, d, l, tau, tau_end, acc,
-                                         h_next, h, tau_new, steps, since_record, ended,
-                                         t_rec, phi_rec))
+                                         h_next, h, tau_new, steps, since_record, t_rec,
+                                         phi_rec))
                 y = y[:, running]
                 reach_gap = bool(np.any(d - l <= gap))
-            if len(idx) < _LOCKSTEP_MIN_LANES:
+            if len(idx) < _LOCKSTEP_MIN_LANES or not adaptive:
                 # the rest finish alone, each from its last recorded row
                 lanes = zip(*(a.tolist() for a in (idx, w_ref, lam, gamma, tau_end, t_rec, phi_rec,
                                                    tau, y[0], y[1], acc, h_next, steps,
@@ -626,40 +594,28 @@ def _crossing_periods(runs: list[tuple[PendulumParams, State]],
                 break
 
             h2 = np.array((h, h))  # an (n,) h would cost a broadcast in every term
-            if adaptive:
-                y_new, acc_new, err2 = _dp45_lanes(y, acc, h2, lam, gamma)
-                nan_probe = err2[1]
-            else:
-                y_new = _rk4_lanes(y, h2, lam, gamma)
-                nan_probe = y_new[1]
+            y_new, acc_new, err2 = _dp45_lanes(y, acc, h2, lam, gamma)
             # math.sin raises on a stage angle at +-inf, where np.sin gives
             # NaN, and integrate then ends the run as a collision.  Every
-            # stage feeds err_psi (Dormand-Prince) and psi_new (RK4), so only
-            # a lane with a NaN there can have one; stepping it again alone
-            # with _math_sin tells.
+            # stage feeds err_psi, so only a lane with a NaN there can have
+            # one; stepping it again alone with _math_sin tells.
             raised = []
-            for j in np.isnan(nan_probe).nonzero()[0].tolist():
+            for j in np.isnan(err2[1]).nonzero()[0].tolist():
                 lane = slice(j, j + 1)
                 try:
-                    if adaptive:
-                        _dp45_lanes(y[:, lane], acc[lane], h2[:, lane], lam[lane], gamma[lane],
-                                    _math_sin)
-                    else:
-                        _rk4_lanes(y[:, lane], h2[:, lane], lam[lane], gamma[lane], _math_sin)
+                    _dp45_lanes(y[:, lane], acc[lane], h2[:, lane], lam[lane], gamma[lane],
+                                _math_sin)
                 except ValueError:
                     raised.append(j)
-            if adaptive:
-                scale = atol + rtol * _py_max(np.abs(y), np.abs(y_new))
-                ratio = np.abs(err2) / scale
-                err = _py_max(ratio[0], ratio[1])
-                # Python's ** for each lane: np.power may differ in the last bit
-                factor = np.array([_MAX_FACTOR if e == 0.0 else _SAFETY * e**-0.2
-                                   for e in err.tolist()])
-                h_next = h * _py_min(_MAX_FACTOR, _py_max(_MIN_FACTOR, factor))
-                accepted = err <= 1.0
-                acc = np.where(accepted, acc_new, acc)
-            else:
-                accepted = np.ones(len(idx), dtype=bool)
+            scale = atol + rtol * _py_max(np.abs(y), np.abs(y_new))
+            ratio = np.abs(err2) / scale
+            err = _py_max(ratio[0], ratio[1])
+            # Python's ** for each lane: np.power may differ in the last bit
+            factor = np.array([_MAX_FACTOR if e == 0.0 else _SAFETY * e**-0.2
+                               for e in err.tolist()])
+            h_next = h * _py_min(_MAX_FACTOR, _py_max(_MIN_FACTOR, factor))
+            accepted = err <= 1.0
+            acc = np.where(accepted, acc_new, acc)
             steps += accepted
             hit = np.abs(y_new[0]) >= MAX_ANGLE
             if reach_gap:
@@ -667,7 +623,6 @@ def _crossing_periods(runs: list[tuple[PendulumParams, State]],
             collided = accepted & hit
             if raised:
                 collided[raised] = True
-            ended[collided] = _COLLISION
             accepted &= ~collided
             tau = np.where(accepted, tau_new, tau)
             y = np.where(accepted, y_new, y)

@@ -317,12 +317,20 @@ class TestSweep:
         for i in range(0, 20, 2):
             assert data_lines(values[i], values[i + 1], 2) == full[i:i + 2]
 
-    def test_lockstep_rows_equal_lone_rows(self, tmp_path):
-        """With 64 points (52 valid) the lanes step in lockstep; with 2 each
-        lane runs alone.  The rows agree byte for byte."""
+    @pytest.mark.parametrize("integrator_doc", [{"method": "rk45_adaptive"},
+                                                {"method": "rk4_fixed", "dt": 4e-9}],
+                             ids=["rk45_adaptive", "rk4_fixed"])
+    def test_lockstep_rows_equal_lone_rows(self, tmp_path, integrator_doc):
+        """With 64 points (52 valid) adaptive lanes step in lockstep; with 2,
+        and with RK4 at any size, each run finishes alone.  The rows agree
+        byte for byte."""
+        doc = {"params": dict(PARAMS, beta=2.0, include_gravity=True),  # the preset's design
+               "initial": {"phi0_rad": 1e-3}, "integrator": integrator_doc}
+        config = write_config(tmp_path, doc)
+
         def data_lines(start, stop, points):
             out = str(tmp_path / "s.csv")
-            assert main(["sweep", "--preset", "paper-defaults", "--param", "d_m",
+            assert main(["sweep", "--config", config, "--param", "d_m",
                          "--from", repr(start), "--to", repr(stop), "--points", str(points),
                          "--log", "--out", out]) == 0
             with open(out) as fh:
@@ -341,11 +349,19 @@ class TestSweep:
                   "--out", str(tmp_path / "s.csv")])
         assert exc.value.code == 1
 
-    def test_inverted_range_rejected(self, tmp_path):
-        code = main(["sweep", "--preset", "paper-defaults", "--param", "beta",
-                     "--from", "2", "--to", "1", "--points", "2",
-                     "--out", str(tmp_path / "s.csv")])
+    @pytest.mark.parametrize("param, start, stop", [
+        ("beta", "2", "1"),
+        ("d_m", "1.5e-8", "inf"),  # an infinite end
+        ("phi0_rad", "-1e308", "1e308"),  # a span that overflows
+        ("beta", "-inf", "2"),
+    ])
+    def test_inverted_range_rejected(self, tmp_path, capsys, param, start, stop):
+        out = tmp_path / "s.csv"
+        code = main(["sweep", "--preset", "paper-defaults", "--param", param,
+                     f"--from={start}", "--to", stop, "--points", "3", "--out", str(out)])
         assert code == 1
+        assert not out.exists()
+        assert "nan" not in capsys.readouterr().err  # the error names the range given
 
     def test_log_needs_positive_start(self, tmp_path):
         code = main(["sweep", "--preset", "paper-defaults", "--param", "beta",
