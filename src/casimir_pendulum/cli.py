@@ -218,6 +218,7 @@ def cmd_estimate(args) -> int:
         atomic_weight=args.atomic_weight,
     )
     params = estimate_params(spec, args.gap)
+    linear_omega(params)  # rejects params no run accepts, as load_config does
     print(json.dumps(params_to_dict(params), indent=2))
     return EXIT_OK
 
@@ -227,10 +228,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:  # includes ConfigError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

@@ -111,7 +111,11 @@ def estimate_params(spec: NanostringSpec, gap_r: float) -> PendulumParams:
     """
     if not gap_r > 0:
         raise ValueError(f"gap_r must be positive, got {gap_r!r}")
-    l = spec.n_atoms * ATOM_SPACING_RADII * spec.atom_radius
+    try:
+        l = spec.n_atoms * ATOM_SPACING_RADII * spec.atom_radius
+    except OverflowError:  # an int count beyond the float range
+        raise ValueError(f"n_atoms has no float value, got an integer of "
+                         f"{spec.n_atoms.bit_length()} bits") from None
     m_atom = (spec.atomic_weight / 1000.0) / AVOGADRO
     atom = AtomProperties(
         alpha0=DEFAULT_ALPHA0 if spec.alpha0 is None else spec.alpha0,

@@ -26,14 +26,12 @@ integrate's loop, _advance, holds the one scalar Dormand-Prince tableau,
 with _accel written out in place (same operations, same order).  Runs that
 need only their periods (a sweep, and `period --simulate` as a sweep of
 one) go through _crossing_periods and keep only the samples around their
-zero crossings.  There adaptive runs step together as lanes of one (2, n)
-array [phi; psi] in _dp45_lanes, the tableau written once more so that phi
-and psi take one numpy call per term, each sum in the scalar step's order.
-_accel uses no ** and the lanes mirror Python's max/min and the
-controller's ** per lane, so every lane equals a serial integrate bit for
-bit wherever np.sin and np.cos equal math.sin and math.cos, as they do on
-common numpy builds.  RK4 runs, and the last lanes of an adaptive sweep,
-finish one at a time in _advance.
+zero crossings.  There adaptive runs step together as numpy lanes through
+the same tableau, each sum in the scalar step's order, so every lane equals
+a serial integrate bit for bit wherever np.sin and np.cos equal math.sin
+and math.cos, as they do on common numpy builds.  A lane leaves the
+lockstep before a step that could end its run, so every run, RK4 runs and
+the last lanes of a sweep included, ends in _advance.
 
 A run never raises for physics reasons: the tip reaching the safety gap,
 |phi| reaching pi/2, the step budget running out, or a step that cannot
@@ -452,34 +450,27 @@ def _py_min(a, b):
     return np.where(b < a, b, a)
 
 
-def _lane_stage(y, lam, gamma, sin):
+def _lane_stage(y, lam, gamma):
     """The stage [v; a] of lanes at y = [angle; v], a (2, n) array."""
-    return np.array((y[1], _accel(y[0], lam, gamma, sin)))
+    return np.array((y[1], _accel(y[0], lam, gamma, np.sin)))
 
 
-def _math_sin(x):
-    """np.sin of lanes that raises ValueError where math.sin does: at +-inf."""
-    if np.isinf(x).any():
-        raise ValueError("math domain error")
-    return np.sin(x)
-
-
-def _dp45_lanes(y, a1, h, lam, gamma, sin=np.sin):
+def _dp45_lanes(y, a1, h, lam, gamma):
     """_advance's Dormand-Prince step on lanes: y = [phi; psi] and h are
     (2, n) arrays, each stage is [v; a] and a1 is the first stage's
     acceleration.  Returns (y5, a7, err) with y5 = [phi5; psi5] and
     err = [err_phi; err_psi]."""
     k1 = np.array((y[1], a1))
-    k2 = _lane_stage(y + h * (1 / 5 * k1), lam, gamma, sin)
-    k3 = _lane_stage(y + h * (3 / 40 * k1 + 9 / 40 * k2), lam, gamma, sin)
-    k4 = _lane_stage(y + h * (44 / 45 * k1 - 56 / 15 * k2 + 32 / 9 * k3), lam, gamma, sin)
+    k2 = _lane_stage(y + h * (1 / 5 * k1), lam, gamma)
+    k3 = _lane_stage(y + h * (3 / 40 * k1 + 9 / 40 * k2), lam, gamma)
+    k4 = _lane_stage(y + h * (44 / 45 * k1 - 56 / 15 * k2 + 32 / 9 * k3), lam, gamma)
     k5 = _lane_stage(y + h * (19372 / 6561 * k1 - 25360 / 2187 * k2 + 64448 / 6561 * k3
-                              - 212 / 729 * k4), lam, gamma, sin)
+                              - 212 / 729 * k4), lam, gamma)
     k6 = _lane_stage(y + h * (9017 / 3168 * k1 - 355 / 33 * k2 + 46732 / 5247 * k3
-                              + 49 / 176 * k4 - 5103 / 18656 * k5), lam, gamma, sin)
+                              + 49 / 176 * k4 - 5103 / 18656 * k5), lam, gamma)
     y5 = y + h * (35 / 384 * k1 + 500 / 1113 * k3 + 125 / 192 * k4 - 2187 / 6784 * k5
                   + 11 / 84 * k6)
-    k7 = _lane_stage(y5, lam, gamma, sin)
+    k7 = _lane_stage(y5, lam, gamma)
     err = h * (71 / 57600 * k1 - 71 / 16695 * k3 + 71 / 1920 * k4 - 17253 / 339200 * k5
                + 22 / 525 * k6 - 1 / 40 * k7)
     return y5, k7[1], err
@@ -489,11 +480,14 @@ def _crossing_periods(runs: list[tuple[PendulumParams, State]],
                       config: IntegratorConfig) -> list[tuple[Termination | None, float | None]]:
     """Integrate many runs and keep only their periods.
 
-    Each run is one lane with its own step size, accept mask, FSAL
-    acceleration, step count and record counter; a lane that ends leaves
-    the arrays.  Each lane's initial acceleration is _accel's with
-    math.sin, as in integrate, and of the rows integrate would record a
-    lane keeps only the two around each descending zero crossing.
+    Adaptive runs step together as lanes and keep, of the rows integrate
+    would record, only the two around each descending zero crossing.  A
+    lane whose step might end its run leaves the lockstep with its state
+    from before that step: it fails integrate's loop head, its accepted
+    step hits the plate or pi/2, or its err_psi is NaN (where math.sin may
+    raise on a stage angle at +-inf).  It finishes alone in _advance, as do
+    RK4 runs and, once fewer than _LOCKSTEP_MIN_LANES are running, the last
+    lanes, so every run ends in integrate's own loop.
 
     Returns, for each run, (termination, period): what integrate and then
     estimate_period(...).mean_period give for it, bit for bit wherever
@@ -530,106 +524,76 @@ def _crossing_periods(runs: list[tuple[PendulumParams, State]],
     phi_rec = phi.copy()  # (t_rec, phi_rec): the last row integrate would record
     steps = np.zeros(len(idx), dtype=np.int64)
     since_record = np.zeros(len(idx), dtype=np.int64)
-    collided = np.zeros(len(idx), dtype=bool)  # by the last step
     brackets: list[list] = [[] for _ in runs]  # (t0, t1, p0, p1) of each crossing
     rtol, atol = config.rel_tol, config.abs_tol
     # A lane with d - l > gap never reaches the gap: cos <= 1 and rounding is
     # monotone, so d - l*cos(phi) >= d - l > gap.
     reach_gap = bool(np.any(d - l <= gap))
 
-    def record(rows, t, p):
-        """Record sample (t, p) on the lanes in rows, keeping the samples
-        around each descending zero crossing."""
-        nonlocal t_rec, phi_rec
-        for j in (rows & (phi_rec > 0.0) & (p <= 0.0)).nonzero()[0].tolist():
-            brackets[idx[j]].append((t_rec[j], t[j], phi_rec[j], p[j]))
-        t_rec = np.where(rows, t, t_rec)
-        phi_rec = np.where(rows, p, phi_rec)
-        since_record[rows] = 0
-
-    def finish(i, termination):
-        """Store run i's termination and the period of its crossings."""
-        try:
-            cols = np.array(brackets[i], dtype=float).reshape(-1, 4).T
-            period = _period_estimate(*cols).mean_period
-        except InsufficientCyclesError:
-            period = None
-        results[i] = (termination, period)
-
     with np.errstate(all="ignore"):
-        while len(idx):
-            # integrate's loop head; a lane failing any of its tests ends
+        while True:
+            # integrate's loop head
             h = _py_min(h_next, tau_end - tau)
             tau_new = tau + h
-            running = (~collided & (tau < tau_end) & (steps < config.max_steps)
-                       & (tau < tau_new) & (tau_new < math.inf))
-            if np.count_nonzero(running) < len(idx):
-                done = ~running
-                record(done & (since_record > 0), tau / w_ref, y[0])
-                for j in done.nonzero()[0].tolist():  # in the order of _advance's tests
-                    if collided[j]:
-                        termination = Termination.COLLISION
-                    elif not tau[j] < tau_end[j]:
-                        termination = Termination.COMPLETED
-                    elif steps[j] >= config.max_steps:
-                        termination = Termination.STEP_LIMIT
-                    else:
-                        termination = Termination.STALLED
-                    finish(idx[j], termination)
-                (idx, w_ref, lam, gamma, d, l, tau, tau_end, acc, h_next, h, tau_new,
-                 steps, since_record, t_rec, phi_rec) = (
-                    a[running] for a in (idx, w_ref, lam, gamma, d, l, tau, tau_end, acc,
-                                         h_next, h, tau_new, steps, since_record, t_rec,
-                                         phi_rec))
-                y = y[:, running]
-                reach_gap = bool(np.any(d - l <= gap))
-            if len(idx) < _LOCKSTEP_MIN_LANES or not adaptive:
-                # the rest finish alone, each from its last recorded row
-                lanes = zip(*(a.tolist() for a in (idx, w_ref, lam, gamma, tau_end, t_rec, phi_rec,
-                                                   tau, y[0], y[1], acc, h_next, steps,
-                                                   since_record)))
-                for i, w, lm, g, te, t_last, phi_last, *state in lanes:
-                    finish(i, _advance(runs[i][0], config, (w, lm, g, te), *state, brackets[i],
-                                       (t_last, phi_last)))
-                break
-
-            h2 = np.array((h, h))  # an (n,) h would cost a broadcast in every term
-            y_new, acc_new, err2 = _dp45_lanes(y, acc, h2, lam, gamma)
-            # math.sin raises on a stage angle at +-inf, where np.sin gives
-            # NaN, and integrate then ends the run as a collision.  Every
-            # stage feeds err_psi, so only a lane with a NaN there can have
-            # one; stepping it again alone with _math_sin tells.
-            raised = []
-            for j in np.isnan(err2[1]).nonzero()[0].tolist():
-                lane = slice(j, j + 1)
+            stay = ((tau < tau_end) & (steps < config.max_steps) & (tau < tau_new)
+                    & (tau_new < math.inf))
+            if not adaptive or np.count_nonzero(stay) < _LOCKSTEP_MIN_LANES:
+                stay[:] = False
+            else:
+                h2 = np.array((h, h))  # an (n,) h would cost a broadcast in every term
+                y_new, acc_new, err2 = _dp45_lanes(y, acc, h2, lam, gamma)
+                scale = atol + rtol * _py_max(np.abs(y), np.abs(y_new))
+                ratio = np.abs(err2) / scale
+                err = _py_max(ratio[0], ratio[1])
+                # Python's ** for each lane: np.power may differ in the last bit
+                factor = np.array([_MAX_FACTOR if e == 0.0 else _SAFETY * e**-0.2
+                                   for e in err.tolist()])
+                accepted = err <= 1.0
+                hit = np.abs(y_new[0]) >= MAX_ANGLE
+                if reach_gap:
+                    hit |= d - l * np.cos(y_new[0]) <= gap
+                # _advance takes these steps again: only a NaN err_psi can hide a
+                # stage angle at +-inf, where math.sin raises
+                stay &= ~((accepted & hit) | np.isnan(err2[1]))
+                accepted &= stay
+                h_next = h * _py_min(_MAX_FACTOR, _py_max(_MIN_FACTOR, factor))
+                acc = np.where(accepted, acc_new, acc)
+                steps += accepted
+                tau = np.where(accepted, tau_new, tau)
+                y = np.where(accepted, y_new, y)
+                since_record += accepted
+                due = since_record >= config.record_stride
+                if np.count_nonzero(due):  # record, keeping the rows around each crossing
+                    t, p = tau / w_ref, y[0]
+                    for j in (due & (phi_rec > 0.0) & (p <= 0.0)).nonzero()[0].tolist():
+                        brackets[idx[j]].append((t_rec[j], t[j], phi_rec[j], p[j]))
+                    t_rec = np.where(due, t, t_rec)
+                    phi_rec = np.where(due, p, phi_rec)
+                    since_record[due] = 0
+                if stay.all():
+                    continue
+            # a lane leaves with its trial step h as _advance's h_next, which
+            # _advance clips to h again: min(h, tau_end - tau) is h
+            lanes = zip(*(a[~stay].tolist() for a in (idx, w_ref, lam, gamma, tau_end, t_rec,
+                                                      phi_rec, tau, y[0], y[1], acc, h, steps,
+                                                      since_record)))
+            for i, w, lm, g, te, t_last, phi_last, *state in lanes:
+                termination = _advance(runs[i][0], config, (w, lm, g, te), *state, brackets[i],
+                                       (t_last, phi_last))
                 try:
-                    _dp45_lanes(y[:, lane], acc[lane], h2[:, lane], lam[lane], gamma[lane],
-                                _math_sin)
-                except ValueError:
-                    raised.append(j)
-            scale = atol + rtol * _py_max(np.abs(y), np.abs(y_new))
-            ratio = np.abs(err2) / scale
-            err = _py_max(ratio[0], ratio[1])
-            # Python's ** for each lane: np.power may differ in the last bit
-            factor = np.array([_MAX_FACTOR if e == 0.0 else _SAFETY * e**-0.2
-                               for e in err.tolist()])
-            h_next = h * _py_min(_MAX_FACTOR, _py_max(_MIN_FACTOR, factor))
-            accepted = err <= 1.0
-            acc = np.where(accepted, acc_new, acc)
-            steps += accepted
-            hit = np.abs(y_new[0]) >= MAX_ANGLE
-            if reach_gap:
-                hit |= d - l * np.cos(y_new[0]) <= gap
-            collided = accepted & hit
-            if raised:
-                collided[raised] = True
-            accepted &= ~collided
-            tau = np.where(accepted, tau_new, tau)
-            y = np.where(accepted, y_new, y)
-            since_record += accepted
-            due = since_record >= config.record_stride
-            if np.count_nonzero(due):
-                record(due, tau / w_ref, y[0])
+                    cols = np.array(brackets[i], dtype=float).reshape(-1, 4).T
+                    period = _period_estimate(*cols).mean_period
+                except InsufficientCyclesError:
+                    period = None
+                results[i] = (termination, period)
+            if not stay.any():
+                break
+            (idx, w_ref, lam, gamma, d, l, tau, tau_end, acc, h_next, steps, since_record,
+             t_rec, phi_rec) = (a[stay] for a in (idx, w_ref, lam, gamma, d, l, tau, tau_end,
+                                                  acc, h_next, steps, since_record, t_rec,
+                                                  phi_rec))
+            y = y[:, stay]
+            reach_gap = bool(np.any(d - l <= gap))
     if failures:
         raise failures[min(failures)]
     return results

@@ -409,6 +409,26 @@ class TestEstimate:
         assert code == 1
         assert "n_atoms" in capsys.readouterr().err
 
+    # params that no run accepts: an infinite d or mass leaves no finite
+    # positive stiffness, and would print as the non-JSON Infinity
+    @pytest.mark.parametrize("flag", ["--gap", "--atomic-weight"])
+    def test_infinite_input_rejected(self, capsys, flag):
+        argv = ["estimate", "--atoms", "30", "--atom-radius", "1e-10", "--atomic-weight", "60.22",
+                "--gap", "1e-8"]
+        argv[argv.index(flag) + 1] = "inf"
+        assert main(argv) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: no finite positive stiffness for d=")
+
+    def test_atom_count_beyond_float_range(self, capsys):
+        code = main(["estimate", "--atoms", str(10**400), "--atom-radius", "1e-10",
+                     "--atomic-weight", "60.22", "--gap", "1e-8"])
+        assert code == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: n_atoms ")
+
 
 class TestErrorHandling:
     def test_unknown_config_key_names_it(self, tmp_path, capsys):

@@ -556,6 +556,11 @@ class TestLockstepLanes:
              [REF, ((1.019e-8, 1e-8), 0.3, True), ((1.05e-8, 1e-8), 0.25, True)], 4)
     # ... and a stalled run
     @example(Method.RK45_ADAPTIVE, None, 1e302, 1, 400, [((2e-8, 1e-8), 0.0, True), REF], 3)
+    # a lane whose accepted step hits the plate zone, here |phi| < 1.4e-5,
+    # leaves with the step size it took: retaken with the 4% smaller one the
+    # controller picks next, the step would miss the zone
+    @example(Method.RK45_ADAPTIVE, None, None, 1, 10**6,
+             [((1.0199999999e-8, 1e-8), 0.2, True), REF], 1)
     def test_lanes_equal_serial_runs(self, method, dt, t_max, stride, max_steps, lanes,
                                      min_lanes):
         config = IntegratorConfig(t_max=t_max, method=method,
