@@ -106,8 +106,9 @@ def estimate_params(spec: NanostringSpec, gap_r: float) -> PendulumParams:
     """Build pendulum parameters for a nanostring hung gap_r above the plate.
 
     l = n_atoms * 3 * atom_radius, per-atom mass = (atomic_weight / 1000 kg)
-    / Avogadro, M = n_atoms * that, d = l + gap_r.  d > l holds by
-    construction for any positive gap.
+    / Avogadro, M = n_atoms * that, d = l + gap_r.  Raises ValueError when
+    gap_r is not positive, or is below the rounding of a finite l, so that
+    l + gap_r rounds to l.
     """
     if not gap_r > 0:
         raise ValueError(f"gap_r must be positive, got {gap_r!r}")
@@ -116,12 +117,15 @@ def estimate_params(spec: NanostringSpec, gap_r: float) -> PendulumParams:
     except OverflowError:  # an int count beyond the float range
         raise ValueError(f"n_atoms has no float value, got an integer of "
                          f"{spec.n_atoms.bit_length()} bits") from None
+    d = l + gap_r
+    if not d > l and math.isfinite(l):
+        raise ValueError(f"gap_r={gap_r!r} is below the rounding of l={l!r}: l + gap_r == l")
     m_atom = (spec.atomic_weight / 1000.0) / AVOGADRO
     atom = AtomProperties(
         alpha0=DEFAULT_ALPHA0 if spec.alpha0 is None else spec.alpha0,
         omega0=DEFAULT_OMEGA0 if spec.omega0 is None else spec.omega0,
     )
-    return PendulumParams(d=l + gap_r, l=l, mass=spec.n_atoms * m_atom, atom=atom)
+    return PendulumParams(d=d, l=l, mass=spec.n_atoms * m_atom, atom=atom)
 
 
 def validate(params: PendulumParams, phi0: float, margin: float = DEFAULT_MARGIN) -> ValidityReport:

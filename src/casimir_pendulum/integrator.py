@@ -22,16 +22,17 @@ pair is "first same as last": its 7th stage sits at the propagated solution,
 so the loop carries that acceleration into the next step and an accepted
 step costs 6 evaluations of _accel, not 7.
 
-integrate's loop, _advance, holds the one scalar Dormand-Prince tableau,
-with _accel written out in place (same operations, same order).  Runs that
-need only their periods (a sweep, and `period --simulate` as a sweep of
-one) go through _crossing_periods and keep only the samples around their
-zero crossings.  There adaptive runs step together as numpy lanes through
-the same tableau, each sum in the scalar step's order, so every lane equals
-a serial integrate bit for bit wherever np.sin and np.cos equal math.sin
-and math.cos, as they do on common numpy builds.  A lane leaves the
-lockstep before a step that could end its run, so every run, RK4 runs and
-the last lanes of a sweep included, ends in _advance.
+integrate's loop, _advance, writes the Dormand-Prince step out in scalar
+code, with _accel in place (same operations, same order).  Runs that need
+only their periods (a sweep, and `period --simulate` as a sweep of one) go
+through _crossing_periods and keep only the samples around their zero
+crossings.  There adaptive runs step together as numpy lanes through the
+same tableau, held as a table of arrays, with each sum in the scalar step's
+order.  Every lane equals a serial integrate bit for bit wherever np.sin,
+np.cos and np.float_power equal math.sin, math.cos and Python's **, as they
+do on common numpy builds.  A lane leaves the lockstep before a step that
+could end its run, so every run, RK4 runs and the last lanes of a sweep
+included, ends in _advance.
 
 A run never raises for physics reasons: the tip reaching the safety gap,
 |phi| reaching pi/2, the step budget running out, or a step that cannot
@@ -432,48 +433,59 @@ def _advance(params: PendulumParams, config: IntegratorConfig, scales, tau, phi,
     return termination
 
 
-# Below this many running lanes, the lanes left finish one at a time in
-# _advance: at 32-56 lanes a lockstep iteration costs as much as 46-47 of
-# its Dormand-Prince steps (medians of 15 back-to-back pairs; about 260-275
-# us against 5.8 us a step, on a 2-core x86-64 machine with numpy 2.4).
-_LOCKSTEP_MIN_LANES = 46
+# Below this many running lanes, the lanes left finish one at a time in _advance: 33
+# sweep lanes take as long in lockstep as one at a time (medians of 15 back-to-back pairs,
+# about 95 us an iteration against 2.9 us a step, on a 2-core x86-64 machine, numpy 2.4).
+_LOCKSTEP_MIN_LANES = 33
 
 
 def _py_max(a, b):
-    """Python's max(a, b) for each lane: b only where b > a, so a NaN b is
-    dropped and a NaN a is kept."""
+    """Python's max(a, b) for each lane: a NaN b is dropped, a NaN a kept."""
     return np.where(b > a, b, a)
 
 
-def _py_min(a, b):
-    """Python's min(a, b) for each lane."""
-    return np.where(b < a, b, a)
-
-
-def _lane_stage(y, lam, gamma):
-    """The stage [v; a] of lanes at y = [angle; v], a (2, n) array."""
-    return np.array((y[1], _accel(y[0], lam, gamma, np.sin)))
+# The Dormand & Prince (1980) tableau over _dp45_lanes' stage buffer k, which
+# holds [k2, k1, k3, ..., k7]: for stages 2-7, (index into k, slice its sum
+# runs over, weights), then the error weights.  Zero weights are left out, so
+# each sum runs over a slice in _advance's order, except that one starting at
+# k2 swaps its first two terms, and a + b == b + a bit for bit.
+_DP_STAGES = tuple((i, slice(lo, lo + len(w)), np.array(w).reshape(-1, 1, 1)) for i, lo, w in (
+    (0, 1, (1 / 5,)),
+    (2, 0, (9 / 40, 3 / 40)),
+    (3, 0, (-56 / 15, 44 / 45, 32 / 9)),
+    (4, 0, (-25360 / 2187, 19372 / 6561, 64448 / 6561, -212 / 729)),
+    (5, 0, (-355 / 33, 9017 / 3168, 46732 / 5247, 49 / 176, -5103 / 18656)),
+    (6, 1, (35 / 384, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84)),
+))
+_DP_ERROR = np.array((71 / 57600, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525,
+                      -1 / 40)).reshape(-1, 1, 1)
+# 0-d lane operands, which numpy takes faster than Python floats
+_ZERO, _ONE, _TWO, _INF, _HALF_ONE = map(np.array, (0.0, 1.0, 2.0, math.inf, [[0.5], [1.0]]))
+_LANE_MAX_ANGLE, _LANE_SAFETY, _LANE_MIN_FACTOR, _LANE_MAX_FACTOR, _LANE_EXPONENT = map(
+    np.array, (MAX_ANGLE, _SAFETY, _MIN_FACTOR, _MAX_FACTOR, -0.2))
 
 
 def _dp45_lanes(y, a1, h, lam, gamma):
     """_advance's Dormand-Prince step on lanes: y = [phi; psi] and h are
     (2, n) arrays, each stage is [v; a] and a1 is the first stage's
     acceleration.  Returns (y5, a7, err) with y5 = [phi5; psi5] and
-    err = [err_phi; err_psi]."""
-    k1 = np.array((y[1], a1))
-    k2 = _lane_stage(y + h * (1 / 5 * k1), lam, gamma)
-    k3 = _lane_stage(y + h * (3 / 40 * k1 + 9 / 40 * k2), lam, gamma)
-    k4 = _lane_stage(y + h * (44 / 45 * k1 - 56 / 15 * k2 + 32 / 9 * k3), lam, gamma)
-    k5 = _lane_stage(y + h * (19372 / 6561 * k1 - 25360 / 2187 * k2 + 64448 / 6561 * k3
-                              - 212 / 729 * k4), lam, gamma)
-    k6 = _lane_stage(y + h * (9017 / 3168 * k1 - 355 / 33 * k2 + 46732 / 5247 * k3
-                              + 49 / 176 * k4 - 5103 / 18656 * k5), lam, gamma)
-    y5 = y + h * (35 / 384 * k1 + 500 / 1113 * k3 + 125 / 192 * k4 - 2187 / 6784 * k5
-                  + 11 / 84 * k6)
-    k7 = _lane_stage(y5, lam, gamma)
-    err = h * (71 / 57600 * k1 - 71 / 16695 * k3 + 71 / 1920 * k4 - 17253 / 339200 * k5
-               + 22 / 525 * k6 - 1 / 40 * k7)
-    return y5, k7[1], err
+    err = [err_phi; err_psi].
+
+    Each weighted sum is one np.add.reduce over axis 0, which adds from the
+    left, started at -0.0: its default start, +0.0, turns -0.0 + -0.0 into +0.0.
+    """
+    k = np.empty((7,) + y.shape)
+    k[1] = y[1], a1
+    lam2 = lam * _TWO
+    for i, terms, w in _DP_STAGES:
+        x = y + h * np.add.reduce(w * k[terms], axis=0, initial=-0.0)
+        k[i, 0] = x[1]
+        sines = np.sin(_HALF_ONE * x[0])  # sin(angle/2) and sin(angle), as in _accel
+        s = sines[0]
+        r = _ONE / (_ONE + lam2 * (s * s))
+        r2 = r * r
+        np.multiply(-sines[1], r2 * r2 + gamma, out=k[i, 1])
+    return x, k[6, 1], h * np.add.reduce(_DP_ERROR * k[1:], axis=0, initial=-0.0)
 
 
 def _crossing_periods(runs: list[tuple[PendulumParams, State]],
@@ -491,10 +503,10 @@ def _crossing_periods(runs: list[tuple[PendulumParams, State]],
 
     Returns, for each run, (termination, period): what integrate and then
     estimate_period(...).mean_period give for it, bit for bit wherever
-    np.sin and np.cos equal math.sin and math.cos.  The period is None when
-    fewer than two cycles were seen, and both are None when integrate
-    raises GeometryError.  If integrate raises anything else for some run,
-    this raises what it raises for the first such run.
+    np.sin, np.cos and np.float_power equal math.sin, math.cos and Python's
+    **.  The period is None when fewer than two cycles were seen, and both
+    are None when integrate raises GeometryError.  If integrate raises
+    anything else for some run, this raises what it raises for the first.
     """
     results: list[tuple[Termination | None, float | None]] = [(None, None)] * len(runs)
     failures: dict[int, Exception] = {}  # run -> what integrate raises for it
@@ -523,20 +535,20 @@ def _crossing_periods(runs: list[tuple[PendulumParams, State]],
     y = np.array((phi, psi))
     phi_rec = phi.copy()  # (t_rec, phi_rec): the last row integrate would record
     steps = np.zeros(len(idx), dtype=np.int64)
-    since_record = np.zeros(len(idx), dtype=np.int64)
     brackets: list[list] = [[] for _ in runs]  # (t0, t1, p0, p1) of each crossing
-    rtol, atol = config.rel_tol, config.abs_tol
+    max_steps, stride = config.max_steps, config.record_stride
+    rtol, atol = np.array(config.rel_tol), np.array(config.abs_tol)
     # A lane with d - l > gap never reaches the gap: cos <= 1 and rounding is
     # monotone, so d - l*cos(phi) >= d - l > gap.
     reach_gap = bool(np.any(d - l <= gap))
 
     with np.errstate(all="ignore"):
         while True:
-            # integrate's loop head
-            h = _py_min(h_next, tau_end - tau)
+            # integrate's loop head; h is min(h_next, tau_end - tau)
+            rest = tau_end - tau
+            h = np.where(rest < h_next, rest, h_next)
             tau_new = tau + h
-            stay = ((tau < tau_end) & (steps < config.max_steps) & (tau < tau_new)
-                    & (tau_new < math.inf))
+            stay = (tau < tau_end) & (steps < max_steps) & (tau < tau_new) & (tau_new < _INF)
             if not adaptive or np.count_nonzero(stay) < _LOCKSTEP_MIN_LANES:
                 stay[:] = False
             else:
@@ -545,38 +557,37 @@ def _crossing_periods(runs: list[tuple[PendulumParams, State]],
                 scale = atol + rtol * _py_max(np.abs(y), np.abs(y_new))
                 ratio = np.abs(err2) / scale
                 err = _py_max(ratio[0], ratio[1])
-                # Python's ** for each lane: np.power may differ in the last bit
-                factor = np.array([_MAX_FACTOR if e == 0.0 else _SAFETY * e**-0.2
-                                   for e in err.tolist()])
-                accepted = err <= 1.0
-                hit = np.abs(y_new[0]) >= MAX_ANGLE
+                accepted = err <= _ONE
+                hit = np.abs(y_new[0]) >= _LANE_MAX_ANGLE
                 if reach_gap:
                     hit |= d - l * np.cos(y_new[0]) <= gap
                 # _advance takes these steps again: only a NaN err_psi can hide a
                 # stage angle at +-inf, where math.sin raises
                 stay &= ~((accepted & hit) | np.isnan(err2[1]))
                 accepted &= stay
-                h_next = h * _py_min(_MAX_FACTOR, _py_max(_MIN_FACTOR, factor))
-                acc = np.where(accepted, acc_new, acc)
+                # _advance's controller: np.float_power equals ** (np.power may not),
+                # a 0 err gives inf, and np.fmax drops the NaN of a NaN err
+                h_next = h * np.minimum(np.fmax(_LANE_SAFETY * np.float_power(err, _LANE_EXPONENT),
+                                                _LANE_MIN_FACTOR), _LANE_MAX_FACTOR)
+                np.copyto(acc, acc_new, where=accepted)
+                np.copyto(tau, tau_new, where=accepted)
+                np.copyto(y, y_new, where=accepted)
                 steps += accepted
-                tau = np.where(accepted, tau_new, tau)
-                y = np.where(accepted, y_new, y)
-                since_record += accepted
-                due = since_record >= config.record_stride
+                # integrate's since_record is steps % stride: lanes start at step 0
+                due = accepted if stride == 1 else accepted & (steps % stride == 0)
                 if np.count_nonzero(due):  # record, keeping the rows around each crossing
                     t, p = tau / w_ref, y[0]
-                    for j in (due & (phi_rec > 0.0) & (p <= 0.0)).nonzero()[0].tolist():
+                    for j in (due & (phi_rec > _ZERO) & (p <= _ZERO)).nonzero()[0].tolist():
                         brackets[idx[j]].append((t_rec[j], t[j], phi_rec[j], p[j]))
-                    t_rec = np.where(due, t, t_rec)
-                    phi_rec = np.where(due, p, phi_rec)
-                    since_record[due] = 0
-                if stay.all():
+                    np.copyto(t_rec, t, where=due)
+                    np.copyto(phi_rec, p, where=due)
+                if np.count_nonzero(stay) == len(stay):
                     continue
             # a lane leaves with its trial step h as _advance's h_next, which
             # _advance clips to h again: min(h, tau_end - tau) is h
             lanes = zip(*(a[~stay].tolist() for a in (idx, w_ref, lam, gamma, tau_end, t_rec,
                                                       phi_rec, tau, y[0], y[1], acc, h, steps,
-                                                      since_record)))
+                                                      steps % stride)))
             for i, w, lm, g, te, t_last, phi_last, *state in lanes:
                 termination = _advance(runs[i][0], config, (w, lm, g, te), *state, brackets[i],
                                        (t_last, phi_last))
@@ -588,10 +599,9 @@ def _crossing_periods(runs: list[tuple[PendulumParams, State]],
                 results[i] = (termination, period)
             if not stay.any():
                 break
-            (idx, w_ref, lam, gamma, d, l, tau, tau_end, acc, h_next, steps, since_record,
-             t_rec, phi_rec) = (a[stay] for a in (idx, w_ref, lam, gamma, d, l, tau, tau_end,
-                                                  acc, h_next, steps, since_record, t_rec,
-                                                  phi_rec))
+            (idx, w_ref, lam, gamma, d, l, tau, tau_end, acc, h_next, steps, t_rec, phi_rec) = (
+                a[stay] for a in (idx, w_ref, lam, gamma, d, l, tau, tau_end, acc, h_next, steps,
+                                  t_rec, phi_rec))
             y = y[:, stay]
             reach_gap = bool(np.any(d - l <= gap))
     if failures:

@@ -1,6 +1,6 @@
 """A generic explicit Runge-Kutta step, the tests' scalar reference for the
 Dormand-Prince tableau the integrator writes out by hand (in _advance) and
-once more for lanes (_dp45_lanes).
+holds as a table of arrays for lanes (_dp45_lanes).
 
 The Butcher arrays hold the coefficients as the same quotients the
 integrator writes, each stage's terms are summed left to right, and zero

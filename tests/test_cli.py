@@ -421,6 +421,16 @@ class TestEstimate:
         assert out == ""
         assert err.startswith("error: no finite positive stiffness for d=")
 
+    # a gap below the rounding of l leaves d == l: the error names the gap
+    @pytest.mark.parametrize("radius, gap", [("1e-10", "1e-320"), ("1e300", "1e-8")])
+    def test_gap_lost_to_rounding_rejected(self, capsys, radius, gap):
+        code = main(["estimate", "--atoms", "30", "--atom-radius", radius,
+                     "--atomic-weight", "60.22", "--gap", gap])
+        assert code == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith(f"error: gap_r={float(gap)!r} is below the rounding of l=")
+
     def test_atom_count_beyond_float_range(self, capsys):
         code = main(["estimate", "--atoms", str(10**400), "--atom-radius", "1e-10",
                      "--atomic-weight", "60.22", "--gap", "1e-8"])

@@ -582,8 +582,8 @@ class TestLockstepLanes:
             warnings.simplefilter("error")  # no RuntimeWarning from np.sin(inf) and the like
             outcomes = integrator_module._crossing_periods(runs, config)
         assert exact(outcomes) == exact(expected), (
-            "lanes differ from serial runs; first suspect: this numpy build's np.sin or "
-            "np.cos is not bit-identical to math.sin or math.cos")
+            "lanes differ from serial runs; first suspect: this numpy build's np.sin, np.cos "
+            "or np.float_power is not bit-identical to math.sin, math.cos or Python's **")
 
     def test_numpy_sin_cos_equal_math(self):
         """The lanes equal serial runs only on a numpy build whose sin and cos
@@ -598,6 +598,21 @@ class TestLockstepLanes:
             assert not bad, (f"this numpy build's np.{name} differs from math.{name} at "
                              f"{len(bad)} of {len(x)} samples, first at {bad[0]!r}; the "
                              "sweep's lanes cannot equal serial runs on it")
+
+    def test_numpy_float_power_equals_python_pow(self):
+        """The lanes' step controller takes err**-0.2 with np.float_power, so
+        they equal serial runs only where it equals Python's ** bit for bit
+        (at err 0, where ** raises, inf, which clamps as _advance's 0 does)."""
+        rng = np.random.default_rng(0)
+        err = np.concatenate([rng.uniform(0.0, 2.0, 50_000), 10.0 ** rng.uniform(-17, 7, 50_000),
+                              [0.0, 5e-324, 1e-310, 2.2250738585072014e-308, math.inf, math.nan]])
+        with np.errstate(divide="ignore"):
+            got = [v.hex() for v in np.float_power(err, -0.2).tolist()]
+        expected = [(math.inf if e == 0.0 else e**-0.2).hex() for e in err.tolist()]
+        bad = [e for e, x, g in zip(err.tolist(), expected, got) if x != g]
+        assert not bad, (f"this numpy build's np.float_power differs from Python's ** at "
+                         f"{len(bad)} of {len(err)} samples, first at {bad[0]!r}; the sweep's "
+                         "lanes cannot equal serial runs on it")
 
     # ±0.0, subnormals, and steps so large that a stage angle overflows to
     # inf (where math.sin raises) or turns NaN
