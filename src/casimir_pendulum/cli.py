@@ -170,9 +170,10 @@ def cmd_sweep(args) -> int:
         values = np.linspace(args.from_, args.to, args.points)
 
     # Each row is [value, T_analytic, T_simulated, verdict]. Points whose
-    # parameters are unbuildable or have no finite small-angle period carry
-    # verdict False and no periods; points that fail validation carry
-    # verdict False and are not simulated; the rest are integrated together.
+    # parameters are unbuildable, have no finite small-angle period or
+    # cannot be validated carry verdict False and no periods; points that
+    # fail validation carry verdict False and are not simulated; the rest
+    # are integrated together.
     rows = []
     runs = []
     for v in values:
@@ -180,10 +181,10 @@ def cmd_sweep(args) -> int:
         try:
             point = config.with_swept_value(args.param, value)
             analytic = linear_period(point.params)
+            verdict = validate(point.params, point.phi0_rad).verdict
         except ValueError:  # includes ConfigError
             rows.append([value, None, None, False])
             continue
-        verdict = validate(point.params, point.phi0_rad).verdict
         rows.append([value, analytic, None, verdict])
         if verdict:
             runs.append((point.params, State(t=0.0, phi=point.phi0_rad, phi_dot=0.0)))

@@ -141,7 +141,8 @@ def validate(params: PendulumParams, phi0: float, margin: float = DEFAULT_MARGIN
     small_angle_ok  -- phi0 within the supported amplitude envelope
 
     Reports, never raises for physics reasons; raises ValueError for a
-    non-finite phi0 or a margin below 1.
+    non-finite phi0, a margin below 1, or a gravity coefficient M*g*l/2
+    that underflows to 0.
     """
     if not math.isfinite(phi0):
         raise ValueError(f"phi0 must be finite, got {phi0!r}")
@@ -155,6 +156,9 @@ def validate(params: PendulumParams, phi0: float, margin: float = DEFAULT_MARGIN
         * params.l
     )
     grav_coeff = params.mass * constants().g_accel * params.l / 2.0
+    if not grav_coeff > 0.0:  # M*g*l/2 underflowed
+        raise ValueError(f"no positive gravity torque coefficient M*g*l/2 for "
+                         f"d={params.d!r}, l={params.l!r}, mass={params.mass!r}")
     gravity_ratio = cas_coeff / grav_coeff
     gravity_negligible = gravity_ratio >= GRAVITY_RATIO_THRESHOLD
 

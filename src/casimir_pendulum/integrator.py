@@ -256,10 +256,12 @@ def _trajectory(rows, params: PendulumParams, termination: Termination) -> Traje
     )
 
 
-def _run_scales(params: PendulumParams, initial: State,
-                config: IntegratorConfig) -> tuple[float, float, float, float]:
-    """(w_ref, lam, gamma, tau_end) of one run, after checking its initial
-    angle (GeometryError) and its end time (ValueError)."""
+def _run_start(params: PendulumParams, initial: State, config: IntegratorConfig):
+    """(scales, state) of one run, after checking its initial angle
+    (GeometryError) and its end time (ValueError): scales is
+    (w_ref, lam, gamma, tau_end), and state is the (tau, phi, psi, acc,
+    h_next) that _advance starts from, with acc = _accel(phi) and h_next the
+    trial first step."""
     if not abs(initial.phi) < MAX_ANGLE:
         raise GeometryError(f"|initial.phi| must be below pi/2, got {initial.phi!r}")
     t_max = config.t_max
@@ -268,7 +270,10 @@ def _run_scales(params: PendulumParams, initial: State,
     if not t_max > initial.t:
         raise ValueError(f"t_max={t_max!r} must exceed initial.t={initial.t!r}")
     w_ref, lam, gamma = _dimensionless_system(params)
-    return w_ref, lam, gamma, t_max * w_ref
+    h_next = _INITIAL_PHASE_STEP if config.method is Method.RK45_ADAPTIVE else config.dt * w_ref
+    return ((w_ref, lam, gamma, t_max * w_ref),
+            (initial.t * w_ref, initial.phi, initial.phi_dot / w_ref,
+             _accel(initial.phi, lam, gamma), h_next))
 
 
 def integrate(params: PendulumParams, initial: State, config: IntegratorConfig) -> Trajectory:
@@ -283,28 +288,21 @@ def integrate(params: PendulumParams, initial: State, config: IntegratorConfig) 
     not exceptions; the violating state itself is not recorded, so every
     sample in the result is valid.
     """
-    scales = _run_scales(params, initial, config)
-    w_ref, lam, gamma, _ = scales
-    phi = initial.phi
-    psi = initial.phi_dot / w_ref
-    rows = [(initial.t, phi, psi)]
-    if tip_distance(phi, params) <= config.collision_gap:
+    scales, state = _run_start(params, initial, config)
+    rows = [(initial.t, initial.phi, state[2])]
+    if tip_distance(initial.phi, params) <= config.collision_gap:
         return _trajectory(rows, params, Termination.COLLISION)
-    adaptive = config.method is Method.RK45_ADAPTIVE
-    h_next = _INITIAL_PHASE_STEP if adaptive else config.dt * w_ref
-    termination = _advance(params, config, scales, initial.t * w_ref, phi, psi,
-                           _accel(phi, lam, gamma), h_next, 0, 0, rows)
-    return _trajectory(rows, params, termination)
+    return _trajectory(rows, params, _advance(params, config, scales, *state, 0, rows))
 
 
 def _advance(params: PendulumParams, config: IntegratorConfig, scales, tau, phi, psi, acc,
-             h_next, steps, since_record, out, last=None) -> Termination:
+             h_next, steps, out, last=None) -> Termination:
     """integrate's loop, from the state (tau, phi, psi) with acc = _accel(phi),
-    the trial step h_next and the counts of accepted steps and of those since
-    the last recorded row; returns the run's termination.  It appends to out
-    each (t, phi, psi) row integrate records or, given last = (t, phi) of the
-    last recorded row, only the (t0, t1, phi0, phi1) rows around each
-    descending zero crossing.
+    the trial step h_next and the count of accepted steps; returns the run's
+    termination.  It records the state after each step whose count is a
+    multiple of record_stride, and the last one: it appends to out each
+    (t, phi, psi) row or, given last = (t, phi) of the last recorded row,
+    only the (t0, t1, phi0, phi1) rows around each descending zero crossing.
 
     A Dormand-Prince trial step is written out here: stage i sits at
     (phi + h*sum_j a_ij*v_j, v_i) with v_1 = psi, and its acceleration is
@@ -409,15 +407,13 @@ def _advance(params: PendulumParams, config: IntegratorConfig, scales, tau, phi,
             if not err <= 1.0:  # rejected, also when err is NaN
                 continue
             acc = a7
-        steps += 1
         if abs(phi_new) >= MAX_ANGLE or reach_gap and d - l * cos(phi_new) <= gap:
             termination = Termination.COLLISION
             break
+        steps += 1
         tau += h
         phi, psi = phi_new, psi_new
-        since_record += 1
-        if since_record >= stride:
-            since_record = 0
+        if steps % stride == 0:
             if crossings:
                 t = tau / w_ref
                 if phi_rec > 0.0 and phi <= 0.0:
@@ -425,7 +421,7 @@ def _advance(params: PendulumParams, config: IntegratorConfig, scales, tau, phi,
                 t_rec, phi_rec = t, phi
             else:
                 record((tau / w_ref, phi, psi))
-    if since_record:  # the last accepted state is always recorded
+    if steps % stride:  # the last accepted state is always recorded
         if not crossings:
             record((tau / w_ref, phi, psi))
         elif phi_rec > 0.0 and phi <= 0.0:
@@ -489,7 +485,7 @@ def _dp45_lanes(y, a1, h, lam, gamma):
 
 
 def _crossing_periods(runs: list[tuple[PendulumParams, State]],
-                      config: IntegratorConfig) -> list[tuple[Termination | None, float | None]]:
+                      config: IntegratorConfig) -> list[tuple[Termination, float | None]]:
     """Integrate many runs and keep only their periods.
 
     Adaptive runs step together as lanes and keep, of the rows integrate
@@ -501,57 +497,51 @@ def _crossing_periods(runs: list[tuple[PendulumParams, State]],
     RK4 runs and, once fewer than _LOCKSTEP_MIN_LANES are running, the last
     lanes, so every run ends in integrate's own loop.
 
+    The lanes are the columns of one float table, laid out as the start
+    tuple below.  Its counts, run index and accepted steps, are exact below
+    2**53, where max_steps and record_stride are clamped: no run gets there.
+
     Returns, for each run, (termination, period): what integrate and then
     estimate_period(...).mean_period give for it, bit for bit wherever
     np.sin, np.cos and np.float_power equal math.sin, math.cos and Python's
-    **.  The period is None when fewer than two cycles were seen, and both
-    are None when integrate raises GeometryError.  If integrate raises
-    anything else for some run, this raises what it raises for the first.
+    **.  The period is None when fewer than two cycles were seen.  The runs
+    start in input order before any is stepped, so if integrate raises for
+    some run, this raises what it raises for the first.
     """
-    results: list[tuple[Termination | None, float | None]] = [(None, None)] * len(runs)
-    failures: dict[int, Exception] = {}  # run -> what integrate raises for it
+    results: list[tuple[Termination, float | None]] = [None] * len(runs)
     gap = config.collision_gap
-    adaptive = config.method is Method.RK45_ADAPTIVE
     start = []
     for i, (params, initial) in enumerate(runs):
-        try:
-            w_ref, lam, gamma, tau_end = _run_scales(params, initial, config)
-        except GeometryError:
-            continue
-        except (ArithmeticError, ValueError) as exc:
-            failures[i] = exc
-            continue
+        scales, state = _run_start(params, initial, config)
         if tip_distance(initial.phi, params) <= gap:
             results[i] = (Termination.COLLISION, None)
-            continue
-        h0 = _INITIAL_PHASE_STEP if adaptive else config.dt * w_ref
-        start.append((i, w_ref, lam, gamma, params.d, params.l, initial.t * w_ref, tau_end,
-                      initial.phi, initial.phi_dot / w_ref, _accel(initial.phi, lam, gamma), h0,
-                      initial.t))
-
-    (idx, w_ref, lam, gamma, d, l, tau, tau_end, phi, psi, acc, h_next, t_rec) = (
-        np.array(start, dtype=float).reshape(-1, 13).T.copy())
-    idx = idx.astype(np.intp)
-    y = np.array((phi, psi))
-    phi_rec = phi.copy()  # (t_rec, phi_rec): the last row integrate would record
-    steps = np.zeros(len(idx), dtype=np.int64)
+        else:  # 0 steps; (initial.t, initial.phi) is the last row integrate would record
+            start.append((i, *scales, params.d, params.l, *state, 0, initial.t, initial.phi))
+    lanes = np.array(start, dtype=float).reshape(-1, 15).T.copy()
     brackets: list[list] = [[] for _ in runs]  # (t0, t1, p0, p1) of each crossing
-    max_steps, stride = config.max_steps, config.record_stride
+    max_steps, stride = min(config.max_steps, 2**53), min(config.record_stride, 2**53)
     rtol, atol = np.array(config.rel_tol), np.array(config.abs_tol)
-    # A lane with d - l > gap never reaches the gap: cos <= 1 and rounding is
-    # monotone, so d - l*cos(phi) >= d - l > gap.
-    reach_gap = bool(np.any(d - l <= gap))
+    adaptive = config.method is Method.RK45_ADAPTIVE
 
     with np.errstate(all="ignore"):
-        while True:
-            # integrate's loop head; h is min(h_next, tau_end - tau)
-            rest = tau_end - tau
-            h = np.where(rest < h_next, rest, h_next)
-            tau_new = tau + h
-            stay = (tau < tau_end) & (steps < max_steps) & (tau < tau_new) & (tau_new < _INF)
-            if not adaptive or np.count_nonzero(stay) < _LOCKSTEP_MIN_LANES:
-                stay[:] = False
-            else:
+        while lanes.shape[1]:
+            (idx, w_ref, lam, gamma, tau_end, d, l, tau, _, _, acc, h_next, steps, t_rec,
+             phi_rec) = lanes  # views: the steps below update the table in place
+            y = lanes[8:10]  # [phi; psi]
+            # A lane with d - l > gap never reaches the gap: cos <= 1 and rounding is
+            # monotone, so d - l*cos(phi) >= d - l > gap.
+            reach_gap = bool(np.any(d - l <= gap))
+            while True:
+                # integrate's loop head; h is min(h_next, tau_end - tau), kept as h_next
+                # by a leaving lane (_advance clips it to h again) until the controller
+                rest = tau_end - tau
+                np.copyto(h_next, rest, where=rest < h_next)
+                h = h_next
+                tau_new = tau + h
+                stay = (tau < tau_end) & (steps < max_steps) & (tau < tau_new) & (tau_new < _INF)
+                if not adaptive or np.count_nonzero(stay) < _LOCKSTEP_MIN_LANES:
+                    stay[:] = False
+                    break
                 h2 = np.array((h, h))  # an (n,) h would cost a broadcast in every term
                 y_new, acc_new, err2 = _dp45_lanes(y, acc, h2, lam, gamma)
                 scale = atol + rtol * _py_max(np.abs(y), np.abs(y_new))
@@ -567,45 +557,34 @@ def _crossing_periods(runs: list[tuple[PendulumParams, State]],
                 accepted &= stay
                 # _advance's controller: np.float_power equals ** (np.power may not),
                 # a 0 err gives inf, and np.fmax drops the NaN of a NaN err
-                h_next = h * np.minimum(np.fmax(_LANE_SAFETY * np.float_power(err, _LANE_EXPONENT),
-                                                _LANE_MIN_FACTOR), _LANE_MAX_FACTOR)
+                np.copyto(h_next, h * np.minimum(np.fmax(
+                    _LANE_SAFETY * np.float_power(err, _LANE_EXPONENT), _LANE_MIN_FACTOR),
+                    _LANE_MAX_FACTOR), where=stay)
                 np.copyto(acc, acc_new, where=accepted)
                 np.copyto(tau, tau_new, where=accepted)
                 np.copyto(y, y_new, where=accepted)
                 steps += accepted
-                # integrate's since_record is steps % stride: lanes start at step 0
+                # _advance records when steps % stride == 0
                 due = accepted if stride == 1 else accepted & (steps % stride == 0)
                 if np.count_nonzero(due):  # record, keeping the rows around each crossing
                     t, p = tau / w_ref, y[0]
                     for j in (due & (phi_rec > _ZERO) & (p <= _ZERO)).nonzero()[0].tolist():
-                        brackets[idx[j]].append((t_rec[j], t[j], phi_rec[j], p[j]))
+                        brackets[int(idx[j])].append((t_rec[j], t[j], phi_rec[j], p[j]))
                     np.copyto(t_rec, t, where=due)
                     np.copyto(phi_rec, p, where=due)
-                if np.count_nonzero(stay) == len(stay):
-                    continue
-            # a lane leaves with its trial step h as _advance's h_next, which
-            # _advance clips to h again: min(h, tau_end - tau) is h
-            lanes = zip(*(a[~stay].tolist() for a in (idx, w_ref, lam, gamma, tau_end, t_rec,
-                                                      phi_rec, tau, y[0], y[1], acc, h, steps,
-                                                      steps % stride)))
-            for i, w, lm, g, te, t_last, phi_last, *state in lanes:
-                termination = _advance(runs[i][0], config, (w, lm, g, te), *state, brackets[i],
-                                       (t_last, phi_last))
+                if np.count_nonzero(stay) < len(stay):
+                    break
+            for lane in lanes[:, ~stay].T.tolist():  # laid out as its start tuple
+                i = int(lane[0])
+                termination = _advance(runs[i][0], config, lane[1:5], *lane[7:12], int(lane[12]),
+                                       brackets[i], lane[13:])
                 try:
                     cols = np.array(brackets[i], dtype=float).reshape(-1, 4).T
                     period = _period_estimate(*cols).mean_period
                 except InsufficientCyclesError:
                     period = None
                 results[i] = (termination, period)
-            if not stay.any():
-                break
-            (idx, w_ref, lam, gamma, d, l, tau, tau_end, acc, h_next, steps, t_rec, phi_rec) = (
-                a[stay] for a in (idx, w_ref, lam, gamma, d, l, tau, tau_end, acc, h_next, steps,
-                                  t_rec, phi_rec))
-            y = y[:, stay]
-            reach_gap = bool(np.any(d - l <= gap))
-    if failures:
-        raise failures[min(failures)]
+            lanes = lanes[:, stay]
     return results
 
 

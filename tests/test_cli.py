@@ -342,6 +342,28 @@ class TestSweep:
         for i in range(0, 64, 2):
             assert data_lines(values[i], values[i + 1], 2) == full[i:i + 2]
 
+    # counts beyond int64, which the sweep lanes hold as floats
+    @pytest.mark.parametrize("integrator_doc", [{"record_stride": 2**63},
+                                                {"record_stride": 10**30, "max_steps": 10**400}],
+                             ids=["stride_2**63", "stride_1e30_max_steps_1e400"])
+    @pytest.mark.parametrize("command", [
+        ["period", "--simulate"],
+        ["sweep", "--param", "d_m", "--from", "1.5e-8", "--to", "5e-8", "--points", "200",
+         "--out", "s.csv"]], ids=["period", "sweep"])
+    def test_counts_beyond_int64(self, tmp_path, capsys, monkeypatch, command, integrator_doc):
+        """Such counts act as stride 2**63 - 1: past any run's step count."""
+        monkeypatch.chdir(tmp_path)
+
+        def outcome(doc):
+            (tmp_path / "s.csv").unlink(missing_ok=True)
+            cfg = write_config(tmp_path, {"params": dict(PARAMS, beta=2.0, include_gravity=True),
+                                          "initial": {"phi0_rad": 1e-3}, "integrator": doc})
+            code = main([command[0], "--config", cfg, *command[1:]])
+            written = (tmp_path / "s.csv").read_bytes() if command[0] == "sweep" else None
+            return code, capsys.readouterr(), written
+
+        assert outcome(integrator_doc) == outcome({"record_stride": 2**63 - 1})
+
     def test_unknown_param_is_usage_error(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
             main(["sweep", "--preset", "paper-defaults", "--param", "t_max",
@@ -384,6 +406,40 @@ class TestValidateCommand:
         parsed = json.loads(capsys.readouterr().out)
         assert parsed["gravity_negligible"] is False
         assert parsed["verdict"] is False
+
+
+# M*g*l/2 underflows to 0, yet the design has a finite small-angle period
+UNDERFLOWING_GRAVITY_PARAMS = dict(PARAMS, mass_kg=1e-310, l_m=1e-15, d_m=1e10)
+UNDERFLOW_ERROR = ("error: no positive gravity torque coefficient M*g*l/2 for d=10000000000.0, "
+                   "l=1e-15, mass=")
+
+
+class TestUnderflowingGravity:
+    @pytest.mark.parametrize("command", [["validate"],
+                                         ["simulate", "--out", "t.csv", "--report", "r.json"]],
+                             ids=["validate", "simulate"])
+    def test_clean_error(self, tmp_path, capsys, monkeypatch, command):
+        cfg = write_config(tmp_path, {"params": UNDERFLOWING_GRAVITY_PARAMS})
+        monkeypatch.chdir(tmp_path)
+        assert main(["period", "--config", cfg]) == 0  # load_config accepts the design
+        capsys.readouterr()
+        assert main([*command[:1], "--config", cfg, *command[1:]]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(UNDERFLOW_ERROR + "1e-310")
+        assert not (tmp_path / "t.csv").exists()
+
+    def test_sweep_point_carries_false(self, tmp_path):
+        out = str(tmp_path / "s.csv")
+        cfg = write_config(tmp_path, {"params": UNDERFLOWING_GRAVITY_PARAMS})
+        assert main(["sweep", "--config", cfg, "--param", "mass_kg", "--from", "1e-312",
+                     "--to", "1e-305", "--points", "8", "--log", "--out", out]) == 0
+        rows = read_csv(out)
+        assert len(rows) == 8
+        # below 1e-310 the stiffness is no float; at 1e-310 only M*g*l/2 underflows
+        assert rows[2] == {"param_value": "9.999999999988e-311", "T_analytic": "",
+                           "T_simulated": "", "validity_verdict": "false"}
+        assert all(row["T_analytic"] != "" for row in rows[3:])
 
 
 class TestEstimate:

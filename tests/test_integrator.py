@@ -473,12 +473,8 @@ class TestConfigValidation:
 
 
 def serial_outcome(params, initial, config):
-    """(termination, period) of integrate then estimate_period; (None, None)
-    when integrate raises GeometryError."""
-    try:
-        traj = integrate(params, initial, config)
-    except GeometryError:
-        return None, None
+    """(termination, period) of integrate then estimate_period."""
+    traj = integrate(params, initial, config)
     try:
         return traj.termination, estimate_period(traj).mean_period
     except InsufficientCyclesError:
@@ -538,8 +534,11 @@ class TestLockstepLanes:
     @example(Method.RK4_FIXED, 4e-9, 1.2e-6, 50, 10**6, [((1.05e-8, 1e-8), 0.25, True), REF], 2)
     # the last step reaches t_max as the step budget runs out: completed
     @example(Method.RK45_ADAPTIVE, None, None, 1, 1236, [REF, REF], 1)
-    # integrate raises for the second run
+    # integrate raises for the second run; for the second and third, what it
+    # raises for the second (GeometryError, not ValueError)
     @example(Method.RK45_ADAPTIVE, None, None, 1, 400, [REF, ((1e75, 1e-8), 0.3, True)], 1)
+    @example(Method.RK45_ADAPTIVE, None, None, 1, 400,
+             [REF, ((2e-8, 1e-8), 1.6, True), ((1e75, 1e-8), 0.3, True)], 1)
     # the lanes skip the tip test while no lane has d - l <= gap: one that
     # has collides mid-swing among lanes that cannot reach the gap
     @example(Method.RK45_ADAPTIVE, None, None, 1, 400,
