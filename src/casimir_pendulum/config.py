@@ -13,12 +13,13 @@ Schema (only "params" is required):
     }
 
 Unknown keys anywhere are rejected with an error naming the key; so are
-values of the wrong type.  The "params" keys live in one table, _PARAMS,
-which drives parsing, sweeping and params_to_dict; each "integrator" key
-maps to its reader in _INTEGRATOR, and an omitted one keeps
-IntegratorConfig's default.  An omitted "t_max" stays None: integrate then
-runs DEFAULT_T_MAX_PERIODS linearized periods of the pendulum it integrates,
-so every point of a sweep covers the same number of cycles.
+values of the wrong type.  Every key of every section, with its kind and
+whether it is required, lives in one table, _SCHEMA, and one reader,
+_section, checks them all.  The "params" entry comes from _PARAMS, which
+also drives sweeping and params_to_dict.  An omitted optional key keeps the
+default of the dataclass it fills.  An omitted "t_max" stays None: integrate
+then runs DEFAULT_T_MAX_PERIODS linearized periods of the pendulum it
+integrates, so every point of a sweep covers the same number of cycles.
 """
 
 import json
@@ -41,24 +42,43 @@ __all__ = [
     "load_preset",
 ]
 
-_MISSING = object()
-
-# "params" key -> (PendulumParams field, type, default); the atom's two
-# fields are listed flat, and _MISSING marks a required key.
+# "params" key -> (PendulumParams field, kind, required); the atom's two
+# fields are listed flat, and an omitted optional key keeps its default.
 _PARAMS = {
-    "d_m": ("d", float, _MISSING),
-    "l_m": ("l", float, _MISSING),
-    "mass_kg": ("mass", float, _MISSING),
-    "alpha0_m3": ("alpha0", float, _MISSING),
-    "omega0_rad_s": ("omega0", float, _MISSING),
-    "beta": ("beta", float, PendulumParams.beta),
-    "include_gravity": ("include_gravity", bool, PendulumParams.include_gravity),
+    "d_m": ("d", float, True),
+    "l_m": ("l", float, True),
+    "mass_kg": ("mass", float, True),
+    "alpha0_m3": ("alpha0", float, True),
+    "omega0_rad_s": ("omega0", float, True),
+    "beta": ("beta", float, False),
+    "include_gravity": ("include_gravity", bool, False),
 }
 _PHI0 = "phi0_rad"
 
 SWEEPABLE_PARAMS = tuple(k for k, (_, kind, _) in _PARAMS.items() if kind is float) + (_PHI0,)
 
-_METHODS = {m.value: m for m in Method}
+# section -> key -> (kind, required), keys in the order they are read; the
+# "integrator" keys are IntegratorConfig fields
+_SCHEMA = {
+    "params": {key: (kind, required) for key, (_, kind, required) in _PARAMS.items()},
+    "initial": {_PHI0: (float, False)},
+    "integrator": {
+        "method": (Method, False), "t_max": (float, False), "dt": (float, False),
+        "rel_tol": (float, False), "abs_tol": (float, False), "max_steps": (int, False),
+        "record_stride": (int, False), "collision_gap": (float, False),
+    },
+    "outputs": {"trajectory_csv": (str, False), "report_json": (str, False)},
+}
+
+# kind -> (accepted JSON types, what the error message says a value must be);
+# a bool is accepted only where the kind is bool, never as a number
+_KINDS = {
+    float: ((int, float), "a number"),
+    int: (int, "an integer"),
+    bool: (bool, "true or false"),
+    str: (str, "a string"),
+    Method: (str, "a string"),
+}
 
 
 class ConfigError(ValueError):
@@ -111,119 +131,69 @@ class RunConfig:
         return replace(self, params=_build_params(fields))
 
 
-def _require_mapping(value, where: str) -> dict:
-    if not isinstance(value, dict):
-        raise ConfigError(f"{where} must be a JSON object, got {type(value).__name__}")
-    return value
-
-
-def _reject_unknown(section: dict, allowed, where: str) -> None:
+def _section(data: dict, name: str) -> dict:
+    """The keys that section name of data gives, each converted to its kind;
+    raises ConfigError for a section that is not an object, then for an
+    unknown key, then for the first key in schema order that is missing
+    although required or holds a value of the wrong type."""
+    section = data.get(name, {})
+    if not isinstance(section, dict):
+        raise ConfigError(f"{name!r} must be a JSON object, got {type(section).__name__}")
+    schema = _SCHEMA[name]
     for key in section:
-        if key not in allowed:
-            raise ConfigError(f"unknown config key {where}{key!r}")
-
-
-def _get_number(section: dict, key: str, where: str, default=_MISSING):
-    if key not in section:
-        if default is _MISSING:
-            raise ConfigError(f"missing required config key {where}{key!r}")
-        return default
-    value = section[key]
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"config key {where}{key!r} must be a number, got {value!r}")
-    try:
-        return float(value)
-    except OverflowError:  # an integer literal beyond the float range
-        raise ConfigError(
-            f"config key {where}{key!r} must be a number within the float range"
-        ) from None
-
-
-def _get_int(section: dict, key: str, where: str) -> int:
-    value = section[key]
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"config key {where}{key!r} must be an integer, got {value!r}")
-    return value
-
-
-def _get_bool(section: dict, key: str, where: str, default: bool) -> bool:
-    if key not in section:
-        return default
-    value = section[key]
-    if not isinstance(value, bool):
-        raise ConfigError(f"config key {where}{key!r} must be true or false, got {value!r}")
-    return value
-
-
-def _get_str(section: dict, key: str, where: str) -> str | None:
-    if key not in section:
-        return None
-    value = section[key]
-    if not isinstance(value, str):
-        raise ConfigError(f"config key {where}{key!r} must be a string, got {value!r}")
-    return value
-
-
-def _get_method(section: dict, key: str, where: str) -> Method:
-    name = _get_str(section, key, where)
-    if name not in _METHODS:
-        raise ConfigError(
-            f"config key {where}{key!r} must be one of {sorted(_METHODS)}, got {name!r}"
-        )
-    return _METHODS[name]
-
-
-# "integrator" key (an IntegratorConfig field) -> reader
-_INTEGRATOR = {
-    "method": _get_method,
-    "t_max": _get_number,
-    "dt": _get_number,
-    "rel_tol": _get_number,
-    "abs_tol": _get_number,
-    "max_steps": _get_int,
-    "record_stride": _get_int,
-    "collision_gap": _get_number,
-}
+        if key not in schema:
+            raise ConfigError(f"unknown config key {name}.{key!r}")
+    values = {}
+    for key, (kind, required) in schema.items():
+        if key not in section:
+            if required:
+                raise ConfigError(f"missing required config key {name}.{key!r}")
+            continue
+        value = section[key]
+        types, words = _KINDS[kind]
+        if not isinstance(value, types) or (isinstance(value, bool) and kind is not bool):
+            problem = f"must be {words}, got {value!r}"
+        else:
+            try:
+                values[key] = kind(value)
+                continue
+            except OverflowError:  # an integer literal beyond the float range
+                problem = "must be a number within the float range"
+            except ValueError:  # a string that names no Method
+                problem = f"must be one of {sorted(m.value for m in Method)}, got {value!r}"
+        raise ConfigError(f"config key {name}.{key!r} {problem}")
+    return values
 
 
 def parse_config(data: dict) -> RunConfig:
     """Validate a decoded JSON document and build a RunConfig."""
-    _require_mapping(data, "config")
-    _reject_unknown(data, {"params", "initial", "integrator", "outputs"}, "")
-
+    if not isinstance(data, dict):
+        raise ConfigError(f"config must be a JSON object, got {type(data).__name__}")
+    for key in data:
+        if key not in _SCHEMA:
+            raise ConfigError(f"unknown config key {key!r}")
     if "params" not in data:
         raise ConfigError("missing required config section 'params'")
-    p = _require_mapping(data["params"], "'params'")
-    _reject_unknown(p, _PARAMS, "params.")
-    fields = {
-        name: (_get_bool if kind is bool else _get_number)(p, key, "params.", default)
-        for key, (name, kind, default) in _PARAMS.items()
-    }
+
+    fields = {_PARAMS[key][0]: value for key, value in _section(data, "params").items()}
     try:
         params = _build_params(fields)
         linear_omega(params)  # every run's time scale
     except ValueError as exc:
         raise ConfigError(f"invalid 'params' section: {exc}") from exc
 
-    init = _require_mapping(data.get("initial", {}), "'initial'")
-    _reject_unknown(init, {_PHI0}, "initial.")
-    phi0 = _get_number(init, _PHI0, "initial.", default=0.0)
+    phi0 = _section(data, "initial").get(_PHI0, 0.0)
     if not abs(phi0) < MAX_ANGLE:
         raise ConfigError(f"initial.{_PHI0!r} must satisfy |phi0| < pi/2, got {phi0!r}")
 
-    integ = _require_mapping(data.get("integrator", {}), "'integrator'")
-    _reject_unknown(integ, _INTEGRATOR, "integrator.")
-    settings = {key: read(integ, key, "integrator.")
-                for key, read in _INTEGRATOR.items() if key in integ}
-    out = _require_mapping(data.get("outputs", {}), "'outputs'")
-    _reject_unknown(out, {"trajectory_csv", "report_json"}, "outputs.")
-    trajectory_csv = _get_str(out, "trajectory_csv", "outputs.")
-    report_json = _get_str(out, "report_json", "outputs.")
+    settings = _section(data, "integrator")
+    outputs = _section(data, "outputs")
     try:
         integrator = IntegratorConfig(**settings)
     except ValueError as exc:
         raise ConfigError(f"invalid 'integrator' section: {exc}") from exc
-    return RunConfig(params, phi0, integrator, trajectory_csv, report_json)
+    return RunConfig(params, phi0, integrator, outputs.get("trajectory_csv"),
+                     outputs.get("report_json"))
 
 
 def load_config(path: str) -> RunConfig:

@@ -41,14 +41,15 @@ class SimulationReport:
 
     simulated_period and period_rel_diff are None when the trajectory holds
     too few zero crossings to measure a period (e.g. release from
-    equilibrium).
+    equilibrium); energy_drift is None when the initial energy is 0, as
+    when the energy scale I*w_ref**2 underflows, so no relative drift exists.
     """
 
     analytic_omega: float
     analytic_period: float
     simulated_period: float | None
     period_rel_diff: float | None
-    energy_drift: float
+    energy_drift: float | None
     validity: ValidityReport
     termination: Termination
 
@@ -69,7 +70,7 @@ def build_report(traj: Trajectory, validity: ValidityReport) -> SimulationReport
         analytic_period=period,
         simulated_period=simulated,
         period_rel_diff=rel_diff,
-        energy_drift=energy_drift(traj),
+        energy_drift=None if traj.energy[0] == 0.0 else energy_drift(traj),
         validity=validity,
         termination=traj.termination,
     )
@@ -83,7 +84,7 @@ def report_to_dict(report: SimulationReport) -> dict:
         else float(report.simulated_period),
         "period_rel_diff": None if report.period_rel_diff is None
         else float(report.period_rel_diff),
-        "energy_drift": float(report.energy_drift),
+        "energy_drift": None if report.energy_drift is None else float(report.energy_drift),
         "validity": asdict(report.validity),
         "termination": report.termination.value,
     }

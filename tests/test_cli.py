@@ -153,6 +153,19 @@ class TestSimulate:
         assert per.returncode == 2, per.stderr
         assert "T_simulated = n/a" in per.stdout
 
+    def test_zero_energy_scale_reports_collision(self, tmp_path, capsys):
+        # I*w_ref**2 underflows to 0, so the report has no relative energy drift
+        doc = {"params": dict(PARAMS, d_m=1.5e70), "initial": {"phi0_rad": 0.3}}
+        out, rep = tmp_path / "t.csv", tmp_path / "r.json"
+        code = main(["simulate", "--config", write_config(tmp_path, doc),
+                     "--out", str(out), "--report", str(rep)])
+        assert code == 2
+        assert capsys.readouterr().out.startswith("termination = collision\nsamples = 1\n")
+        assert len(read_csv(out)) == 1
+        report = json.loads(rep.read_text())
+        assert report["energy_drift"] is None
+        assert report["termination"] == "collision"
+
     def test_identical_configs_identical_artifacts(self, tmp_path):
         doc = {"params": PARAMS, "initial": {"phi0_rad": 1e-3}}
         cfg = write_config(tmp_path, doc)

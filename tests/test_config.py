@@ -1,7 +1,9 @@
 """Strict JSON run-configuration parsing and the bundled presets."""
 
+import dataclasses
 import json
 import math
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -198,6 +200,46 @@ class TestRejection:
         doc = {"params": dict(FULL_DOC["params"], **{key: value})}
         with pytest.raises(ConfigError, match="params.*d=.*l=.*mass="):
             parse_config(doc)
+
+
+def with_entry(section, key, value):
+    """FULL_DOC with one entry of one section set; None as section sets a
+    top-level key."""
+    doc = json.loads(json.dumps(FULL_DOC))
+    (doc if section is None else doc[section])[key] = value
+    return doc
+
+
+@pytest.mark.parametrize("doc, message", [
+    (with_entry("params", "d_m", "2e-8"), "config key params.'d_m' must be a number, got '2e-8'"),
+    (with_entry("integrator", "max_steps", 10.5),
+     "config key integrator.'max_steps' must be an integer, got 10.5"),
+    (with_entry("params", "include_gravity", 1),
+     "config key params.'include_gravity' must be true or false, got 1"),
+    (with_entry("outputs", "trajectory_csv", 3),
+     "config key outputs.'trajectory_csv' must be a string, got 3"),
+    (with_entry("integrator", "method", None),
+     "config key integrator.'method' must be a string, got None"),
+    (with_entry("integrator", "method", "euler"),
+     "config key integrator.'method' must be one of ['rk45_adaptive', 'rk4_fixed'], got 'euler'"),
+    (with_entry("params", "extra", 1), "unknown config key params.'extra'"),
+    (with_entry(None, "bogus", 1), "unknown config key 'bogus'"),
+    ({"params": {k: v for k, v in FULL_DOC["params"].items() if k != "mass_kg"}},
+     "missing required config key params.'mass_kg'"),
+    (with_entry(None, "params", [1]), "'params' must be a JSON object, got list"),
+    ([FULL_DOC], "config must be a JSON object, got list"),
+    (with_entry("params", "mass_kg", 10**400),
+     "config key params.'mass_kg' must be a number within the float range"),
+    # an unknown key wins over a wrong type met earlier in the document
+    ({"params": {"d_m": "x", "extra": 1}}, "unknown config key params.'extra'"),
+])
+def test_error_messages(doc, message):
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+        parse_config(doc)
+
+
+def test_integrator_section_names_every_setting():
+    assert set(FULL_DOC["integrator"]) == {f.name for f in dataclasses.fields(IntegratorConfig)}
 
 
 @settings(derandomize=True, database=None, max_examples=300)

@@ -17,6 +17,7 @@ from casimir_pendulum import (
     Termination,
     Trajectory,
     build_report,
+    energy_drift,
     integrate,
     linear_period,
     load_preset,
@@ -117,6 +118,20 @@ def test_equilibrium_reports_absent_period(params):
     assert doc["simulated_period_s"] is None
     assert doc["period_rel_diff"] is None
     assert doc["termination"] == "completed"
+
+
+def test_zero_initial_energy_reports_absent_drift(params):
+    # at d 1.5e70 the energy scale I*w_ref**2 underflows, so every energy is 0
+    far = replace(params, d=1.5e70)
+    traj = integrate(far, State(0.0, 0.3, 0.0), IntegratorConfig())
+    assert traj.energy[0] == 0.0
+    with pytest.raises(ValueError, match="initial energy is zero"):
+        energy_drift(traj)
+    report = build_report(traj, validate(far, 0.3))
+    assert report.energy_drift is None
+    doc = report_to_dict(report)
+    assert doc["energy_drift"] is None
+    assert doc["termination"] == "collision"
 
 
 def test_reports_are_deterministic(params, tmp_path):
