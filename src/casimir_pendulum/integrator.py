@@ -28,11 +28,11 @@ only their periods (a sweep, and `period --simulate` as a sweep of one) go
 through _crossing_periods and keep only the samples around their zero
 crossings.  There adaptive runs step together as numpy lanes through the
 same tableau, held as a table of arrays, with each sum in the scalar step's
-order.  Every lane equals a serial integrate bit for bit wherever np.sin,
-np.cos and np.float_power equal math.sin, math.cos and Python's **, as they
-do on common numpy builds.  A lane leaves the lockstep before a step that
-could end its run, so every run, RK4 runs and the last lanes of a sweep
-included, ends in _advance.
+order.  Every lane equals a serial integrate bit for bit wherever np.sin and
+np.float_power equal math.sin and Python's **, as on common numpy builds.
+A lane leaves the lockstep before a step that could end its run, and a run
+whose tip can reach the safety gap never joins it, so every run ends in
+_advance, the only code that decides a plate collision.
 
 A run never raises for physics reasons: the tip reaching the safety gap,
 |phi| reaching pi/2, the step budget running out, or a step that cannot
@@ -57,7 +57,6 @@ from .pendulum import (
     PendulumParams,
     State,
     moment_of_inertia,
-    tip_distance,
 )
 
 __all__ = [
@@ -282,16 +281,14 @@ def integrate(params: PendulumParams, initial: State, config: IntegratorConfig) 
     params).
 
     Deterministic: identical inputs produce bit-identical trajectories.
-    Collision (tip at or below the safety gap, |phi| >= pi/2, or a step so
-    large that a stage angle overflows), step exhaustion and a step that
-    cannot advance time to a larger finite value are reported terminations,
-    not exceptions; the violating state itself is not recorded, so every
-    sample in the result is valid.
+    Collision (tip at or below the safety gap at any time in a step,
+    |phi| >= pi/2, or a step so large that a stage angle overflows), step
+    exhaustion and a step that cannot advance time to a larger finite value
+    are reported terminations, not exceptions; the violating state itself
+    is not recorded, so every sample in the result is valid.
     """
     scales, state = _run_start(params, initial, config)
     rows = [(initial.t, initial.phi, state[2])]
-    if tip_distance(initial.phi, params) <= config.collision_gap:
-        return _trajectory(rows, params, Termination.COLLISION)
     return _trajectory(rows, params, _advance(params, config, scales, *state, 0, rows))
 
 
@@ -313,13 +310,18 @@ def _advance(params: PendulumParams, config: IntegratorConfig, scales, tau, phi,
 
     The loop runs once per trial step, so it keeps to locals: min and max
     are written out as the comparisons Python's min and max make (a NaN
-    keeps its place), and the tip test runs only when d - l <= gap, since
-    d - l*cos(phi) >= d - l otherwise (cos <= 1 and rounding is monotone).
+    keeps its place).  It alone decides a plate collision, and only when
+    d - l <= gap (otherwise d - l*cos(phi) >= d - l > gap, as cos <= 1 and
+    rounding is monotone): a start state (nothing is stepped) or step end at
+    or below the gap, or a step across phi = 0, where the tip is at d - l.
+    A release from rest turns only at its amplitude, so no pass is missed.
     """
     w_ref, lam, gamma, tau_end = scales
     lam2 = lam * 2.0
     d, l, gap = params.d, params.l, config.collision_gap
     reach_gap = d - l <= gap
+    if reach_gap and d - l * math.cos(phi) <= gap:
+        return Termination.COLLISION
     adaptive = config.method is Method.RK45_ADAPTIVE
     rtol, atol = config.rel_tol, config.abs_tol
     max_steps, stride = config.max_steps, config.record_stride
@@ -407,7 +409,8 @@ def _advance(params: PendulumParams, config: IntegratorConfig, scales, tau, phi,
             if not err <= 1.0:  # rejected, also when err is NaN
                 continue
             acc = a7
-        if abs(phi_new) >= MAX_ANGLE or reach_gap and d - l * cos(phi_new) <= gap:
+        if abs(phi_new) >= MAX_ANGLE or reach_gap and (d - l * cos(phi_new) <= gap
+                                                       or (phi_new > 0.0) != (phi > 0.0)):
             termination = Termination.COLLISION
             break
         steps += 1
@@ -492,9 +495,9 @@ def _crossing_periods(runs: list[tuple[PendulumParams, State]],
     would record, only the two around each descending zero crossing.  A
     lane whose step might end its run leaves the lockstep with its state
     from before that step: it fails integrate's loop head, its accepted
-    step hits the plate or pi/2, or its err_psi is NaN (where math.sin may
-    raise on a stage angle at +-inf).  It finishes alone in _advance, as do
-    RK4 runs and, once fewer than _LOCKSTEP_MIN_LANES are running, the last
+    step reaches pi/2, or its err_psi is NaN (where math.sin may raise on a
+    stage angle at +-inf).  It finishes alone in _advance, as do RK4 runs,
+    runs with d - l <= gap and, below _LOCKSTEP_MIN_LANES running, the last
     lanes, so every run ends in integrate's own loop.
 
     The lanes are the columns of one float table, laid out as the start
@@ -503,34 +506,43 @@ def _crossing_periods(runs: list[tuple[PendulumParams, State]],
 
     Returns, for each run, (termination, period): what integrate and then
     estimate_period(...).mean_period give for it, bit for bit wherever
-    np.sin, np.cos and np.float_power equal math.sin, math.cos and Python's
-    **.  The period is None when fewer than two cycles were seen.  The runs
-    start in input order before any is stepped, so if integrate raises for
-    some run, this raises what it raises for the first.
+    np.sin and np.float_power equal math.sin and Python's **.  The period is
+    None when fewer than two cycles were seen.  The runs start in input
+    order before any is stepped, so if integrate raises for some run, this
+    raises what it raises for the first.
     """
     results: list[tuple[Termination, float | None]] = [None] * len(runs)
-    gap = config.collision_gap
+    adaptive, gap = config.method is Method.RK45_ADAPTIVE, config.collision_gap
     start = []
     for i, (params, initial) in enumerate(runs):
         scales, state = _run_start(params, initial, config)
-        if tip_distance(initial.phi, params) <= gap:
-            results[i] = (Termination.COLLISION, None)
-        else:  # 0 steps; (initial.t, initial.phi) is the last row integrate would record
-            start.append((i, *scales, params.d, params.l, *state, 0, initial.t, initial.phi))
-    lanes = np.array(start, dtype=float).reshape(-1, 15).T.copy()
+        # 0 steps; (initial.t, initial.phi) is the last row integrate would record
+        start.append((i, *scales, *state, 0, initial.t, initial.phi))
+    lanes = np.array(start, dtype=float).reshape(-1, 13).T
+    # adaptive runs whose tip never reaches the gap (see _advance) may step in lockstep
+    stay = np.array([adaptive and p.d - p.l > gap for p, _ in runs], dtype=bool)
     brackets: list[list] = [[] for _ in runs]  # (t0, t1, p0, p1) of each crossing
     max_steps, stride = min(config.max_steps, 2**53), min(config.record_stride, 2**53)
     rtol, atol = np.array(config.rel_tol), np.array(config.abs_tol)
-    adaptive = config.method is Method.RK45_ADAPTIVE
 
     with np.errstate(all="ignore"):
-        while lanes.shape[1]:
-            (idx, w_ref, lam, gamma, tau_end, d, l, tau, _, _, acc, h_next, steps, t_rec,
+        while True:
+            for lane in lanes[:, ~stay].T.tolist():  # laid out as its start tuple
+                i = int(lane[0])
+                termination = _advance(runs[i][0], config, lane[1:5], *lane[5:10], int(lane[10]),
+                                       brackets[i], lane[11:])
+                try:
+                    cols = np.array(brackets[i], dtype=float).reshape(-1, 4).T
+                    period = _period_estimate(*cols).mean_period
+                except InsufficientCyclesError:
+                    period = None
+                results[i] = (termination, period)
+            lanes = lanes.compress(stay, axis=1)  # lanes[:, stay] would stride each row
+            if not lanes.shape[1]:
+                return results
+            (idx, w_ref, lam, gamma, tau_end, tau, _, _, acc, h_next, steps, t_rec,
              phi_rec) = lanes  # views: the steps below update the table in place
-            y = lanes[8:10]  # [phi; psi]
-            # A lane with d - l > gap never reaches the gap: cos <= 1 and rounding is
-            # monotone, so d - l*cos(phi) >= d - l > gap.
-            reach_gap = bool(np.any(d - l <= gap))
+            y = lanes[6:8]  # [phi; psi]
             while True:
                 # integrate's loop head; h is min(h_next, tau_end - tau), kept as h_next
                 # by a leaving lane (_advance clips it to h again) until the controller
@@ -539,7 +551,7 @@ def _crossing_periods(runs: list[tuple[PendulumParams, State]],
                 h = h_next
                 tau_new = tau + h
                 stay = (tau < tau_end) & (steps < max_steps) & (tau < tau_new) & (tau_new < _INF)
-                if not adaptive or np.count_nonzero(stay) < _LOCKSTEP_MIN_LANES:
+                if np.count_nonzero(stay) < _LOCKSTEP_MIN_LANES:
                     stay[:] = False
                     break
                 h2 = np.array((h, h))  # an (n,) h would cost a broadcast in every term
@@ -549,8 +561,6 @@ def _crossing_periods(runs: list[tuple[PendulumParams, State]],
                 err = _py_max(ratio[0], ratio[1])
                 accepted = err <= _ONE
                 hit = np.abs(y_new[0]) >= _LANE_MAX_ANGLE
-                if reach_gap:
-                    hit |= d - l * np.cos(y_new[0]) <= gap
                 # _advance takes these steps again: only a NaN err_psi can hide a
                 # stage angle at +-inf, where math.sin raises
                 stay &= ~((accepted & hit) | np.isnan(err2[1]))
@@ -574,18 +584,6 @@ def _crossing_periods(runs: list[tuple[PendulumParams, State]],
                     np.copyto(phi_rec, p, where=due)
                 if np.count_nonzero(stay) < len(stay):
                     break
-            for lane in lanes[:, ~stay].T.tolist():  # laid out as its start tuple
-                i = int(lane[0])
-                termination = _advance(runs[i][0], config, lane[1:5], *lane[7:12], int(lane[12]),
-                                       brackets[i], lane[13:])
-                try:
-                    cols = np.array(brackets[i], dtype=float).reshape(-1, 4).T
-                    period = _period_estimate(*cols).mean_period
-                except InsufficientCyclesError:
-                    period = None
-                results[i] = (termination, period)
-            lanes = lanes[:, stay]
-    return results
 
 
 def _period_estimate(t0, t1, p0, p1) -> PeriodEstimate:

@@ -55,6 +55,15 @@ OVERFLOW_DOC = {
 HUGE_T_MAX_DOC = {"params": PARAMS, "integrator": {"t_max": 1e302}}
 
 
+# d - l = 0.29999997 nm against a 0.3 nm safety gap: the tip reaches the gap
+# only at |phi| < 7.7e-5, which most steps across phi = 0 jump over
+PLATE_ZONE_DOC = {
+    "params": dict(PARAMS, d_m=1.029999997e-8),
+    "initial": {"phi0_rad": 0.1},
+    "integrator": {"collision_gap": 3e-10},
+}
+
+
 def run_cli(args, cwd):
     """The CLI in a child process, so a run that never ends fails the test
     by its timeout instead of hanging the suite."""
@@ -121,6 +130,16 @@ class TestSimulate:
                      "--out", str(tmp_path / "t.csv"), "--report", rep])
         assert code == 2
         assert json.loads((tmp_path / "r.json").read_text())["termination"] == "collision"
+
+    def test_swing_through_plate_zone_exits_2(self, tmp_path, capsys):
+        out, rep = tmp_path / "t.csv", tmp_path / "r.json"
+        code = main(["simulate", "--config", write_config(tmp_path, PLATE_ZONE_DOC),
+                     "--out", str(out), "--report", str(rep)])
+        assert code == 2
+        assert capsys.readouterr().out.startswith("termination = collision\n")
+        assert json.loads(rep.read_text())["termination"] == "collision"
+        rows = read_csv(out)  # up to the first pass through phi = 0, which is not recorded
+        assert all(float(r["phi_rad"]) > 0.0 and float(r["R_m"]) > 3e-10 for r in rows)
 
     def test_step_limit_exits_2(self, tmp_path):
         doc = {
@@ -200,7 +219,8 @@ class TestPeriod:
         ({"params": PARAMS, "initial": {"phi0_rad": 0.2},
           "integrator": {"method": "rk4_fixed", "dt": 4e-9}}, Termination.COMPLETED),
         ({"params": PARAMS, "initial": {"phi0_rad": 0.0}}, Termination.COMPLETED),
-    ], ids=["completed", "step_limit", "collision", "rk4", "rest"])
+        (PLATE_ZONE_DOC, Termination.COLLISION),
+    ], ids=["completed", "step_limit", "collision", "rk4", "rest", "plate_zone"])
     def test_simulated_line_equals_integrate(self, tmp_path, capsys, monkeypatch, doc,
                                              termination):
         """period --simulate keeps only the crossings, yet prints what
@@ -354,6 +374,18 @@ class TestSweep:
         assert sum(line.endswith(",true") for line in full) > integrator._LOCKSTEP_MIN_LANES
         for i in range(0, 64, 2):
             assert data_lines(values[i], values[i + 1], 2) == full[i:i + 2]
+
+    def test_swing_through_plate_zone_has_no_period(self, tmp_path):
+        """More valid points than _LOCKSTEP_MIN_LANES, each of which passes
+        through the plate zone: none may print a period."""
+        out = str(tmp_path / "s.csv")
+        code = main(["sweep", "--config", write_config(tmp_path, PLATE_ZONE_DOC),
+                     "--param", "phi0_rad", "--from", "0.01", "--to", "0.3", "--points", "40",
+                     "--out", out])
+        assert code == 0
+        rows = read_csv(out)
+        assert sum(r["validity_verdict"] == "true" for r in rows) > integrator._LOCKSTEP_MIN_LANES
+        assert [r["T_simulated"] for r in rows] == [""] * 40
 
     # counts beyond int64, which the sweep lanes hold as floats
     @pytest.mark.parametrize("integrator_doc", [{"record_stride": 2**63},

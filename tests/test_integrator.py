@@ -20,7 +20,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from rk_reference import dp45_step
 from scipy.integrate import quad
@@ -278,6 +278,27 @@ class TestTerminations:
         traj = integrate(p, State(0.0, 0.0, 0.0), IntegratorConfig(t_max=1e-7))
         assert traj.termination is Termination.COLLISION
         assert len(traj) == 1
+
+    # designs whose equilibrium gap d - l is at or below the safety gap, released from
+    # outside the zone |phi| < acos((d - gap)/l) around the bottom of the swing, which a
+    # step across phi = 0 may jump over
+    @settings(derandomize=True, database=None, max_examples=40, deadline=None)
+    @given(gap=st.floats(2e-10, 1e-9), shortfall=st.sampled_from([0.0, 1e-8, 1e-7, 1e-6])
+           | st.floats(0.0, 0.1), phi0=st.floats(-0.3, 0.3), gravity=st.booleans(),
+           method=st.sampled_from(Method))
+    # d - l = 0.29999997 nm against a 0.3 nm gap: most passes step over |phi| < 7.7e-5
+    @example(3e-10, 1e-7, 0.1, True, Method.RK45_ADAPTIVE)
+    def test_swing_through_plate_zone_is_collision(self, gap, shortfall, phi0, gravity, method):
+        p = PendulumParams(d=1e-8 + gap * (1.0 - shortfall), l=1e-8, mass=1e-24, atom=LANE_ATOM,
+                           include_gravity=gravity)
+        assume(p.d - p.l <= gap < tip_distance(phi0, p))
+        dt = linear_period(p) / 50 if method is Method.RK4_FIXED else None
+        traj = integrate(p, State(0.0, phi0, 0.0),
+                         IntegratorConfig(method=method, dt=dt, collision_gap=gap))
+        assert traj.termination is Termination.COLLISION
+        assert np.all(traj.r > gap)
+        # the run ends at its first pass through phi = 0, before any descending crossing
+        assert not np.any((traj.phi[:-1] > 0.0) & (traj.phi[1:] <= 0.0))
 
     def test_collision_gap_configurable(self, params):
         # huge safety gap: even the reference design "collides" immediately
@@ -539,8 +560,8 @@ class TestLockstepLanes:
     @example(Method.RK45_ADAPTIVE, None, None, 1, 400, [REF, ((1e75, 1e-8), 0.3, True)], 1)
     @example(Method.RK45_ADAPTIVE, None, None, 1, 400,
              [REF, ((2e-8, 1e-8), 1.6, True), ((1e75, 1e-8), 0.3, True)], 1)
-    # the lanes skip the tip test while no lane has d - l <= gap: one that
-    # has collides mid-swing among lanes that cannot reach the gap
+    # a run with d - l <= gap never joins the lockstep: it collides mid-swing,
+    # alone in _advance, while the runs that cannot reach the gap step together
     @example(Method.RK45_ADAPTIVE, None, None, 1, 400,
              [REF, ((1.019e-8, 1e-8), 0.3, True), ((3e-8, 1.2e-8), -0.2, False)], 1)
     @example(Method.RK4_FIXED, 4e-12, None, 1, 400,
@@ -555,11 +576,14 @@ class TestLockstepLanes:
              [REF, ((1.019e-8, 1e-8), 0.3, True), ((1.05e-8, 1e-8), 0.25, True)], 4)
     # ... and a stalled run
     @example(Method.RK45_ADAPTIVE, None, 1e302, 1, 400, [((2e-8, 1e-8), 0.0, True), REF], 3)
-    # a lane whose accepted step hits the plate zone, here |phi| < 1.4e-5,
-    # leaves with the step size it took: retaken with the 4% smaller one the
-    # controller picks next, the step would miss the zone
+    # runs whose tip reaches the gap only in a zone that most steps across
+    # phi = 0 jump over, here |phi| < 1.4e-5 and |phi| < 6.3e-5 (d - l =
+    # gap*(1 - 1e-7), as in test_swing_through_plate_zone_is_collision at the
+    # default gap): each finishes alone and collides at its first pass
     @example(Method.RK45_ADAPTIVE, None, None, 1, 10**6,
              [((1.0199999999e-8, 1e-8), 0.2, True), REF], 1)
+    @example(Method.RK45_ADAPTIVE, None, None, 1, 10**6,
+             [REF, ((1.019999998e-8, 1e-8), 0.1, True), REF], 1)
     def test_lanes_equal_serial_runs(self, method, dt, t_max, stride, max_steps, lanes,
                                      min_lanes):
         config = IntegratorConfig(t_max=t_max, method=method,
@@ -581,22 +605,21 @@ class TestLockstepLanes:
             warnings.simplefilter("error")  # no RuntimeWarning from np.sin(inf) and the like
             outcomes = integrator_module._crossing_periods(runs, config)
         assert exact(outcomes) == exact(expected), (
-            "lanes differ from serial runs; first suspect: this numpy build's np.sin, np.cos "
-            "or np.float_power is not bit-identical to math.sin, math.cos or Python's **")
+            "lanes differ from serial runs; first suspect: this numpy build's np.sin or "
+            "np.float_power is not bit-identical to math.sin or Python's **")
 
-    def test_numpy_sin_cos_equal_math(self):
-        """The lanes equal serial runs only on a numpy build whose sin and cos
-        equal the math module's bit for bit."""
+    def test_numpy_sin_equals_math(self):
+        """The lanes equal serial runs only on a numpy build whose sin equals
+        math.sin bit for bit."""
         rng = np.random.default_rng(0)
         x = np.concatenate([rng.uniform(-2.0, 2.0, 50_000), rng.uniform(-1e-3, 1e-3, 50_000),
                             [0.0, -0.0, 5e-324, -5e-324, 1e-310, math.pi / 2, -math.pi / 2]])
-        for name in ("sin", "cos"):
-            expected = [getattr(math, name)(v).hex() for v in x.tolist()]
-            got = [v.hex() for v in getattr(np, name)(x).tolist()]
-            bad = [v for v, e, g in zip(x.tolist(), expected, got) if e != g]
-            assert not bad, (f"this numpy build's np.{name} differs from math.{name} at "
-                             f"{len(bad)} of {len(x)} samples, first at {bad[0]!r}; the "
-                             "sweep's lanes cannot equal serial runs on it")
+        expected = [math.sin(v).hex() for v in x.tolist()]
+        got = [v.hex() for v in np.sin(x).tolist()]
+        bad = [v for v, e, g in zip(x.tolist(), expected, got) if e != g]
+        assert not bad, (f"this numpy build's np.sin differs from math.sin at {len(bad)} of "
+                         f"{len(x)} samples, first at {bad[0]!r}; the sweep's lanes cannot "
+                         "equal serial runs on it")
 
     def test_numpy_float_power_equals_python_pow(self):
         """The lanes' step controller takes err**-0.2 with np.float_power, so
