@@ -9,9 +9,15 @@ trajectory: adaptive points step together as lanes of numpy arrays until
 few are left running, and the rest, like every RK4 point, finish one at a
 time.  Each row depends only on the base config and its own value.
 `period --simulate` takes the same crossing-only path with one run.
+
+main builds its argparse parser on its first call and reuses it for every
+later call in the same process, so a caller that embeds main (a test suite,
+a benchmark) pays the parser's set-up once.  A cold invocation from the
+shell builds it once either way.  Importing this module builds no parser.
 """
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -111,6 +117,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """build_parser(), built by main's first call and reused by later ones;
+    argparse looks up sys.stdout and sys.stderr when it writes, not here."""
+    return build_parser()
+
+
 def _load_run_config(args) -> RunConfig:
     if args.config is not None:
         return load_config(args.config)
@@ -120,7 +133,7 @@ def _load_run_config(args) -> RunConfig:
 def cmd_simulate(args) -> int:
     config = _load_run_config(args)
     params = config.params
-    validity = validate(params, config.phi0_rad)
+    validity = validate(params, config.phi0_rad, gap=config.integrator.collision_gap)
     initial = State(t=0.0, phi=config.phi0_rad, phi_dot=0.0)
     traj = integrate(params, initial, config.integrator)
     report = build_report(traj, validity)
@@ -176,12 +189,13 @@ def cmd_sweep(args) -> int:
     # are integrated together.
     rows = []
     runs = []
+    gap = config.integrator.collision_gap
     for v in values:
         value = float(v)
         try:
             point = config.with_swept_value(args.param, value)
             analytic = linear_period(point.params)
-            verdict = validate(point.params, point.phi0_rad).verdict
+            verdict = validate(point.params, point.phi0_rad, gap=gap).verdict
         except ValueError:  # includes ConfigError
             rows.append([value, None, None, False])
             continue
@@ -207,7 +221,7 @@ def cmd_sweep(args) -> int:
 
 def cmd_validate(args) -> int:
     config = _load_run_config(args)
-    report = validate(config.params, config.phi0_rad)
+    report = validate(config.params, config.phi0_rad, gap=config.integrator.collision_gap)
     print(json.dumps(asdict(report), indent=2))
     return EXIT_OK
 
@@ -225,8 +239,7 @@ def cmd_estimate(args) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except (ValueError, OSError) as exc:  # includes ConfigError

@@ -9,7 +9,7 @@ gives l = 9e-9 m exactly, not the order-of-magnitude 1e-8 m.
 validate checks a configuration against the model's assumptions and returns
 a report instead of raising: the near-zone condition R << c/omega0, the
 gravity-to-vacuum torque ratio, the geometry (pivot above the swing, tip
-clear of the plate), and the small-angle envelope.
+clear of the run's collision gap), and the small-angle envelope.
 """
 
 import math
@@ -128,7 +128,8 @@ def estimate_params(spec: NanostringSpec, gap_r: float) -> PendulumParams:
     return PendulumParams(d=d, l=l, mass=spec.n_atoms * m_atom, atom=atom)
 
 
-def validate(params: PendulumParams, phi0: float, margin: float = DEFAULT_MARGIN) -> ValidityReport:
+def validate(params: PendulumParams, phi0: float, margin: float = DEFAULT_MARGIN,
+             gap: float = MIN_TIP_GAP) -> ValidityReport:
     """Check params + release amplitude against the model's assumptions.
 
     near_zone_ok    -- classify_regime puts R(phi0) in the near zone at this
@@ -137,7 +138,10 @@ def validate(params: PendulumParams, phi0: float, margin: float = DEFAULT_MARGIN
                        its c/omega0 / R(phi0)
     gravity_negligible -- Casimir torque coefficient at phi = 0 is at least
                        100x the gravity coefficient M*g*l/2
-    geometry_ok     -- d > l (by type) and equilibrium gap R(0) >= MIN_TIP_GAP
+    geometry_ok     -- d > l (by type) and the equilibrium gap R(0) is above
+                       gap, the run's collision_gap; otherwise the tip
+                       reaches the gap at every pass through phi = 0, and
+                       every run of the design ends in a collision
     small_angle_ok  -- phi0 within the supported amplitude envelope
 
     Reports, never raises for physics reasons; raises ValueError for a
@@ -162,7 +166,7 @@ def validate(params: PendulumParams, phi0: float, margin: float = DEFAULT_MARGIN
     gravity_ratio = cas_coeff / grav_coeff
     gravity_negligible = gravity_ratio >= GRAVITY_RATIO_THRESHOLD
 
-    geometry_ok = tip_distance(0.0, params) >= MIN_TIP_GAP
+    geometry_ok = tip_distance(0.0, params) > gap
     small_angle_ok = abs(phi0) <= MAX_SMALL_ANGLE
 
     return ValidityReport(

@@ -4,7 +4,9 @@ main() is called in-process; argparse usage failures surface as SystemExit
 with code 1 (code 2 is reserved for physics terminations).
 """
 
+import contextlib
 import csv
+import io
 import json
 import math
 import os
@@ -20,12 +22,13 @@ from casimir_pendulum import (
     InsufficientCyclesError,
     State,
     Termination,
+    cli,
     estimate_period,
     integrate,
     integrator,
     load_config,
 )
-from casimir_pendulum.cli import main
+from casimir_pendulum.cli import build_parser, main
 
 PARAMS = {
     "d_m": 2e-8,
@@ -376,16 +379,25 @@ class TestSweep:
             assert data_lines(values[i], values[i + 1], 2) == full[i:i + 2]
 
     def test_swing_through_plate_zone_has_no_period(self, tmp_path):
-        """More valid points than _LOCKSTEP_MIN_LANES, each of which passes
-        through the plate zone: none may print a period."""
+        """Every point's tip reaches the collision gap at phi = 0, so
+        validate rates every point false and none is simulated."""
         out = str(tmp_path / "s.csv")
         code = main(["sweep", "--config", write_config(tmp_path, PLATE_ZONE_DOC),
                      "--param", "phi0_rad", "--from", "0.01", "--to", "0.3", "--points", "40",
                      "--out", out])
         assert code == 0
         rows = read_csv(out)
-        assert sum(r["validity_verdict"] == "true" for r in rows) > integrator._LOCKSTEP_MIN_LANES
-        assert [r["T_simulated"] for r in rows] == [""] * 40
+        assert [(r["T_simulated"], r["validity_verdict"]) for r in rows] == [("", "false")] * 40
+
+    def test_plate_zone_runs_have_no_period(self, tmp_path):
+        """More runs than _LOCKSTEP_MIN_LANES, each of which passes through
+        the plate zone: every one collides and none has a period."""
+        config = load_config(write_config(tmp_path, PLATE_ZONE_DOC))
+        runs = [(config.params, State(0.0, float(phi0), 0.0))
+                for phi0 in np.linspace(0.01, 0.3, 40)]
+        assert len(runs) > integrator._LOCKSTEP_MIN_LANES
+        results = integrator._crossing_periods(runs, config.integrator)
+        assert results == [(Termination.COLLISION, None)] * 40
 
     # counts beyond int64, which the sweep lanes hold as floats
     @pytest.mark.parametrize("integrator_doc", [{"record_stride": 2**63},
@@ -450,6 +462,14 @@ class TestValidateCommand:
         assert main(["validate", "--config", write_config(tmp_path, doc)]) == 0
         parsed = json.loads(capsys.readouterr().out)
         assert parsed["gravity_negligible"] is False
+        assert parsed["verdict"] is False
+
+    def test_plate_zone_design_fails_geometry(self, tmp_path, capsys):
+        """R(0) is below the configured collision_gap, though above the
+        default one: every run collides, so the design is not valid."""
+        assert main(["validate", "--config", write_config(tmp_path, PLATE_ZONE_DOC)]) == 0
+        parsed = json.loads(capsys.readouterr().out)
+        assert parsed["geometry_ok"] is False
         assert parsed["verdict"] is False
 
 
@@ -595,3 +615,73 @@ class TestErrorHandling:
         assert capsys.readouterr().err.startswith(
             "error: no finite gravity-to-vacuum stiffness ratio for d=")
         assert not (tmp_path / "t.csv").exists()
+
+
+class TestParserReuse:
+    """main builds its parser once per process; nothing of one call may
+    reach the next."""
+
+    SEQUENCE = [
+        ["period", "--preset", "paper-defaults", "--simulate"],
+        ["period", "--preset", "paper-defaults"],
+        ["sweep", "--preset", "paper-defaults", "--param", "t_max", "--from", "1", "--to", "2",
+         "--points", "2", "--out", "s.csv"],
+        ["--help"],
+        ["sweep", "--preset", "paper-defaults", "--param", "d_m", "--from", "1.5e-8",
+         "--to", "3e-8", "--points", "3", "--out", "s.csv"],
+        ["validate", "--preset", "paper-defaults"],
+    ]
+
+    @staticmethod
+    def outcome(argv, capsys, tmp_path):
+        (tmp_path / "s.csv").unlink(missing_ok=True)
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        written = (tmp_path / "s.csv").read_bytes() if (tmp_path / "s.csv").exists() else None
+        return code, captured.out, captured.err, written
+
+    def test_sequence_equals_fresh_parsers(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        built = []
+
+        def counted():
+            built.append(1)
+            return build_parser()
+
+        monkeypatch.setattr(cli, "build_parser", counted)
+        cli._parser.cache_clear()
+        reused = [self.outcome(argv, capsys, tmp_path) for argv in self.SEQUENCE]
+        assert len(built) == 1
+        monkeypatch.setattr(cli, "_parser", build_parser)  # a fresh parser per call
+        fresh = [self.outcome(argv, capsys, tmp_path) for argv in self.SEQUENCE]
+        assert reused == fresh
+
+        simulated, analytic, usage, help_, sweep, validated = reused
+        assert simulated[0] == 0 and "T_simulated = 3.7334e-07 s" in simulated[1]
+        assert analytic[0] == 0 and "T_simulated" not in analytic[1]
+        assert usage[0] == 1 and usage[1] == ""
+        assert usage[2].startswith("usage: casimir-pendulum sweep ")
+        assert "invalid choice: 't_max'" in usage[2]
+        assert help_[0] == 0 and help_[1].startswith("usage: casimir-pendulum ")
+        assert sweep[0] == 0 and sweep[3].count(b"\n") == 4
+        assert validated[0] == 0 and json.loads(validated[1])["verdict"] is True
+
+    def test_usage_goes_to_the_current_stderr(self):
+        streams = [io.StringIO(), io.StringIO()]
+        for stream in streams:
+            with contextlib.redirect_stderr(stream), pytest.raises(SystemExit) as exc:
+                main(["validate"])
+            assert exc.value.code == 1
+        assert streams[0].getvalue() == streams[1].getvalue()
+        assert streams[0].getvalue().startswith("usage: casimir-pendulum validate ")
+
+    def test_import_builds_no_parser(self):
+        probe = ("import casimir_pendulum.cli as cli\n"
+                 "assert cli._parser.cache_info().currsize == 0\n")
+        env = dict(os.environ, PYTHONPATH=str(Path(casimir_pendulum.__file__).parents[1]))
+        result = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                                text=True, timeout=30)
+        assert result.returncode == 0, result.stderr

@@ -284,6 +284,79 @@ def test_any_json_raises_only_config_error(doc):
         pass
 
 
+# (section, key) -> (how a RunConfig holds the value, the kind the parser
+# converts it to, the value when the key is omitted)
+ROUND_TRIP = {
+    ("params", "d_m"): (lambda c: c.params.d, float, None),
+    ("params", "l_m"): (lambda c: c.params.l, float, None),
+    ("params", "mass_kg"): (lambda c: c.params.mass, float, None),
+    ("params", "alpha0_m3"): (lambda c: c.params.atom.alpha0, float, None),
+    ("params", "omega0_rad_s"): (lambda c: c.params.atom.omega0, float, None),
+    ("params", "beta"): (lambda c: c.params.beta, float, 2.0),
+    ("params", "include_gravity"): (lambda c: c.params.include_gravity, bool, True),
+    ("initial", "phi0_rad"): (lambda c: c.phi0_rad, float, 0.0),
+    ("integrator", "method"): (lambda c: c.integrator.method, Method, Method.RK45_ADAPTIVE),
+    ("integrator", "t_max"): (lambda c: c.integrator.t_max, float, None),
+    ("integrator", "dt"): (lambda c: c.integrator.dt, float, None),
+    ("integrator", "rel_tol"): (lambda c: c.integrator.rel_tol, float, 1e-10),
+    ("integrator", "abs_tol"): (lambda c: c.integrator.abs_tol, float, 1e-12),
+    ("integrator", "max_steps"): (lambda c: c.integrator.max_steps, int, 1_000_000),
+    ("integrator", "record_stride"): (lambda c: c.integrator.record_stride, int, 1),
+    ("integrator", "collision_gap"): (lambda c: c.integrator.collision_gap, float, 2e-10),
+    ("outputs", "trajectory_csv"): (lambda c: c.trajectory_csv, str, None),
+    ("outputs", "report_json"): (lambda c: c.report_json, str, None),
+}
+REQUIRED = {"d_m", "l_m", "mass_kg", "alpha0_m3", "omega0_rad_s"}
+
+
+def near_value(value):
+    """A JSON value of value's type: numbers mostly within 0.5x-2x of it,
+    sometimes zero, negated or a small int; any short text for a string."""
+    if isinstance(value, bool):
+        return st.booleans()
+    if isinstance(value, str):
+        if value in {m.value for m in Method}:
+            return st.sampled_from(sorted(m.value for m in Method))
+        return st.text(max_size=6)
+    if isinstance(value, int):
+        return st.integers(-1, 2 * value)
+    return (st.floats(0.5, 2.0).map(lambda f: f * value)
+            | st.sampled_from([value, -value, 0.0, 0, 1, 2]))
+
+
+NEAR_VALUES = {key: near_value(value) for body in FULL_DOC.values() for key, value in body.items()}
+
+
+@st.composite
+def near_full_docs(draw):
+    """FULL_DOC with typed values near its own, optional keys and sections
+    dropped, and every object's keys in a drawn order."""
+    doc = {}
+    for name in draw(st.permutations(sorted(FULL_DOC))):
+        if name != "params" and draw(st.booleans()):
+            continue
+        keys = draw(st.permutations(sorted(FULL_DOC[name])))
+        doc[name] = {key: draw(NEAR_VALUES[key]) for key in keys
+                     if key in REQUIRED or draw(st.booleans())}
+    return doc
+
+
+@settings(derandomize=True, database=None, max_examples=500)
+@given(doc=near_full_docs())
+def test_accepted_document_round_trips(doc):
+    """A document the parser accepts gives a RunConfig holding each of its
+    values, converted to the key's kind, and each omitted key's default."""
+    try:
+        config = parse_config(doc)
+    except ConfigError:
+        return
+    for (section, key), (read, kind, default) in ROUND_TRIP.items():
+        given_value = doc.get(section, {}).get(key)
+        expected = default if given_value is None else kind(given_value)
+        actual = read(config)
+        assert type(actual) is type(expected) and actual == expected, (section, key)
+
+
 def test_integer_beyond_float_range_names_the_key():
     doc = {"params": dict(FULL_DOC["params"], mass_kg=10**400)}  # json.loads keeps it an int
     with pytest.raises(ConfigError, match="mass_kg"):

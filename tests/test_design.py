@@ -1,10 +1,12 @@
 """Parameter estimation from atomic data and the regime validator."""
 
+import math
 from dataclasses import replace
 
 import pytest
 
 from casimir_pendulum import NanostringSpec, ValidityReport, estimate_params, validate
+from casimir_pendulum.pendulum import MIN_TIP_GAP
 
 # 30-atom chain of 1e-10 m atoms, atomic weight 60.22 g/mol, hung 1e-8 m
 # above the plate: l = 9e-9 m, per-atom mass 1e-25 kg, M = 3e-24 kg.
@@ -104,6 +106,20 @@ class TestValidate:
     def test_geometry_fails_inside_safety_gap(self, params):
         report = validate(replace(params, d=1.0001e-8), phi0=1e-3)
         assert not report.geometry_ok
+
+    def test_equilibrium_gap_equal_to_default_gap_fails(self, params):
+        # d - l == MIN_TIP_GAP exactly: the tip touches the gap at phi = 0
+        design = replace(params, d=2 * MIN_TIP_GAP, l=MIN_TIP_GAP)
+        assert design.d - design.l == MIN_TIP_GAP
+        report = validate(design, phi0=1e-3)
+        assert not report.geometry_ok
+        assert not report.verdict
+
+    def test_geometry_uses_the_given_gap(self, params):
+        r0 = params.d - params.l
+        assert validate(params, phi0=1e-3, gap=math.nextafter(r0, 0.0)).geometry_ok
+        assert not validate(params, phi0=1e-3, gap=r0).geometry_ok
+        assert not validate(params, phi0=1e-3, gap=2 * r0).geometry_ok
 
     def test_large_amplitude_flagged(self, params):
         assert not validate(params, phi0=0.31).small_angle_ok
