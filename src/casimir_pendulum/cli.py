@@ -9,11 +9,6 @@ trajectory: adaptive points step together as lanes of numpy arrays until
 few are left running, and the rest, like every RK4 point, finish one at a
 time.  Each row depends only on the base config and its own value.
 `period --simulate` takes the same crossing-only path with one run.
-
-main builds its argparse parser on its first call and reuses it for every
-later call in the same process, so a caller that embeds main (a test suite,
-a benchmark) pays the parser's set-up once.  A cold invocation from the
-shell builds it once either way.  Importing this module builds no parser.
 """
 
 import argparse

@@ -138,10 +138,11 @@ def validate(params: PendulumParams, phi0: float, margin: float = DEFAULT_MARGIN
                        its c/omega0 / R(phi0)
     gravity_negligible -- Casimir torque coefficient at phi = 0 is at least
                        100x the gravity coefficient M*g*l/2
-    geometry_ok     -- d > l (by type) and the equilibrium gap R(0) is above
-                       gap, the run's collision_gap; otherwise the tip
-                       reaches the gap at every pass through phi = 0, and
-                       every run of the design ends in a collision
+    geometry_ok     -- d > l (by type) and the equilibrium gap R(0) is
+                       at least MIN_TIP_GAP, below which the force law
+                       means nothing, and above gap, the run's
+                       collision_gap, at or below which every run collides
+                       at its first pass through phi = 0
     small_angle_ok  -- phi0 within the supported amplitude envelope
 
     Reports, never raises for physics reasons; raises ValueError for a
@@ -166,7 +167,8 @@ def validate(params: PendulumParams, phi0: float, margin: float = DEFAULT_MARGIN
     gravity_ratio = cas_coeff / grav_coeff
     gravity_negligible = gravity_ratio >= GRAVITY_RATIO_THRESHOLD
 
-    geometry_ok = tip_distance(0.0, params) > gap
+    r0 = tip_distance(0.0, params)
+    geometry_ok = r0 >= MIN_TIP_GAP and r0 > gap
     small_angle_ok = abs(phi0) <= MAX_SMALL_ANGLE
 
     return ValidityReport(

@@ -472,6 +472,15 @@ class TestValidateCommand:
         assert parsed["geometry_ok"] is False
         assert parsed["verdict"] is False
 
+    def test_zero_gap_keeps_the_model_floor(self, tmp_path, capsys):
+        """A collision_gap of 0 does not rate a tip 1e-10 m from the plate,
+        below the point-atom floor of 2e-10 m, as valid."""
+        doc = {"params": dict(PARAMS, d_m=1.01e-8), "integrator": {"collision_gap": 0.0}}
+        assert main(["validate", "--config", write_config(tmp_path, doc)]) == 0
+        parsed = json.loads(capsys.readouterr().out)
+        assert parsed["geometry_ok"] is False
+        assert parsed["verdict"] is False
+
 
 # M*g*l/2 underflows to 0, yet the design has a finite small-angle period
 UNDERFLOWING_GRAVITY_PARAMS = dict(PARAMS, mass_kg=1e-310, l_m=1e-15, d_m=1e10)

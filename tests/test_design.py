@@ -121,6 +121,16 @@ class TestValidate:
         assert not validate(params, phi0=1e-3, gap=r0).geometry_ok
         assert not validate(params, phi0=1e-3, gap=2 * r0).geometry_ok
 
+    @pytest.mark.parametrize("gap", [0.0, 1e-10, math.nextafter(MIN_TIP_GAP, 0.0)])
+    def test_gap_below_the_floor_keeps_the_floor(self, params, gap):
+        # a collision_gap below MIN_TIP_GAP does not admit a tip the
+        # point-atom force law cannot describe
+        below = replace(params, d=params.l + 1e-10)
+        assert not validate(below, phi0=1e-3, gap=gap).geometry_ok
+        assert not validate(below, phi0=1e-3, gap=gap).verdict
+        at_floor = replace(params, d=2 * MIN_TIP_GAP, l=MIN_TIP_GAP)
+        assert validate(at_floor, phi0=1e-3, gap=gap).geometry_ok
+
     def test_large_amplitude_flagged(self, params):
         assert not validate(params, phi0=0.31).small_angle_ok
         assert validate(params, phi0=0.3).small_angle_ok
