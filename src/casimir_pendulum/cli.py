@@ -5,9 +5,8 @@ success, 1 on usage/config errors, 2 when a simulation ends by collision,
 step exhaustion or a stall (a step that cannot advance time to a larger
 finite value) rather than reaching t_max.  A sweep integrates its valid
 points in this process and keeps only each run's zero crossings, not its
-trajectory: adaptive points step together as lanes of numpy arrays until
-few are left running, and the rest, like every RK4 point, finish one at a
-time.  Each row depends only on the base config and its own value.
+trajectory; the integrator module's docstring says how its points step
+together.  Each row depends only on the base config and its own value.
 `period --simulate` takes the same crossing-only path with one run.
 """
 
@@ -62,7 +61,11 @@ def _add_config_source(sub: argparse.ArgumentParser) -> None:
                        help="bundled preset name (e.g. paper-defaults)")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built by the first call in a process and returned
+    by every later one, which parsing cannot change; argparse looks up
+    sys.stdout and sys.stderr when it writes, not here."""
     parser = _Parser(
         prog="casimir-pendulum",
         description="Simulate a nanostring pendulum restored by the Casimir-Polder force.",
@@ -112,13 +115,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-@functools.cache
-def _parser() -> argparse.ArgumentParser:
-    """build_parser(), built by main's first call and reused by later ones;
-    argparse looks up sys.stdout and sys.stderr when it writes, not here."""
-    return build_parser()
-
-
 def _load_run_config(args) -> RunConfig:
     if args.config is not None:
         return load_config(args.config)
@@ -155,6 +151,7 @@ def cmd_period(args) -> int:
     # load_config has rejected |phi0| >= pi/2, so the run has a termination
     initial = State(t=0.0, phi=config.phi0_rad, phi_dot=0.0)
     [(termination, period)] = _crossing_periods([(params, initial)], config.integrator)
+    print(f"termination = {termination.value}")
     if period is None:
         print("T_simulated = n/a (fewer than 2 full cycles observed)")
     else:
@@ -178,10 +175,9 @@ def cmd_sweep(args) -> int:
         values = np.linspace(args.from_, args.to, args.points)
 
     # Each row is [value, T_analytic, T_simulated, verdict]. Points whose
-    # parameters are unbuildable, have no finite small-angle period or
-    # cannot be validated carry verdict False and no periods; points that
-    # fail validation carry verdict False and are not simulated; the rest
-    # are integrated together.
+    # parameters parse_config would reject, or that cannot be validated,
+    # carry verdict False and no periods; points that fail validation carry
+    # verdict False and are not simulated; the rest are integrated together.
     rows = []
     runs = []
     gap = config.integrator.collision_gap
@@ -189,12 +185,11 @@ def cmd_sweep(args) -> int:
         value = float(v)
         try:
             point = config.with_swept_value(args.param, value)
-            analytic = linear_period(point.params)
             verdict = validate(point.params, point.phi0_rad, gap=gap).verdict
         except ValueError:  # includes ConfigError
             rows.append([value, None, None, False])
             continue
-        rows.append([value, analytic, None, verdict])
+        rows.append([value, linear_period(point.params), None, verdict])
         if verdict:
             runs.append((point.params, State(t=0.0, phi=point.phi0_rad, phi_dot=0.0)))
     periods = iter(_crossing_periods(runs, config.integrator))
@@ -234,7 +229,7 @@ def cmd_estimate(args) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _parser().parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (ValueError, OSError) as exc:  # includes ConfigError

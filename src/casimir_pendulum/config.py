@@ -93,9 +93,12 @@ def _flat_fields(params: PendulumParams) -> dict:
 
 
 def _build_params(fields: dict) -> PendulumParams:
-    """Inverse of _flat_fields; raises ValueError for invalid values."""
+    """Inverse of _flat_fields; raises ValueError for invalid values and for
+    params with no finite positive stiffness, which set no run's time scale."""
     atom = AtomProperties(alpha0=fields.pop("alpha0"), omega0=fields.pop("omega0"))
-    return PendulumParams(atom=atom, **fields)
+    params = PendulumParams(atom=atom, **fields)
+    linear_omega(params)
+    return params
 
 
 def params_to_dict(params: PendulumParams) -> dict:
@@ -121,7 +124,8 @@ class RunConfig:
         return self.integrator
 
     def with_swept_value(self, name: str, value: float) -> "RunConfig":
-        """Copy of this config with one sweepable field replaced."""
+        """Copy of this config with one sweepable field replaced; raises
+        ValueError for params that parse_config would reject."""
         if name not in SWEEPABLE_PARAMS:
             raise ConfigError(f"unknown sweep parameter {name!r}; choose from {SWEEPABLE_PARAMS}")
         if name == _PHI0:
@@ -178,7 +182,6 @@ def parse_config(data: dict) -> RunConfig:
     fields = {_PARAMS[key][0]: value for key, value in _section(data, "params").items()}
     try:
         params = _build_params(fields)
-        linear_omega(params)  # every run's time scale
     except ValueError as exc:
         raise ConfigError(f"invalid 'params' section: {exc}") from exc
 

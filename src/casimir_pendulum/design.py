@@ -155,11 +155,8 @@ def validate(params: PendulumParams, phi0: float, margin: float = DEFAULT_MARGIN
     regime = classify_regime(tip_distance(abs(phi0), params), params.atom, margin)
     near_zone_ok = regime.zone is Zone.NEAR
 
-    cas_coeff = (
-        total_restoring_factor(params.beta)
-        * abs(force_near(tip_distance(0.0, params), params.atom))
-        * params.l
-    )
+    r0 = tip_distance(0.0, params)
+    cas_coeff = total_restoring_factor(params.beta) * abs(force_near(r0, params.atom)) * params.l
     grav_coeff = params.mass * constants().g_accel * params.l / 2.0
     if not grav_coeff > 0.0:  # M*g*l/2 underflowed
         raise ValueError(f"no positive gravity torque coefficient M*g*l/2 for "
@@ -167,7 +164,6 @@ def validate(params: PendulumParams, phi0: float, margin: float = DEFAULT_MARGIN
     gravity_ratio = cas_coeff / grav_coeff
     gravity_negligible = gravity_ratio >= GRAVITY_RATIO_THRESHOLD
 
-    r0 = tip_distance(0.0, params)
     geometry_ok = r0 >= MIN_TIP_GAP and r0 > gap
     small_angle_ok = abs(phi0) <= MAX_SMALL_ANGLE
 

@@ -468,23 +468,21 @@ def _dp45_lanes(y, a1, h, lam, gamma):
     """_advance's Dormand-Prince step on lanes: y = [phi; psi] and h are
     (2, n) arrays, each stage is [v; a] and a1 is the first stage's
     acceleration.  Returns (y5, a7, err) with y5 = [phi5; psi5] and
-    err = [err_phi; err_psi].
-
-    Each weighted sum is one np.add.reduce over axis 0, which adds from the
-    left, started at -0.0: its default start, +0.0, turns -0.0 + -0.0 into +0.0.
+    err = [err_phi; err_psi].  Each weighted sum is one np.add.reduce over
+    axis 0, which adds from the left.
     """
     k = np.empty((7,) + y.shape)
     k[1] = y[1], a1
     lam2 = lam * _TWO
     for i, terms, w in _DP_STAGES:
-        x = y + h * np.add.reduce(w * k[terms], axis=0, initial=-0.0)
+        x = y + h * np.add.reduce(w * k[terms], axis=0)
         k[i, 0] = x[1]
         sines = np.sin(_HALF_ONE * x[0])  # sin(angle/2) and sin(angle), as in _accel
         s = sines[0]
         r = _ONE / (_ONE + lam2 * (s * s))
         r2 = r * r
         np.multiply(-sines[1], r2 * r2 + gamma, out=k[i, 1])
-    return x, k[6, 1], h * np.add.reduce(_DP_ERROR * k[1:], axis=0, initial=-0.0)
+    return x, k[6, 1], h * np.add.reduce(_DP_ERROR * k[1:], axis=0)
 
 
 def _crossing_periods(runs: list[tuple[PendulumParams, State]],

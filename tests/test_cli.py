@@ -26,6 +26,7 @@ from casimir_pendulum import (
     estimate_period,
     integrate,
     integrator,
+    linear_period,
     load_config,
 )
 from casimir_pendulum.cli import build_parser, main
@@ -227,7 +228,8 @@ class TestPeriod:
     def test_simulated_line_equals_integrate(self, tmp_path, capsys, monkeypatch, doc,
                                              termination):
         """period --simulate keeps only the crossings, yet prints what
-        integrate + estimate_period give, and builds no Trajectory."""
+        integrate + estimate_period give, termination included, and builds
+        no Trajectory."""
         cfg = write_config(tmp_path, doc)
         config = load_config(cfg)
         traj = integrate(config.params, State(0.0, config.phi0_rad, 0.0), config.integrator)
@@ -243,7 +245,9 @@ class TestPeriod:
         monkeypatch.setattr(integrator, "_trajectory", no_trajectory)
         code = main(["period", "--config", cfg, "--simulate"])
         assert code == (0 if termination is Termination.COMPLETED else 2)
-        assert capsys.readouterr().out.splitlines()[-1] == expected
+        assert capsys.readouterr().out.splitlines()[1:] == [
+            f"T_analytic = {linear_period(config.params):.4e} s",
+            f"termination = {termination.value}", expected]
 
     def test_beta_one_period(self, tmp_path, capsys):
         doc = {"params": dict(PARAMS, beta=1.0)}
@@ -654,22 +658,15 @@ class TestParserReuse:
 
     def test_sequence_equals_fresh_parsers(self, tmp_path, capsys, monkeypatch):
         monkeypatch.chdir(tmp_path)
-        built = []
-
-        def counted():
-            built.append(1)
-            return build_parser()
-
-        monkeypatch.setattr(cli, "build_parser", counted)
-        cli._parser.cache_clear()
+        build_parser.cache_clear()
         reused = [self.outcome(argv, capsys, tmp_path) for argv in self.SEQUENCE]
-        assert len(built) == 1
-        monkeypatch.setattr(cli, "_parser", build_parser)  # a fresh parser per call
+        assert build_parser.cache_info().misses == 1
+        monkeypatch.setattr(cli, "build_parser", build_parser.__wrapped__)  # fresh per call
         fresh = [self.outcome(argv, capsys, tmp_path) for argv in self.SEQUENCE]
         assert reused == fresh
 
         simulated, analytic, usage, help_, sweep, validated = reused
-        assert simulated[0] == 0 and "T_simulated = 3.7334e-07 s" in simulated[1]
+        assert simulated[0] == 0 and simulated[1].endswith("T_simulated = 3.7334e-07 s\n")
         assert analytic[0] == 0 and "T_simulated" not in analytic[1]
         assert usage[0] == 1 and usage[1] == ""
         assert usage[2].startswith("usage: casimir-pendulum sweep ")
@@ -689,7 +686,7 @@ class TestParserReuse:
 
     def test_import_builds_no_parser(self):
         probe = ("import casimir_pendulum.cli as cli\n"
-                 "assert cli._parser.cache_info().currsize == 0\n")
+                 "assert cli.build_parser.cache_info().currsize == 0\n")
         env = dict(os.environ, PYTHONPATH=str(Path(casimir_pendulum.__file__).parents[1]))
         result = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
                                 text=True, timeout=30)

@@ -6,7 +6,7 @@ import math
 import re
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from casimir_pendulum import (
@@ -383,7 +383,12 @@ def swept_values(draw):
 
 @settings(derandomize=True, database=None, max_examples=300)
 @given(swept=swept_values())
+@example(("d_m", 1e300))  # (d - l)**-4 underflows: no finite positive stiffness
 def test_swept_value_equals_parsed_replacement(swept):
+    """A swept copy is the config parse_config builds from the replaced
+    document, and raises exactly where parse_config rejects that document;
+    except phi0_rad, which a sweep takes beyond the |phi0| < pi/2 that
+    parse_config demands."""
     key, value = swept
     doc = json.loads(json.dumps(FULL_DOC))
     doc["initial" if key in doc["initial"] else "params"][key] = value
@@ -396,8 +401,7 @@ def test_swept_value_equals_parsed_replacement(swept):
     except ValueError:
         assert expected is None
     else:
-        if expected is not None:
-            assert swept_config == expected
+        assert swept_config == expected or key == "phi0_rad" and expected is None
 
 
 class TestFiles:
@@ -458,6 +462,11 @@ class TestSweptCopies:
                   "omega0_rad_s": 2e15, "beta": 1.25, "phi0_rad": 0.05}
         swept = base.with_swept_value(name, values[name])
         assert getter(swept) == values[name]
+
+    def test_no_finite_stiffness(self):
+        base = parse_config({"params": FULL_DOC["params"]})
+        with pytest.raises(ValueError, match=r"^no finite positive stiffness for d=1e\+300, "):
+            base.with_swept_value("d_m", 1e300)
 
     def test_unknown_name(self):
         base = parse_config({"params": FULL_DOC["params"]})
