@@ -3,13 +3,13 @@ pivoted above a conducting plate and restored by the Casimir-Polder force.
 
 The library layers are importable on their own: forces (atom-plate
 potentials and forces), pendulum (geometry, torques and energies in SI
-units), analytic (linearized frequency/period), integrator (the one time
+units), analytic (linearized frequency/period, exact period), integrator (the one time
 stepper: fixed-step RK4 or adaptive Dormand-Prince on the dimensionless
 equation of motion, with period extraction), design (parameter estimation
 and regime validation), config/report/cli (run plumbing).
 """
 
-from .analytic import linear_omega, linear_period
+from .analytic import exact_period, linear_omega, linear_period
 from .config import ConfigError, RunConfig, load_config, load_preset, parse_config, preset_names
 from .constants import Constants, constants, crossover_length
 from .design import NanostringSpec, ValidityReport, estimate_params, validate
@@ -76,6 +76,7 @@ __all__ = [
     "energy_drift",
     "estimate_params",
     "estimate_period",
+    "exact_period",
     "force_far",
     "force_near",
     "integrate",

@@ -48,8 +48,7 @@ from itertools import chain
 
 import numpy as np
 
-from .analytic import linear_omega, linear_period
-from .constants import constants
+from .analytic import _dimensionless_system, _exact_period, linear_period
 from .pendulum import (
     MAX_ANGLE,
     MIN_TIP_GAP,
@@ -72,7 +71,7 @@ __all__ = [
     "energy_drift",
 ]
 
-DEFAULT_T_MAX_PERIODS = 12  # enough cycles for a stable period estimate
+DEFAULT_T_MAX_PERIODS = 12  # linearized periods of a run that does not start at rest
 
 
 class Method(Enum):
@@ -96,12 +95,14 @@ class InsufficientCyclesError(ValueError):
 class IntegratorConfig:
     """Integration settings.
 
-    t_max         -- absolute end time of the run, s; None runs for
-                     DEFAULT_T_MAX_PERIODS linearized periods of the
-                     integrated pendulum
+    t_max         -- absolute end time of the run, s; None ends a release
+                     from rest at phi0 after its third full cycle (3.5 exact
+                     periods, 4 for phi0 <= 0) and any other start after
+                     DEFAULT_T_MAX_PERIODS linearized periods
     method        -- fixed-step RK4 or adaptive Dormand-Prince 5(4)
     dt            -- fixed step size, s (required for RK4_FIXED)
-    rel_tol, abs_tol -- adaptive error control on the dimensionless state
+    rel_tol, abs_tol -- adaptive error control on the dimensionless state,
+                     finite and positive
     max_steps     -- accepted-step budget before the run stops as STEP_LIMIT
     record_stride -- record every n-th accepted step (initial and final
                      states are always recorded)
@@ -124,10 +125,10 @@ class IntegratorConfig:
             if self.dt is None or not self.dt > 0:
                 raise ValueError(f"fixed-step method needs dt > 0, got {self.dt!r}")
         else:
-            if not (self.rel_tol > 0 and self.abs_tol > 0):
+            if not (0 < self.rel_tol < math.inf and 0 < self.abs_tol < math.inf):
                 raise ValueError(
-                    f"adaptive method needs positive tolerances, got rel_tol={self.rel_tol!r}, "
-                    f"abs_tol={self.abs_tol!r}"
+                    f"adaptive method needs finite positive tolerances, got "
+                    f"rel_tol={self.rel_tol!r}, abs_tol={self.abs_tol!r}"
                 )
         if self.max_steps < 1:
             raise ValueError(f"max_steps must be >= 1, got {self.max_steps!r}")
@@ -211,26 +212,6 @@ def _rk4_step(phi, psi, h, lam, gamma):
     return phi_new, psi_new
 
 
-def _dimensionless_system(params: PendulumParams) -> tuple[float, float, float]:
-    """Scales of the dimensionless system: (w_ref, lam, gamma) with w_ref the
-    linearized frequency, lam = l/R0 and gamma the gravity-to-vacuum
-    stiffness ratio (0 when gravity is off).  Raises ValueError when that
-    ratio is not a finite float."""
-    w_ref = linear_omega(params)
-    lam = params.l / (params.d - params.l)
-    if params.include_gravity:
-        try:
-            gamma = 3.0 * constants().g_accel / (2.0 * params.l * w_ref**2)
-        except ZeroDivisionError:  # the vacuum stiffness underflowed
-            gamma = math.inf
-        if gamma == math.inf:
-            raise ValueError(f"no finite gravity-to-vacuum stiffness ratio for "
-                             f"d={params.d!r}, l={params.l!r}, mass={params.mass!r}")
-    else:
-        gamma = 0.0
-    return w_ref, lam, gamma
-
-
 def _trajectory(rows, params: PendulumParams, termination: Termination) -> Trajectory:
     """SI columns from recorded (t, phi, psi) rows.
 
@@ -263,12 +244,13 @@ def _run_start(params: PendulumParams, initial: State, config: IntegratorConfig)
     trial first step."""
     if not abs(initial.phi) < MAX_ANGLE:
         raise GeometryError(f"|initial.phi| must be below pi/2, got {initial.phi!r}")
+    w_ref, lam, gamma = _dimensionless_system(params)
     t_max = config.t_max
-    if t_max is None:
-        t_max = DEFAULT_T_MAX_PERIODS * linear_period(params)
+    if t_max is None:  # from rest, descending crossings at T/4 + kT (3T/4 + kT if phi0 <= 0)
+        t_max = ((3.5 if initial.phi > 0.0 else 4.0) * _exact_period(w_ref, lam, gamma, initial.phi)
+                 if initial.phi_dot == 0.0 else DEFAULT_T_MAX_PERIODS * linear_period(params))
     if not t_max > initial.t:
         raise ValueError(f"t_max={t_max!r} must exceed initial.t={initial.t!r}")
-    w_ref, lam, gamma = _dimensionless_system(params)
     h_next = _INITIAL_PHASE_STEP if config.method is Method.RK45_ADAPTIVE else config.dt * w_ref
     return ((w_ref, lam, gamma, t_max * w_ref),
             (initial.t * w_ref, initial.phi, initial.phi_dot / w_ref,
@@ -277,8 +259,8 @@ def _run_start(params: PendulumParams, initial: State, config: IntegratorConfig)
 
 def integrate(params: PendulumParams, initial: State, config: IntegratorConfig) -> Trajectory:
     """Integrate the nonlinear equation of motion from initial.t to
-    config.t_max (by default DEFAULT_T_MAX_PERIODS linearized periods of
-    params).
+    config.t_max (by default, for a release from rest, until three full
+    cycles have passed; see IntegratorConfig).
 
     Deterministic: identical inputs produce bit-identical trajectories.
     Collision (tip at or below the safety gap at any time in a step,
@@ -298,8 +280,9 @@ def _advance(params: PendulumParams, config: IntegratorConfig, scales, tau, phi,
     the trial step h_next and the count of accepted steps; returns the run's
     termination.  It records the state after each step whose count is a
     multiple of record_stride, and the last one: it appends to out each
-    (t, phi, psi) row or, given last = (t, phi) of the last recorded row,
-    only the (t0, t1, phi0, phi1) rows around each descending zero crossing.
+    (t, phi, psi) row or, given last = (t, phi, psi) of the last recorded
+    row, only the (t0, t1, phi0, phi1, phi_dot0, phi_dot1) rows around each
+    descending zero crossing, with phi_dot = psi * w_ref as in _trajectory.
 
     A Dormand-Prince trial step is written out here: stage i sits at
     (phi + h*sum_j a_ij*v_j, v_i) with v_1 = psi, and its acceleration is
@@ -329,7 +312,7 @@ def _advance(params: PendulumParams, config: IntegratorConfig, scales, tau, phi,
     record = out.append
     crossings = last is not None
     if crossings:
-        t_rec, phi_rec = last
+        t_rec, phi_rec, psi_rec = last
     termination = Termination.COMPLETED
     while tau < tau_end:
         if steps >= max_steps:
@@ -420,15 +403,15 @@ def _advance(params: PendulumParams, config: IntegratorConfig, scales, tau, phi,
             if crossings:
                 t = tau / w_ref
                 if phi_rec > 0.0 and phi <= 0.0:
-                    record((t_rec, t, phi_rec, phi))
-                t_rec, phi_rec = t, phi
+                    record((t_rec, t, phi_rec, phi, psi_rec * w_ref, psi * w_ref))
+                t_rec, phi_rec, psi_rec = t, phi, psi
             else:
                 record((tau / w_ref, phi, psi))
     if steps % stride:  # the last accepted state is always recorded
         if not crossings:
             record((tau / w_ref, phi, psi))
         elif phi_rec > 0.0 and phi <= 0.0:
-            record((t_rec, tau / w_ref, phi_rec, phi))
+            record((t_rec, tau / w_ref, phi_rec, phi, psi_rec * w_ref, psi * w_ref))
     return termination
 
 
@@ -514,12 +497,12 @@ def _crossing_periods(runs: list[tuple[PendulumParams, State]],
     start = []
     for i, (params, initial) in enumerate(runs):
         scales, state = _run_start(params, initial, config)
-        # 0 steps; (initial.t, initial.phi) is the last row integrate would record
-        start.append((i, *scales, *state, 0, initial.t, initial.phi))
-    lanes = np.array(start, dtype=float).reshape(-1, 13).T
+        # 0 steps; (initial.t, initial.phi, psi) is the last row integrate would record
+        start.append((i, *scales, *state, 0, initial.t, initial.phi, state[2]))
+    lanes = np.array(start, dtype=float).reshape(-1, 14).T
     # adaptive runs whose tip never reaches the gap (see _advance) may step in lockstep
     stay = np.array([adaptive and p.d - p.l > gap for p, _ in runs], dtype=bool)
-    brackets: list[list] = [[] for _ in runs]  # (t0, t1, p0, p1) of each crossing
+    brackets: list[list] = [[] for _ in runs]  # (t0, t1, phi0, phi1, phi_dot0, phi_dot1)
     max_steps, stride = min(config.max_steps, 2**53), min(config.record_stride, 2**53)
     rtol, atol = np.array(config.rel_tol), np.array(config.abs_tol)
 
@@ -530,7 +513,7 @@ def _crossing_periods(runs: list[tuple[PendulumParams, State]],
                 termination = _advance(runs[i][0], config, lane[1:5], *lane[5:10], int(lane[10]),
                                        brackets[i], lane[11:])
                 try:
-                    cols = np.array(brackets[i], dtype=float).reshape(-1, 4).T
+                    cols = np.array(brackets[i], dtype=float).reshape(-1, 6).T
                     period = _period_estimate(*cols).mean_period
                 except InsufficientCyclesError:
                     period = None
@@ -539,7 +522,7 @@ def _crossing_periods(runs: list[tuple[PendulumParams, State]],
             if not lanes.shape[1]:
                 return results
             (idx, w_ref, lam, gamma, tau_end, tau, _, _, acc, h_next, steps, t_rec,
-             phi_rec) = lanes  # views: the steps below update the table in place
+             phi_rec, psi_rec) = lanes  # views: the steps below update the table in place
             y = lanes[6:8]  # [phi; psi]
             while True:
                 # integrate's loop head; h is min(h_next, tau_end - tau), kept as h_next
@@ -575,45 +558,62 @@ def _crossing_periods(runs: list[tuple[PendulumParams, State]],
                 # _advance records when steps % stride == 0
                 due = accepted if stride == 1 else accepted & (steps % stride == 0)
                 if np.count_nonzero(due):  # record, keeping the rows around each crossing
-                    t, p = tau / w_ref, y[0]
+                    t, p, v = tau / w_ref, y[0], y[1]
                     for j in (due & (phi_rec > _ZERO) & (p <= _ZERO)).nonzero()[0].tolist():
-                        brackets[int(idx[j])].append((t_rec[j], t[j], phi_rec[j], p[j]))
+                        brackets[int(idx[j])].append((t_rec[j], t[j], phi_rec[j], p[j],
+                                                      psi_rec[j] * w_ref[j], v[j] * w_ref[j]))
                     np.copyto(t_rec, t, where=due)
                     np.copyto(phi_rec, p, where=due)
+                    np.copyto(psi_rec, v, where=due)
                 if np.count_nonzero(stay) < len(stay):
                     break
 
 
-def _period_estimate(t0, t1, p0, p1) -> PeriodEstimate:
-    """Period from the samples (t0, p0) and (t1, p1) that bracket each
-    descending zero crossing, in time order: each crossing time by linear
-    interpolation, then the mean spacing of successive crossings."""
-    if len(t0) < 2:
-        raise InsufficientCyclesError(
-            f"need >= 2 descending zero crossings to measure a period, found {len(t0)}"
-        )
-    crossings = t0 + p0 * (t1 - t0) / (p0 - p1)
-    per_cycle = np.diff(crossings)
-    return PeriodEstimate(
-        mean_period=float(per_cycle.mean()),
-        per_cycle_periods=per_cycle,
-        cycles_observed=len(per_cycle),
-    )
+def _crossing_times(t0, t1, p0, p1, v0, v1):
+    """Time of each descending zero crossing from the samples (t0, p0, v0)
+    and (t1, p1, v1) of (t, phi, phi_dot) that bracket it: the root of the
+    cubic Hermite through them (Hairer, Norsett & Wanner, Solving ODEs I,
+    II.6), by three Newton steps from the root of the linear interpolant,
+    whose O(h^2) error they take to rounding.  A crossing keeps that linear
+    time where the solve ends outside the bracket or at no finite value, or
+    where neither phi_dot is negative, so that the slopes show no descent.
+    """
+    h, dp = t1 - t0, p0 - p1
+    m0, m1 = h * v0, h * v1  # slopes per bracket length
+    c2, c3 = -3.0 * dp - 2.0 * m0 - m1, 2.0 * dp + m0 + m1  # p0 + m0*s + c2*s^2 + c3*s^3
+    s = p0 / dp
+    with np.errstate(all="ignore"):
+        for _ in range(3):
+            s = s - (p0 + s * (m0 + s * (c2 + s * c3))) / (m0 + s * (2.0 * c2 + s * (3.0 * c3)))
+    hermite = (s >= 0.0) & (s <= 1.0) & ((v0 < 0.0) | (v1 < 0.0))
+    return np.where(hermite, t0 + s * h, t0 + p0 * h / dp)
+
+
+def _period_estimate(*brackets) -> PeriodEstimate:
+    """Period from the columns (t0, t1, p0, p1, v0, v1) of the brackets of
+    successive descending zero crossings (see _crossing_times): the mean
+    spacing of their crossing times."""
+    if len(brackets[0]) < 2:
+        raise InsufficientCyclesError(f"need >= 2 descending zero crossings to measure a "
+                                      f"period, found {len(brackets[0])}")
+    per_cycle = np.diff(_crossing_times(*brackets))
+    return PeriodEstimate(mean_period=float(per_cycle.mean()), per_cycle_periods=per_cycle,
+                          cycles_observed=len(per_cycle))
 
 
 def estimate_period(traj: Trajectory) -> PeriodEstimate:
     """Measure the oscillation period from descending zero crossings of phi.
 
-    Crossing times are found by linear interpolation between the bracketing
-    samples; only phi_dot < 0 crossings (phi passing from positive to
-    non-positive) are used, so a release from rest at phi0 > 0 yields one
-    crossing per full cycle with no half-period aliasing.
+    Each crossing time is located from the (t, phi, phi_dot) samples that
+    bracket it (see _crossing_times); only phi_dot < 0 crossings (phi
+    passing from positive to non-positive) are used, so a release from rest
+    at phi0 > 0 yields one crossing per full cycle with no half-period
+    aliasing.
     """
-    phi = traj.phi
-    t = traj.t
-    descending = np.nonzero((phi[:-1] > 0.0) & (phi[1:] <= 0.0))[0]
-    return _period_estimate(t[descending], t[descending + 1], phi[descending],
-                            phi[descending + 1])
+    descending = np.nonzero((traj.phi[:-1] > 0.0) & (traj.phi[1:] <= 0.0))[0]
+    after = descending + 1
+    return _period_estimate(traj.t[descending], traj.t[after], traj.phi[descending],
+                            traj.phi[after], traj.phi_dot[descending], traj.phi_dot[after])
 
 
 def energy_drift(traj: Trajectory) -> float:

@@ -179,6 +179,9 @@ class TestSimulate:
     def test_zero_energy_scale_reports_collision(self, tmp_path, capsys):
         # I*w_ref**2 underflows to 0, so the report has no relative energy drift
         doc = {"params": dict(PARAMS, d_m=1.5e70), "initial": {"phi0_rad": 0.3}}
+        # 12 linearized periods: the first step overflows a stage angle
+        far = load_config(write_config(tmp_path, doc)).params
+        doc["integrator"] = {"t_max": 12 * linear_period(far)}
         out, rep = tmp_path / "t.csv", tmp_path / "r.json"
         code = main(["simulate", "--config", write_config(tmp_path, doc),
                      "--out", str(out), "--report", str(rep)])
@@ -606,6 +609,15 @@ class TestErrorHandling:
         with pytest.raises(SystemExit) as exc:
             main(["frobnicate"])
         assert exc.value.code == 1
+
+    @pytest.mark.parametrize("key", ["rel_tol", "abs_tol"])
+    def test_infinite_tolerance_is_a_config_error(self, tmp_path, capsys, key):
+        # with error control off, the far-from-plate reference design used to end as collision
+        doc = {"params": PARAMS, "initial": {"phi0_rad": 0.2}, "integrator": {key: math.inf}}
+        assert main(["period", "--config", write_config(tmp_path, doc), "--simulate"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: invalid 'integrator' section")
+        assert f"{key}=inf" in err
 
     def test_unwritable_output(self, tmp_path, capsys):
         doc = {"params": PARAMS, "initial": {"phi0_rad": 1e-3}}

@@ -16,6 +16,7 @@ from casimir_pendulum import (
     Method,
     PendulumParams,
     State,
+    exact_period,
     integrate,
     linear_period,
     load_config,
@@ -94,9 +95,17 @@ def test_default_beta_and_gravity():
 
 
 def test_default_run_length_is_twelve_periods():
+    # a run that does not start at rest runs 12 linearized periods
     params = parse_config({"params": FULL_DOC["params"]}).params
-    traj = integrate(params, State(0.0, 0.1, 0.0), IntegratorConfig())
+    traj = integrate(params, State(0.0, 0.1, 1e6), IntegratorConfig())
     assert traj.t[-1] == pytest.approx(12 * linear_period(params), rel=1e-12)
+
+
+@pytest.mark.parametrize("phi0,periods", [(0.1, 3.5), (-0.1, 4.0), (0.0, 4.0)])
+def test_default_run_length_from_rest_is_three_cycles(phi0, periods):
+    params = parse_config({"params": FULL_DOC["params"]}).params
+    traj = integrate(params, State(0.0, phi0, 0.0), IntegratorConfig())
+    assert traj.t[-1] == pytest.approx(periods * exact_period(params, phi0), rel=1e-12)
 
 
 def test_explicit_t_max_wins():

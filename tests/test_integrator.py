@@ -8,7 +8,10 @@ is the action integral
     T = 4 * integral_0^{phi0} dphi / sqrt(2*(V(phi0) - V(phi)) / I)
 
 evaluated here by adaptive quadrature after the substitution
-phi = phi0*sin(theta) (which removes the turning-point singularity).
+phi = phi0*sin(theta) (which removes the turning-point singularity), in SI
+units, with V(phi0) - V(phi) factored so that nothing cancels.  analytic's
+exact_period takes the same integral in the integrator's dimensionless
+variables with a fixed Gauss-Legendre rule.
 """
 
 import math
@@ -26,6 +29,7 @@ from rk_reference import dp45_step
 from scipy.integrate import quad
 
 import casimir_pendulum.integrator as integrator_module
+from casimir_pendulum.pendulum import MAX_ANGLE
 from casimir_pendulum import (
     AtomProperties,
     GeometryError,
@@ -36,29 +40,45 @@ from casimir_pendulum import (
     State,
     Termination,
     Trajectory,
+    constants,
     energy_drift,
     estimate_period,
+    exact_period,
     integrate,
     linear_period,
     load_preset,
     moment_of_inertia,
-    potential_energy,
+    potential_near,
     tip_distance,
     total_energy,
+    total_restoring_factor,
 )
 
 
 def quadrature_period(params: PendulumParams, phi0: float) -> float:
-    """Exact period via the action integral; no time stepping involved."""
+    """Exact period via the action integral; no time stepping involved.
+
+    For V = -(1+beta)*C/R^3 - M*g*(l/2)*cos(phi) with R = d - l*cos(phi),
+
+        V(phi0) - V(phi) = dc * [(1+beta)*C*l*(R0^2 + R0*R + R^2)/(R^3*R0^3) + M*g*l/2]
+
+    where dc = cos(phi) - cos(phi0) = 2*sin((phi0+phi)/2)*sin((phi0-phi)/2)
+    and phi0 - phi = 2*phi0*sin^2(pi/4 - theta/2).
+    """
     inertia = moment_of_inertia(params)
-    v0 = potential_energy(phi0, params)
+    vacuum = total_restoring_factor(params.beta) * -potential_near(1.0, params.atom) * params.l
+    gravity = params.mass * constants().g_accel * params.l / 2.0 if params.include_gravity else 0.0
+    r0 = tip_distance(phi0, params)
 
     def integrand(theta: float) -> float:
         phi = phi0 * math.sin(theta)
-        dv = v0 - potential_energy(phi, params)
+        gap = 2.0 * phi0 * math.sin(0.25 * math.pi - 0.5 * theta) ** 2  # phi0 - phi
+        dc = 2.0 * math.sin(0.5 * (phi0 + phi)) * math.sin(0.5 * gap)
+        r = tip_distance(phi, params)
+        dv = dc * (vacuum * (r0 * r0 + r0 * r + r * r) / (r**3 * r0**3) + gravity)
         return phi0 * math.cos(theta) / math.sqrt(2.0 * dv / inertia)
 
-    value, _ = quad(integrand, 0.0, 0.5 * math.pi, limit=200)
+    value, _ = quad(integrand, 0.0, 0.5 * math.pi, epsabs=0.0, epsrel=1e-13, limit=200)
     return 4.0 * value
 
 
@@ -112,6 +132,39 @@ class TestPeriodAgainstOracles:
         ]
         assert all(a <= b for a, b in zip(periods, periods[1:]))
         assert periods[-1] > 1.05 * periods[0]
+
+
+class TestExactPeriod:
+    """analytic.exact_period: a 16-point Gauss-Legendre rule in the
+    integrator's dimensionless variables, against the SI quadrature."""
+
+    # below about 1e-100 the oracle's energy difference underflows; the small-amplitude
+    # limit is pinned separately
+    @settings(derandomize=True, database=None, max_examples=80, deadline=None)
+    @given(d=st.floats(1e-8, 1e-7), ratio=st.floats(0.3, 0.9),
+           phi0=st.floats(1e-3, 1.56) | st.floats(-100.0, 0.0).map(lambda e: 10.0**e),
+           gravity=st.booleans())
+    @example(2e-8, 0.9, 1.56, True)
+    def test_matches_quadrature(self, d, ratio, phi0, gravity):
+        params = PendulumParams(d=d, l=ratio * d, mass=1e-24, atom=LANE_ATOM,
+                                include_gravity=gravity)
+        expected = quadrature_period(params, phi0)
+        assert abs(exact_period(params, phi0) - expected) / expected <= 1e-12
+        assert exact_period(params, -phi0) == exact_period(params, phi0)
+
+    def test_small_amplitude_limit(self, params):
+        w_ref, _, gamma = integrator_module._dimensionless_system(params)
+        limit = 2.0 * math.pi / (w_ref * math.sqrt(1.0 + gamma))
+        assert exact_period(params, 0.0) == limit
+        assert exact_period(params, 1e-160) == limit  # the energy difference underflows
+        # continuous across the cut-over near 4e-152, where the rule takes over
+        for phi0 in np.geomspace(1e-160, 1e-140, 201).tolist():
+            assert abs(exact_period(params, phi0) - limit) / limit <= 1e-15, phi0
+
+    def test_rejects_amplitude_at_pi_over_2(self, params):
+        for phi0 in (MAX_ANGLE, -MAX_ANGLE, math.nan):
+            with pytest.raises(ValueError):
+                exact_period(params, phi0)
 
 
 class TestEnergyConservation:
@@ -334,7 +387,10 @@ class TestTerminations:
         # gravity-to-vacuum ratio ~2.6e307: a Dormand-Prince stage angle of
         # the first trial step overflows to inf
         params = PendulumParams(d=1.5e70, l=1e-8, mass=1e-24, atom=atom, include_gravity=True)
-        traj = integrate(params, State(0.0, 0.3, 0.0), IntegratorConfig())
+        # 12 linearized periods, 1e151 s; the default horizon, 3.5 periods of the
+        # gravity-dominated swing (0.6 ms), completes
+        config = IntegratorConfig(t_max=12 * linear_period(params))
+        traj = integrate(params, State(0.0, 0.3, 0.0), config)
         assert traj.termination is Termination.COLLISION
         assert len(traj) == 1
 
@@ -425,6 +481,45 @@ class TestEstimatePeriod:
             estimate_period(release(params, 1e-3, n_periods=0.9))
 
 
+class TestCrossingLocator:
+    """_crossing_times: the root of the cubic Hermite through each bracket."""
+
+    @staticmethod
+    def cosine_brackets(samples_per_period):
+        """Brackets of cos(2 pi t) sampled samples_per_period times a period,
+        at many offsets, around its descending crossings at 1/4 + k."""
+        h = 1.0 / samples_per_period
+        t0 = np.concatenate([0.25 + k - np.linspace(1e-3, h, 40) for k in range(3)])
+        t1 = t0 + h
+        return (t0, t1, np.cos(2 * math.pi * t0), np.cos(2 * math.pi * t1),
+                -2 * math.pi * np.sin(2 * math.pi * t0), -2 * math.pi * np.sin(2 * math.pi * t1))
+
+    def test_cosine_sampled_twenty_times_a_period(self):
+        t0, t1, p0, p1, v0, v1 = brackets = self.cosine_brackets(20)
+        exact_times = np.floor(t0) + 0.25
+        hermite_err = np.max(np.abs(integrator_module._crossing_times(*brackets) - exact_times))
+        linear_err = np.max(np.abs(t0 + p0 * (t1 - t0) / (p0 - p1) - exact_times))
+        assert hermite_err <= 1e-6  # 1.4e-7
+        assert linear_err >= 100 * hermite_err  # 7.9e-5
+
+    def test_zero_slopes_keep_the_linear_time(self):
+        t0, t1, p0, p1, v0, v1 = self.cosine_brackets(20)
+        zeros = np.zeros_like(t0)
+        times = integrator_module._crossing_times(t0, t1, p0, p1, zeros, zeros)
+        assert np.array_equal(times, t0 + p0 * (t1 - t0) / (p0 - p1))
+        assert np.all((t0 <= times) & (times <= t1))
+
+    def test_estimate_period_locates_crossings(self, params):
+        t = np.arange(0.0, 3.0, 0.05) + 0.013
+        traj = Trajectory(t=t, phi=np.cos(2 * math.pi * t),
+                          phi_dot=-2 * math.pi * np.sin(2 * math.pi * t),
+                          r=np.ones_like(t), energy=np.ones_like(t), params=params,
+                          termination=Termination.COMPLETED)
+        estimate = estimate_period(traj)
+        assert estimate.cycles_observed == 2
+        assert np.max(np.abs(estimate.per_cycle_periods - 1.0)) <= 2e-6
+
+
 class TestEnergyDrift:
     def test_zero_initial_energy_rejected(self, params):
         traj = release(params, 1e-3, n_periods=2.0)
@@ -455,6 +550,14 @@ class TestConfigValidation:
             IntegratorConfig(t_max=1e-7, rel_tol=0.0)
         with pytest.raises(ValueError):
             IntegratorConfig(t_max=1e-7, abs_tol=-1e-12)
+
+    @pytest.mark.parametrize("key", ["rel_tol", "abs_tol"])
+    @pytest.mark.parametrize("value", [math.inf, math.nan])
+    def test_adaptive_needs_finite_tolerances(self, key, value):
+        # an infinite tolerance admits any error, so every trial step is accepted
+        with pytest.raises(ValueError, match="finite positive tolerances"):
+            IntegratorConfig(**{key: value})
+        assert getattr(IntegratorConfig(**{key: 1e300}), key) == 1e300
 
     def test_counts_at_least_one(self):
         with pytest.raises(ValueError):
@@ -490,6 +593,32 @@ def bits(values):
 
 
 LANE_ATOM = AtomProperties(alpha0=1e-30, omega0=1e15)
+
+
+class TestDefaultHorizon:
+    """A release from rest runs 3.5 exact periods (4 from phi0 <= 0): its
+    descending crossings fall at T/4 + kT (3T/4 + kT), three full cycles."""
+
+    # below about 1e-6 rad the absolute tolerance (1e-12) is no longer small
+    # against the swing, and the run does not resolve it
+    @settings(derandomize=True, database=None, max_examples=30, deadline=None)
+    @given(d=st.floats(1e-8, 1e-7), ratio=st.floats(0.1, 0.9), gravity=st.booleans(),
+           phi0=st.floats(1e-6, math.nextafter(MAX_ANGLE, 0.0)).flatmap(
+               lambda a: st.sampled_from([a, -a])))
+    # 12 linearized periods hold less than one cycle of this swing
+    @example(d=2e-8, ratio=0.9, gravity=True, phi0=1.5707963267948963)
+    def test_release_from_rest_sees_three_cycles(self, d, ratio, gravity, phi0):
+        params = PendulumParams(d=d, l=ratio * d, mass=1e-24, atom=LANE_ATOM,
+                                include_gravity=gravity)
+        initial, config = State(0.0, phi0, 0.0), IntegratorConfig()
+        traj = integrate(params, initial, config)
+        assert traj.termination is Termination.COMPLETED
+        estimate = estimate_period(traj)
+        assert estimate.cycles_observed == 3
+        expected = [(Termination.COMPLETED, estimate.mean_period)]
+        assert integrator_module._crossing_periods([(params, initial)], config) == expected
+        with mock.patch.object(integrator_module, "_LOCKSTEP_MIN_LANES", 1):
+            assert integrator_module._crossing_periods([(params, initial)], config) == expected
 
 # (d, l): realistic designs, some colliding at release or mid-swing; and
 # gravity-dominated ones whose first Dormand-Prince step has a stage angle at
@@ -549,6 +678,9 @@ class TestLockstepLanes:
     # row of the stride and the final row, which is always recorded ...
     @example(Method.RK45_ADAPTIVE, None, 1.22e-6, 50, 10**6, [REF], 2)
     @example(Method.RK4_FIXED, 4e-9, 1.22e-6, 50, 10**6, [REF], 2)
+    # RK4 runs over the default horizon, off the stride
+    @example(Method.RK4_FIXED, 4e-9, None, 3, 10**6, [REF, ((3e-8, 1.2e-8), -0.2, False)], 1)
+    @example(Method.RK4_FIXED, 1e-9, None, 7, 10**6, [((1.05e-8, 1e-8), 0.25, True), REF], 2)
     # ... step_limit ends and a mid-swing collision, each off the stride ...
     @example(Method.RK45_ADAPTIVE, None, None, 3, 400,
              [REF, ((1.019e-8, 1e-8), 0.3, True), ((1.05e-8, 1e-8), 0.25, True)], 4)
