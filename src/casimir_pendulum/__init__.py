@@ -3,10 +3,11 @@ pivoted above a conducting plate and restored by the Casimir-Polder force.
 
 The library layers are importable on their own: forces (atom-plate
 potentials and forces), pendulum (geometry, torques and energies in SI
-units), analytic (linearized frequency/period, exact period), integrator (the one time
-stepper: fixed-step RK4 or adaptive Dormand-Prince on the dimensionless
-equation of motion, with period extraction), design (parameter estimation
-and regime validation), config/report/cli (run plumbing).
+units), analytic (linearized frequency/period and the exact period),
+integrator (the one time stepper: fixed-step RK4 or adaptive Dormand-Prince
+on the dimensionless equation of motion, with period extraction), design
+(parameter estimation and regime validation), config/report/cli (run
+plumbing).
 """
 
 from .analytic import exact_period, linear_omega, linear_period
