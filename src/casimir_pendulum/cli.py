@@ -2,8 +2,9 @@
 
 Subcommands: simulate, period, sweep, validate, estimate.  Exit codes: 0 on
 success, 1 on usage/config errors, 2 when a simulation ends by collision,
-step exhaustion or a stall (a step that cannot advance time to a larger
-finite value) rather than reaching t_max.  A sweep integrates its valid
+the angle limit (|phi| reaching pi/2, or a step that overflows), step
+exhaustion or a stall (a step that cannot advance time to a larger finite
+value) rather than reaching t_max.  A sweep integrates its valid
 points in this process and keeps only each run's zero crossings, not its
 trajectory; the integrator module's docstring says how its points step
 together.  Each row depends only on the base config and its own value.
@@ -224,7 +225,7 @@ def cmd_estimate(args) -> int:
     )
     params = estimate_params(spec, args.gap)
     linear_omega(params)  # rejects params no run accepts, as load_config does
-    print(json.dumps(params_to_dict(params), indent=2))
+    print(json.dumps({"params": params_to_dict(params)}, indent=2))  # a --config file
     return EXIT_OK
 
 

@@ -24,7 +24,7 @@ covers three full cycles.
 """
 
 import json
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass, replace
 from importlib import resources
 
 from .analytic import linear_omega
@@ -87,9 +87,10 @@ class ConfigError(ValueError):
 
 
 def _flat_fields(params: PendulumParams) -> dict:
-    """The fields of params with the atom's inlined, as _PARAMS names them."""
-    fields = asdict(params)
-    fields.update(fields.pop("atom"))
+    """The fields of params with the atom's inlined, as _PARAMS names them:
+    a shallow copy of each instance's fields (asdict would deep-copy)."""
+    fields = dict(vars(params))
+    fields.update(vars(fields.pop("atom")))
     return fields
 
 

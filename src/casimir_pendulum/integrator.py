@@ -26,7 +26,8 @@ integrate's loop, _advance, writes the Dormand-Prince step out in scalar
 code, with _accel in place (same operations, same order).  Runs that need
 only their periods (a sweep, and `period --simulate` as a sweep of one) go
 through _crossing_periods and keep only the samples around their zero
-crossings.  There adaptive runs step together as numpy lanes through the
+crossings; once the last run ends, the periods of all runs are computed in
+one pass.  There adaptive runs step together as numpy lanes through the
 same tableau, held as a table of arrays, with each sum in the scalar step's
 order.  Every lane equals a serial integrate bit for bit wherever np.sin and
 np.float_power equal math.sin and Python's **, as on common numpy builds.
@@ -34,17 +35,17 @@ A lane leaves the lockstep before a step that could end its run, and a run
 whose tip can reach the safety gap never joins it, so every run ends in
 _advance, the only code that decides a plate collision.
 
-A run never raises for physics reasons: the tip reaching the safety gap,
-|phi| reaching pi/2, the step budget running out, or a step that cannot
-advance time to a larger finite value (stalled) all end the run with a
-reported termination status, so parameter sweeps survive pathological
-points.
+A run never raises for physics reasons: the tip reaching the safety gap
+(collision), |phi| reaching pi/2 or a stage angle overflowing (angle
+limit), the step budget running out, or a step that cannot advance time to
+a larger finite value (stalled) all end the run with a reported termination
+status, so parameter sweeps survive pathological points.
 """
 
 import math
 from dataclasses import dataclass
 from enum import Enum
-from itertools import chain
+from itertools import accumulate, chain
 
 import numpy as np
 
@@ -82,6 +83,7 @@ class Method(Enum):
 class Termination(Enum):
     COMPLETED = "completed"
     COLLISION = "collision"
+    ANGLE_LIMIT = "angle_limit"
     STEP_LIMIT = "step_limit"
     STALLED = "stalled"
 
@@ -263,11 +265,12 @@ def integrate(params: PendulumParams, initial: State, config: IntegratorConfig) 
     cycles have passed; see IntegratorConfig).
 
     Deterministic: identical inputs produce bit-identical trajectories.
-    Collision (tip at or below the safety gap at any time in a step,
-    |phi| >= pi/2, or a step so large that a stage angle overflows), step
-    exhaustion and a step that cannot advance time to a larger finite value
-    are reported terminations, not exceptions; the violating state itself
-    is not recorded, so every sample in the result is valid.
+    Collision (tip at or below the safety gap at any time in a step), the
+    angle limit (|phi| >= pi/2, or a step so large that a stage angle
+    overflows), step exhaustion and a step that cannot advance time to a
+    larger finite value are reported terminations, not exceptions; the
+    violating state itself is not recorded, so every sample in the result
+    is valid.
     """
     scales, state = _run_start(params, initial, config)
     rows = [(initial.t, initial.phi, state[2])]
@@ -289,7 +292,7 @@ def _advance(params: PendulumParams, config: IntegratorConfig, scales, tau, phi,
     _accel with the same operations in the same order (lam * 2.0 * (s*s)
     associates left, so lam * 2.0 is taken once).  The last stage sits at
     the propagated solution, so its acceleration is the next step's acc.  A
-    stage angle at +-inf makes math.sin raise ValueError, as in _accel.
+    stage angle at +-inf makes math.sin raise ValueError: the angle limit.
 
     The loop runs once per trial step, so it keeps to locals: min and max
     are written out as the comparisons Python's min and max make (a NaN
@@ -298,6 +301,8 @@ def _advance(params: PendulumParams, config: IntegratorConfig, scales, tau, phi,
     rounding is monotone): a start state (nothing is stepped) or step end at
     or below the gap, or a step across phi = 0, where the tip is at d - l.
     A release from rest turns only at its amplitude, so no pass is missed.
+    The tip is tested before |phi| >= pi/2 (the angle limit), so a step
+    that does both collides.
     """
     w_ref, lam, gamma, tau_end = scales
     lam2 = lam * 2.0
@@ -372,7 +377,7 @@ def _advance(params: PendulumParams, config: IntegratorConfig, scales, tau, phi,
             else:
                 phi_new, psi_new = _rk4_step(phi, psi, h, lam, gamma)
         except ValueError:  # math.sin of a stage angle that overflowed to inf
-            termination = Termination.COLLISION
+            termination = Termination.ANGLE_LIMIT
             break
         if adaptive:
             e_phi = h * (71 / 57600 * psi - 71 / 16695 * v3 + 71 / 1920 * v4
@@ -392,9 +397,12 @@ def _advance(params: PendulumParams, config: IntegratorConfig, scales, tau, phi,
             if not err <= 1.0:  # rejected, also when err is NaN
                 continue
             acc = a7
-        if abs(phi_new) >= MAX_ANGLE or reach_gap and (d - l * cos(phi_new) <= gap
-                                                       or (phi_new > 0.0) != (phi > 0.0)):
+        if reach_gap and ((phi_new > 0.0) != (phi > 0.0)  # cos raises at an RK4 sum's inf
+                          or abs(phi_new) < inf and d - l * cos(phi_new) <= gap):
             termination = Termination.COLLISION
+            break
+        if abs(phi_new) >= MAX_ANGLE:
+            termination = Termination.ANGLE_LIMIT
             break
         steps += 1
         tau += h
@@ -479,7 +487,9 @@ def _crossing_periods(runs: list[tuple[PendulumParams, State]],
     step reaches pi/2, or its err_psi is NaN (where math.sin may raise on a
     stage angle at +-inf).  It finishes alone in _advance, as do RK4 runs,
     runs with d - l <= gap and, below _LOCKSTEP_MIN_LANES running, the last
-    lanes, so every run ends in integrate's own loop.
+    lanes, so every run ends in integrate's own loop.  A run that ends keeps
+    only its termination and its brackets; after the last one, the periods
+    of all runs are computed in one pass (see _mean_periods).
 
     The lanes are the columns of one float table, laid out as the start
     tuple below.  Its counts, run index and accepted steps, are exact below
@@ -492,7 +502,7 @@ def _crossing_periods(runs: list[tuple[PendulumParams, State]],
     order before any is stepped, so if integrate raises for some run, this
     raises what it raises for the first.
     """
-    results: list[tuple[Termination, float | None]] = [None] * len(runs)
+    terminations: list[Termination] = [None] * len(runs)
     adaptive, gap = config.method is Method.RK45_ADAPTIVE, config.collision_gap
     start = []
     for i, (params, initial) in enumerate(runs):
@@ -510,17 +520,11 @@ def _crossing_periods(runs: list[tuple[PendulumParams, State]],
         while True:
             for lane in lanes[:, ~stay].T.tolist():  # laid out as its start tuple
                 i = int(lane[0])
-                termination = _advance(runs[i][0], config, lane[1:5], *lane[5:10], int(lane[10]),
-                                       brackets[i], lane[11:])
-                try:
-                    cols = np.array(brackets[i], dtype=float).reshape(-1, 6).T
-                    period = _period_estimate(*cols).mean_period
-                except InsufficientCyclesError:
-                    period = None
-                results[i] = (termination, period)
+                terminations[i] = _advance(runs[i][0], config, lane[1:5], *lane[5:10],
+                                           int(lane[10]), brackets[i], lane[11:])
             lanes = lanes.compress(stay, axis=1)  # lanes[:, stay] would stride each row
             if not lanes.shape[1]:
-                return results
+                break
             (idx, w_ref, lam, gamma, tau_end, tau, _, _, acc, h_next, steps, t_rec,
              phi_rec, psi_rec) = lanes  # views: the steps below update the table in place
             y = lanes[6:8]  # [phi; psi]
@@ -567,6 +571,9 @@ def _crossing_periods(runs: list[tuple[PendulumParams, State]],
                     np.copyto(psi_rec, v, where=due)
                 if np.count_nonzero(stay) < len(stay):
                     break
+        cols = np.fromiter(chain.from_iterable(chain.from_iterable(brackets)), float)
+        periods = _mean_periods(cols.reshape(-1, 6).T, [len(b) for b in brackets])[1]
+    return list(zip(terminations, periods))
 
 
 def _crossing_times(t0, t1, p0, p1, v0, v1):
@@ -589,16 +596,15 @@ def _crossing_times(t0, t1, p0, p1, v0, v1):
     return np.where(hermite, t0 + s * h, t0 + p0 * h / dp)
 
 
-def _period_estimate(*brackets) -> PeriodEstimate:
-    """Period from the columns (t0, t1, p0, p1, v0, v1) of the brackets of
-    successive descending zero crossings (see _crossing_times): the mean
-    spacing of their crossing times."""
-    if len(brackets[0]) < 2:
-        raise InsufficientCyclesError(f"need >= 2 descending zero crossings to measure a "
-                                      f"period, found {len(brackets[0])}")
+def _mean_periods(brackets, counts):
+    """(per_cycle, means) from the columns (t0, t1, p0, p1, v0, v1) of runs'
+    brackets of successive descending zero crossings, run after run, counts
+    giving each run's number: per_cycle spaces all crossing times at once,
+    and a run's mean spacing is ndarray.mean's (np.add.reduce, then a
+    division) over its own entries, or None below 2 brackets."""
     per_cycle = np.diff(_crossing_times(*brackets))
-    return PeriodEstimate(mean_period=float(per_cycle.mean()), per_cycle_periods=per_cycle,
-                          cycles_observed=len(per_cycle))
+    return per_cycle, [float(np.add.reduce(per_cycle[a:a + n - 1]) / (n - 1)) if n > 1 else None
+                       for a, n in zip(accumulate(counts, initial=0), counts)]
 
 
 def estimate_period(traj: Trajectory) -> PeriodEstimate:
@@ -611,9 +617,13 @@ def estimate_period(traj: Trajectory) -> PeriodEstimate:
     aliasing.
     """
     descending = np.nonzero((traj.phi[:-1] > 0.0) & (traj.phi[1:] <= 0.0))[0]
-    after = descending + 1
-    return _period_estimate(traj.t[descending], traj.t[after], traj.phi[descending],
-                            traj.phi[after], traj.phi_dot[descending], traj.phi_dot[after])
+    per_cycle, [mean] = _mean_periods([col[i] for col in (traj.t, traj.phi, traj.phi_dot)
+                                       for i in (descending, descending + 1)], [len(descending)])
+    if mean is None:
+        raise InsufficientCyclesError(f"need >= 2 descending zero crossings to measure a "
+                                      f"period, found {len(descending)}")
+    return PeriodEstimate(mean_period=mean, per_cycle_periods=per_cycle,
+                          cycles_observed=len(per_cycle))
 
 
 def energy_drift(traj: Trajectory) -> float:

@@ -161,7 +161,7 @@ class TestSimulate:
         code = main(["simulate", "--config", write_config(tmp_path, OVERFLOW_DOC),
                      "--out", str(out), "--report", str(rep)])
         assert code == 2
-        assert json.loads(rep.read_text())["termination"] == "collision"
+        assert json.loads(rep.read_text())["termination"] == "angle_limit"
         rows = read_csv(out)  # the start state only
         assert [(r["t_s"], r["phi_rad"], r["phi_dot_rad_s"]) for r in rows] == [("0.0", "0.3", "0.0")]
 
@@ -176,7 +176,7 @@ class TestSimulate:
         assert per.returncode == 2, per.stderr
         assert "T_simulated = n/a" in per.stdout
 
-    def test_zero_energy_scale_reports_collision(self, tmp_path, capsys):
+    def test_zero_energy_scale_reports_angle_limit(self, tmp_path, capsys):
         # I*w_ref**2 underflows to 0, so the report has no relative energy drift
         doc = {"params": dict(PARAMS, d_m=1.5e70), "initial": {"phi0_rad": 0.3}}
         # 12 linearized periods: the first step overflows a stage angle
@@ -186,11 +186,11 @@ class TestSimulate:
         code = main(["simulate", "--config", write_config(tmp_path, doc),
                      "--out", str(out), "--report", str(rep)])
         assert code == 2
-        assert capsys.readouterr().out.startswith("termination = collision\nsamples = 1\n")
+        assert capsys.readouterr().out.startswith("termination = angle_limit\nsamples = 1\n")
         assert len(read_csv(out)) == 1
         report = json.loads(rep.read_text())
         assert report["energy_drift"] is None
-        assert report["termination"] == "collision"
+        assert report["termination"] == "angle_limit"
 
     def test_identical_configs_identical_artifacts(self, tmp_path):
         doc = {"params": PARAMS, "initial": {"phi0_rad": 1e-3}}
@@ -326,7 +326,7 @@ class TestSweep:
                            "validity_verdict": "false"}
 
     def test_overflowing_fixed_step_carries_true(self, tmp_path):
-        # valid designs whose run ends at once as a collision: no period
+        # valid designs whose run ends at once at the angle limit: no period
         out = str(tmp_path / "s.csv")
         code = main(["sweep", "--config", write_config(tmp_path, OVERFLOW_DOC),
                      "--param", "beta", "--from", "1.5", "--to", "2", "--points", "2",
@@ -528,7 +528,8 @@ class TestEstimate:
         code = main(["estimate", "--atoms", "30", "--atom-radius", "1e-10",
                      "--atomic-weight", "60.22", "--gap", "1e-8"])
         assert code == 0
-        doc = json.loads(capsys.readouterr().out)
+        [(section, doc)] = json.loads(capsys.readouterr().out).items()
+        assert section == "params"
         assert doc["l_m"] == pytest.approx(9e-9, rel=1e-15)
         assert doc["mass_kg"] == pytest.approx(3e-24, rel=1e-12)
         assert doc["d_m"] == pytest.approx(1.9e-8, rel=1e-15)
@@ -538,7 +539,18 @@ class TestEstimate:
     def test_two_atom_chain(self, capsys):
         assert main(["estimate", "--atoms", "2", "--atom-radius", "1e-10",
                      "--atomic-weight", "1.0", "--gap", "1e-8"]) == 0
-        assert json.loads(capsys.readouterr().out)["l_m"] == pytest.approx(6e-10, rel=1e-15)
+        doc = json.loads(capsys.readouterr().out)["params"]
+        assert doc["l_m"] == pytest.approx(6e-10, rel=1e-15)
+
+    def test_output_is_a_run_config(self, tmp_path, capsys):
+        assert main(["estimate", "--atoms", "30", "--atom-radius", "1e-10",
+                     "--atomic-weight", "60.22", "--gap", "1e-8"]) == 0
+        path = tmp_path / "e.json"
+        path.write_text(capsys.readouterr().out)
+        assert main(["period", "--config", str(path), "--simulate"]) == 0
+        out = capsys.readouterr().out
+        assert "termination = completed\n" in out
+        assert load_config(str(path)).params.l == pytest.approx(9e-9, rel=1e-15)
 
     def test_single_atom_rejected(self, capsys):
         code = main(["estimate", "--atoms", "1", "--atom-radius", "1e-10",

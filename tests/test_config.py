@@ -486,3 +486,15 @@ class TestSweptCopies:
         base = parse_config({"params": FULL_DOC["params"]})
         base.with_swept_value("beta", 1.0)
         assert base.params.beta == 1.5
+
+    def test_base_params_equal_after_every_sweep(self):
+        """Swept copies share no mutable state with the base: its params,
+        atom included, equal a fresh parse after every field is swept."""
+        base = parse_config({"params": FULL_DOC["params"]})
+        for name in SWEEPABLE_PARAMS:
+            value = 1.25 * {**FULL_DOC["params"], **FULL_DOC["initial"]}[name]
+            assert base.with_swept_value(name, value) != base
+        fresh = parse_config({"params": FULL_DOC["params"]}).params
+        assert base.params == fresh
+        assert vars(base.params) == vars(fresh) and vars(base.params.atom) == vars(fresh.atom)
+        assert params_to_dict(base.params) == FULL_DOC["params"]

@@ -374,16 +374,16 @@ class TestTerminations:
         assert traj.t[0] == 1.0
 
     @pytest.mark.parametrize("dt", [1e152, 1e283])
-    def test_overflowing_fixed_step_is_collision(self, params, dt):
+    def test_overflowing_fixed_step_is_angle_limit(self, params, dt):
         # a stage angle of the first step overflows to inf, whose sine is a
         # math domain error: the run ends with only the start state recorded
         config = IntegratorConfig(t_max=1e300, method=Method.RK4_FIXED, dt=dt)
         traj = integrate(params, State(0.0, 0.3, 0.0), config)
-        assert traj.termination is Termination.COLLISION
+        assert traj.termination is Termination.ANGLE_LIMIT
         assert len(traj) == 1
         assert (traj.t[0], traj.phi[0], traj.phi_dot[0]) == (0.0, 0.3, 0.0)
 
-    def test_overflowing_adaptive_stage_is_collision(self, atom):
+    def test_overflowing_adaptive_stage_is_angle_limit(self, atom):
         # gravity-to-vacuum ratio ~2.6e307: a Dormand-Prince stage angle of
         # the first trial step overflows to inf
         params = PendulumParams(d=1.5e70, l=1e-8, mass=1e-24, atom=atom, include_gravity=True)
@@ -391,7 +391,7 @@ class TestTerminations:
         # gravity-dominated swing (0.6 ms), completes
         config = IntegratorConfig(t_max=12 * linear_period(params))
         traj = integrate(params, State(0.0, 0.3, 0.0), config)
-        assert traj.termination is Termination.COLLISION
+        assert traj.termination is Termination.ANGLE_LIMIT
         assert len(traj) == 1
 
 
@@ -422,9 +422,9 @@ class TestStepRk4:
                 IntegratorConfig(t_max=1e-7, method=Method.RK4_FIXED, dt=dt)
 
     def test_geometry_violation_surfaces(self, params):
-        # the step carries phi past pi/2: a collision, not an exception
+        # the step carries phi past pi/2: the angle limit, not an exception
         traj = rk4_one_step(params, State(0.0, 1.57, 1e9), 1e-7)
-        assert traj.termination is Termination.COLLISION
+        assert traj.termination is Termination.ANGLE_LIMIT
         assert len(traj) == 1
         assert traj.phi[-1] == 1.57
 
@@ -577,12 +577,15 @@ class TestConfigValidation:
 
 
 def serial_outcome(params, initial, config):
-    """(termination, period) of integrate then estimate_period."""
+    """(termination, period) of integrate then estimate_period, whose mean
+    period is ndarray.mean of its per-cycle periods, bit for bit."""
     traj = integrate(params, initial, config)
     try:
-        return traj.termination, estimate_period(traj).mean_period
+        estimate = estimate_period(traj)
     except InsufficientCyclesError:
         return traj.termination, None
+    assert estimate.mean_period.hex() == estimate.per_cycle_periods.mean().hex()
+    return traj.termination, estimate.mean_period
 
 
 def exact(outcomes):
@@ -622,6 +625,33 @@ class TestDefaultHorizon:
         with mock.patch.object(integrator_module, "_LOCKSTEP_MIN_LANES", 1):
             assert integrator_module._crossing_periods([(params, initial)], config) == expected
 
+class TestAngleLimit:
+    """Only the tip reaching the gap is a collision.  A release from rest
+    conserves energy, so |phi| stays within |phi0| < pi/2; a step that
+    reaches pi/2 or overflows a stage angle is a numerical failure, the
+    angle limit."""
+
+    @settings(derandomize=True, database=None, max_examples=20, deadline=None)
+    @given(l=st.floats(5e-9, 2e-8), clearance=st.floats(2.1e-10, 1e-8), gravity=st.booleans(),
+           phi0=st.floats(1e-3, 1.5).flatmap(lambda a: st.sampled_from([a, -a])),
+           rel_tol=st.floats(-12.0, -2.0).map(lambda e: 10.0**e),
+           abs_tol=st.floats(-14.0, -4.0).map(lambda e: 10.0**e))
+    # error control off: the step grows tenfold until it lands beyond pi/2
+    # (rel_tol 1.0) or overflows a stage angle (abs_tol 1e300)
+    @example(l=1e-8, clearance=1e-8, gravity=True, phi0=0.2, rel_tol=1.0, abs_tol=1e-12)
+    @example(l=1e-8, clearance=1e-8, gravity=True, phi0=0.2, rel_tol=1.0, abs_tol=1e300)
+    def test_release_clear_of_the_gap_never_collides(self, l, clearance, gravity, phi0,
+                                                     rel_tol, abs_tol):
+        params = PendulumParams(d=l + clearance, l=l, mass=1e-24, atom=LANE_ATOM,
+                                include_gravity=gravity)
+        config = IntegratorConfig(rel_tol=rel_tol, abs_tol=abs_tol)
+        assume(params.d - params.l > config.collision_gap)
+        traj = integrate(params, State(0.0, phi0, 0.0), config)
+        assert traj.termination is not Termination.COLLISION
+        if rel_tol == 1.0:
+            assert traj.termination is Termination.ANGLE_LIMIT
+
+
 # (d, l): realistic designs, some colliding at release or mid-swing; and
 # gravity-dominated ones whose first Dormand-Prince step has a stage angle at
 # inf (d = 1.5e70) or only at NaN, which rejects the step (1.82e70), or whose
@@ -635,6 +665,9 @@ lane_geometry = st.one_of(
 lane = st.tuples(lane_geometry, st.sampled_from([0.0, 1e-3, 0.3, 1.6]) | st.floats(-0.5, 0.5),
                  st.booleans())
 REF = ((2e-8, 1e-8), 1e-3, True)
+# over 12 linearized periods of REF (4.48e-6 s): 11, 23, 2, 0 and 4 cycles
+BATCH = [REF, ((1.7e-8, 1e-8), 0.2, True), ((3e-8, 1e-8), 0.3, False), ((4e-8, 1e-8), 0.1, True),
+         ((2.5e-8, 1e-8), -0.2, False)]
 
 
 class TestLockstepLanes:
@@ -651,7 +684,7 @@ class TestLockstepLanes:
            min_lanes=st.integers(1, 3))
     # stalled: at equilibrium the step grows until t + h no longer moves
     @example(Method.RK45_ADAPTIVE, None, 1e302, 1, 400, [((2e-8, 1e-8), 0.0, True), REF], 1)
-    # the first step overflows a stage angle: collision
+    # the first step overflows a stage angle: the angle limit
     @example(Method.RK4_FIXED, 1e283, 1e300, 1, 400, [((2e-8, 1e-8), 0.3, True), REF], 1)
     @example(Method.RK45_ADAPTIVE, None, 1e302, 1, 400,
              [REF, ((1.5e70, 1e-8), 0.3, True), ((1.82e70, 1e-8), 0.3, True)], 1)
@@ -688,6 +721,12 @@ class TestLockstepLanes:
              [REF, ((1.019e-8, 1e-8), 0.3, True), ((1.05e-8, 1e-8), 0.25, True)], 4)
     # ... and a stalled run
     @example(Method.RK45_ADAPTIVE, None, 1e302, 1, 400, [((2e-8, 1e-8), 0.0, True), REF], 3)
+    # runs of different cycle counts, one with a single crossing, and their
+    # periods taken in one batch; from 9 cycles numpy's mean is a pairwise
+    # sum, which a left-to-right mean misses
+    @example(Method.RK45_ADAPTIVE, None, 4.5e-6, 1, 10**6, BATCH, 1)
+    @example(Method.RK45_ADAPTIVE, None, 4.5e-6, 7, 10**6, BATCH[::-1], 1)
+    @example(Method.RK4_FIXED, 4e-9, 4.5e-6, 3, 10**6, BATCH, 1)
     # runs whose tip reaches the gap only in a zone that most steps across
     # phi = 0 jump over, here |phi| < 1.4e-5 and |phi| < 6.3e-5 (d - l =
     # gap*(1 - 1e-7), as in test_swing_through_plate_zone_is_collision at the

@@ -133,7 +133,7 @@ def test_zero_initial_energy_reports_absent_drift(params):
     assert report.energy_drift is None
     doc = report_to_dict(report)
     assert doc["energy_drift"] is None
-    assert doc["termination"] == "collision"
+    assert doc["termination"] == "angle_limit"
 
 
 def test_reports_are_deterministic(params, tmp_path):
