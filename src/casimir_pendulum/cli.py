@@ -102,7 +102,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_config_source(p_val)
     p_val.set_defaults(func=cmd_validate)
 
-    p_est = sub.add_parser("estimate", help="estimate pendulum parameters from atomic data")
+    p_est = sub.add_parser("estimate",
+                           help="print a run config of parameters estimated from atomic data")
     p_est.add_argument("--atoms", metavar="N", type=int, required=True,
                        help="number of atoms in the chain")
     p_est.add_argument("--atom-radius", metavar="M", type=float, required=True,

@@ -651,6 +651,19 @@ class TestAngleLimit:
         if rel_tol == 1.0:
             assert traj.termination is Termination.ANGLE_LIMIT
 
+    # d - l below the gap: a first RK4 step of 20.3 linearized radians takes
+    # phi from 0.3 across 0 to -2.87, so it both reaches the gap and passes
+    # pi/2; one of 24.2 lands at 3.40 with the tip clear of the plate
+    @pytest.mark.parametrize("phase_step, termination", [
+        (20.3, Termination.COLLISION), (24.2, Termination.ANGLE_LIMIT)])
+    def test_tip_is_tested_before_the_angle(self, phase_step, termination):
+        params = PendulumParams(d=1.019e-8, l=1e-8, mass=1e-24, atom=LANE_ATOM)
+        dt = phase_step / integrator_module._dimensionless_system(params)[0]
+        traj = integrate(params, State(0.0, 0.3, 0.0),
+                         IntegratorConfig(t_max=dt, method=Method.RK4_FIXED, dt=dt))
+        assert traj.termination is termination
+        assert len(traj) == 1
+
 
 # (d, l): realistic designs, some colliding at release or mid-swing; and
 # gravity-dominated ones whose first Dormand-Prince step has a stage angle at
