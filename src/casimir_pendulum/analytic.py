@@ -21,7 +21,7 @@ import sys
 
 from .constants import constants
 from .forces import total_restoring_factor
-from .pendulum import MAX_ANGLE, PendulumParams
+from .pendulum import PendulumParams, _check_angle
 
 __all__ = ["linear_omega", "linear_period", "exact_period"]
 
@@ -53,6 +53,16 @@ def linear_period(params: PendulumParams) -> float:
     return 2.0 * math.pi / linear_omega(params)
 
 
+def _gravity_share(params: PendulumParams, w_ref: float) -> float:
+    """gamma: gravity's stiffness at phi = 0 over the vacuum's, whatever
+    include_gravity says, for w_ref = linear_omega(params); inf where the
+    vacuum stiffness underflows, 0 where it overflows."""
+    try:
+        return 3.0 * constants().g_accel / (2.0 * params.l * w_ref**2)
+    except ZeroDivisionError:  # the vacuum stiffness underflowed
+        return math.inf
+
+
 def _dimensionless_system(params: PendulumParams) -> tuple[float, float, float]:
     """Scales of the dimensionless system: (w_ref, lam, gamma) with w_ref the
     linearized frequency, lam = l/R0 and gamma the gravity-to-vacuum
@@ -60,16 +70,10 @@ def _dimensionless_system(params: PendulumParams) -> tuple[float, float, float]:
     ratio is not a finite float."""
     w_ref = linear_omega(params)
     lam = params.l / (params.d - params.l)
-    if params.include_gravity:
-        try:
-            gamma = 3.0 * constants().g_accel / (2.0 * params.l * w_ref**2)
-        except ZeroDivisionError:  # the vacuum stiffness underflowed
-            gamma = math.inf
-        if gamma == math.inf:
-            raise ValueError(f"no finite gravity-to-vacuum stiffness ratio for "
-                             f"d={params.d!r}, l={params.l!r}, mass={params.mass!r}")
-    else:
-        gamma = 0.0
+    gamma = _gravity_share(params, w_ref) if params.include_gravity else 0.0
+    if gamma == math.inf:
+        raise ValueError(f"no finite gravity-to-vacuum stiffness ratio for "
+                         f"d={params.d!r}, l={params.l!r}, mass={params.mass!r}")
     return w_ref, lam, gamma
 
 
@@ -92,9 +96,8 @@ _NODES = tuple((math.sin(u) ** 2, math.cos(2.0 * u), math.sin(2.0 * u), w)
 
 def _exact_period(w_ref: float, lam: float, gamma: float, amplitude: float) -> float:
     """exact_period from the scales of the dimensionless system."""
+    _check_angle(amplitude)
     a = abs(amplitude)
-    if not a < MAX_ANGLE:
-        raise ValueError(f"amplitude must be below pi/2, got {amplitude!r}")
     s = math.sin(0.5 * a)
     q0 = 1.0 + lam * 2.0 * (s * s)
     total = 0.0
@@ -126,6 +129,7 @@ def exact_period(params: PendulumParams, amplitude: float) -> float:
     a smooth integrand over theta in [0, pi/2], which a 16-point
     Gauss-Legendre rule integrates.  At amplitude 0, or where D underflows,
     the result is the small-amplitude limit 2*pi/(w_ref*sqrt(1 + gamma)).
-    Raises ValueError for the params _dimensionless_system rejects.
+    Raises GeometryError for |amplitude| >= pi/2, and ValueError for the
+    params _dimensionless_system rejects.
     """
     return _exact_period(*_dimensionless_system(params), amplitude)

@@ -4,10 +4,12 @@ Subcommands: simulate, period, sweep, validate, estimate.  Exit codes: 0 on
 success, 1 on usage/config errors, 2 when a simulation ends by collision,
 the angle limit (|phi| reaching pi/2, or a step that overflows), step
 exhaustion or a stall (a step that cannot advance time to a larger finite
-value) rather than reaching t_max.  A sweep integrates its valid
-points in this process and keeps only each run's zero crossings, not its
-trajectory; the integrator module's docstring says how its points step
-together.  Each row depends only on the base config and its own value.
+value) rather than reaching t_max; a sweep exits 2 when any of its
+simulated points ends so, and still writes every row.  A sweep
+integrates its valid points in this process and keeps only each run's
+zero crossings, not its trajectory; the integrator module's docstring says
+how its points step together.  Each row depends only on the base config
+and its own value.
 `period --simulate` takes the same crossing-only path with one run.
 """
 
@@ -177,9 +179,9 @@ def cmd_sweep(args) -> int:
         values = np.linspace(args.from_, args.to, args.points)
 
     # Each row is [value, T_analytic, T_simulated, verdict]. Points whose
-    # parameters parse_config would reject, or that cannot be validated,
-    # carry verdict False and no periods; points that fail validation carry
-    # verdict False and are not simulated; the rest are integrated together.
+    # parameters parse_config would reject carry verdict False and no
+    # periods; points that fail validation carry verdict False and are not
+    # simulated; the rest are integrated together.
     rows = []
     runs = []
     gap = config.integrator.collision_gap
@@ -187,17 +189,19 @@ def cmd_sweep(args) -> int:
         value = float(v)
         try:
             point = config.with_swept_value(args.param, value)
-            verdict = validate(point.params, point.phi0_rad, gap=gap).verdict
         except ValueError:  # includes ConfigError
             rows.append([value, None, None, False])
             continue
+        verdict = validate(point.params, point.phi0_rad, gap=gap).verdict
         rows.append([value, linear_period(point.params), None, verdict])
         if verdict:
             runs.append((point.params, State(t=0.0, phi=point.phi0_rad, phi_dot=0.0)))
-    periods = iter(_crossing_periods(runs, config.integrator))
+    results = _crossing_periods(runs, config.integrator)
+    periods = iter(results)
     for row in rows:
         if row[3]:
             row[2] = next(periods)[1]
+    unfinished = sum(termination is not Termination.COMPLETED for termination, _ in results)
 
     def fmt(x: float | None) -> str:
         return "" if x is None else repr(float(x))
@@ -208,6 +212,9 @@ def cmd_sweep(args) -> int:
             fh.write(f"{fmt(value)},{fmt(analytic)},{fmt(simulated)},"
                      f"{'true' if verdict else 'false'}\n")
     print(f"wrote {len(rows)} rows to {args.out}")
+    if unfinished:
+        print(f"not completed = {unfinished} of {len(results)} simulated points")
+        return EXIT_PHYSICS
     return EXIT_OK
 
 

@@ -8,22 +8,16 @@ gives l = 9e-9 m exactly, not the order-of-magnitude 1e-8 m.
 
 validate checks a configuration against the model's assumptions and returns
 a report instead of raising: the near-zone condition R << c/omega0, the
-gravity-to-vacuum torque ratio, the geometry (pivot above the swing, tip
-clear of the run's collision gap), and the small-angle envelope.
+vacuum-to-gravity stiffness ratio 1/gamma in the integrator's own scales,
+the geometry (pivot above the swing, tip clear of the run's collision gap),
+and the small-angle envelope.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
-from .constants import constants
-from .forces import (
-    DEFAULT_MARGIN,
-    AtomProperties,
-    Zone,
-    classify_regime,
-    force_near,
-    total_restoring_factor,
-)
+from .analytic import _gravity_share, linear_omega
+from .forces import AtomProperties, Zone, classify_regime
 from .pendulum import MIN_TIP_GAP, PendulumParams, tip_distance
 
 __all__ = [
@@ -80,8 +74,8 @@ class NanostringSpec:
 
 @dataclass(frozen=True)
 class ValidityReport:
-    """Outcome of the regime checks; verdict is the conjunction of the four
-    individual flags."""
+    """Outcome of the regime checks; verdict, the conjunction of the four
+    individual flags, is set from them."""
 
     near_zone_ok: bool
     near_zone_ratio: float
@@ -89,17 +83,11 @@ class ValidityReport:
     gravity_ratio: float
     geometry_ok: bool
     small_angle_ok: bool
-    verdict: bool
+    verdict: bool = field(init=False)
 
     def __post_init__(self) -> None:
-        expected = (
-            self.near_zone_ok
-            and self.gravity_negligible
-            and self.geometry_ok
-            and self.small_angle_ok
-        )
-        if self.verdict != expected:
-            raise ValueError("verdict must equal the conjunction of the individual flags")
+        object.__setattr__(self, "verdict", all((self.near_zone_ok, self.gravity_negligible,
+                                                 self.geometry_ok, self.small_angle_ok)))
 
 
 def estimate_params(spec: NanostringSpec, gap_r: float) -> PendulumParams:
@@ -128,16 +116,18 @@ def estimate_params(spec: NanostringSpec, gap_r: float) -> PendulumParams:
     return PendulumParams(d=d, l=l, mass=spec.n_atoms * m_atom, atom=atom)
 
 
-def validate(params: PendulumParams, phi0: float, margin: float = DEFAULT_MARGIN,
-             gap: float = MIN_TIP_GAP) -> ValidityReport:
+def validate(params: PendulumParams, phi0: float, gap: float = MIN_TIP_GAP) -> ValidityReport:
     """Check params + release amplitude against the model's assumptions.
 
-    near_zone_ok    -- classify_regime puts R(phi0) in the near zone at this
-                       margin (R is maximal at the amplitude, so the whole
-                       swing stays in the near zone); near_zone_ratio is
-                       its c/omega0 / R(phi0)
-    gravity_negligible -- Casimir torque coefficient at phi = 0 is at least
-                       100x the gravity coefficient M*g*l/2
+    near_zone_ok    -- classify_regime puts R(phi0) in the near zone at its
+                       default margin (R is maximal at the amplitude, so the
+                       whole swing stays in the near zone); near_zone_ratio
+                       is its c/omega0 / R(phi0)
+    gravity_negligible -- gravity_ratio = 1/gamma, the vacuum's restoring
+                       stiffness at phi = 0 over gravity's in the
+                       integrator's scales (whatever include_gravity says;
+                       inf where gamma is 0, 0 where it is inf), is at
+                       least GRAVITY_RATIO_THRESHOLD
     geometry_ok     -- d > l (by type) and the equilibrium gap R(0) is
                        at least MIN_TIP_GAP, below which the force law
                        means nothing, and above gap, the run's
@@ -145,34 +135,22 @@ def validate(params: PendulumParams, phi0: float, margin: float = DEFAULT_MARGIN
                        at its first pass through phi = 0
     small_angle_ok  -- phi0 within the supported amplitude envelope
 
-    Reports, never raises for physics reasons; raises ValueError for a
-    non-finite phi0, a margin below 1, or a gravity coefficient M*g*l/2
-    that underflows to 0.
+    Reports, never raises for physics reasons, so it rates every design
+    parse_config accepts; raises ValueError only for a non-finite phi0 and
+    for the params linear_omega rejects.
     """
     if not math.isfinite(phi0):
         raise ValueError(f"phi0 must be finite, got {phi0!r}")
 
-    regime = classify_regime(tip_distance(abs(phi0), params), params.atom, margin)
-    near_zone_ok = regime.zone is Zone.NEAR
-
+    regime = classify_regime(tip_distance(abs(phi0), params), params.atom)
+    gamma = _gravity_share(params, linear_omega(params))
+    gravity_ratio = 1.0 / gamma if gamma else math.inf
     r0 = tip_distance(0.0, params)
-    cas_coeff = total_restoring_factor(params.beta) * abs(force_near(r0, params.atom)) * params.l
-    grav_coeff = params.mass * constants().g_accel * params.l / 2.0
-    if not grav_coeff > 0.0:  # M*g*l/2 underflowed
-        raise ValueError(f"no positive gravity torque coefficient M*g*l/2 for "
-                         f"d={params.d!r}, l={params.l!r}, mass={params.mass!r}")
-    gravity_ratio = cas_coeff / grav_coeff
-    gravity_negligible = gravity_ratio >= GRAVITY_RATIO_THRESHOLD
-
-    geometry_ok = r0 >= MIN_TIP_GAP and r0 > gap
-    small_angle_ok = abs(phi0) <= MAX_SMALL_ANGLE
-
     return ValidityReport(
-        near_zone_ok=near_zone_ok,
+        near_zone_ok=regime.zone is Zone.NEAR,
         near_zone_ratio=regime.ratio,
-        gravity_negligible=gravity_negligible,
+        gravity_negligible=gravity_ratio >= GRAVITY_RATIO_THRESHOLD,
         gravity_ratio=gravity_ratio,
-        geometry_ok=geometry_ok,
-        small_angle_ok=small_angle_ok,
-        verdict=near_zone_ok and gravity_negligible and geometry_ok and small_angle_ok,
+        geometry_ok=r0 >= MIN_TIP_GAP and r0 > gap,
+        small_angle_ok=abs(phi0) <= MAX_SMALL_ANGLE,
     )

@@ -53,9 +53,9 @@ from .analytic import _dimensionless_system, _exact_period, linear_period
 from .pendulum import (
     MAX_ANGLE,
     MIN_TIP_GAP,
-    GeometryError,
     PendulumParams,
     State,
+    _check_angle,
     moment_of_inertia,
 )
 
@@ -244,8 +244,7 @@ def _run_start(params: PendulumParams, initial: State, config: IntegratorConfig)
     (w_ref, lam, gamma, tau_end), and state is the (tau, phi, psi, acc,
     h_next) that _advance starts from, with acc = _accel(phi) and h_next the
     trial first step."""
-    if not abs(initial.phi) < MAX_ANGLE:
-        raise GeometryError(f"|initial.phi| must be below pi/2, got {initial.phi!r}")
+    _check_angle(initial.phi)
     w_ref, lam, gamma = _dimensionless_system(params)
     t_max = config.t_max
     if t_max is None:  # from rest, descending crossings at T/4 + kT (3T/4 + kT if phi0 <= 0)

@@ -331,7 +331,7 @@ class TestSweep:
         code = main(["sweep", "--config", write_config(tmp_path, OVERFLOW_DOC),
                      "--param", "beta", "--from", "1.5", "--to", "2", "--points", "2",
                      "--out", out])
-        assert code == 0
+        assert code == 2
         rows = read_csv(out)
         assert [(r["param_value"], r["T_simulated"], r["validity_verdict"]) for r in rows] == [
             ("1.5", "", "true"), ("2.0", "", "true")]
@@ -340,10 +340,27 @@ class TestSweep:
         cfg = write_config(tmp_path, HUGE_T_MAX_DOC)
         result = run_cli(["sweep", "--config", cfg, "--param", "d_m", "--from", "1.5e-8",
                           "--to", "3e-8", "--points", "2", "--out", "s.csv"], tmp_path)
-        assert result.returncode == 0, result.stderr
+        assert result.returncode == 2, result.stderr
+        assert result.stdout.endswith("not completed = 2 of 2 simulated points\n")
         rows = read_csv(tmp_path / "s.csv")
         assert [(r["param_value"], r["T_simulated"], r["validity_verdict"]) for r in rows] == [
             ("1.5e-08", "", "true"), ("3e-08", "", "true")]
+
+    def test_unfinished_run_exits_2(self, tmp_path, capsys):
+        """A sweep whose runs exhaust their steps writes every row, counts
+        them and exits 2, as period --simulate does on one of its points."""
+        doc = {"params": PARAMS, "initial": {"phi0_rad": 0.1}, "integrator": {"max_steps": 500}}
+        cfg = write_config(tmp_path, doc)
+        assert main(["period", "--config", cfg, "--simulate"]) == 2
+        assert "termination = step_limit\n" in capsys.readouterr().out
+        out = str(tmp_path / "s.csv")
+        assert main(["sweep", "--config", cfg, "--param", "phi0_rad", "--from", "0.05",
+                     "--to", "0.15", "--points", "3", "--out", out]) == 2
+        assert capsys.readouterr().out.endswith("not completed = 3 of 3 simulated points\n")
+        rows = read_csv(out)
+        assert len(rows) == 3
+        assert all(row["T_simulated"] != "" and row["validity_verdict"] == "true"
+                   for row in rows)
 
     def test_row_independent_of_other_points(self, tmp_path):
         """A point's row is the same bytes alone as among 20 points."""
@@ -490,25 +507,26 @@ class TestValidateCommand:
 
 
 # M*g*l/2 underflows to 0, yet the design has a finite small-angle period
+# and a finite gravity-to-vacuum stiffness ratio gamma
 UNDERFLOWING_GRAVITY_PARAMS = dict(PARAMS, mass_kg=1e-310, l_m=1e-15, d_m=1e10)
-UNDERFLOW_ERROR = ("error: no positive gravity torque coefficient M*g*l/2 for d=10000000000.0, "
-                   "l=1e-15, mass=")
 
 
 class TestUnderflowingGravity:
-    @pytest.mark.parametrize("command", [["validate"],
-                                         ["simulate", "--out", "t.csv", "--report", "r.json"]],
-                             ids=["validate", "simulate"])
-    def test_clean_error(self, tmp_path, capsys, monkeypatch, command):
+    def test_validate_rates_it(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, {"params": UNDERFLOWING_GRAVITY_PARAMS})
+        assert main(["validate", "--config", cfg]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["verdict"] is False  # d_m 1e10 is far outside the near zone
+        assert doc["near_zone_ok"] is False
+        assert 0.0 < doc["gravity_ratio"] < math.inf
+
+    def test_simulate_runs(self, tmp_path, capsys, monkeypatch):
         cfg = write_config(tmp_path, {"params": UNDERFLOWING_GRAVITY_PARAMS})
         monkeypatch.chdir(tmp_path)
-        assert main(["period", "--config", cfg]) == 0  # load_config accepts the design
-        capsys.readouterr()
-        assert main([*command[:1], "--config", cfg, *command[1:]]) == 1
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.startswith(UNDERFLOW_ERROR + "1e-310")
-        assert not (tmp_path / "t.csv").exists()
+        assert main(["simulate", "--config", cfg, "--out", "t.csv", "--report", "r.json"]) == 0
+        assert capsys.readouterr().out.startswith("termination = completed\n")
+        assert json.loads((tmp_path / "r.json").read_text())["validity"]["verdict"] is False
+        assert (tmp_path / "t.csv").exists()
 
     def test_sweep_point_carries_false(self, tmp_path):
         out = str(tmp_path / "s.csv")
@@ -518,9 +536,10 @@ class TestUnderflowingGravity:
         rows = read_csv(out)
         assert len(rows) == 8
         # below 1e-310 the stiffness is no float; at 1e-310 only M*g*l/2 underflows
-        assert rows[2] == {"param_value": "9.999999999988e-311", "T_analytic": "",
-                           "T_simulated": "", "validity_verdict": "false"}
-        assert all(row["T_analytic"] != "" for row in rows[3:])
+        assert rows[2] == {"param_value": "9.999999999988e-311",
+                           "T_analytic": "1.1704887183606319e-117", "T_simulated": "",
+                           "validity_verdict": "false"}
+        assert [row["T_analytic"] != "" for row in rows] == [False, False] + [True] * 6
 
 
 class TestEstimate:
