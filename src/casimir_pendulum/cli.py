@@ -15,7 +15,6 @@ and its own value.
 
 import argparse
 import functools
-import json
 import math
 import sys
 from dataclasses import asdict
@@ -34,7 +33,7 @@ from .config import (
 from .design import NanostringSpec, estimate_params, validate
 from .integrator import Termination, _crossing_periods, integrate
 from .pendulum import State
-from .report import build_report, write_report_json, write_trajectory_csv
+from .report import _strict_json, build_report, write_report_json, write_trajectory_csv
 
 __all__ = ["main"]
 
@@ -221,7 +220,7 @@ def cmd_sweep(args) -> int:
 def cmd_validate(args) -> int:
     config = _load_run_config(args)
     report = validate(config.params, config.phi0_rad, gap=config.integrator.collision_gap)
-    print(json.dumps(asdict(report), indent=2))
+    print(_strict_json(asdict(report)))
     return EXIT_OK
 
 
@@ -233,7 +232,7 @@ def cmd_estimate(args) -> int:
     )
     params = estimate_params(spec, args.gap)
     linear_omega(params)  # rejects params no run accepts, as load_config does
-    print(json.dumps({"params": params_to_dict(params)}, indent=2))  # a --config file
+    print(_strict_json({"params": params_to_dict(params)}))  # a --config file
     return EXIT_OK
 
 

@@ -20,7 +20,12 @@ Dormand-Prince 5(4) pair with the textbook step controller
 new_h = 0.9 * h * err^(-1/5), clamped to [h/10, 10*h].  The Dormand-Prince
 pair is "first same as last": its 7th stage sits at the propagated solution,
 so the loop carries that acceleration into the next step and an accepted
-step costs 6 evaluations of _accel, not 7.
+step costs 6 evaluations of _accel, not 7.  As dpsi/dtau does not depend on
+psi, the pair is taken in Nystrom form (Hairer, Norsett & Wanner, Solving
+ODEs I, II.14), with no stage velocity: with ka_j = h*a_j, stage i's angle
+is phi + h*(c_i*psi + sum_j ab_ij*ka_j) with ab = A^2, the last one is phi5,
+psi5 = psi + sum_j b_j*ka_j, and the error estimate is
+(h*sum_j eb_j*ka_j, sum_j e_j*ka_j) with eb = e.A; nothing is divided by h.
 
 integrate's loop, _advance, writes the Dormand-Prince step out in scalar
 code, with _accel in place (same operations, same order).  Runs that need
@@ -188,12 +193,8 @@ _MAX_FACTOR = 10.0
 _INITIAL_PHASE_STEP = 0.1  # trial first step, radians of linearized phase
 
 
-def _accel(phi, lam, gamma, sin=math.sin):
-    """dpsi/dtau of the dimensionless system; dphi/dtau is psi itself.
-
-    Floats with math.sin, or lane arrays with np.sin: only + - * / and sin
-    are used, so both give the same bits wherever np.sin equals math.sin.
-    """
+def _accel(phi, lam, gamma, sin=math.sin):  # sin as a local, which is faster to look up
+    """dpsi/dtau of the dimensionless system; dphi/dtau is psi itself."""
     # r = R0/R(phi); 2*sin^2(phi/2) avoids the 1-cos cancellation.
     s = sin(0.5 * phi)
     r = 1.0 / (1.0 + lam * 2.0 * (s * s))
@@ -286,12 +287,13 @@ def _advance(params: PendulumParams, config: IntegratorConfig, scales, tau, phi,
     row, only the (t0, t1, phi0, phi1, phi_dot0, phi_dot1) rows around each
     descending zero crossing, with phi_dot = psi * w_ref as in _trajectory.
 
-    A Dormand-Prince trial step is written out here: stage i sits at
-    (phi + h*sum_j a_ij*v_j, v_i) with v_1 = psi, and its acceleration is
-    _accel with the same operations in the same order (lam * 2.0 * (s*s)
-    associates left, so lam * 2.0 is taken once).  The last stage sits at
-    the propagated solution, so its acceleration is the next step's acc.  A
-    stage angle at +-inf makes math.sin raise ValueError: the angle limit.
+    A Dormand-Prince trial step is written out here in Nystrom form (see
+    the module docstring), each stage's acceleration being _accel with the
+    same operations in the same order (lam * 2.0 * (s*s) associates left,
+    so lam * 2.0 is taken once).  The last stage's angle is phi5, so its
+    acceleration is the next step's acc.  A stage angle at +-inf makes
+    math.sin raise ValueError: the angle limit; none turns NaN first, as an
+    infinite ka_j enters a later angle, or phi5, as its only infinite term.
 
     The loop runs once per trial step, so it keeps to locals: min and max
     are written out as the comparisons Python's min and max make (a NaN
@@ -330,45 +332,39 @@ def _advance(params: PendulumParams, config: IntegratorConfig, scales, tau, phi,
             break
         try:
             if adaptive:
-                # Zero weights are left out; the other terms keep the tableau's order.
-                v2 = psi + h * (1 / 5 * acc)
+                # Zero weights are left out; sums run in _dp45_lanes' order (ka2 before ka1).
+                ka1 = h * acc
                 x = phi + h * (1 / 5 * psi)
                 s = sin(0.5 * x)
                 r = 1.0 / (1.0 + lam2 * (s * s))
                 r2 = r * r
-                a2 = -sin(x) * (r2 * r2 + gamma)
-                v3 = psi + h * (3 / 40 * acc + 9 / 40 * a2)
-                x = phi + h * (3 / 40 * psi + 9 / 40 * v2)
+                ka2 = h * (-sin(x) * (r2 * r2 + gamma))
+                x = phi + h * (3 / 10 * psi + 9 / 200 * ka1)
                 s = sin(0.5 * x)
                 r = 1.0 / (1.0 + lam2 * (s * s))
                 r2 = r * r
-                a3 = -sin(x) * (r2 * r2 + gamma)
-                v4 = psi + h * (44 / 45 * acc - 56 / 15 * a2 + 32 / 9 * a3)
-                x = phi + h * (44 / 45 * psi - 56 / 15 * v2 + 32 / 9 * v3)
+                ka3 = h * (-sin(x) * (r2 * r2 + gamma))
+                x = phi + h * (4 / 5 * psi + 4 / 5 * ka2 - 12 / 25 * ka1)
                 s = sin(0.5 * x)
                 r = 1.0 / (1.0 + lam2 * (s * s))
                 r2 = r * r
-                a4 = -sin(x) * (r2 * r2 + gamma)
-                v5 = psi + h * (19372 / 6561 * acc - 25360 / 2187 * a2 + 64448 / 6561 * a3
-                                - 212 / 729 * a4)
-                x = phi + h * (19372 / 6561 * psi - 25360 / 2187 * v2 + 64448 / 6561 * v3
-                               - 212 / 729 * v4)
+                ka4 = h * (-sin(x) * (r2 * r2 + gamma))
+                x = phi + h * (8 / 9 * psi + 7208 / 2187 * ka2 - 12248 / 6561 * ka1
+                               - 6784 / 6561 * ka3)
                 s = sin(0.5 * x)
                 r = 1.0 / (1.0 + lam2 * (s * s))
                 r2 = r * r
-                a5 = -sin(x) * (r2 * r2 + gamma)
-                v6 = psi + h * (9017 / 3168 * acc - 355 / 33 * a2 + 46732 / 5247 * a3
-                                + 49 / 176 * a4 - 5103 / 18656 * a5)
-                x = phi + h * (9017 / 3168 * psi - 355 / 33 * v2 + 46732 / 5247 * v3
-                               + 49 / 176 * v4 - 5103 / 18656 * v5)
+                ka5 = h * (-sin(x) * (r2 * r2 + gamma))
+                x = phi + h * (psi + 91 / 22 * ka2 - 533 / 264 * ka1 - 56 / 33 * ka3
+                               + 7 / 88 * ka4)
                 s = sin(0.5 * x)
                 r = 1.0 / (1.0 + lam2 * (s * s))
                 r2 = r * r
-                a6 = -sin(x) * (r2 * r2 + gamma)
-                phi_new = phi + h * (35 / 384 * psi + 500 / 1113 * v3 + 125 / 192 * v4
-                                     - 2187 / 6784 * v5 + 11 / 84 * v6)
-                psi_new = psi + h * (35 / 384 * acc + 500 / 1113 * a3 + 125 / 192 * a4
-                                     - 2187 / 6784 * a5 + 11 / 84 * a6)
+                ka6 = h * (-sin(x) * (r2 * r2 + gamma))
+                phi_new = phi + h * (psi + 35 / 384 * ka1 + 50 / 159 * ka3 + 25 / 192 * ka4
+                                     - 243 / 6784 * ka5)
+                psi_new = psi + (35 / 384 * ka1 + 500 / 1113 * ka3 + 125 / 192 * ka4
+                                 - 2187 / 6784 * ka5 + 11 / 84 * ka6)
                 s = sin(0.5 * phi_new)
                 r = 1.0 / (1.0 + lam2 * (s * s))
                 r2 = r * r
@@ -379,10 +375,10 @@ def _advance(params: PendulumParams, config: IntegratorConfig, scales, tau, phi,
             termination = Termination.ANGLE_LIMIT
             break
         if adaptive:
-            e_phi = h * (71 / 57600 * psi - 71 / 16695 * v3 + 71 / 1920 * v4
-                         - 17253 / 339200 * v5 + 22 / 525 * v6 - 1 / 40 * psi_new)
-            e_psi = h * (71 / 57600 * acc - 71 / 16695 * a3 + 71 / 1920 * a4
-                         - 17253 / 339200 * a5 + 22 / 525 * a6 - 1 / 40 * a7)
+            e_phi = h * (611 / 230400 * ka1 - 514 / 83475 * ka3 + 391 / 38400 * ka4
+                         - 4617 / 1356800 * ka5 - 11 / 3360 * ka6)
+            e_psi = (71 / 57600 * ka1 - 71 / 16695 * ka3 + 71 / 1920 * ka4
+                     - 17253 / 339200 * ka5 + 22 / 525 * ka6 - 1 / 40 * (h * a7))
             a, b = abs(phi), abs(phi_new)
             scale_phi = atol + rtol * (b if b > a else a)
             a, b = abs(psi), abs(psi_new)
@@ -422,10 +418,9 @@ def _advance(params: PendulumParams, config: IntegratorConfig, scales, tau, phi,
     return termination
 
 
-# Below this many running lanes, the lanes left finish one at a time in _advance: 33
-# sweep lanes take as long in lockstep as one at a time (medians of 15 back-to-back pairs,
-# about 95 us an iteration against 2.9 us a step, on a 2-core x86-64 machine, numpy 2.4).
-_LOCKSTEP_MIN_LANES = 33
+# Below this many running lanes, the rest finish one at a time in _advance: a lockstep
+# iteration, 108 us, costs 40 steps of 2.7 us (medians of 25 runs; 2-core x86-64, numpy 2.4).
+_LOCKSTEP_MIN_LANES = 40
 
 
 def _py_max(a, b):
@@ -433,46 +428,52 @@ def _py_max(a, b):
     return np.where(b > a, b, a)
 
 
-# The Dormand & Prince (1980) tableau over _dp45_lanes' stage buffer k, which
-# holds [k2, k1, k3, ..., k7]: for stages 2-7, (index into k, slice its sum
-# runs over, weights), then the error weights.  Zero weights are left out, so
-# each sum runs over a slice in _advance's order, except that one starting at
-# k2 swaps its first two terms, and a + b == b + a bit for bit.
-_DP_STAGES = tuple((i, slice(lo, lo + len(w)), np.array(w).reshape(-1, 1, 1)) for i, lo, w in (
-    (0, 1, (1 / 5,)),
-    (2, 0, (9 / 40, 3 / 40)),
-    (3, 0, (-56 / 15, 44 / 45, 32 / 9)),
-    (4, 0, (-25360 / 2187, 19372 / 6561, 64448 / 6561, -212 / 729)),
-    (5, 0, (-355 / 33, 9017 / 3168, 46732 / 5247, 49 / 176, -5103 / 18656)),
-    (6, 1, (35 / 384, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84)),
+# _dp45_lanes' sums over its buffer k = [ka2, psi, ka1, ka3, ..., ka7], as (slice,
+# weights): the angles of stages 2-7 (the last is phi5), psi5, err_phi and err_psi.
+# Zero weights are left out, so each sum runs over a slice in _advance's order, the
+# first two terms of one starting at ka2 swapped (a + b == b + a bit for bit).
+_DP_SUMS = tuple((slice(lo, lo + len(w)), np.array(w)[:, None]) for lo, w in (
+    (1, (1 / 5,)),
+    (1, (3 / 10, 9 / 200)),
+    (0, (4 / 5, 4 / 5, -12 / 25)),
+    (0, (7208 / 2187, 8 / 9, -12248 / 6561, -6784 / 6561)),
+    (0, (91 / 22, 1.0, -533 / 264, -56 / 33, 7 / 88)),
+    (1, (1.0, 35 / 384, 50 / 159, 25 / 192, -243 / 6784)),
+    (2, (35 / 384, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84)),
+    (2, (611 / 230400, -514 / 83475, 391 / 38400, -4617 / 1356800, -11 / 3360)),
+    (2, (71 / 57600, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40)),
 ))
-_DP_ERROR = np.array((71 / 57600, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525,
-                      -1 / 40)).reshape(-1, 1, 1)
 # 0-d lane operands, which numpy takes faster than Python floats
 _ZERO, _ONE, _TWO, _INF, _HALF_ONE = map(np.array, (0.0, 1.0, 2.0, math.inf, [[0.5], [1.0]]))
 _LANE_MAX_ANGLE, _LANE_SAFETY, _LANE_MIN_FACTOR, _LANE_MAX_FACTOR, _LANE_EXPONENT = map(
     np.array, (MAX_ANGLE, _SAFETY, _MIN_FACTOR, _MAX_FACTOR, -0.2))
 
 
-def _dp45_lanes(y, a1, h, lam, gamma):
-    """_advance's Dormand-Prince step on lanes: y = [phi; psi] and h are
-    (2, n) arrays, each stage is [v; a] and a1 is the first stage's
-    acceleration.  Returns (y5, a7, err) with y5 = [phi5; psi5] and
-    err = [err_phi; err_psi].  Each weighted sum is one np.add.reduce over
-    axis 0, which adds from the left.
+def _dp45_lanes(y, a1, h, lam2, gamma):
+    """_advance's Dormand-Prince step on lanes, with y = [phi; psi] (2, n) and
+    h, a1 = _accel(phi) and lam2 = lam * 2.0 (n,): (y5, a7, err) with
+    y5 = [phi5; psi5] and err = [err_phi; err_psi].  Stage i's angle is
+    phi + h*(c_i*psi + sum_j ab_ij*ka_j), one np.add.reduce over axis 0 of the
+    buffer, as is each sum: it adds from the left, starting at -0.0 as a sum of
+    -0.0 terms is -0.0.  ka = -h * (sin(x) * (...)) rounds as h * -sin(x) * (...).
     """
-    k = np.empty((7,) + y.shape)
-    k[1] = y[1], a1
-    lam2 = lam * _TWO
-    for i, terms, w in _DP_STAGES:
-        x = y + h * np.add.reduce(w * k[terms], axis=0)
-        k[i, 0] = x[1]
-        sines = np.sin(_HALF_ONE * x[0])  # sin(angle/2) and sin(angle), as in _accel
+    k = np.empty((12, h.size))  # the buffer, then phi5 (every stage angle), psi5 and err
+    k[1] = y[1]
+    np.multiply(h, a1, out=k[2])
+    minus_h, x = -h, k[8]
+    for i, (terms, w) in zip((0, 3, 4, 5, 6, 7), _DP_SUMS):
+        np.add(y[0], h * np.add.reduce(w * k[terms], axis=0, initial=-0.0), out=x)
+        sines = np.sin(_HALF_ONE * x)  # sin(angle/2) and sin(angle), as in _accel
         s = sines[0]
         r = _ONE / (_ONE + lam2 * (s * s))
         r2 = r * r
-        np.multiply(-sines[1], r2 * r2 + gamma, out=k[i, 1])
-    return x, k[6, 1], h * np.add.reduce(_DP_ERROR * k[1:], axis=0)
+        g = sines[1] * (r2 * r2 + gamma)
+        np.multiply(minus_h, g, out=k[i])
+    (terms5, w5), (terms_phi, w_phi), (terms_psi, w_psi) = _DP_SUMS[6:]
+    np.add(y[1], np.add.reduce(w5 * k[terms5], axis=0, initial=-0.0), out=k[9])
+    np.multiply(h, np.add.reduce(w_phi * k[terms_phi], axis=0, initial=-0.0), out=k[10])
+    np.add.reduce(w_psi * k[terms_psi], axis=0, out=k[11], initial=-0.0)
+    return k[8:10], -g, k[10:12]
 
 
 def _crossing_periods(runs: list[tuple[PendulumParams, State]],
@@ -495,9 +496,8 @@ def _crossing_periods(runs: list[tuple[PendulumParams, State]],
     2**53, where max_steps and record_stride are clamped: no run gets there.
 
     Returns, for each run, (termination, period): what integrate and then
-    estimate_period(...).mean_period give for it, bit for bit wherever
-    np.sin and np.float_power equal math.sin and Python's **.  The period is
-    None when fewer than two cycles were seen.  The runs start in input
+    estimate_period(...).mean_period give for it, bit for bit (see the module
+    docstring), the period None below two cycles.  The runs start in input
     order before any is stepped, so if integrate raises for some run, this
     raises what it raises for the first.
     """
@@ -526,7 +526,7 @@ def _crossing_periods(runs: list[tuple[PendulumParams, State]],
                 break
             (idx, w_ref, lam, gamma, tau_end, tau, _, _, acc, h_next, steps, t_rec,
              phi_rec, psi_rec) = lanes  # views: the steps below update the table in place
-            y = lanes[6:8]  # [phi; psi]
+            y, lam2 = lanes[6:8], lam * _TWO  # [phi; psi], and lam2 as in _advance
             while True:
                 # integrate's loop head; h is min(h_next, tau_end - tau), kept as h_next
                 # by a leaving lane (_advance clips it to h again) until the controller
@@ -538,8 +538,7 @@ def _crossing_periods(runs: list[tuple[PendulumParams, State]],
                 if np.count_nonzero(stay) < _LOCKSTEP_MIN_LANES:
                     stay[:] = False
                     break
-                h2 = np.array((h, h))  # an (n,) h would cost a broadcast in every term
-                y_new, acc_new, err2 = _dp45_lanes(y, acc, h2, lam, gamma)
+                y_new, acc_new, err2 = _dp45_lanes(y, acc, h, lam2, gamma)
                 scale = atol + rtol * _py_max(np.abs(y), np.abs(y_new))
                 ratio = np.abs(err2) / scale
                 err = _py_max(ratio[0], ratio[1])

@@ -3,10 +3,12 @@
 Floats are written with Python's shortest round-trip repr so artifacts can
 feed regression tests byte-for-byte; CSV files use LF line endings on every
 platform.  The trajectory CSV is written in fixed blocks of whole rows, each
-block formatted with one ``%`` over its flattened values.
+block formatted with one ``%`` over its flattened values.  JSON output is
+strict: a non-finite float is written as null, never as NaN or Infinity.
 """
 
 import json
+import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -90,9 +92,23 @@ def report_to_dict(report: SimulationReport) -> dict:
     }
 
 
+def _strict_json(doc) -> str:
+    """doc as JSON indented by 2, with every non-finite float (such as the
+    gravity_ratio inf of a design whose gamma underflows) written as null."""
+
+    def finite(value):
+        if isinstance(value, float):
+            return value if math.isfinite(value) else None
+        if isinstance(value, dict):
+            return {key: finite(item) for key, item in value.items()}
+        return value
+
+    return json.dumps(finite(doc), indent=2, allow_nan=False)
+
+
 def write_report_json(report: SimulationReport, path: str) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(json.dumps(report_to_dict(report), indent=2) + "\n")
+        fh.write(_strict_json(report_to_dict(report)) + "\n")
 
 
 def write_trajectory_csv(traj: Trajectory, path: str) -> None:

@@ -179,9 +179,10 @@ class TestSimulate:
     def test_zero_energy_scale_reports_angle_limit(self, tmp_path, capsys):
         # I*w_ref**2 underflows to 0, so the report has no relative energy drift
         doc = {"params": dict(PARAMS, d_m=1.5e70), "initial": {"phi0_rad": 0.3}}
-        # 12 linearized periods: the first step overflows a stage angle
+        # 12 linearized periods, so that the first trial step is 0.1 in tau, and
+        # a tolerance that admits it: it lands far beyond pi/2
         far = load_config(write_config(tmp_path, doc)).params
-        doc["integrator"] = {"t_max": 12 * linear_period(far)}
+        doc["integrator"] = {"t_max": 12 * linear_period(far), "rel_tol": 1.0}
         out, rep = tmp_path / "t.csv", tmp_path / "r.json"
         code = main(["simulate", "--config", write_config(tmp_path, doc),
                      "--out", str(out), "--report", str(rep)])
@@ -417,11 +418,10 @@ class TestSweep:
         """More runs than _LOCKSTEP_MIN_LANES, each of which passes through
         the plate zone: every one collides and none has a period."""
         config = load_config(write_config(tmp_path, PLATE_ZONE_DOC))
-        runs = [(config.params, State(0.0, float(phi0), 0.0))
-                for phi0 in np.linspace(0.01, 0.3, 40)]
-        assert len(runs) > integrator._LOCKSTEP_MIN_LANES
+        n = integrator._LOCKSTEP_MIN_LANES + 8
+        runs = [(config.params, State(0.0, float(phi0), 0.0)) for phi0 in np.linspace(0.01, 0.3, n)]
         results = integrator._crossing_periods(runs, config.integrator)
-        assert results == [(Termination.COLLISION, None)] * 40
+        assert results == [(Termination.COLLISION, None)] * n
 
     # counts beyond int64, which the sweep lanes hold as floats
     @pytest.mark.parametrize("integrator_doc", [{"record_stride": 2**63},
@@ -504,6 +504,27 @@ class TestValidateCommand:
         parsed = json.loads(capsys.readouterr().out)
         assert parsed["geometry_ok"] is False
         assert parsed["verdict"] is False
+
+    def test_infinite_gravity_ratio_is_strict_json(self, tmp_path, capsys, monkeypatch):
+        """gamma underflows to 0, so gravity_ratio is inf: validate's stdout
+        and the report write it as null, which a strict reader accepts."""
+        doc = {"params": {"d_m": 1000000000000000.25, "l_m": 1e15, "mass_kg": 1e-320,
+                          "alpha0_m3": 5e11, "omega0_rad_s": 1e20}}
+        cfg = write_config(tmp_path, doc)
+
+        def strict(text):
+            def reject(token):
+                raise ValueError(f"non-JSON token {token}")
+
+            return json.loads(text, parse_constant=reject)
+
+        assert main(["validate", "--config", cfg]) == 0
+        parsed = strict(capsys.readouterr().out)
+        assert parsed["gravity_ratio"] is None
+        assert (parsed["gravity_negligible"], parsed["verdict"]) == (True, False)
+        monkeypatch.chdir(tmp_path)
+        assert main(["simulate", "--config", cfg, "--out", "t.csv", "--report", "r.json"]) == 0
+        assert strict((tmp_path / "r.json").read_text())["validity"]["gravity_ratio"] is None
 
 
 # M*g*l/2 underflows to 0, yet the design has a finite small-angle period

@@ -14,10 +14,14 @@ exact_period takes the same integral in the integrator's dimensionless
 variables with a fixed Gauss-Legendre rule.
 """
 
+import ast
+import contextlib
+import inspect
 import math
 import re
 import warnings
 from dataclasses import replace
+from fractions import Fraction
 from types import SimpleNamespace
 from unittest import mock
 
@@ -25,7 +29,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
-from rk_reference import dp45_step
+from rk_reference import NYSTROM, dp45_step, nystrom_step
 from scipy.integrate import quad
 
 import casimir_pendulum.integrator as integrator_module
@@ -384,13 +388,19 @@ class TestTerminations:
         assert (traj.t[0], traj.phi[0], traj.phi_dot[0]) == (0.0, 0.3, 0.0)
 
     def test_overflowing_adaptive_stage_is_angle_limit(self, atom):
-        # gravity-to-vacuum ratio ~2.6e307: a Dormand-Prince stage angle of
-        # the first trial step overflows to inf
+        # gravity-to-vacuum ratio ~2.6e307 and psi = phi_dot/w_ref ~1.74e308: the
+        # sum psi + sum_j ab_6j*ka_j of the 6th stage angle of the first trial
+        # step overflows to inf (from rest, no stage angle of a step of at most
+        # 0.1 can overflow: each is below 0.1*(|psi| + 0.8*gamma))
         params = PendulumParams(d=1.5e70, l=1e-8, mass=1e-24, atom=atom, include_gravity=True)
-        # 12 linearized periods, 1e151 s; the default horizon, 3.5 periods of the
-        # gravity-dominated swing (0.6 ms), completes
+        w_ref, lam, gamma = integrator_module._dimensionless_system(params)
+        initial = State(0.0, 0.3, 1.3e159)
+        with pytest.raises(ValueError):  # math.sin(inf)
+            nystrom_step(0.3, initial.phi_dot / w_ref, integrator_module._accel(0.3, lam, gamma),
+                         integrator_module._INITIAL_PHASE_STEP, lam, gamma)
+        # 12 linearized periods, 1e151 s, so that the first trial step is not clipped
         config = IntegratorConfig(t_max=12 * linear_period(params))
-        traj = integrate(params, State(0.0, 0.3, 0.0), config)
+        traj = integrate(params, initial, config)
         assert traj.termination is Termination.ANGLE_LIMIT
         assert len(traj) == 1
 
@@ -430,6 +440,38 @@ class TestStepRk4:
 
 
 class TestDormandPrinceStep:
+    # rows of _dp45_lanes' buffer: ka2, psi, ka1, ka3, ..., ka7
+    ROW = {"psi": 1, 1: 2, 2: 0, **{j: j for j in range(3, 8)}}
+
+    @staticmethod
+    def terms(weights, values):
+        """{buffer row: float weight} of a sum's nonzero terms."""
+        return {TestDormandPrinceStep.ROW[v]: float(w) for w, v in zip(weights, values) if w}
+
+    def test_lane_weights_are_the_derived_nystrom_weights(self):
+        """Every weight in the lanes' table is float(Fraction) of the weight
+        derived from the standard tableau, on the buffer row of its term."""
+        c, ab, b, eb, e = NYSTROM
+        expected = [self.terms((ci,) + row, ["psi", *range(1, 8)]) for ci, row in zip(c, ab)]
+        expected += [self.terms(weights, range(1, 8)) for weights in (b, eb, e)]
+        got = [dict(zip(range(terms.start, terms.stop), w.ravel().tolist()))
+               for terms, w in integrator_module._DP_SUMS]
+        assert got == expected
+
+    def test_advance_writes_only_derived_quotients(self):
+        """Each int/int quotient written in _advance is, as a fraction, the
+        size of a nonzero Nystrom weight, and every such weight but 1 is
+        written; that they sit in the right terms, the lanes' bit-for-bit
+        equality with serial runs shows."""
+        tree = ast.parse(inspect.getsource(integrator_module._advance).lstrip())
+        written = {Fraction(node.left.value, node.right.value) for node in ast.walk(tree)
+                   if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Div)
+                   and all(isinstance(side, ast.Constant) and type(side.value) is int
+                           for side in (node.left, node.right))}
+        c, ab, b, eb, e = NYSTROM
+        derived = {abs(w) for w in (*c, *(w for row in ab for w in row), *b, *eb, *e)}
+        assert written == derived - {0, 1}
+
     @pytest.mark.parametrize("phi0", [1e-3, 0.2])
     def test_six_rhs_calls_per_accepted_step(self, monkeypatch, phi0):
         """The last stage is the next step's first (FSAL): the initial
@@ -666,10 +708,10 @@ class TestAngleLimit:
 
 
 # (d, l): realistic designs, some colliding at release or mid-swing; and
-# gravity-dominated ones whose first Dormand-Prince step has a stage angle at
-# inf (d = 1.5e70) or only at NaN, which rejects the step (1.82e70), or whose
+# gravity-dominated ones whose trial steps from rest are rejected until they
+# resolve a swing some 1e-153 wide in tau (d = 1.5e70, 1.82e70), or whose
 # gravity-to-vacuum ratio is no finite float, so that integrate raises (1e72,
-# 1e75).
+# 1e75).  A lane may add its initial phi_dot, rad/s, after the gravity flag.
 lane_geometry = st.one_of(
     st.tuples(st.floats(1.05e-8, 4e-8), st.floats(0.3, 0.995)).map(lambda g: (g[0], g[0] * g[1])),
     st.sampled_from([(1.019e-8, 1e-8), (1.5e70, 1e-8), (1.82e70, 1e-8), (1e72, 1e-8),
@@ -697,10 +739,12 @@ class TestLockstepLanes:
            min_lanes=st.integers(1, 3))
     # stalled: at equilibrium the step grows until t + h no longer moves
     @example(Method.RK45_ADAPTIVE, None, 1e302, 1, 400, [((2e-8, 1e-8), 0.0, True), REF], 1)
-    # the first step overflows a stage angle: the angle limit
+    # the first step overflows a stage angle: the angle limit (for Dormand-Prince,
+    # as in test_overflowing_adaptive_stage_is_angle_limit)
     @example(Method.RK4_FIXED, 1e283, 1e300, 1, 400, [((2e-8, 1e-8), 0.3, True), REF], 1)
     @example(Method.RK45_ADAPTIVE, None, 1e302, 1, 400,
-             [REF, ((1.5e70, 1e-8), 0.3, True), ((1.82e70, 1e-8), 0.3, True)], 1)
+             [REF, ((1.5e70, 1e-8), 0.3, True, 1.3e159), ((1.5e70, 1e-8), -0.3, True, -1.3e159),
+              ((1.82e70, 1e-8), 0.3, True)], 1)
     # collision mid-swing, and completed runs, the last one finishing alone
     # from its step count and its last recorded row
     @example(Method.RK45_ADAPTIVE, None, 1.2e-6, 7, 10**6, [((1.019e-8, 1e-8), 0.3, True), REF],
@@ -754,7 +798,7 @@ class TestLockstepLanes:
                                   dt=dt if method is Method.RK4_FIXED else None,
                                   max_steps=max_steps, record_stride=stride)
         runs = [(PendulumParams(d=d, l=l, mass=1e-24, atom=LANE_ATOM, include_gravity=gravity),
-                 State(0.0, phi0, 0.0)) for (d, l), phi0, gravity in lanes]
+                 State(0.0, phi0, *phi_dot or [0.0])) for (d, l), phi0, gravity, *phi_dot in lanes]
         expected = []
         try:
             for params, initial in runs:
@@ -830,7 +874,9 @@ class TestLockstepLanes:
                          "lanes cannot equal serial runs on it")
 
     # ±0.0, subnormals, and steps so large that a stage angle overflows to
-    # inf (where math.sin raises) or turns NaN
+    # inf, where math.sin raises.  In Nystrom form no stage angle turns NaN
+    # first: an infinite h*a_j enters a later angle, or phi5, as its only
+    # infinite term.
     @settings(derandomize=True, database=None, max_examples=60, deadline=None)
     @given(lanes=st.lists(st.tuples(
         st.sampled_from([0.0, -0.0, 5e-324, -1e-310]) | st.floats(-1.6, 1.6),
@@ -838,23 +884,52 @@ class TestLockstepLanes:
         st.sampled_from([5e-324, 1e-300, 1e150, 1e283, 1e308]) | st.floats(1e-6, 10.0),
         st.sampled_from([5e-324, 1e300]) | st.floats(1e-3, 1e3),
         st.sampled_from([0.0, 2.6e307]) | st.floats(0.0, 1e3)), min_size=1, max_size=6))
-    # the first step at d_m 1.82e70: NaN stage angles, which math.sin accepts
-    @example([(0.3, 0.0, 0.1, 5.494505494505495e-79, 5.698458799451704e307),
+    # the first trial step of test_overflowing_adaptive_stage_is_angle_limit, and
+    # that of d_m 1.82e70 from rest at 0.3 rad, whose stage angles were NaN in standard form
+    @example([(0.3, 1.738024256958365e308, 0.1, 6.666666666666668e-79, 2.629280357175874e307),
+              (0.3, 0.0, 0.1, 5.494505494505495e-79, 5.698458799451704e307),
               (0.3, 0.0, 0.1, 1.0, 0.0)])
+    # r**4 underflows at lam 1e300, so every term of err_phi's sum is -0.0: a
+    # numpy reduce that starts at its default +0.0 would turn the sum positive
+    @example([(0.0, 11.0, 1.0, 1e300, 0.0)])
     def test_lane_steps_equal_scalar_steps(self, lanes):
         phi, psi, h, lam, gamma = (np.array(col) for col in zip(*lanes))
-        y = np.array((phi, psi))
-        h2 = np.array((h, h))
+        a1 = np.array([integrator_module._accel(p, lm, g) for p, _, _, lm, g in lanes])
         with np.errstate(all="ignore"):
-            a1 = integrator_module._accel(phi, lam, gamma, np.sin)
-            dp = integrator_module._dp45_lanes(y, a1, h2, lam, gamma)
+            dp = integrator_module._dp45_lanes(np.array((phi, psi)), a1, h, lam * 2.0, gamma)
         lane_dp = zip(dp[0][0], dp[0][1], dp[1], dp[2][0], dp[2][1])
         for lane, got_dp in zip(lanes, lane_dp):
             p, v, step, lm, g = lane
+            a = integrator_module._accel(p, lm, g)
             try:
-                want_dp = dp45_step(p, v, integrator_module._accel(p, lm, g), step, lm, g)
+                want_dp = nystrom_step(p, v, a, step, lm, g)
             except ValueError:  # a stage angle at inf: the lanes must see a NaN err_psi
                 assert math.isnan(got_dp[4]), lane
-            else:
-                assert bits(got_dp) == bits(want_dp), lane
+                continue
+            assert bits(got_dp) == bits(want_dp), lane
+            # where the step resolves the swing, the standard form agrees to rounding
+            # wherever its sums of a_ij*a_j stay finite; elsewhere the sines of
+            # far-off stage angles amplify any rounding
+            if step * math.sqrt(1.0 + 4.0 * lm + g) <= 1.0:
+                with contextlib.suppress(ValueError):
+                    other = dp45_step(p, v, a, step, lm, g)
+                    if all(map(math.isfinite, other)):
+                        assert_rounding_apart(want_dp, other, p, v, step, a, lm, g)
+
+
+def assert_rounding_apart(step, other, phi, psi, h, a1, lam, gamma):
+    """(phi5, psi5, a7, err_phi, err_psi) of two forms of one step differ by at
+    most 4 ulps of each value's scale: the size of the terms it is summed from
+    (h*a for every stage's a bounded by the largest of a1 and the a7s, where
+    psi enters err_phi in standard form before it cancels), plus the rounding
+    of a stage angle of size x_max carried into an acceleration by the
+    Lipschitz bound 1 + 4*lam + gamma of _accel."""
+    a_max = max(abs(a1), abs(step[2]), abs(other[2]))
+    dphi = h * (abs(psi) + h * a_max)
+    x_max = abs(phi) + dphi
+    da = (1.0 + 4.0 * lam + gamma) * x_max
+    scales = (x_max, abs(psi) + h * a_max + h * da, a_max + da, dphi + h * (h * da),
+              h * a_max + h * da)
+    for x, y, scale in zip(step, other, scales):
+        assert abs(x - y) <= 4 * math.ulp(scale), (step, other)
 
