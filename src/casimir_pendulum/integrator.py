@@ -27,14 +27,14 @@ is phi + h*(c_i*psi + sum_j ab_ij*ka_j) with ab = A^2, the last one is phi5,
 psi5 = psi + sum_j b_j*ka_j, and the error estimate is
 (h*sum_j eb_j*ka_j, sum_j e_j*ka_j) with eb = e.A; nothing is divided by h.
 
-integrate's loop, _advance, writes the Dormand-Prince step out in scalar
-code, with _accel in place (same operations, same order).  Runs that need
-only their periods (a sweep, and `period --simulate` as a sweep of one) go
-through _crossing_periods and keep only the samples around their zero
-crossings; once the last run ends, the periods of all runs are computed in
-one pass.  There adaptive runs step together as numpy lanes through the
-same tableau, held as a table of arrays, with each sum in the scalar step's
-order.  Every lane equals a serial integrate bit for bit wherever np.sin and
+integrate's loop, _advance, and the numpy lanes of _crossing_periods read
+the pair from one table, _DP_ROWS, which fixes its weights and the order of
+every sum; _advance writes _accel in place (same operations, same order).
+Runs that need only their periods (a sweep, and `period --simulate` as a
+sweep of one) go through _crossing_periods and keep only the samples around
+their zero crossings; once the last run ends, the periods of all runs are
+computed in one pass.  There adaptive runs step together as lanes.  Every
+lane equals a serial integrate bit for bit wherever np.sin and
 np.float_power equal math.sin and Python's **, as on common numpy builds.
 A lane leaves the lockstep before a step that could end its run, and a run
 whose tip can reach the safety gap never joins it, so every run ends in
@@ -192,6 +192,22 @@ _MIN_FACTOR = 0.1
 _MAX_FACTOR = 10.0
 _INITIAL_PHASE_STEP = 0.1  # trial first step, radians of linearized phase
 
+# The Dormand-Prince pair in Nystrom form: the angles of stages 2-7 (the last is phi5), psi5,
+# err_phi and err_psi, each a sum given as (its first row in _dp45_lanes' buffer k = [ka2, psi,
+# ka1, ka3, ..., ka7], its weights).  Zero weights are left out, so a sum runs over consecutive
+# rows.  _advance adds in this order, but psi's term before ka2's (a + b == b + a bit for bit).
+_DP_ROWS = (
+    (1, (1 / 5,)),
+    (1, (3 / 10, 9 / 200)),
+    (0, (4 / 5, 4 / 5, -12 / 25)),
+    (0, (7208 / 2187, 8 / 9, -12248 / 6561, -6784 / 6561)),
+    (0, (91 / 22, 1.0, -533 / 264, -56 / 33, 7 / 88)),
+    (1, (1.0, 35 / 384, 50 / 159, 25 / 192, -243 / 6784)),
+    (2, (35 / 384, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84)),
+    (2, (611 / 230400, -514 / 83475, 391 / 38400, -4617 / 1356800, -11 / 3360)),
+    (2, (71 / 57600, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40)),
+)
+
 
 def _accel(phi, lam, gamma, sin=math.sin):  # sin as a local, which is faster to look up
     """dpsi/dtau of the dimensionless system; dphi/dtau is psi itself."""
@@ -287,11 +303,11 @@ def _advance(params: PendulumParams, config: IntegratorConfig, scales, tau, phi,
     row, only the (t0, t1, phi0, phi1, phi_dot0, phi_dot1) rows around each
     descending zero crossing, with phi_dot = psi * w_ref as in _trajectory.
 
-    A Dormand-Prince trial step is written out here in Nystrom form (see
-    the module docstring), each stage's acceleration being _accel with the
-    same operations in the same order (lam * 2.0 * (s*s) associates left,
-    so lam * 2.0 is taken once).  The last stage's angle is phi5, so its
-    acceleration is the next step's acc.  A stage angle at +-inf makes
+    A Dormand-Prince trial step adds the terms of _DP_ROWS in its order (its
+    1.0 weights left implicit), each stage's acceleration being _accel with
+    the same operations in the same order (lam * 2.0 * (s*s) associates
+    left, so lam * 2.0 is taken once).  The last stage's angle is phi5, so
+    its acceleration is the next step's acc.  A stage angle at +-inf makes
     math.sin raise ValueError: the angle limit; none turns NaN first, as an
     infinite ka_j enters a later angle, or phi5, as its only infinite term.
 
@@ -307,6 +323,9 @@ def _advance(params: PendulumParams, config: IntegratorConfig, scales, tau, phi,
     """
     w_ref, lam, gamma, tau_end = scales
     lam2 = lam * 2.0
+    ((c2,), (c3, a31), (a42, c4, a41), (a52, c5, a51, a53), (a62, _, a61, a63, a64),
+     (_, a71, a73, a74, a75), (b1, b3, b4, b5, b6), (eb1, eb3, eb4, eb5, eb6),
+     (e1, e3, e4, e5, e6, e7)) = [w for _, w in _DP_ROWS]
     d, l, gap = params.d, params.l, config.collision_gap
     reach_gap = d - l <= gap
     if reach_gap and d - l * math.cos(phi) <= gap:
@@ -332,39 +351,34 @@ def _advance(params: PendulumParams, config: IntegratorConfig, scales, tau, phi,
             break
         try:
             if adaptive:
-                # Zero weights are left out; sums run in _dp45_lanes' order (ka2 before ka1).
                 ka1 = h * acc
-                x = phi + h * (1 / 5 * psi)
+                x = phi + h * (c2 * psi)
                 s = sin(0.5 * x)
                 r = 1.0 / (1.0 + lam2 * (s * s))
                 r2 = r * r
                 ka2 = h * (-sin(x) * (r2 * r2 + gamma))
-                x = phi + h * (3 / 10 * psi + 9 / 200 * ka1)
+                x = phi + h * (c3 * psi + a31 * ka1)
                 s = sin(0.5 * x)
                 r = 1.0 / (1.0 + lam2 * (s * s))
                 r2 = r * r
                 ka3 = h * (-sin(x) * (r2 * r2 + gamma))
-                x = phi + h * (4 / 5 * psi + 4 / 5 * ka2 - 12 / 25 * ka1)
+                x = phi + h * (c4 * psi + a42 * ka2 + a41 * ka1)
                 s = sin(0.5 * x)
                 r = 1.0 / (1.0 + lam2 * (s * s))
                 r2 = r * r
                 ka4 = h * (-sin(x) * (r2 * r2 + gamma))
-                x = phi + h * (8 / 9 * psi + 7208 / 2187 * ka2 - 12248 / 6561 * ka1
-                               - 6784 / 6561 * ka3)
+                x = phi + h * (c5 * psi + a52 * ka2 + a51 * ka1 + a53 * ka3)
                 s = sin(0.5 * x)
                 r = 1.0 / (1.0 + lam2 * (s * s))
                 r2 = r * r
                 ka5 = h * (-sin(x) * (r2 * r2 + gamma))
-                x = phi + h * (psi + 91 / 22 * ka2 - 533 / 264 * ka1 - 56 / 33 * ka3
-                               + 7 / 88 * ka4)
+                x = phi + h * (psi + a62 * ka2 + a61 * ka1 + a63 * ka3 + a64 * ka4)
                 s = sin(0.5 * x)
                 r = 1.0 / (1.0 + lam2 * (s * s))
                 r2 = r * r
                 ka6 = h * (-sin(x) * (r2 * r2 + gamma))
-                phi_new = phi + h * (psi + 35 / 384 * ka1 + 50 / 159 * ka3 + 25 / 192 * ka4
-                                     - 243 / 6784 * ka5)
-                psi_new = psi + (35 / 384 * ka1 + 500 / 1113 * ka3 + 125 / 192 * ka4
-                                 - 2187 / 6784 * ka5 + 11 / 84 * ka6)
+                phi_new = phi + h * (psi + a71 * ka1 + a73 * ka3 + a74 * ka4 + a75 * ka5)
+                psi_new = psi + (b1 * ka1 + b3 * ka3 + b4 * ka4 + b5 * ka5 + b6 * ka6)
                 s = sin(0.5 * phi_new)
                 r = 1.0 / (1.0 + lam2 * (s * s))
                 r2 = r * r
@@ -375,10 +389,8 @@ def _advance(params: PendulumParams, config: IntegratorConfig, scales, tau, phi,
             termination = Termination.ANGLE_LIMIT
             break
         if adaptive:
-            e_phi = h * (611 / 230400 * ka1 - 514 / 83475 * ka3 + 391 / 38400 * ka4
-                         - 4617 / 1356800 * ka5 - 11 / 3360 * ka6)
-            e_psi = (71 / 57600 * ka1 - 71 / 16695 * ka3 + 71 / 1920 * ka4
-                     - 17253 / 339200 * ka5 + 22 / 525 * ka6 - 1 / 40 * (h * a7))
+            e_phi = h * (eb1 * ka1 + eb3 * ka3 + eb4 * ka4 + eb5 * ka5 + eb6 * ka6)
+            e_psi = e1 * ka1 + e3 * ka3 + e4 * ka4 + e5 * ka5 + e6 * ka6 + e7 * (h * a7)
             a, b = abs(phi), abs(phi_new)
             scale_phi = atol + rtol * (b if b > a else a)
             a, b = abs(psi), abs(psi_new)
@@ -428,21 +440,7 @@ def _py_max(a, b):
     return np.where(b > a, b, a)
 
 
-# _dp45_lanes' sums over its buffer k = [ka2, psi, ka1, ka3, ..., ka7], as (slice,
-# weights): the angles of stages 2-7 (the last is phi5), psi5, err_phi and err_psi.
-# Zero weights are left out, so each sum runs over a slice in _advance's order, the
-# first two terms of one starting at ka2 swapped (a + b == b + a bit for bit).
-_DP_SUMS = tuple((slice(lo, lo + len(w)), np.array(w)[:, None]) for lo, w in (
-    (1, (1 / 5,)),
-    (1, (3 / 10, 9 / 200)),
-    (0, (4 / 5, 4 / 5, -12 / 25)),
-    (0, (7208 / 2187, 8 / 9, -12248 / 6561, -6784 / 6561)),
-    (0, (91 / 22, 1.0, -533 / 264, -56 / 33, 7 / 88)),
-    (1, (1.0, 35 / 384, 50 / 159, 25 / 192, -243 / 6784)),
-    (2, (35 / 384, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84)),
-    (2, (611 / 230400, -514 / 83475, 391 / 38400, -4617 / 1356800, -11 / 3360)),
-    (2, (71 / 57600, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40)),
-))
+_DP_SUMS = tuple((slice(lo, lo + len(w)), np.array(w)[:, None]) for lo, w in _DP_ROWS)
 # 0-d lane operands, which numpy takes faster than Python floats
 _ZERO, _ONE, _TWO, _INF, _HALF_ONE = map(np.array, (0.0, 1.0, 2.0, math.inf, [[0.5], [1.0]]))
 _LANE_MAX_ANGLE, _LANE_SAFETY, _LANE_MIN_FACTOR, _LANE_MAX_FACTOR, _LANE_EXPONENT = map(
@@ -452,10 +450,10 @@ _LANE_MAX_ANGLE, _LANE_SAFETY, _LANE_MIN_FACTOR, _LANE_MAX_FACTOR, _LANE_EXPONEN
 def _dp45_lanes(y, a1, h, lam2, gamma):
     """_advance's Dormand-Prince step on lanes, with y = [phi; psi] (2, n) and
     h, a1 = _accel(phi) and lam2 = lam * 2.0 (n,): (y5, a7, err) with
-    y5 = [phi5; psi5] and err = [err_phi; err_psi].  Stage i's angle is
-    phi + h*(c_i*psi + sum_j ab_ij*ka_j), one np.add.reduce over axis 0 of the
-    buffer, as is each sum: it adds from the left, starting at -0.0 as a sum of
-    -0.0 terms is -0.0.  ka = -h * (sin(x) * (...)) rounds as h * -sin(x) * (...).
+    y5 = [phi5; psi5] and err = [err_phi; err_psi].  Each sum of _DP_ROWS, as
+    stage i's angle phi + h*(c_i*psi + sum_j ab_ij*ka_j), is one np.add.reduce
+    over axis 0 of the buffer from the left, starting at -0.0 as a sum of -0.0
+    terms is -0.0.  ka = -h * (sin(x) * (...)) rounds as h * -sin(x) * (...).
     """
     k = np.empty((12, h.size))  # the buffer, then phi5 (every stage angle), psi5 and err
     k[1] = y[1]

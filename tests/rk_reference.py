@@ -1,6 +1,6 @@
-"""The tests' scalar references for the Dormand-Prince pair the integrator
-writes out by hand (in _advance) and holds as a table of arrays for lanes
-(_dp45_lanes).
+"""The tests' scalar references for the Dormand-Prince pair that the
+integrator holds in one table, _DP_ROWS, read by both its scalar step
+(_advance) and its lanes (_dp45_lanes).
 
 The tableau is held exactly, as fractions.  dp45_step takes a step in the
 standard form, with stage velocities; it is independent of the integrator's

@@ -466,6 +466,14 @@ class TestSweep:
         assert not out.exists()
         assert "nan" not in capsys.readouterr().err  # the error names the range given
 
+    def test_one_point_rejected(self, tmp_path, capsys):
+        out = tmp_path / "s.csv"
+        code = main(["sweep", "--preset", "paper-defaults", "--param", "beta",
+                     "--from", "1", "--to", "2", "--points", "1", "--out", str(out)])
+        assert code == 1
+        assert not out.exists()
+        assert capsys.readouterr().err == "error: --points must be >= 2, got 1\n"
+
     def test_log_needs_positive_start(self, tmp_path):
         code = main(["sweep", "--preset", "paper-defaults", "--param", "beta",
                      "--from", "0", "--to", "2", "--points", "2", "--log",
@@ -755,3 +763,22 @@ class TestParserReuse:
         result = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
                                 text=True, timeout=30)
         assert result.returncode == 0, result.stderr
+
+
+def test_runs_without_the_test_extras(tmp_path):
+    """The runtime needs numpy only: period --simulate, sweep and validate
+    run with scipy and hypothesis unimportable."""
+    probe = ("import sys\n"
+             "sys.modules['scipy'] = sys.modules['hypothesis'] = None\n"
+             "from casimir_pendulum.cli import main\n"
+             "sys.exit(max(main(argv) for argv in [\n"
+             "    ['period', '--preset', 'paper-defaults', '--simulate'],\n"
+             "    ['sweep', '--preset', 'paper-defaults', '--param', 'd_m', '--from', '1.5e-8',\n"
+             "     '--to', '3e-8', '--points', '3', '--out', 's.csv'],\n"
+             "    ['validate', '--preset', 'paper-defaults']]))\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(casimir_pendulum.__file__).parents[1]))
+    result = subprocess.run([sys.executable, "-c", probe], cwd=tmp_path, env=env,
+                            capture_output=True, text=True, timeout=30)
+    assert result.returncode == 0, result.stderr
+    assert "T_simulated = 3.7334e-07 s" in result.stdout
+    assert (tmp_path / "s.csv").read_text().count("\n") == 4

@@ -69,6 +69,7 @@ def test_full_document_round_trip():
     assert config.integrator.max_steps == 5000
     assert config.integrator.record_stride == 3
     assert config.integrator.collision_gap == 3e-10
+    assert config.build_integrator(config.params) is config.integrator  # benchmarks/replay.py
     assert config.trajectory_csv == "a.csv"
     assert config.report_json == "b.json"
 

@@ -4,7 +4,7 @@ import dataclasses
 
 import pytest
 
-from casimir_pendulum import constants, crossover_length
+from casimir_pendulum import Constants, constants, crossover_length
 
 
 def test_pinned_values():
@@ -21,6 +21,12 @@ def test_singleton_identity():
 def test_frozen():
     with pytest.raises(dataclasses.FrozenInstanceError):
         constants().hbar = 1.0
+
+
+@pytest.mark.parametrize("name", ["hbar", "c", "g_accel"])
+def test_nonpositive_constant_rejected(name):
+    with pytest.raises(ValueError, match="must all be positive"):
+        Constants(**{name: 0.0})
 
 
 def test_crossover_length():

@@ -157,6 +157,11 @@ class TestValidate:
         assert not report.small_angle_ok
         assert isinstance(report.verdict, bool)
 
+    @pytest.mark.parametrize("phi0", [math.nan, math.inf, -math.inf])
+    def test_non_finite_amplitude_raises(self, params, phi0):
+        with pytest.raises(ValueError, match="phi0 must be finite"):
+            validate(params, phi0=phi0)
+
     def test_verdict_is_conjunction(self):
         flags = dict(near_zone_ok=True, gravity_negligible=True, geometry_ok=True,
                      small_angle_ok=True)
