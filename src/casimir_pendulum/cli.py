@@ -6,10 +6,10 @@ the angle limit (|phi| reaching pi/2, or a step that overflows), step
 exhaustion or a stall (a step that cannot advance time to a larger finite
 value) rather than reaching t_max; a sweep exits 2 when any of its
 simulated points ends so, and still writes every row.  A sweep
-integrates its valid points in this process and keeps only each run's
-zero crossings, not its trajectory; the integrator module's docstring says
-how its points step together.  Each row depends only on the base config
-and its own value.
+integrates its valid points in this process and keeps only the steps
+that cross zero, not each run's trajectory; the integrator module's
+docstring says how its points step together.  Each row depends only on
+the base config and its own value.
 `period --simulate` takes the same crossing-only path with one run.
 """
 

@@ -31,11 +31,12 @@ integrate's loop, _advance, and the numpy lanes of _crossing_periods read
 the pair from one table, _DP_ROWS, which fixes its weights and the order of
 every sum; _advance writes _accel in place (same operations, same order).
 Runs that need only their periods (a sweep, and `period --simulate` as a
-sweep of one) go through _crossing_periods and keep only the samples around
-their zero crossings; once the last run ends, the periods of all runs are
-computed in one pass.  There adaptive runs step together as lanes.  Every
-lane equals a serial integrate bit for bit wherever np.sin and
-np.float_power equal math.sin and Python's **, as on common numpy builds.
+sweep of one) go through _crossing_periods and keep only the states before
+and after each step that crosses zero; once the last run ends, the periods
+of all runs are computed in one pass.  There adaptive runs step together as
+lanes.  Every lane equals a serial integrate at record_stride 1 bit for bit
+wherever np.sin and np.float_power equal math.sin and Python's **, as on
+common numpy builds; record_stride thins only the rows integrate records.
 A lane leaves the lockstep before a step that could end its run, and a run
 whose tip can reach the safety gap never joins it, so every run ends in
 _advance, the only code that decides a plate collision.
@@ -111,8 +112,9 @@ class IntegratorConfig:
     rel_tol, abs_tol -- adaptive error control on the dimensionless state,
                      finite and positive
     max_steps     -- accepted-step budget before the run stops as STEP_LIMIT
-    record_stride -- record every n-th accepted step (initial and final
-                     states are always recorded)
+    record_stride -- record every n-th accepted step of integrate's
+                     trajectory (initial and final states are always
+                     recorded)
     collision_gap -- tip-plate distance, m, at or below which the run stops
     """
 
@@ -294,14 +296,17 @@ def integrate(params: PendulumParams, initial: State, config: IntegratorConfig) 
 
 
 def _advance(params: PendulumParams, config: IntegratorConfig, scales, tau, phi, psi, acc,
-             h_next, steps, out, last=None) -> Termination:
+             h_next, steps, out, crossings=False) -> Termination:
     """integrate's loop, from the state (tau, phi, psi) with acc = _accel(phi),
     the trial step h_next and the count of accepted steps; returns the run's
-    termination.  It records the state after each step whose count is a
-    multiple of record_stride, and the last one: it appends to out each
-    (t, phi, psi) row or, given last = (t, phi, psi) of the last recorded
-    row, only the (t0, t1, phi0, phi1, phi_dot0, phi_dot1) rows around each
-    descending zero crossing, with phi_dot = psi * w_ref as in _trajectory.
+    termination.  It appends to out the (t, phi, psi) row of the state after
+    each step whose count is a multiple of record_stride, and of the last
+    one; or, with crossings, only the (t0, t1, phi0, phi1, phi_dot0,
+    phi_dot1) bracket of each accepted step that takes phi from > 0 to <= 0:
+    the states before and after it, with phi_dot = psi * w_ref as in
+    _trajectory.  Those are the rows around each descending zero crossing
+    that integrate records at record_stride 1 (t1 is the time it records
+    after the step).
 
     A Dormand-Prince trial step adds the terms of _DP_ROWS in its order (its
     1.0 weights left implicit), each stage's acceleration being _accel with
@@ -335,9 +340,6 @@ def _advance(params: PendulumParams, config: IntegratorConfig, scales, tau, phi,
     max_steps, stride = config.max_steps, config.record_stride
     sin, cos, inf = math.sin, math.cos, math.inf
     record = out.append
-    crossings = last is not None
-    if crossings:
-        t_rec, phi_rec, psi_rec = last
     termination = Termination.COMPLETED
     while tau < tau_end:
         if steps >= max_steps:
@@ -411,22 +413,15 @@ def _advance(params: PendulumParams, config: IntegratorConfig, scales, tau, phi,
         if abs(phi_new) >= MAX_ANGLE:
             termination = Termination.ANGLE_LIMIT
             break
+        if crossings and phi > 0.0 and phi_new <= 0.0:
+            record((tau / w_ref, (tau + h) / w_ref, phi, phi_new, psi * w_ref, psi_new * w_ref))
         steps += 1
         tau += h
         phi, psi = phi_new, psi_new
-        if steps % stride == 0:
-            if crossings:
-                t = tau / w_ref
-                if phi_rec > 0.0 and phi <= 0.0:
-                    record((t_rec, t, phi_rec, phi, psi_rec * w_ref, psi * w_ref))
-                t_rec, phi_rec, psi_rec = t, phi, psi
-            else:
-                record((tau / w_ref, phi, psi))
-    if steps % stride:  # the last accepted state is always recorded
-        if not crossings:
+        if not crossings and steps % stride == 0:
             record((tau / w_ref, phi, psi))
-        elif phi_rec > 0.0 and phi <= 0.0:
-            record((t_rec, tau / w_ref, phi_rec, phi, psi_rec * w_ref, psi * w_ref))
+    if not crossings and steps % stride:  # the last accepted state is always recorded
+        record((tau / w_ref, phi, psi))
     return termination
 
 
@@ -478,39 +473,42 @@ def _crossing_periods(runs: list[tuple[PendulumParams, State]],
                       config: IntegratorConfig) -> list[tuple[Termination, float | None]]:
     """Integrate many runs and keep only their periods.
 
-    Adaptive runs step together as lanes and keep, of the rows integrate
-    would record, only the two around each descending zero crossing.  A
-    lane whose step might end its run leaves the lockstep with its state
-    from before that step: it fails integrate's loop head, its accepted
-    step reaches pi/2, or its err_psi is NaN (where math.sin may raise on a
-    stage angle at +-inf).  It finishes alone in _advance, as do RK4 runs,
-    runs with d - l <= gap and, below _LOCKSTEP_MIN_LANES running, the last
-    lanes, so every run ends in integrate's own loop.  A run that ends keeps
-    only its termination and its brackets; after the last one, the periods
-    of all runs are computed in one pass (see _mean_periods).
+    Adaptive runs step together as lanes and keep, as _advance does with
+    crossings, only the states before and after each accepted step that
+    crosses zero descending.  A lane whose step might end its run leaves
+    the lockstep with its state from before that step: it fails integrate's
+    loop head, its accepted step reaches pi/2, or its err_psi is NaN (where
+    math.sin may raise on a stage angle at +-inf).  It finishes alone in
+    _advance, as do RK4 runs, runs with d - l <= gap and, below
+    _LOCKSTEP_MIN_LANES running, the last lanes, so every run ends in
+    integrate's own loop.  A run that ends keeps only its termination and
+    its brackets; after the last one, the periods of all runs are computed
+    in one pass (see _mean_periods).
 
     The lanes are the columns of one float table, laid out as the start
     tuple below.  Its counts, run index and accepted steps, are exact below
-    2**53, where max_steps and record_stride are clamped: no run gets there.
+    2**53, where max_steps is clamped: no run gets there.
 
-    Returns, for each run, (termination, period): what integrate and then
-    estimate_period(...).mean_period give for it, bit for bit (see the module
-    docstring), the period None below two cycles.  The runs start in input
-    order before any is stepped, so if integrate raises for some run, this
-    raises what it raises for the first.
+    Returns, for each run, (termination, period): what integrate at
+    record_stride 1 and then estimate_period(...).mean_period give for it,
+    bit for bit (see the module docstring), the period None below two
+    cycles.  A run's first bracket starts at tau0 / w_ref, which is
+    integrate's initial.t for a run that starts at t = 0, as every caller's
+    runs do.  The runs start in input order before any is stepped, so if
+    integrate raises for some run, this raises what it raises for the
+    first.
     """
     terminations: list[Termination] = [None] * len(runs)
     adaptive, gap = config.method is Method.RK45_ADAPTIVE, config.collision_gap
     start = []
     for i, (params, initial) in enumerate(runs):
         scales, state = _run_start(params, initial, config)
-        # 0 steps; (initial.t, initial.phi, psi) is the last row integrate would record
-        start.append((i, *scales, *state, 0, initial.t, initial.phi, state[2]))
-    lanes = np.array(start, dtype=float).reshape(-1, 14).T
+        start.append((i, *scales, *state, 0))  # 0 steps
+    lanes = np.array(start, dtype=float).reshape(-1, 11).T
     # adaptive runs whose tip never reaches the gap (see _advance) may step in lockstep
     stay = np.array([adaptive and p.d - p.l > gap for p, _ in runs], dtype=bool)
     brackets: list[list] = [[] for _ in runs]  # (t0, t1, phi0, phi1, phi_dot0, phi_dot1)
-    max_steps, stride = min(config.max_steps, 2**53), min(config.record_stride, 2**53)
+    max_steps = min(config.max_steps, 2**53)
     rtol, atol = np.array(config.rel_tol), np.array(config.abs_tol)
 
     with np.errstate(all="ignore"):
@@ -518,12 +516,12 @@ def _crossing_periods(runs: list[tuple[PendulumParams, State]],
             for lane in lanes[:, ~stay].T.tolist():  # laid out as its start tuple
                 i = int(lane[0])
                 terminations[i] = _advance(runs[i][0], config, lane[1:5], *lane[5:10],
-                                           int(lane[10]), brackets[i], lane[11:])
+                                           int(lane[10]), brackets[i], crossings=True)
             lanes = lanes.compress(stay, axis=1)  # lanes[:, stay] would stride each row
             if not lanes.shape[1]:
                 break
-            (idx, w_ref, lam, gamma, tau_end, tau, _, _, acc, h_next, steps, t_rec,
-             phi_rec, psi_rec) = lanes  # views: the steps below update the table in place
+            # views: the steps below update the table in place
+            idx, w_ref, lam, gamma, tau_end, tau, _, _, acc, h_next, steps = lanes
             y, lam2 = lanes[6:8], lam * _TWO  # [phi; psi], and lam2 as in _advance
             while True:
                 # integrate's loop head; h is min(h_next, tau_end - tau), kept as h_next
@@ -546,6 +544,12 @@ def _crossing_periods(runs: list[tuple[PendulumParams, State]],
                 # stage angle at +-inf, where math.sin raises
                 stay &= ~((accepted & hit) | np.isnan(err2[1]))
                 accepted &= stay
+                # _advance's brackets, taken before the step is committed
+                cross = accepted & (y[0] > _ZERO) & (y_new[0] <= _ZERO)
+                for j in cross.nonzero()[0].tolist():
+                    brackets[int(idx[j])].append((tau[j] / w_ref[j], tau_new[j] / w_ref[j],
+                                                  y[0, j], y_new[0, j], y[1, j] * w_ref[j],
+                                                  y_new[1, j] * w_ref[j]))
                 # _advance's controller: np.float_power equals ** (np.power may not),
                 # a 0 err gives inf, and np.fmax drops the NaN of a NaN err
                 np.copyto(h_next, h * np.minimum(np.fmax(
@@ -555,16 +559,6 @@ def _crossing_periods(runs: list[tuple[PendulumParams, State]],
                 np.copyto(tau, tau_new, where=accepted)
                 np.copyto(y, y_new, where=accepted)
                 steps += accepted
-                # _advance records when steps % stride == 0
-                due = accepted if stride == 1 else accepted & (steps % stride == 0)
-                if np.count_nonzero(due):  # record, keeping the rows around each crossing
-                    t, p, v = tau / w_ref, y[0], y[1]
-                    for j in (due & (phi_rec > _ZERO) & (p <= _ZERO)).nonzero()[0].tolist():
-                        brackets[int(idx[j])].append((t_rec[j], t[j], phi_rec[j], p[j],
-                                                      psi_rec[j] * w_ref[j], v[j] * w_ref[j]))
-                    np.copyto(t_rec, t, where=due)
-                    np.copyto(phi_rec, p, where=due)
-                    np.copyto(psi_rec, v, where=due)
                 if np.count_nonzero(stay) < len(stay):
                     break
         cols = np.fromiter(chain.from_iterable(chain.from_iterable(brackets)), float)

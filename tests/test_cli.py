@@ -12,6 +12,7 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -228,15 +229,23 @@ class TestPeriod:
           "integrator": {"method": "rk4_fixed", "dt": 4e-9}}, Termination.COMPLETED),
         ({"params": PARAMS, "initial": {"phi0_rad": 0.0}}, Termination.COMPLETED),
         (PLATE_ZONE_DOC, Termination.COLLISION),
-    ], ids=["completed", "step_limit", "collision", "rk4", "rest", "plate_zone"])
+        ({"params": PARAMS, "initial": {"phi0_rad": 0.2}, "integrator": {"record_stride": 7}},
+         Termination.COMPLETED),
+        # integrate at this stride records only the run's first and last rows
+        ({"params": PARAMS, "initial": {"phi0_rad": 0.2}, "integrator": {"record_stride": 10**6}},
+         Termination.COMPLETED),
+    ], ids=["completed", "step_limit", "collision", "rk4", "rest", "plate_zone", "stride_7",
+            "stride_1e6"])
     def test_simulated_line_equals_integrate(self, tmp_path, capsys, monkeypatch, doc,
                                              termination):
         """period --simulate keeps only the crossings, yet prints what
-        integrate + estimate_period give, termination included, and builds
-        no Trajectory."""
+        integrate at record_stride 1 + estimate_period give, termination
+        included, and builds no Trajectory: the stride thins only
+        simulate's rows."""
         cfg = write_config(tmp_path, doc)
         config = load_config(cfg)
-        traj = integrate(config.params, State(0.0, config.phi0_rad, 0.0), config.integrator)
+        traj = integrate(config.params, State(0.0, config.phi0_rad, 0.0),
+                         replace(config.integrator, record_stride=1))
         assert traj.termination is termination
         try:
             expected = f"T_simulated = {estimate_period(traj).mean_period:.4e} s"
@@ -403,6 +412,25 @@ class TestSweep:
         for i in range(0, 64, 2):
             assert data_lines(values[i], values[i + 1], 2) == full[i:i + 2]
 
+    @pytest.mark.parametrize("stop, points, valid", [(5e-8, 64, 52), (3e-8, 2, 2)],
+                             ids=["lockstep", "alone"])
+    def test_record_stride_leaves_the_rows(self, tmp_path, stop, points, valid):
+        """record_stride thins only simulate's trajectory: a sweep at stride 7
+        writes the bytes of one at stride 1, whether its runs step in
+        lockstep or finish alone."""
+        def written(stride):
+            doc = {"params": dict(PARAMS, beta=2.0, include_gravity=True),
+                   "initial": {"phi0_rad": 0.2}, "integrator": {"record_stride": stride}}
+            out = tmp_path / "s.csv"
+            assert main(["sweep", "--config", write_config(tmp_path, doc), "--param", "d_m",
+                         "--from", "1.5e-8", "--to", repr(stop), "--points", str(points),
+                         "--log", "--out", str(out)]) == 0
+            return out.read_bytes()
+
+        rows = written(1)
+        assert rows.count(b",true\n") == valid
+        assert written(7) == rows
+
     def test_swing_through_plate_zone_has_no_period(self, tmp_path):
         """Every point's tip reaches the collision gap at phi = 0, so
         validate rates every point false and none is simulated."""
@@ -423,16 +451,15 @@ class TestSweep:
         results = integrator._crossing_periods(runs, config.integrator)
         assert results == [(Termination.COLLISION, None)] * n
 
-    # counts beyond int64, which the sweep lanes hold as floats
-    @pytest.mark.parametrize("integrator_doc", [{"record_stride": 2**63},
-                                                {"record_stride": 10**30, "max_steps": 10**400}],
-                             ids=["stride_2**63", "stride_1e30_max_steps_1e400"])
+    # step budgets beyond int64, which the sweep lanes compare with their float step counts
+    @pytest.mark.parametrize("integrator_doc", [{"max_steps": 2**63}, {"max_steps": 10**400}],
+                             ids=["max_steps_2**63", "max_steps_1e400"])
     @pytest.mark.parametrize("command", [
         ["period", "--simulate"],
         ["sweep", "--param", "d_m", "--from", "1.5e-8", "--to", "5e-8", "--points", "200",
          "--out", "s.csv"]], ids=["period", "sweep"])
     def test_counts_beyond_int64(self, tmp_path, capsys, monkeypatch, command, integrator_doc):
-        """Such counts act as stride 2**63 - 1: past any run's step count."""
+        """Such budgets act as 2**63 - 1: past any run's step count."""
         monkeypatch.chdir(tmp_path)
 
         def outcome(doc):
@@ -443,7 +470,7 @@ class TestSweep:
             written = (tmp_path / "s.csv").read_bytes() if command[0] == "sweep" else None
             return code, capsys.readouterr(), written
 
-        assert outcome(integrator_doc) == outcome({"record_stride": 2**63 - 1})
+        assert outcome(integrator_doc) == outcome({"max_steps": 2**63 - 1})
 
     def test_unknown_param_is_usage_error(self, tmp_path):
         with pytest.raises(SystemExit) as exc:

@@ -213,6 +213,55 @@ class TestReversibility:
         assert abs(end.phi_dot) <= 1e-7 * phi0 * 2.0 * math.pi / period
 
 
+# generated designs: d log-uniform in [1.05e-8, 5e-8] m, l/d in [0.3, 0.9]; phi0 stays at or
+# above 1e-3, below which the default abs_tol no longer resolves the swing
+design_d = st.floats(math.log10(1.05e-8), math.log10(5e-8)).map(lambda e: 10.0**e)
+design_ratio = st.floats(0.3, 0.9)
+design_phi0 = st.floats(-3.0, math.log10(0.92)).map(lambda e: 10.0**e)
+
+
+def default_run(d, l, gravity, phi0) -> Trajectory:
+    """A release from rest at phi0 over the default horizon, three cycles."""
+    params = PendulumParams(d=d, l=l, mass=1e-24, atom=LANE_ATOM, include_gravity=gravity)
+    traj = integrate(params, State(0.0, phi0, 0.0), IntegratorConfig())
+    assert traj.termination is Termination.COMPLETED
+    return traj
+
+
+class TestGeneratedDesigns:
+    """The model's laws on generated designs at default tolerances."""
+
+    # the worst of 300 draws was 3.8e-6
+    @settings(derandomize=True, database=None, max_examples=60, deadline=None)
+    @given(d=design_d, ratio=design_ratio, k=st.floats(1.1, 3.0))
+    def test_gap_square_law(self, d, ratio, k):
+        """Without gravity a small swing's period scales as (d - l)**2: a
+        gap k times as wide gives k**2 times the period."""
+        l = ratio * d
+        periods = [estimate_period(default_run(l + gap, l, False, 1e-3)).mean_period
+                   for gap in (d - l, k * (d - l))]
+        assert periods[1] / periods[0] == pytest.approx(k * k, rel=2e-5)
+
+    # no violation in 300 draws
+    @settings(derandomize=True, database=None, max_examples=60, deadline=None)
+    @given(d=design_d, ratio=design_ratio, gravity=st.booleans(), phi0=design_phi0,
+           u=st.floats(1.05, 1.3))
+    def test_period_grows_with_amplitude(self, d, ratio, gravity, phi0, u):
+        """The potential softens away from phi = 0, so a wider swing is no
+        faster, and no swing beats the linearized period."""
+        small, wide = (estimate_period(default_run(d, ratio * d, gravity, a)).mean_period
+                       for a in (phi0, phi0 * u))
+        w_ref, _, gamma = integrator_module._dimensionless_system(
+            PendulumParams(d=d, l=ratio * d, mass=1e-24, atom=LANE_ATOM, include_gravity=gravity))
+        assert wide >= small >= 2.0 * math.pi / (w_ref * math.sqrt(1.0 + gamma))
+
+    # the worst of 300 draws was 2.7e-9; the acceptance suite's bound
+    @settings(derandomize=True, database=None, max_examples=60, deadline=None)
+    @given(d=design_d, ratio=design_ratio, gravity=st.booleans(), phi0=design_phi0)
+    def test_energy_drift_bounded(self, d, ratio, gravity, phi0):
+        assert energy_drift(default_run(d, ratio * d, gravity, phi0)) <= 1e-8
+
+
 class TestDeterminism:
     def test_bit_identical_reruns(self, params):
         a = release(params, 1e-2)
@@ -764,11 +813,13 @@ BATCH = [REF, ((1.7e-8, 1e-8), 0.2, True), ((3e-8, 1e-8), 0.3, False), ((4e-8, 1
 
 class TestLockstepLanes:
     """The sweep integrates its points as lanes of numpy arrays; each lane
-    must equal a serial integrate + estimate_period bit for bit."""
+    must equal a serial integrate + estimate_period at record_stride 1 bit
+    for bit, whatever the config's stride."""
 
     # min_lanes stands in for _LOCKSTEP_MIN_LANES: at 1 adaptive lanes step
     # together to the end, above it the last ones finish alone; RK4 runs
-    # always finish alone
+    # always finish alone.  The stride, which thins only integrate's rows,
+    # must not change a period.
     @settings(derandomize=True, database=None, max_examples=30, deadline=None)
     @given(method=st.sampled_from(Method), dt=st.sampled_from([1e-9, 4e-9, 1e283]),
            t_max=st.sampled_from([None, 3e-6, 1e302]), stride=st.sampled_from([1, 3, 50]),
@@ -783,7 +834,7 @@ class TestLockstepLanes:
              [REF, ((1.5e70, 1e-8), 0.3, True, 1.3e159), ((1.5e70, 1e-8), -0.3, True, -1.3e159),
               ((1.82e70, 1e-8), 0.3, True)], 1)
     # collision mid-swing, and completed runs, the last one finishing alone
-    # from its step count and its last recorded row
+    # from its step count
     @example(Method.RK45_ADAPTIVE, None, 1.2e-6, 7, 10**6, [((1.019e-8, 1e-8), 0.3, True), REF],
              2)
     @example(Method.RK4_FIXED, 4e-9, 1.2e-6, 1, 10**6, [REF, ((3e-8, 1.2e-8), -0.2, False)], 2)
@@ -803,14 +854,13 @@ class TestLockstepLanes:
     @example(Method.RK4_FIXED, 4e-12, None, 1, 400,
              [((1.019e-8, 1e-8), 0.3, True), REF, ((3e-8, 1.2e-8), 0.2, False)], 1)
     # fewer lanes than min_lanes: every run finishes alone in _advance,
-    # keeping only its crossings.  The last crossing falls between the last
-    # row of the stride and the final row, which is always recorded ...
+    # keeping only its crossings, here at stride 50 ...
     @example(Method.RK45_ADAPTIVE, None, 1.22e-6, 50, 10**6, [REF], 2)
     @example(Method.RK4_FIXED, 4e-9, 1.22e-6, 50, 10**6, [REF], 2)
-    # RK4 runs over the default horizon, off the stride
+    # RK4 runs over the default horizon at strides 3 and 7
     @example(Method.RK4_FIXED, 4e-9, None, 3, 10**6, [REF, ((3e-8, 1.2e-8), -0.2, False)], 1)
     @example(Method.RK4_FIXED, 4e-9, None, 7, 10**6, [((3e-8, 1.2e-8), 0.2, False), REF], 2)
-    # ... step_limit ends and a mid-swing collision, each off the stride ...
+    # ... step_limit ends and a mid-swing collision ...
     @example(Method.RK45_ADAPTIVE, None, None, 3, 400,
              [REF, ((1.019e-8, 1e-8), 0.3, True), ((1.05e-8, 1e-8), 0.25, True)], 4)
     # ... and a stalled run
@@ -836,10 +886,10 @@ class TestLockstepLanes:
                                   max_steps=max_steps, record_stride=stride)
         runs = [(PendulumParams(d=d, l=l, mass=1e-24, atom=LANE_ATOM, include_gravity=gravity),
                  State(0.0, phi0, *phi_dot or [0.0])) for (d, l), phi0, gravity, *phi_dot in lanes]
-        expected = []
+        expected, serial = [], replace(config, record_stride=1)
         try:
             for params, initial in runs:
-                expected.append(serial_outcome(params, initial, config))
+                expected.append(serial_outcome(params, initial, serial))
         except (ArithmeticError, ValueError) as exc:
             with (pytest.raises(type(exc), match=f"^{re.escape(str(exc))}$"),
                   mock.patch.object(integrator_module, "_LOCKSTEP_MIN_LANES", min_lanes)):
