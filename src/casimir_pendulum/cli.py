@@ -156,7 +156,7 @@ def cmd_period(args) -> int:
     [(termination, period)] = _crossing_periods([(params, initial)], config.integrator)
     print(f"termination = {termination.value}")
     if period is None:
-        print("T_simulated = n/a (fewer than 2 full cycles observed)")
+        print("T_simulated = n/a (fewer than 2 descending zero crossings)")
     else:
         print(f"T_simulated = {period:.4e} s")
     return EXIT_OK if termination is Termination.COMPLETED else EXIT_PHYSICS

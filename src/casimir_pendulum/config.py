@@ -18,9 +18,9 @@ whether it is required, lives in one table, _SCHEMA, and one reader,
 _section, checks them all.  The "params" entry comes from _PARAMS, which
 also drives sweeping and params_to_dict.  An omitted optional key keeps the
 default of the dataclass it fills.  An omitted "t_max" stays None: integrate
-then ends the release from rest after 3.5 exact periods of the pendulum it
-integrates (4 when phi0 <= 0), so every run, and every point of a sweep,
-covers three full cycles.
+then ends the release from rest after 1.5 exact periods of the pendulum it
+integrates (2 when phi0 <= 0), so every run, and every point of a sweep,
+covers one full cycle.
 """
 
 import json

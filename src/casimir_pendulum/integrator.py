@@ -104,8 +104,8 @@ class IntegratorConfig:
     """Integration settings.
 
     t_max         -- absolute end time of the run, s; None ends a release
-                     from rest at phi0 after its third full cycle (3.5 exact
-                     periods, 4 for phi0 <= 0) and any other start after
+                     from rest at phi0 after its first full cycle (1.5 exact
+                     periods, 2 for phi0 <= 0) and any other start after
                      DEFAULT_T_MAX_PERIODS linearized periods
     method        -- fixed-step RK4 or adaptive Dormand-Prince 5(4)
     dt            -- fixed step size, s (required for RK4_FIXED)
@@ -267,7 +267,7 @@ def _run_start(params: PendulumParams, initial: State, config: IntegratorConfig)
     w_ref, lam, gamma = _dimensionless_system(params)
     t_max = config.t_max
     if t_max is None:  # from rest, descending crossings at T/4 + kT (3T/4 + kT if phi0 <= 0)
-        t_max = ((3.5 if initial.phi > 0.0 else 4.0) * _exact_period(w_ref, lam, gamma, initial.phi)
+        t_max = ((1.5 if initial.phi > 0.0 else 2.0) * _exact_period(w_ref, lam, gamma, initial.phi)
                  if initial.phi_dot == 0.0 else DEFAULT_T_MAX_PERIODS * linear_period(params))
     if not t_max > initial.t:
         raise ValueError(f"t_max={t_max!r} must exceed initial.t={initial.t!r}")
@@ -279,8 +279,8 @@ def _run_start(params: PendulumParams, initial: State, config: IntegratorConfig)
 
 def integrate(params: PendulumParams, initial: State, config: IntegratorConfig) -> Trajectory:
     """Integrate the nonlinear equation of motion from initial.t to
-    config.t_max (by default, for a release from rest, until three full
-    cycles have passed; see IntegratorConfig).
+    config.t_max (by default, for a release from rest, until one full
+    cycle has passed; see IntegratorConfig).
 
     Deterministic: identical inputs produce bit-identical trajectories.
     Collision (tip at or below the safety gap at any time in a step), the

@@ -29,6 +29,7 @@ from casimir_pendulum import (
     integrator,
     linear_period,
     load_config,
+    parse_config,
 )
 from casimir_pendulum.cli import build_parser, main
 
@@ -58,6 +59,14 @@ OVERFLOW_DOC = {
 # at equilibrium the error estimate is 0, so the step grows tenfold each
 # step; t_max * omega_ref overflows to inf, so only the stall test ends the run
 HUGE_T_MAX_DOC = {"params": PARAMS, "integrator": {"t_max": 1e302}}
+
+
+def accepted_steps(doc, phi0):
+    """Accepted steps of doc's run from rest at phi0 to its end time."""
+    config = parse_config(doc)
+    traj = integrate(config.params, State(0.0, phi0, 0.0), config.integrator)
+    assert traj.termination is Termination.COMPLETED
+    return len(traj) - 1
 
 
 # d - l = 0.29999997 nm against a 0.3 nm safety gap: the tip reaches the gap
@@ -221,7 +230,9 @@ class TestPeriod:
 
     @pytest.mark.parametrize("doc, termination", [
         ({"params": PARAMS, "initial": {"phi0_rad": 0.2}}, Termination.COMPLETED),
-        ({"params": PARAMS, "initial": {"phi0_rad": 0.2}, "integrator": {"max_steps": 300}},
+        # half the steps that the run takes to its end time, whatever that is
+        ({"params": PARAMS, "initial": {"phi0_rad": 0.2},
+          "integrator": {"max_steps": accepted_steps({"params": PARAMS}, 0.2) // 2}},
          Termination.STEP_LIMIT),
         ({"params": dict(PARAMS, d_m=1.019e-8), "initial": {"phi0_rad": 0.3}},
          Termination.COLLISION),
@@ -250,7 +261,7 @@ class TestPeriod:
         try:
             expected = f"T_simulated = {estimate_period(traj).mean_period:.4e} s"
         except InsufficientCyclesError:
-            expected = "T_simulated = n/a (fewer than 2 full cycles observed)"
+            expected = "T_simulated = n/a (fewer than 2 descending zero crossings)"
 
         def no_trajectory(*args):
             raise AssertionError("period built a Trajectory")
@@ -358,8 +369,12 @@ class TestSweep:
 
     def test_unfinished_run_exits_2(self, tmp_path, capsys):
         """A sweep whose runs exhaust their steps writes every row, counts
-        them and exits 2, as period --simulate does on one of its points."""
-        doc = {"params": PARAMS, "initial": {"phi0_rad": 0.1}, "integrator": {"max_steps": 500}}
+        them and exits 2, as period --simulate does on one of its points.
+        The budget stops each run one step or more before its end time,
+        past its second crossing, so every row still carries a period."""
+        steps = min(accepted_steps({"params": PARAMS}, phi0) for phi0 in (0.05, 0.1, 0.15))
+        doc = {"params": PARAMS, "initial": {"phi0_rad": 0.1},
+               "integrator": {"max_steps": steps - 1}}
         cfg = write_config(tmp_path, doc)
         assert main(["period", "--config", cfg, "--simulate"]) == 2
         assert "termination = step_limit\n" in capsys.readouterr().out

@@ -102,8 +102,8 @@ def test_default_run_length_is_twelve_periods():
     assert traj.t[-1] == pytest.approx(12 * linear_period(params), rel=1e-12)
 
 
-@pytest.mark.parametrize("phi0,periods", [(0.1, 3.5), (-0.1, 4.0), (0.0, 4.0)])
-def test_default_run_length_from_rest_is_three_cycles(phi0, periods):
+@pytest.mark.parametrize("phi0,periods", [(0.1, 1.5), (-0.1, 2.0), (0.0, 2.0)])
+def test_default_run_length_from_rest_is_one_cycle(phi0, periods):
     params = parse_config({"params": FULL_DOC["params"]}).params
     traj = integrate(params, State(0.0, phi0, 0.0), IntegratorConfig())
     assert traj.t[-1] == pytest.approx(periods * exact_period(params, phi0), rel=1e-12)

@@ -124,8 +124,9 @@ def test_zero_initial_energy_reports_absent_drift(params):
     # at d 1.5e70 the energy scale I*w_ref**2 underflows, so every energy is 0
     far = replace(params, d=1.5e70)
     # over 12 linearized periods the first trial step is 0.1 in tau; at a
-    # tolerance that admits it, it lands far beyond pi/2 (the default horizon,
-    # 3.5 periods of the gravity-dominated swing, completes)
+    # tolerance that admits it, it lands far beyond pi/2 (at the default
+    # tolerances the default horizon, 1.5 periods of the gravity-dominated
+    # swing, completes)
     config = IntegratorConfig(t_max=12 * linear_period(far), rel_tol=1.0)
     traj = integrate(far, State(0.0, 0.3, 0.0), config)
     assert traj.energy[0] == 0.0
