@@ -7,10 +7,12 @@ exhaustion or a stall (a step that cannot advance time to a larger finite
 value) rather than reaching t_max; a sweep exits 2 when any of its
 simulated points ends so, and still writes every row.  A sweep
 integrates its valid points in this process and keeps only the steps
-that cross zero, not each run's trajectory; the integrator module's
-docstring says how its points step together.  Each row depends only on
-the base config and its own value.
-`period --simulate` takes the same crossing-only path with one run.
+that cross zero, not each run's trajectory; each run, released from
+rest, ends with the step of its second descending crossing.  The
+integrator module's docstring says how many points step together.  Each
+row depends only on the base config and its own value.
+`period --simulate` takes the same crossing-only path with one run, which
+steps and locates its crossings in plain Python.
 """
 
 import argparse

@@ -30,16 +30,16 @@ psi5 = psi + sum_j b_j*ka_j, and the error estimate is
 integrate's loop, _advance, and the numpy lanes of _crossing_periods read
 the pair from one table, _DP_ROWS, which fixes its weights and the order of
 every sum; _advance writes _accel in place (same operations, same order).
-Runs that need only their periods (a sweep, and `period --simulate` as a
-sweep of one) go through _crossing_periods and keep only the states before
-and after each step that crosses zero; once the last run ends, the periods
-of all runs are computed in one pass.  There adaptive runs step together as
-lanes.  Every lane equals a serial integrate at record_stride 1 bit for bit
-wherever np.sin and np.float_power equal math.sin and Python's **, as on
-common numpy builds; record_stride thins only the rows integrate records.
-A lane leaves the lockstep before a step that could end its run, and a run
-whose tip can reach the safety gap never joins it, so every run ends in
-_advance, the only code that decides a plate collision.
+A release from rest with no t_max ends with the step of its second
+descending zero crossing.  Runs that need only their periods (a sweep, and
+`period --simulate` as a sweep of one) go through _crossing_periods and keep
+only the states around each step that crosses zero; from
+_LOCKSTEP_MIN_LANES runs up, adaptive runs step together as lanes, each
+equal to a serial integrate at record_stride 1 bit for bit wherever np.sin
+and np.float_power equal math.sin and Python's **, as on common numpy
+builds.  A lane leaves the lockstep before a step that could end its run,
+and a run whose tip can reach the safety gap never joins it, so every run
+ends in _advance, the only code that decides a plate collision.
 
 A run never raises for physics reasons: the tip reaching the safety gap
 (collision), |phi| reaching pi/2 or a stage angle overflowing (angle
@@ -51,7 +51,7 @@ status, so parameter sweeps survive pathological points.
 import math
 from dataclasses import dataclass
 from enum import Enum
-from itertools import accumulate, chain
+from itertools import chain
 
 import numpy as np
 
@@ -104,9 +104,10 @@ class IntegratorConfig:
     """Integration settings.
 
     t_max         -- absolute end time of the run, s; None ends a release
-                     from rest at phi0 after its first full cycle (1.5 exact
-                     periods, 2 for phi0 <= 0) and any other start after
-                     DEFAULT_T_MAX_PERIODS linearized periods
+                     from rest at phi0 with the step of its second
+                     descending zero crossing (one full cycle, capped at 1.5
+                     exact periods, 2 for phi0 <= 0) and any other start
+                     after DEFAULT_T_MAX_PERIODS linearized periods
     method        -- fixed-step RK4 or adaptive Dormand-Prince 5(4)
     dt            -- fixed step size, s (required for RK4_FIXED)
     rel_tol, abs_tol -- adaptive error control on the dimensionless state,
@@ -259,28 +260,30 @@ def _trajectory(rows, params: PendulumParams, termination: Termination) -> Traje
 
 def _run_start(params: PendulumParams, initial: State, config: IntegratorConfig):
     """(scales, state) of one run, after checking its initial angle
-    (GeometryError) and its end time (ValueError): scales is
-    (w_ref, lam, gamma, tau_end), and state is the (tau, phi, psi, acc,
-    h_next) that _advance starts from, with acc = _accel(phi) and h_next the
-    trial first step."""
+    (GeometryError) and its end time (ValueError): scales is (w_ref, lam,
+    gamma, tau_end, stop), stop counting the descending zero crossings whose
+    last step ends the run (inf: none), and state is the (tau, phi, psi,
+    acc, h_next) _advance starts from, acc = _accel(phi), h_next its trial."""
     _check_angle(initial.phi)
     w_ref, lam, gamma = _dimensionless_system(params)
-    t_max = config.t_max
-    if t_max is None:  # from rest, descending crossings at T/4 + kT (3T/4 + kT if phi0 <= 0)
-        t_max = ((1.5 if initial.phi > 0.0 else 2.0) * _exact_period(w_ref, lam, gamma, initial.phi)
-                 if initial.phi_dot == 0.0 else DEFAULT_T_MAX_PERIODS * linear_period(params))
+    t_max, stop = config.t_max, math.inf
+    if t_max is None and initial.phi_dot == 0.0:  # crossings at T/4 + kT (3T/4 + kT if phi0 <= 0)
+        stop = 2  # one cycle, capped at 1.5T (2T)
+        t_max = (1.5 if initial.phi > 0.0 else 2.0) * _exact_period(w_ref, lam, gamma, initial.phi)
+    elif t_max is None:
+        t_max = DEFAULT_T_MAX_PERIODS * linear_period(params)
     if not t_max > initial.t:
         raise ValueError(f"t_max={t_max!r} must exceed initial.t={initial.t!r}")
     h_next = _INITIAL_PHASE_STEP if config.method is Method.RK45_ADAPTIVE else config.dt * w_ref
-    return ((w_ref, lam, gamma, t_max * w_ref),
+    return ((w_ref, lam, gamma, t_max * w_ref, stop),
             (initial.t * w_ref, initial.phi, initial.phi_dot / w_ref,
              _accel(initial.phi, lam, gamma), h_next))
 
 
 def integrate(params: PendulumParams, initial: State, config: IntegratorConfig) -> Trajectory:
     """Integrate the nonlinear equation of motion from initial.t to
-    config.t_max (by default, for a release from rest, until one full
-    cycle has passed; see IntegratorConfig).
+    config.t_max (by default, for a release from rest, to the end of the
+    step that completes its first full cycle; see IntegratorConfig).
 
     Deterministic: identical inputs produce bit-identical trajectories.
     Collision (tip at or below the safety gap at any time in a step), the
@@ -306,7 +309,8 @@ def _advance(params: PendulumParams, config: IntegratorConfig, scales, tau, phi,
     the states before and after it, with phi_dot = psi * w_ref as in
     _trajectory.  Those are the rows around each descending zero crossing
     that integrate records at record_stride 1 (t1 is the time it records
-    after the step).
+    after the step).  The step of the stop-th crossing (scales' last entry)
+    ends the run, completed.
 
     A Dormand-Prince trial step adds the terms of _DP_ROWS in its order (its
     1.0 weights left implicit), each stage's acceleration being _accel with
@@ -326,7 +330,7 @@ def _advance(params: PendulumParams, config: IntegratorConfig, scales, tau, phi,
     The tip is tested before |phi| >= pi/2 (the angle limit), so a step
     that does both collides.
     """
-    w_ref, lam, gamma, tau_end = scales
+    w_ref, lam, gamma, tau_end, stop = scales
     lam2 = lam * 2.0
     ((c2,), (c3, a31), (a42, c4, a41), (a52, c5, a51, a53), (a62, _, a61, a63, a64),
      (_, a71, a73, a74, a75), (b1, b3, b4, b5, b6), (eb1, eb3, eb4, eb5, eb6),
@@ -413,8 +417,12 @@ def _advance(params: PendulumParams, config: IntegratorConfig, scales, tau, phi,
         if abs(phi_new) >= MAX_ANGLE:
             termination = Termination.ANGLE_LIMIT
             break
-        if crossings and phi > 0.0 and phi_new <= 0.0:
-            record((tau / w_ref, (tau + h) / w_ref, phi, phi_new, psi * w_ref, psi_new * w_ref))
+        if phi > 0.0 and phi_new <= 0.0:
+            stop -= 1
+            tau_end = tau_end if stop else tau + h  # at the stop-th, the run ends with this step
+            if crossings:
+                record((tau / w_ref, (tau + h) / w_ref, phi, phi_new, psi * w_ref,
+                        psi_new * w_ref))
         steps += 1
         tau += h
         phi, psi = phi_new, psi_new
@@ -473,146 +481,138 @@ def _crossing_periods(runs: list[tuple[PendulumParams, State]],
                       config: IntegratorConfig) -> list[tuple[Termination, float | None]]:
     """Integrate many runs and keep only their periods.
 
-    Adaptive runs step together as lanes and keep, as _advance does with
-    crossings, only the states before and after each accepted step that
-    crosses zero descending.  A lane whose step might end its run leaves
-    the lockstep with its state from before that step: it fails integrate's
-    loop head, its accepted step reaches pi/2, or its err_psi is NaN (where
-    math.sin may raise on a stage angle at +-inf).  It finishes alone in
-    _advance, as do RK4 runs, runs with d - l <= gap and, below
+    Each run keeps, as _advance does with crossings, only the states before
+    and after each accepted step that crosses zero descending.  From
+    _LOCKSTEP_MIN_LANES adaptive runs with d - l > gap up, those step
+    together as lanes.  A lane whose step might end its run leaves the
+    lockstep with its state from before that step: it fails integrate's loop
+    head, its accepted step reaches pi/2 or makes its last crossing, or its
+    err_psi is NaN (where math.sin may raise on a stage angle at +-inf).  It
+    finishes alone in _advance, as do all other runs and, below
     _LOCKSTEP_MIN_LANES running, the last lanes, so every run ends in
-    integrate's own loop.  A run that ends keeps only its termination and
-    its brackets; after the last one, the periods of all runs are computed
-    in one pass (see _mean_periods).
-
-    The lanes are the columns of one float table, laid out as the start
-    tuple below.  Its counts, run index and accepted steps, are exact below
-    2**53, where max_steps is clamped: no run gets there.
+    integrate's own loop.  The lanes are the columns of one float table,
+    laid out as the start tuple below, whose counts are exact below 2**53,
+    where max_steps is clamped: no run gets there.
 
     Returns, for each run, (termination, period): what integrate at
     record_stride 1 and then estimate_period(...).mean_period give for it,
     bit for bit (see the module docstring), the period None below two
-    cycles.  A run's first bracket starts at tau0 / w_ref, which is
-    integrate's initial.t for a run that starts at t = 0, as every caller's
-    runs do.  The runs start in input order before any is stepped, so if
-    integrate raises for some run, this raises what it raises for the
-    first.
+    cycles (a run's first bracket starts at tau0 / w_ref, integrate's
+    initial.t for a start at t = 0, as every caller's).  If integrate raises
+    for some run, this raises what it raises for the first.
     """
     terminations: list[Termination] = [None] * len(runs)
-    adaptive, gap = config.method is Method.RK45_ADAPTIVE, config.collision_gap
-    start = []
-    for i, (params, initial) in enumerate(runs):
-        scales, state = _run_start(params, initial, config)
-        start.append((i, *scales, *state, 0))  # 0 steps
-    lanes = np.array(start, dtype=float).reshape(-1, 11).T
-    # adaptive runs whose tip never reaches the gap (see _advance) may step in lockstep
-    stay = np.array([adaptive and p.d - p.l > gap for p, _ in runs], dtype=bool)
     brackets: list[list] = [[] for _ in runs]  # (t0, t1, phi0, phi1, phi_dot0, phi_dot1)
-    max_steps = min(config.max_steps, 2**53)
-    rtol, atol = np.array(config.rel_tol), np.array(config.abs_tol)
+    start = [(i, *scales, *state, 0)  # 0 steps
+             for i, (scales, state) in enumerate(_run_start(p, s, config) for p, s in runs)]
 
-    with np.errstate(all="ignore"):
-        while True:
-            for lane in lanes[:, ~stay].T.tolist():  # laid out as its start tuple
-                i = int(lane[0])
-                terminations[i] = _advance(runs[i][0], config, lane[1:5], *lane[5:10],
-                                           int(lane[10]), brackets[i], crossings=True)
-            lanes = lanes.compress(stay, axis=1)  # lanes[:, stay] would stride each row
-            if not lanes.shape[1]:
-                break
-            # views: the steps below update the table in place
-            idx, w_ref, lam, gamma, tau_end, tau, _, _, acc, h_next, steps = lanes
-            y, lam2 = lanes[6:8], lam * _TWO  # [phi; psi], and lam2 as in _advance
-            while True:
-                # integrate's loop head; h is min(h_next, tau_end - tau), kept as h_next
-                # by a leaving lane (_advance clips it to h again) until the controller
-                rest = tau_end - tau
-                np.copyto(h_next, rest, where=rest < h_next)
-                h = h_next
-                tau_new = tau + h
-                stay = (tau < tau_end) & (steps < max_steps) & (tau < tau_new) & (tau_new < _INF)
-                if np.count_nonzero(stay) < _LOCKSTEP_MIN_LANES:
-                    stay[:] = False
-                    break
-                y_new, acc_new, err2 = _dp45_lanes(y, acc, h, lam2, gamma)
-                scale = atol + rtol * _py_max(np.abs(y), np.abs(y_new))
-                ratio = np.abs(err2) / scale
-                err = _py_max(ratio[0], ratio[1])
-                accepted = err <= _ONE
-                hit = np.abs(y_new[0]) >= _LANE_MAX_ANGLE
-                # _advance takes these steps again: only a NaN err_psi can hide a
-                # stage angle at +-inf, where math.sin raises
-                stay &= ~((accepted & hit) | np.isnan(err2[1]))
-                accepted &= stay
-                # _advance's brackets, taken before the step is committed
-                cross = accepted & (y[0] > _ZERO) & (y_new[0] <= _ZERO)
-                for j in cross.nonzero()[0].tolist():
-                    brackets[int(idx[j])].append((tau[j] / w_ref[j], tau_new[j] / w_ref[j],
-                                                  y[0, j], y_new[0, j], y[1, j] * w_ref[j],
-                                                  y_new[1, j] * w_ref[j]))
-                # _advance's controller: np.float_power equals ** (np.power may not),
-                # a 0 err gives inf, and np.fmax drops the NaN of a NaN err
-                np.copyto(h_next, h * np.minimum(np.fmax(
-                    _LANE_SAFETY * np.float_power(err, _LANE_EXPONENT), _LANE_MIN_FACTOR),
-                    _LANE_MAX_FACTOR), where=stay)
-                np.copyto(acc, acc_new, where=accepted)
-                np.copyto(tau, tau_new, where=accepted)
-                np.copyto(y, y_new, where=accepted)
-                steps += accepted
-                if np.count_nonzero(stay) < len(stay):
-                    break
-        cols = np.fromiter(chain.from_iterable(chain.from_iterable(brackets)), float)
-        periods = _mean_periods(cols.reshape(-1, 6).T, [len(b) for b in brackets])[1]
-    return list(zip(terminations, periods))
+    def alone(lanes):
+        for i, *lane in lanes:  # laid out as its start tuple
+            terminations[int(i)] = _advance(runs[int(i)][0], config, lane[:5], *lane[5:10],
+                                            int(lane[10]), brackets[int(i)], crossings=True)
+
+    # adaptive runs whose tip never reaches the gap (see _advance) may step in lockstep
+    adaptive, gap = config.method is Method.RK45_ADAPTIVE, config.collision_gap
+    eligible = [adaptive and p.d - p.l > gap for p, _ in runs]
+    lockstep = sum(eligible) >= _LOCKSTEP_MIN_LANES
+    alone(lane for lane, e in zip(start, eligible) if not (lockstep and e))
+    if lockstep:
+        lanes = np.array([lane for lane, e in zip(start, eligible) if e], dtype=float).T
+        max_steps = min(config.max_steps, 2**53)
+        rtol, atol = np.array(config.rel_tol), np.array(config.abs_tol)
+        with np.errstate(all="ignore"):
+            while lanes.shape[1]:
+                # views: the steps below update the table in place
+                idx, w_ref, lam, gamma, tau_end, stop, tau, _, _, acc, h_next, steps = lanes
+                y, lam2 = lanes[7:9], lam * _TWO  # [phi; psi], and lam2 as in _advance
+                while True:
+                    # integrate's loop head; h is min(h_next, tau_end - tau), kept as h_next
+                    # by a leaving lane (_advance clips it to h again) until the controller
+                    rest = tau_end - tau
+                    np.copyto(h_next, rest, where=rest < h_next)
+                    h = h_next
+                    tau_new = tau + h
+                    stay = ((tau < tau_end) & (steps < max_steps) & (tau < tau_new)
+                            & (tau_new < _INF))
+                    if np.count_nonzero(stay) < _LOCKSTEP_MIN_LANES:
+                        stay[:] = False
+                        break
+                    y_new, acc_new, err2 = _dp45_lanes(y, acc, h, lam2, gamma)
+                    scale = atol + rtol * _py_max(np.abs(y), np.abs(y_new))
+                    ratio = np.abs(err2) / scale
+                    err = _py_max(ratio[0], ratio[1])
+                    accepted = err <= _ONE
+                    cross = (y[0] > _ZERO) & (y_new[0] <= _ZERO)
+                    ends = (np.abs(y_new[0]) >= _LANE_MAX_ANGLE) | cross & (stop <= _ONE)
+                    # _advance takes these steps again: only a NaN err_psi can hide a
+                    # stage angle at +-inf, where math.sin raises
+                    stay &= ~((accepted & ends) | np.isnan(err2[1]))
+                    accepted &= stay
+                    cross &= accepted
+                    if cross.any():  # _advance's brackets, taken before the step is committed
+                        for i, *bracket in zip(*[col[cross].tolist() for col in (
+                                idx, tau / w_ref, tau_new / w_ref, y[0], y_new[0], y[1] * w_ref,
+                                y_new[1] * w_ref)]):
+                            brackets[int(i)].append(bracket)
+                    # _advance's controller: np.float_power equals ** (np.power may not),
+                    # a 0 err gives inf, and np.fmax drops the NaN of a NaN err
+                    np.copyto(h_next, h * np.minimum(np.fmax(
+                        _LANE_SAFETY * np.float_power(err, _LANE_EXPONENT), _LANE_MIN_FACTOR),
+                        _LANE_MAX_FACTOR), where=stay)
+                    np.copyto(acc, acc_new, where=accepted)
+                    np.copyto(tau, tau_new, where=accepted)
+                    np.copyto(y, y_new, where=accepted)
+                    steps += accepted
+                    stop -= cross
+                    if np.count_nonzero(stay) < len(stay):
+                        break
+                alone(lanes[:, ~stay].T.tolist())
+                lanes = lanes.compress(stay, axis=1)  # lanes[:, stay] would stride each row
+    return [(end, _mean_period(b)[1]) for end, b in zip(terminations, brackets)]
 
 
-def _crossing_times(t0, t1, p0, p1, v0, v1):
-    """Time of each descending zero crossing from the samples (t0, p0, v0)
-    and (t1, p1, v1) of (t, phi, phi_dot) that bracket it: the root of the
-    cubic Hermite through them (Hairer, Norsett & Wanner, Solving ODEs I,
-    II.6), by three Newton steps from the root of the linear interpolant,
-    whose O(h^2) error they take to rounding.  A crossing keeps that linear
-    time where the solve ends outside the bracket or at no finite value, or
-    where neither phi_dot is negative, so that the slopes show no descent.
-    """
+def _crossing_time(t0, t1, p0, p1, v0, v1):
+    """Time of the descending zero crossing between the samples (t0, p0, v0)
+    and (t1, p1, v1) of (t, phi, phi_dot): the root of the cubic Hermite
+    through them (Hairer, Norsett & Wanner, Solving ODEs I, II.6), by three
+    Newton steps from the linear interpolant's root, whose O(h^2) error they
+    take to rounding; or that linear time where the solve ends outside the
+    bracket or at no finite value (a step that divides by zero ends at
+    none), or where no phi_dot is negative, so the slopes show no descent."""
     h, dp = t1 - t0, p0 - p1
     m0, m1 = h * v0, h * v1  # slopes per bracket length
     c2, c3 = -3.0 * dp - 2.0 * m0 - m1, 2.0 * dp + m0 + m1  # p0 + m0*s + c2*s^2 + c3*s^3
     s = p0 / dp
-    with np.errstate(all="ignore"):
-        for _ in range(3):
-            s = s - (p0 + s * (m0 + s * (c2 + s * c3))) / (m0 + s * (2.0 * c2 + s * (3.0 * c3)))
-    hermite = (s >= 0.0) & (s <= 1.0) & ((v0 < 0.0) | (v1 < 0.0))
-    return np.where(hermite, t0 + s * h, t0 + p0 * h / dp)
+    for _ in range(3):
+        slope = m0 + s * (2.0 * c2 + s * (3.0 * c3))
+        s = s - (p0 + s * (m0 + s * (c2 + s * c3))) / slope if slope else math.nan
+    return t0 + s * h if 0.0 <= s <= 1.0 and (v0 < 0.0 or v1 < 0.0) else t0 + p0 * h / dp
 
 
-def _mean_periods(brackets, counts):
-    """(per_cycle, means) from the columns (t0, t1, p0, p1, v0, v1) of runs'
-    brackets of successive descending zero crossings, run after run, counts
-    giving each run's number: per_cycle spaces all crossing times at once,
-    and a run's mean spacing is ndarray.mean's (np.add.reduce, then a
-    division) over its own entries, or None below 2 brackets."""
-    per_cycle = np.diff(_crossing_times(*brackets))
-    return per_cycle, [float(np.add.reduce(per_cycle[a:a + n - 1]) / (n - 1)) if n > 1 else None
-                       for a, n in zip(accumulate(counts, initial=0), counts)]
+def _mean_period(brackets):
+    """(per_cycle, mean): the spacings of the times of successive crossings'
+    brackets, and ndarray.mean of them (np.add.reduce, then a division) or None."""
+    times = [_crossing_time(*bracket) for bracket in brackets]
+    per_cycle = [b - a for a, b in zip(times, times[1:])]
+    return per_cycle, float(np.add.reduce(per_cycle) / len(per_cycle)) if per_cycle else None
 
 
 def estimate_period(traj: Trajectory) -> PeriodEstimate:
     """Measure the oscillation period from descending zero crossings of phi.
 
     Each crossing time is located from the (t, phi, phi_dot) samples that
-    bracket it (see _crossing_times); only phi_dot < 0 crossings (phi
+    bracket it (see _crossing_time); only phi_dot < 0 crossings (phi
     passing from positive to non-positive) are used, so a release from rest
     at phi0 > 0 yields one crossing per full cycle with no half-period
     aliasing.
     """
     descending = np.nonzero((traj.phi[:-1] > 0.0) & (traj.phi[1:] <= 0.0))[0]
-    per_cycle, [mean] = _mean_periods([col[i] for col in (traj.t, traj.phi, traj.phi_dot)
-                                       for i in (descending, descending + 1)], [len(descending)])
+    per_cycle, mean = _mean_period(zip(*[col[i].tolist() for col in (traj.t, traj.phi, traj.phi_dot)
+                                         for i in (descending, descending + 1)]))
     if mean is None:
         raise InsufficientCyclesError(f"need >= 2 descending zero crossings to measure a "
                                       f"period, found {len(descending)}")
-    return PeriodEstimate(mean_period=mean, per_cycle_periods=per_cycle,
+    return PeriodEstimate(mean_period=mean, per_cycle_periods=np.array(per_cycle),
                           cycles_observed=len(per_cycle))
 
 

@@ -1,6 +1,7 @@
-"""The tests' scalar references for the Dormand-Prince pair that the
+"""The tests' references: scalar steps for the Dormand-Prince pair that the
 integrator holds in one table, _DP_ROWS, read by both its scalar step
-(_advance) and its lanes (_dp45_lanes).
+(_advance) and its lanes (_dp45_lanes); and a vectorised crossing locator
+for its scalar one, _crossing_time.
 
 The tableau is held exactly, as fractions.  dp45_step takes a step in the
 standard form, with stage velocities; it is independent of the integrator's
@@ -24,6 +25,8 @@ term there is an added negated weight here, which rounds the same.
 from fractions import Fraction
 from functools import reduce
 from operator import add
+
+import numpy as np
 
 from casimir_pendulum.integrator import _accel
 
@@ -92,3 +95,19 @@ def nystrom_step(phi, psi, a1, h, lam, gamma):
         ka.append(h * a)
     return (x, psi + weighted_sum(floats(b), ka), a,
             h * weighted_sum(floats(eb), ka), weighted_sum(floats(e), ka))
+
+
+def crossing_times(t0, t1, p0, p1, v0, v1):
+    """Time of each descending zero crossing from the numpy columns of its
+    bracket (t0, t1, p0, p1, v0, v1): _crossing_time on every entry at once,
+    with the same operations in the same order, numpy's inf and NaN standing
+    where a Newton step divides by zero."""
+    h, dp = t1 - t0, p0 - p1
+    m0, m1 = h * v0, h * v1  # slopes per bracket length
+    c2, c3 = -3.0 * dp - 2.0 * m0 - m1, 2.0 * dp + m0 + m1  # p0 + m0*s + c2*s^2 + c3*s^3
+    s = p0 / dp
+    with np.errstate(all="ignore"):
+        for _ in range(3):
+            s = s - (p0 + s * (m0 + s * (c2 + s * c3))) / (m0 + s * (2.0 * c2 + s * (3.0 * c3)))
+    hermite = (s >= 0.0) & (s <= 1.0) & ((v0 < 0.0) | (v1 < 0.0))
+    return np.where(hermite, t0 + s * h, t0 + p0 * h / dp)

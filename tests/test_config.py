@@ -5,6 +5,7 @@ import json
 import math
 import re
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -104,9 +105,19 @@ def test_default_run_length_is_twelve_periods():
 
 @pytest.mark.parametrize("phi0,periods", [(0.1, 1.5), (-0.1, 2.0), (0.0, 2.0)])
 def test_default_run_length_from_rest_is_one_cycle(phi0, periods):
+    # the last row is the first after the second descending zero crossing,
+    # before the cap of 1.5 exact periods (2 from phi0 <= 0); from
+    # equilibrium, with no crossing, the run reaches the cap
     params = parse_config({"params": FULL_DOC["params"]}).params
     traj = integrate(params, State(0.0, phi0, 0.0), IntegratorConfig())
-    assert traj.t[-1] == pytest.approx(periods * exact_period(params, phi0), rel=1e-12)
+    cap = periods * exact_period(params, phi0)
+    descending = np.nonzero((traj.phi[:-1] > 0.0) & (traj.phi[1:] <= 0.0))[0] + 1
+    if phi0 == 0.0:
+        assert len(descending) == 0
+        assert traj.t[-1] == pytest.approx(cap, rel=1e-12)
+    else:
+        assert descending.tolist() == [descending[0], len(traj) - 1]
+        assert traj.t[-1] < cap
 
 
 def test_explicit_t_max_wins():

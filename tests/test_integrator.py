@@ -27,7 +27,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, reject, settings
 from hypothesis import strategies as st
-from rk_reference import NYSTROM, dp45_step, nystrom_step
+from rk_reference import NYSTROM, crossing_times, dp45_step, nystrom_step
 from scipy.integrate import quad
 
 import casimir_pendulum.integrator as integrator_module
@@ -569,7 +569,8 @@ class TestDormandPrinceStep:
         config = IntegratorConfig(rel_tol=sys.float_info.max, abs_tol=sys.float_info.max,
                                   max_steps=1)
         rows = []
-        termination = integrator_module._advance(params, config, (1.0, lam, gamma, math.inf),
+        termination = integrator_module._advance(params, config,
+                                                 (1.0, lam, gamma, math.inf, math.inf),
                                                  0.0, phi, psi, acc, h, 0, rows)
         assert termination is Termination.STEP_LIMIT
         assert [bits(row) for row in rows] == [bits((h, *want[:2]))]
@@ -625,8 +626,14 @@ class TestEstimatePeriod:
             estimate_period(release(params, 1e-3, n_periods=0.9))
 
 
+def crossing_time(*columns):
+    """_crossing_time of each bracket, from its columns (t0, t1, p0, p1, v0, v1)."""
+    return np.array([integrator_module._crossing_time(*bracket)
+                     for bracket in zip(*(np.asarray(col).tolist() for col in columns))])
+
+
 class TestCrossingLocator:
-    """_crossing_times: the root of the cubic Hermite through each bracket."""
+    """_crossing_time: the root of the cubic Hermite through a bracket."""
 
     @staticmethod
     def cosine_brackets(samples_per_period):
@@ -641,7 +648,7 @@ class TestCrossingLocator:
     def test_cosine_sampled_twenty_times_a_period(self):
         t0, t1, p0, p1, v0, v1 = brackets = self.cosine_brackets(20)
         exact_times = np.floor(t0) + 0.25
-        hermite_err = np.max(np.abs(integrator_module._crossing_times(*brackets) - exact_times))
+        hermite_err = np.max(np.abs(crossing_time(*brackets) - exact_times))
         linear_err = np.max(np.abs(t0 + p0 * (t1 - t0) / (p0 - p1) - exact_times))
         assert hermite_err <= 1e-6  # 1.4e-7
         assert linear_err >= 100 * hermite_err  # 7.9e-5
@@ -649,9 +656,40 @@ class TestCrossingLocator:
     def test_zero_slopes_keep_the_linear_time(self):
         t0, t1, p0, p1, v0, v1 = self.cosine_brackets(20)
         zeros = np.zeros_like(t0)
-        times = integrator_module._crossing_times(t0, t1, p0, p1, zeros, zeros)
+        times = crossing_time(t0, t1, p0, p1, zeros, zeros)
         assert np.array_equal(times, t0 + p0 * (t1 - t0) / (p0 - p1))
         assert np.all((t0 <= times) & (times <= t1))
+
+    # brackets (t0, t1, p0, p1, v0, v1) of a descending crossing: p0 > 0 >= p1
+    @settings(derandomize=True, database=None, max_examples=300, deadline=None)
+    @given(bracket=st.tuples(
+        st.floats(-1e3, 1e3), st.sampled_from([5e-324, 1e-300]) | st.floats(1e-9, 10.0),
+        st.sampled_from([5e-324, 1e-310]) | st.floats(1e-12, 1.6),
+        st.sampled_from([0.0, -0.0, -5e-324]) | st.floats(-1.6, 0.0),
+        st.sampled_from([0.0, -0.0, 1e300]) | st.floats(-1e3, 1e3),
+        st.sampled_from([0.0, -1e300]) | st.floats(-1e3, 1e3),
+    ).map(lambda b: (b[0], b[0] + b[1], *b[2:])).filter(lambda b: b[1] > b[0]))
+    # the first Newton step divides a nonzero value by zero (numpy: inf), and
+    # zero by zero (NaN)
+    @example(bracket=(0.0, 1.0, 0.5, -0.5, -2.0, -4.0))
+    @example(bracket=(0.0, 1.0, 0.5, -0.5, -3.0, -3.0))
+    # the solve ends at s = -0.119, outside [0, 1]
+    @example(bracket=(0.0, 1.0, 0.5, -0.5, -7.0, 4.0))
+    # both slopes >= 0: no descent
+    @example(bracket=(0.0, 1.0, 0.5, -0.5, 0.0, 1.0))
+    # subnormal angles
+    @example(bracket=(0.0, 1e-3, 5e-324, -1e-310, -1.0, -1.0))
+    @example(bracket=(2.0, 2.5, 1e-310, -5e-324, -1e-3, 0.0))
+    def test_scalar_equals_the_vectorised_reference(self, bracket):
+        """_crossing_time makes the vectorised reference's operations in its
+        order, so it returns the same float bit for bit."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # the scalar solve warns of nothing
+            got = integrator_module._crossing_time(*bracket)
+        assert type(got) is float
+        with np.errstate(all="ignore"):
+            [want] = crossing_times(*(np.array([x]) for x in bracket)).tolist()
+        assert bits([got]) == bits([want])
 
     def test_estimate_period_locates_crossings(self, params):
         # about 20 samples a period, at a phase that drifts from cycle to cycle:
@@ -745,9 +783,9 @@ LANE_ATOM = AtomProperties(alpha0=1e-30, omega0=1e15)
 
 
 class TestDefaultHorizon:
-    """A release from rest runs 1.5 exact periods (2 from phi0 <= 0): its
-    two descending crossings fall at T/4 and 5T/4 (3T/4 and 7T/4), one full
-    cycle."""
+    """A release from rest ends with the step of its second descending
+    crossing, near 5T/4 (7T/4 from phi0 < 0): one full cycle.  1.5 exact
+    periods (2 from phi0 <= 0) only cap it."""
 
     # below about 1e-6 rad the absolute tolerance (1e-12) is no longer small
     # against the swing, and the run does not resolve it
@@ -765,10 +803,96 @@ class TestDefaultHorizon:
         assert traj.termination is Termination.COMPLETED
         estimate = estimate_period(traj)
         assert estimate.cycles_observed == 1
+        descending = np.nonzero((traj.phi[:-1] > 0.0) & (traj.phi[1:] <= 0.0))[0]
+        assert descending[-1] == len(traj) - 2  # the last row ends the crossing step
+        assert traj.t[-1] < (1.5 if phi0 > 0.0 else 2.0) * exact_period(params, phi0)
         expected = [(Termination.COMPLETED, estimate.mean_period)]
         assert integrator_module._crossing_periods([(params, initial)], config) == expected
         with mock.patch.object(integrator_module, "_LOCKSTEP_MIN_LANES", 1):
             assert integrator_module._crossing_periods([(params, initial)], config) == expected
+
+
+def period_bits(traj):
+    """estimate_period's mean period of traj, as its exact bits, or None."""
+    try:
+        return estimate_period(traj).mean_period.hex()
+    except InsufficientCyclesError:
+        return None
+
+
+# a valid release from rest: the tip stays clear of the gap
+rest_release = st.tuples(st.floats(1.05e-8, 5e-8), st.floats(0.3, 0.9), st.booleans(),
+                         st.floats(1e-3, 1.3).flatmap(lambda a: st.sampled_from([a, -a])))
+
+
+class TestCrossingStop:
+    """The stop at the second descending crossing changes no period: the
+    run is a prefix of the one to the cap, 1.5 exact periods (2 from
+    phi0 <= 0), which holds no later crossing."""
+
+    @settings(derandomize=True, database=None, max_examples=40, deadline=None)
+    @given(release=rest_release | st.tuples(st.floats(1.05e-8, 5e-8), st.floats(0.3, 0.9),
+                                            st.booleans(), st.just(0.0)),
+           rk4=st.booleans())
+    @example(release=((2e-8, 0.5, True, 0.0)), rk4=False)  # equilibrium: no crossing, at the cap
+    @example(release=((2e-8, 0.5, True, -0.2)), rk4=True)
+    @example(release=((2e-8, 0.5, False, 1.3)), rk4=False)
+    def test_stop_changes_no_period(self, release, rk4):
+        d, ratio, gravity, phi0 = release
+        params = PendulumParams(d=d, l=ratio * d, mass=1e-24, atom=LANE_ATOM,
+                                include_gravity=gravity)
+        config = (IntegratorConfig(method=Method.RK4_FIXED, dt=linear_period(params) / 400)
+                  if rk4 else IntegratorConfig())
+        initial = State(0.0, phi0, 0.0)
+        traj = integrate(params, initial, config)
+        capped = integrate(params, initial, replace(
+            config, t_max=(1.5 if phi0 > 0.0 else 2.0) * exact_period(params, phi0)))
+        assert traj.termination is capped.termination is Termination.COMPLETED
+        n = len(traj)
+        for column in ("t", "phi", "phi_dot"):
+            assert np.array_equal(getattr(traj, column), getattr(capped, column)[:n])
+        assert period_bits(traj) == period_bits(capped)
+        assert (period_bits(traj) is None) == (phi0 == 0.0)
+        [(end, period)] = integrator_module._crossing_periods([(params, initial)], config)
+        assert end is Termination.COMPLETED
+        assert (None if period is None else period.hex()) == period_bits(traj)
+
+    @settings(derandomize=True, database=None, max_examples=6, deadline=None)
+    @given(d=st.floats(1.05e-8, 5e-8), ratio=st.floats(0.3, 0.9), gravity=st.booleans(),
+           points=st.integers(48, 56),
+           min_lanes=st.sampled_from([1, integrator_module._LOCKSTEP_MIN_LANES]))
+    def test_lanes_stop_on_their_own_iterations(self, d, ratio, gravity, points, min_lanes):
+        """A sweep of phi0 over [1e-3, 1.3], of alternating sign, whose lanes
+        reach their stops on different lockstep iterations: each row equals
+        its lone run bit for bit."""
+        params = PendulumParams(d=d, l=ratio * d, mass=1e-24, atom=LANE_ATOM,
+                                include_gravity=gravity)
+        runs = [(params, State(0.0, (-1) ** k * phi0, 0.0))
+                for k, phi0 in enumerate(np.geomspace(1e-3, 1.3, points).tolist())]
+        config, iterations, left = IntegratorConfig(), 0, []
+        dp45_lanes, advance = integrator_module._dp45_lanes, integrator_module._advance
+
+        def counted(*args):
+            nonlocal iterations
+            iterations += 1
+            return dp45_lanes(*args)
+
+        def leave(*args, **kwargs):  # a run finishes alone after this many iterations
+            left.append(iterations)
+            return advance(*args, **kwargs)
+
+        with (mock.patch.object(integrator_module, "_dp45_lanes", counted),
+              mock.patch.object(integrator_module, "_advance", leave),
+              mock.patch.object(integrator_module, "_LOCKSTEP_MIN_LANES", min_lanes)):
+            outcomes = integrator_module._crossing_periods(runs, config)
+        # every lane stays to its stop, or, with the real threshold, the first few
+        assert len(set(left)) > (len(runs) // 2 if min_lanes == 1 else 1)
+        assert all(end is Termination.COMPLETED and period is not None
+                   for end, period in outcomes)
+        lone = [integrator_module._crossing_periods([run], config)[0] for run in runs]
+        assert exact(outcomes) == exact(lone) == exact(serial_outcome(*run, config)
+                                                       for run in runs)
+
 
 class TestAngleLimit:
     """Only the tip reaching the gap is a collision.  A release from rest
