@@ -27,9 +27,9 @@ is phi + h*(c_i*psi + sum_j ab_ij*ka_j) with ab = A^2, the last one is phi5,
 psi5 = psi + sum_j b_j*ka_j, and the error estimate is
 (h*sum_j eb_j*ka_j, sum_j e_j*ka_j) with eb = e.A; nothing is divided by h.
 
-integrate's loop, _advance, and the numpy lanes of _crossing_periods read
-the pair from one table, _DP_ROWS, which fixes its weights and the order of
-every sum; _advance writes _accel in place (same operations, same order).
+integrate's loop, _advance, takes the pair's trial step on floats and the
+numpy lanes of _crossing_periods on arrays, both from _dp_trial, which fixes
+its weights and the order of every sum and writes _accel in place.
 A release from rest with no t_max ends with the step of its second
 descending zero crossing.  Runs that need only their periods (a sweep, and
 `period --simulate` as a sweep of one) go through _crossing_periods and keep
@@ -114,8 +114,9 @@ class IntegratorConfig:
                      finite and positive
     max_steps     -- accepted-step budget before the run stops as STEP_LIMIT
     record_stride -- record every n-th accepted step of integrate's
-                     trajectory (initial and final states are always
-                     recorded)
+                     trajectory (initial and final states, and those before
+                     and after each step that crosses zero descending, are
+                     always recorded)
     collision_gap -- tip-plate distance, m, at or below which the run stops
     """
 
@@ -195,23 +196,6 @@ _MIN_FACTOR = 0.1
 _MAX_FACTOR = 10.0
 _INITIAL_PHASE_STEP = 0.1  # trial first step, radians of linearized phase
 
-# The Dormand-Prince pair in Nystrom form: the angles of stages 2-7 (the last is phi5), psi5,
-# err_phi and err_psi, each a sum given as (its first row in _dp45_lanes' buffer k = [ka2, psi,
-# ka1, ka3, ..., ka7], its weights).  Zero weights are left out, so a sum runs over consecutive
-# rows.  _advance adds in this order, but psi's term before ka2's (a + b == b + a bit for bit).
-_DP_ROWS = (
-    (1, (1 / 5,)),
-    (1, (3 / 10, 9 / 200)),
-    (0, (4 / 5, 4 / 5, -12 / 25)),
-    (0, (7208 / 2187, 8 / 9, -12248 / 6561, -6784 / 6561)),
-    (0, (91 / 22, 1.0, -533 / 264, -56 / 33, 7 / 88)),
-    (1, (1.0, 35 / 384, 50 / 159, 25 / 192, -243 / 6784)),
-    (2, (35 / 384, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84)),
-    (2, (611 / 230400, -514 / 83475, 391 / 38400, -4617 / 1356800, -11 / 3360)),
-    (2, (71 / 57600, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40)),
-)
-
-
 def _accel(phi, lam, gamma, sin=math.sin):  # sin as a local, which is faster to look up
     """dpsi/dtau of the dimensionless system; dphi/dtau is psi itself."""
     # r = R0/R(phi); 2*sin^2(phi/2) avoids the 1-cos cancellation.
@@ -232,6 +216,58 @@ def _rk4_step(phi, psi, h, lam, gamma):
     phi_new = phi + h / 6.0 * (psi + 2.0 * v2 + 2.0 * v3 + v4)
     psi_new = psi + h / 6.0 * (a1 + 2.0 * a2 + 2.0 * a3 + a4)
     return phi_new, psi_new
+
+
+def _dp_trial(phi, psi, acc, h, lam2, gamma, sin=math.sin):
+    """One Dormand-Prince trial step in Nystrom form from (phi, psi), with
+    acc = _accel(phi) and lam2 = lam * 2.0: (phi5, psi5, a7, err_phi,
+    err_psi), a7 being _accel(phi5), the next step's acc.
+
+    Floats with math.sin for _advance, or numpy arrays with np.sin for the
+    lanes: the same expressions either way.  Each stage's acceleration is
+    _accel written in place (lam * 2.0 * (s*s) associates left, so lam2 is
+    taken once).  A stage angle at +-inf makes math.sin raise ValueError
+    and np.sin return NaN; none turns NaN first, as an infinite ka_j enters
+    a later angle, or phi5, as its only infinite term, so err_psi is NaN.
+    """
+    ka1 = h * acc
+    x = phi + h * (1 / 5 * psi)
+    s = sin(0.5 * x)
+    r = 1.0 / (1.0 + lam2 * (s * s))
+    r2 = r * r
+    ka2 = h * (-sin(x) * (r2 * r2 + gamma))
+    x = phi + h * (3 / 10 * psi + 9 / 200 * ka1)
+    s = sin(0.5 * x)
+    r = 1.0 / (1.0 + lam2 * (s * s))
+    r2 = r * r
+    ka3 = h * (-sin(x) * (r2 * r2 + gamma))
+    x = phi + h * (4 / 5 * psi + 4 / 5 * ka2 - 12 / 25 * ka1)
+    s = sin(0.5 * x)
+    r = 1.0 / (1.0 + lam2 * (s * s))
+    r2 = r * r
+    ka4 = h * (-sin(x) * (r2 * r2 + gamma))
+    x = phi + h * (8 / 9 * psi + 7208 / 2187 * ka2 - 12248 / 6561 * ka1 - 6784 / 6561 * ka3)
+    s = sin(0.5 * x)
+    r = 1.0 / (1.0 + lam2 * (s * s))
+    r2 = r * r
+    ka5 = h * (-sin(x) * (r2 * r2 + gamma))
+    x = phi + h * (psi + 91 / 22 * ka2 - 533 / 264 * ka1 - 56 / 33 * ka3 + 7 / 88 * ka4)
+    s = sin(0.5 * x)
+    r = 1.0 / (1.0 + lam2 * (s * s))
+    r2 = r * r
+    ka6 = h * (-sin(x) * (r2 * r2 + gamma))
+    phi5 = phi + h * (psi + 35 / 384 * ka1 + 50 / 159 * ka3 + 25 / 192 * ka4 - 243 / 6784 * ka5)
+    psi5 = psi + (35 / 384 * ka1 + 500 / 1113 * ka3 + 125 / 192 * ka4 - 2187 / 6784 * ka5
+                  + 11 / 84 * ka6)
+    s = sin(0.5 * phi5)
+    r = 1.0 / (1.0 + lam2 * (s * s))
+    r2 = r * r
+    a7 = -sin(phi5) * (r2 * r2 + gamma)
+    e_phi = h * (611 / 230400 * ka1 - 514 / 83475 * ka3 + 391 / 38400 * ka4
+                 - 4617 / 1356800 * ka5 - 11 / 3360 * ka6)
+    e_psi = (71 / 57600 * ka1 - 71 / 16695 * ka3 + 71 / 1920 * ka4 - 17253 / 339200 * ka5
+             + 22 / 525 * ka6 - 1 / 40 * (h * a7))
+    return phi5, psi5, a7, e_phi, e_psi
 
 
 def _trajectory(rows, params: PendulumParams, termination: Termination) -> Trajectory:
@@ -302,23 +338,16 @@ def _advance(params: PendulumParams, config: IntegratorConfig, scales, tau, phi,
              h_next, steps, out, crossings=False) -> Termination:
     """integrate's loop, from the state (tau, phi, psi) with acc = _accel(phi),
     the trial step h_next and the count of accepted steps; returns the run's
-    termination.  It appends to out the (t, phi, psi) row of the state after
-    each step whose count is a multiple of record_stride, and of the last
-    one; or, with crossings, only the (t0, t1, phi0, phi1, phi_dot0,
-    phi_dot1) bracket of each accepted step that takes phi from > 0 to <= 0:
-    the states before and after it, with phi_dot = psi * w_ref as in
-    _trajectory.  Those are the rows around each descending zero crossing
-    that integrate records at record_stride 1 (t1 is the time it records
-    after the step).  The step of the stop-th crossing (scales' last entry)
-    ends the run, completed.
-
-    A Dormand-Prince trial step adds the terms of _DP_ROWS in its order (its
-    1.0 weights left implicit), each stage's acceleration being _accel with
-    the same operations in the same order (lam * 2.0 * (s*s) associates
-    left, so lam * 2.0 is taken once).  The last stage's angle is phi5, so
-    its acceleration is the next step's acc.  A stage angle at +-inf makes
-    math.sin raise ValueError: the angle limit; none turns NaN first, as an
-    infinite ka_j enters a later angle, or phi5, as its only infinite term.
+    termination.  It appends to out, once each, the (t, phi, psi) rows of the
+    state after each step whose count is a multiple of record_stride, of the
+    last one, and of the states before and after each accepted step that
+    takes phi from > 0 to <= 0, so that any stride keeps the rows around
+    every descending zero crossing that record_stride 1 records.  With
+    crossings, it appends only the (t0, t1, phi0, phi1, phi_dot0, phi_dot1)
+    bracket of each such step: the states before and after it, with
+    phi_dot = psi * w_ref as in _trajectory (t1 is the time integrate
+    records after the step).  The step of the stop-th crossing (scales'
+    last entry) ends the run, completed.
 
     The loop runs once per trial step, so it keeps to locals: min and max
     are written out as the comparisons Python's min and max make (a NaN
@@ -332,9 +361,6 @@ def _advance(params: PendulumParams, config: IntegratorConfig, scales, tau, phi,
     """
     w_ref, lam, gamma, tau_end, stop = scales
     lam2 = lam * 2.0
-    ((c2,), (c3, a31), (a42, c4, a41), (a52, c5, a51, a53), (a62, _, a61, a63, a64),
-     (_, a71, a73, a74, a75), (b1, b3, b4, b5, b6), (eb1, eb3, eb4, eb5, eb6),
-     (e1, e3, e4, e5, e6, e7)) = [w for _, w in _DP_ROWS]
     d, l, gap = params.d, params.l, config.collision_gap
     reach_gap = d - l <= gap
     if reach_gap and d - l * math.cos(phi) <= gap:
@@ -342,9 +368,10 @@ def _advance(params: PendulumParams, config: IntegratorConfig, scales, tau, phi,
     adaptive = config.method is Method.RK45_ADAPTIVE
     rtol, atol = config.rel_tol, config.abs_tol
     max_steps, stride = config.max_steps, config.record_stride
-    sin, cos, inf = math.sin, math.cos, math.inf
+    cos, inf = math.cos, math.inf
     record = out.append
     termination = Termination.COMPLETED
+    crossed = False  # whether the last accepted step crossed zero descending
     while tau < tau_end:
         if steps >= max_steps:
             termination = Termination.STEP_LIMIT
@@ -357,46 +384,13 @@ def _advance(params: PendulumParams, config: IntegratorConfig, scales, tau, phi,
             break
         try:
             if adaptive:
-                ka1 = h * acc
-                x = phi + h * (c2 * psi)
-                s = sin(0.5 * x)
-                r = 1.0 / (1.0 + lam2 * (s * s))
-                r2 = r * r
-                ka2 = h * (-sin(x) * (r2 * r2 + gamma))
-                x = phi + h * (c3 * psi + a31 * ka1)
-                s = sin(0.5 * x)
-                r = 1.0 / (1.0 + lam2 * (s * s))
-                r2 = r * r
-                ka3 = h * (-sin(x) * (r2 * r2 + gamma))
-                x = phi + h * (c4 * psi + a42 * ka2 + a41 * ka1)
-                s = sin(0.5 * x)
-                r = 1.0 / (1.0 + lam2 * (s * s))
-                r2 = r * r
-                ka4 = h * (-sin(x) * (r2 * r2 + gamma))
-                x = phi + h * (c5 * psi + a52 * ka2 + a51 * ka1 + a53 * ka3)
-                s = sin(0.5 * x)
-                r = 1.0 / (1.0 + lam2 * (s * s))
-                r2 = r * r
-                ka5 = h * (-sin(x) * (r2 * r2 + gamma))
-                x = phi + h * (psi + a62 * ka2 + a61 * ka1 + a63 * ka3 + a64 * ka4)
-                s = sin(0.5 * x)
-                r = 1.0 / (1.0 + lam2 * (s * s))
-                r2 = r * r
-                ka6 = h * (-sin(x) * (r2 * r2 + gamma))
-                phi_new = phi + h * (psi + a71 * ka1 + a73 * ka3 + a74 * ka4 + a75 * ka5)
-                psi_new = psi + (b1 * ka1 + b3 * ka3 + b4 * ka4 + b5 * ka5 + b6 * ka6)
-                s = sin(0.5 * phi_new)
-                r = 1.0 / (1.0 + lam2 * (s * s))
-                r2 = r * r
-                a7 = -sin(phi_new) * (r2 * r2 + gamma)
+                phi_new, psi_new, a7, e_phi, e_psi = _dp_trial(phi, psi, acc, h, lam2, gamma)
             else:
                 phi_new, psi_new = _rk4_step(phi, psi, h, lam, gamma)
-        except ValueError:  # math.sin of a stage angle that overflowed to inf
+        except ValueError:  # math.sin of a stage angle that overflowed to inf: the angle limit
             termination = Termination.ANGLE_LIMIT
             break
         if adaptive:
-            e_phi = h * (eb1 * ka1 + eb3 * ka3 + eb4 * ka4 + eb5 * ka5 + eb6 * ka6)
-            e_psi = e1 * ka1 + e3 * ka3 + e4 * ka4 + e5 * ka5 + e6 * ka6 + e7 * (h * a7)
             a, b = abs(phi), abs(phi_new)
             scale_phi = atol + rtol * (b if b > a else a)
             a, b = abs(psi), abs(psi_new)
@@ -417,64 +411,34 @@ def _advance(params: PendulumParams, config: IntegratorConfig, scales, tau, phi,
         if abs(phi_new) >= MAX_ANGLE:
             termination = Termination.ANGLE_LIMIT
             break
-        if phi > 0.0 and phi_new <= 0.0:
+        crossed = phi > 0.0 and phi_new <= 0.0
+        if crossed:
             stop -= 1
             tau_end = tau_end if stop else tau + h  # at the stop-th, the run ends with this step
             if crossings:
                 record((tau / w_ref, (tau + h) / w_ref, phi, phi_new, psi * w_ref,
                         psi_new * w_ref))
+            elif steps % stride:  # the state before the step, unless the stride kept it
+                record((tau / w_ref, phi, psi))
         steps += 1
         tau += h
         phi, psi = phi_new, psi_new
-        if not crossings and steps % stride == 0:
+        if not crossings and (crossed or steps % stride == 0):
             record((tau / w_ref, phi, psi))
-    if not crossings and steps % stride:  # the last accepted state is always recorded
+    if not (crossings or crossed) and steps % stride:  # the last accepted state, once
         record((tau / w_ref, phi, psi))
     return termination
 
 
 # Below this many running lanes, the rest finish one at a time in _advance: a lockstep
-# iteration, 108 us, costs 40 steps of 2.7 us (medians of 25 runs; 2-core x86-64, numpy 2.4).
+# iteration of 40 lanes, 113-122 us, costs 40-44 steps of 2.8 us (fastest of 40 runs in each
+# of four sessions; 2-core x86-64, numpy 2.4).
 _LOCKSTEP_MIN_LANES = 40
 
 
 def _py_max(a, b):
     """Python's max(a, b) for each lane: a NaN b is dropped, a NaN a kept."""
     return np.where(b > a, b, a)
-
-
-_DP_SUMS = tuple((slice(lo, lo + len(w)), np.array(w)[:, None]) for lo, w in _DP_ROWS)
-# 0-d lane operands, which numpy takes faster than Python floats
-_ZERO, _ONE, _TWO, _INF, _HALF_ONE = map(np.array, (0.0, 1.0, 2.0, math.inf, [[0.5], [1.0]]))
-_LANE_MAX_ANGLE, _LANE_SAFETY, _LANE_MIN_FACTOR, _LANE_MAX_FACTOR, _LANE_EXPONENT = map(
-    np.array, (MAX_ANGLE, _SAFETY, _MIN_FACTOR, _MAX_FACTOR, -0.2))
-
-
-def _dp45_lanes(y, a1, h, lam2, gamma):
-    """_advance's Dormand-Prince step on lanes, with y = [phi; psi] (2, n) and
-    h, a1 = _accel(phi) and lam2 = lam * 2.0 (n,): (y5, a7, err) with
-    y5 = [phi5; psi5] and err = [err_phi; err_psi].  Each sum of _DP_ROWS, as
-    stage i's angle phi + h*(c_i*psi + sum_j ab_ij*ka_j), is one np.add.reduce
-    over axis 0 of the buffer from the left, starting at -0.0 as a sum of -0.0
-    terms is -0.0.  ka = -h * (sin(x) * (...)) rounds as h * -sin(x) * (...).
-    """
-    k = np.empty((12, h.size))  # the buffer, then phi5 (every stage angle), psi5 and err
-    k[1] = y[1]
-    np.multiply(h, a1, out=k[2])
-    minus_h, x = -h, k[8]
-    for i, (terms, w) in zip((0, 3, 4, 5, 6, 7), _DP_SUMS):
-        np.add(y[0], h * np.add.reduce(w * k[terms], axis=0, initial=-0.0), out=x)
-        sines = np.sin(_HALF_ONE * x)  # sin(angle/2) and sin(angle), as in _accel
-        s = sines[0]
-        r = _ONE / (_ONE + lam2 * (s * s))
-        r2 = r * r
-        g = sines[1] * (r2 * r2 + gamma)
-        np.multiply(minus_h, g, out=k[i])
-    (terms5, w5), (terms_phi, w_phi), (terms_psi, w_psi) = _DP_SUMS[6:]
-    np.add(y[1], np.add.reduce(w5 * k[terms5], axis=0, initial=-0.0), out=k[9])
-    np.multiply(h, np.add.reduce(w_phi * k[terms_phi], axis=0, initial=-0.0), out=k[10])
-    np.add.reduce(w_psi * k[terms_psi], axis=0, out=k[11], initial=-0.0)
-    return k[8:10], -g, k[10:12]
 
 
 def _crossing_periods(runs: list[tuple[PendulumParams, State]],
@@ -519,12 +483,12 @@ def _crossing_periods(runs: list[tuple[PendulumParams, State]],
     if lockstep:
         lanes = np.array([lane for lane, e in zip(start, eligible) if e], dtype=float).T
         max_steps = min(config.max_steps, 2**53)
-        rtol, atol = np.array(config.rel_tol), np.array(config.abs_tol)
+        rtol, atol = config.rel_tol, config.abs_tol
         with np.errstate(all="ignore"):
             while lanes.shape[1]:
                 # views: the steps below update the table in place
-                idx, w_ref, lam, gamma, tau_end, stop, tau, _, _, acc, h_next, steps = lanes
-                y, lam2 = lanes[7:9], lam * _TWO  # [phi; psi], and lam2 as in _advance
+                idx, w_ref, lam, gamma, tau_end, stop, tau, phi, psi, acc, h_next, steps = lanes
+                lam2 = lam * 2.0  # as in _advance
                 while True:
                     # integrate's loop head; h is min(h_next, tau_end - tau), kept as h_next
                     # by a leaving lane (_advance clips it to h again) until the controller
@@ -533,35 +497,35 @@ def _crossing_periods(runs: list[tuple[PendulumParams, State]],
                     h = h_next
                     tau_new = tau + h
                     stay = ((tau < tau_end) & (steps < max_steps) & (tau < tau_new)
-                            & (tau_new < _INF))
+                            & (tau_new < math.inf))
                     if np.count_nonzero(stay) < _LOCKSTEP_MIN_LANES:
                         stay[:] = False
                         break
-                    y_new, acc_new, err2 = _dp45_lanes(y, acc, h, lam2, gamma)
-                    scale = atol + rtol * _py_max(np.abs(y), np.abs(y_new))
-                    ratio = np.abs(err2) / scale
-                    err = _py_max(ratio[0], ratio[1])
-                    accepted = err <= _ONE
-                    cross = (y[0] > _ZERO) & (y_new[0] <= _ZERO)
-                    ends = (np.abs(y_new[0]) >= _LANE_MAX_ANGLE) | cross & (stop <= _ONE)
+                    phi5, psi5, acc5, e_phi, e_psi = _dp_trial(phi, psi, acc, h, lam2, gamma,
+                                                               np.sin)
+                    scale_phi = atol + rtol * _py_max(np.abs(phi), np.abs(phi5))
+                    scale_psi = atol + rtol * _py_max(np.abs(psi), np.abs(psi5))
+                    err = _py_max(np.abs(e_phi) / scale_phi, np.abs(e_psi) / scale_psi)
+                    accepted = err <= 1.0
+                    cross = (phi > 0.0) & (phi5 <= 0.0)
+                    ends = (np.abs(phi5) >= MAX_ANGLE) | cross & (stop <= 1.0)
                     # _advance takes these steps again: only a NaN err_psi can hide a
                     # stage angle at +-inf, where math.sin raises
-                    stay &= ~((accepted & ends) | np.isnan(err2[1]))
+                    stay &= ~((accepted & ends) | np.isnan(e_psi))
                     accepted &= stay
                     cross &= accepted
                     if cross.any():  # _advance's brackets, taken before the step is committed
                         for i, *bracket in zip(*[col[cross].tolist() for col in (
-                                idx, tau / w_ref, tau_new / w_ref, y[0], y_new[0], y[1] * w_ref,
-                                y_new[1] * w_ref)]):
+                                idx, tau / w_ref, tau_new / w_ref, phi, phi5, psi * w_ref,
+                                psi5 * w_ref)]):
                             brackets[int(i)].append(bracket)
                     # _advance's controller: np.float_power equals ** (np.power may not),
                     # a 0 err gives inf, and np.fmax drops the NaN of a NaN err
                     np.copyto(h_next, h * np.minimum(np.fmax(
-                        _LANE_SAFETY * np.float_power(err, _LANE_EXPONENT), _LANE_MIN_FACTOR),
-                        _LANE_MAX_FACTOR), where=stay)
-                    np.copyto(acc, acc_new, where=accepted)
-                    np.copyto(tau, tau_new, where=accepted)
-                    np.copyto(y, y_new, where=accepted)
+                        _SAFETY * np.float_power(err, -0.2), _MIN_FACTOR), _MAX_FACTOR),
+                        where=stay)
+                    for column, new in ((acc, acc5), (tau, tau_new), (phi, phi5), (psi, psi5)):
+                        np.copyto(column, new, where=accepted)
                     steps += accepted
                     stop -= cross
                     if np.count_nonzero(stay) < len(stay):

@@ -1,7 +1,7 @@
 """The tests' references: scalar steps for the Dormand-Prince pair that the
-integrator holds in one table, _DP_ROWS, read by both its scalar step
-(_advance) and its lanes (_dp45_lanes); and a vectorised crossing locator
-for its scalar one, _crossing_time.
+integrator writes once, as _dp_trial, which both its scalar loop (_advance)
+and its numpy lanes call; and a vectorised crossing locator for its scalar
+one, _crossing_time.
 
 The tableau is held exactly, as fractions.  dp45_step takes a step in the
 standard form, with stage velocities; it is independent of the integrator's

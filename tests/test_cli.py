@@ -242,7 +242,8 @@ class TestPeriod:
         (PLATE_ZONE_DOC, Termination.COLLISION),
         ({"params": PARAMS, "initial": {"phi0_rad": 0.2}, "integrator": {"record_stride": 7}},
          Termination.COMPLETED),
-        # integrate at this stride records only the run's first and last rows
+        # integrate at this stride records only the run's first and last rows and those
+        # around its crossings
         ({"params": PARAMS, "initial": {"phi0_rad": 0.2}, "integrator": {"record_stride": 10**6}},
          Termination.COMPLETED),
     ], ids=["completed", "step_limit", "collision", "rk4", "rest", "plate_zone", "stride_7",

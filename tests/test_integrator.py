@@ -27,7 +27,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, reject, settings
 from hypothesis import strategies as st
-from rk_reference import NYSTROM, crossing_times, dp45_step, nystrom_step
+from rk_reference import crossing_times, dp45_step, nystrom_step
 from scipy.integrate import quad
 
 import casimir_pendulum.integrator as integrator_module
@@ -526,25 +526,6 @@ class TestStepRk4:
 
 
 class TestDormandPrinceStep:
-    # rows of _dp45_lanes' buffer: ka2, psi, ka1, ka3, ..., ka7
-    ROW = {"psi": 1, 1: 2, 2: 0, **{j: j for j in range(3, 8)}}
-
-    @staticmethod
-    def terms(weights, values):
-        """{buffer row: float weight} of a sum's nonzero terms."""
-        return {TestDormandPrinceStep.ROW[v]: float(w) for w, v in zip(weights, values) if w}
-
-    def test_lane_weights_are_the_derived_nystrom_weights(self):
-        """Every weight of _DP_ROWS, as the lanes read it, is float(Fraction)
-        of the weight derived from the standard tableau, on the buffer row of
-        its term."""
-        c, ab, b, eb, e = NYSTROM
-        expected = [self.terms((ci,) + row, ["psi", *range(1, 8)]) for ci, row in zip(c, ab)]
-        expected += [self.terms(weights, range(1, 8)) for weights in (b, eb, e)]
-        got = [dict(zip(range(terms.start, terms.stop), w.ravel().tolist()))
-               for terms, w in integrator_module._DP_SUMS]
-        assert got == expected
-
     # steps of order 1, where a stage angle's rounding reaches (phi5, psi5), and extremes
     @settings(derandomize=True, database=None, max_examples=200, deadline=None)
     @given(step=st.tuples(st.floats(-1.5, 1.5), st.floats(-2.0, 2.0), st.floats(0.2, 2.0),
@@ -590,6 +571,7 @@ class TestDormandPrinceStep:
 
         monkeypatch.setattr(integrator_module, "math", SimpleNamespace(**dict(vars(math), sin=sin)))
         monkeypatch.setattr(integrator_module._accel, "__defaults__", (sin,))
+        monkeypatch.setattr(integrator_module._dp_trial, "__defaults__", (sin,))
         config = load_preset("paper-defaults")
         assert config.integrator.record_stride == 1
         traj = integrate(config.params, State(0.0, phi0, 0.0), config.integrator)
@@ -870,18 +852,18 @@ class TestCrossingStop:
         runs = [(params, State(0.0, (-1) ** k * phi0, 0.0))
                 for k, phi0 in enumerate(np.geomspace(1e-3, 1.3, points).tolist())]
         config, iterations, left = IntegratorConfig(), 0, []
-        dp45_lanes, advance = integrator_module._dp45_lanes, integrator_module._advance
+        dp_trial, advance = integrator_module._dp_trial, integrator_module._advance
 
-        def counted(*args):
+        def counted(phi, *args):
             nonlocal iterations
-            iterations += 1
-            return dp45_lanes(*args)
+            iterations += isinstance(phi, np.ndarray)  # a lockstep iteration, not _advance's step
+            return dp_trial(phi, *args)
 
         def leave(*args, **kwargs):  # a run finishes alone after this many iterations
             left.append(iterations)
             return advance(*args, **kwargs)
 
-        with (mock.patch.object(integrator_module, "_dp45_lanes", counted),
+        with (mock.patch.object(integrator_module, "_dp_trial", counted),
               mock.patch.object(integrator_module, "_advance", leave),
               mock.patch.object(integrator_module, "_LOCKSTEP_MIN_LANES", min_lanes)):
             outcomes = integrator_module._crossing_periods(runs, config)
@@ -892,6 +874,39 @@ class TestCrossingStop:
         lone = [integrator_module._crossing_periods([run], config)[0] for run in runs]
         assert exact(outcomes) == exact(lone) == exact(serial_outcome(*run, config)
                                                        for run in runs)
+
+
+class TestRecordStride:
+    """record_stride thins integrate's rows but keeps the states before and
+    after every step that crosses zero descending, so the period measured
+    from a strided trajectory is that of record_stride 1."""
+
+    @settings(derandomize=True, database=None, max_examples=30, deadline=None)
+    @given(release=rest_release, periods=st.sampled_from([None, 3.5]), rk4=st.booleans(),
+           stride=st.sampled_from([3, 7, 20, 10**6]))
+    # the preset's amplitude, whose period moved by 5.7e-7 relative at stride 7
+    @example(release=(2e-8, 0.5, True, 1e-3), periods=None, rk4=False, stride=7)
+    def test_stride_keeps_the_period(self, release, periods, rk4, stride):
+        d, ratio, gravity, phi0 = release
+        params = PendulumParams(d=d, l=ratio * d, mass=1e-24, atom=LANE_ATOM,
+                                include_gravity=gravity)
+        config = IntegratorConfig(t_max=periods and periods * linear_period(params))
+        if rk4:
+            config = replace(config, method=Method.RK4_FIXED, dt=linear_period(params) / 400)
+        initial = State(0.0, phi0, 0.0)
+        dense = integrate(params, initial, config)
+        sparse = integrate(params, initial, replace(config, record_stride=stride))
+        assert dense.termination is sparse.termination is Termination.COMPLETED
+        assert period_bits(dense) is not None
+        assert period_bits(sparse) == period_bits(dense)
+        assert np.all(np.diff(dense.t) > 0) and np.all(np.diff(sparse.t) > 0)
+        # dense holds every accepted step once; sparse, the rows of the start, of every
+        # stride-th step, around each descending crossing, and of the end
+        n = len(dense)
+        descending = np.nonzero((dense.phi[:-1] > 0.0) & (dense.phi[1:] <= 0.0))[0]
+        kept = sorted({0, n - 1, *range(0, n, stride), *descending, *(descending + 1)})
+        for column in COLUMNS:
+            assert np.array_equal(getattr(sparse, column), getattr(dense, column)[kept])
 
 
 class TestAngleLimit:
@@ -1049,15 +1064,16 @@ class TestLockstepLanes:
         lockstep; like _advance, it rejects the step and retries from the
         same state with h * _MIN_FACTOR (np.fmax: np.maximum would keep the
         NaN, and the lane would stall)."""
-        dp45_lanes = integrator_module._dp45_lanes
+        dp_trial = integrator_module._dp_trial
         calls = []
 
-        def first_err_phi_nan(*args):
-            y5, a7, err = dp45_lanes(*args)
-            if not calls:
-                err[0, 0] = math.nan
-            calls.append(1)
-            return y5, a7, err
+        def first_err_phi_nan(phi, *args):
+            step = dp_trial(phi, *args)
+            if isinstance(phi, np.ndarray):  # the lanes' step, not _advance's
+                if not calls:
+                    step[3][0] = math.nan
+                calls.append(1)
+            return step
 
         config = IntegratorConfig()
         runs = [(PendulumParams(d=d, l=l, mass=1e-24, atom=LANE_ATOM, include_gravity=gravity),
@@ -1066,7 +1082,7 @@ class TestLockstepLanes:
             patched.setattr(integrator_module, "_INITIAL_PHASE_STEP",
                             integrator_module._INITIAL_PHASE_STEP * integrator_module._MIN_FACTOR)
             retried = serial_outcome(*runs[0], config)
-        monkeypatch.setattr(integrator_module, "_dp45_lanes", first_err_phi_nan)
+        monkeypatch.setattr(integrator_module, "_dp_trial", first_err_phi_nan)
         monkeypatch.setattr(integrator_module, "_LOCKSTEP_MIN_LANES", 1)
         outcomes = integrator_module._crossing_periods(runs, config)
         assert len(calls) > 1
@@ -1117,16 +1133,18 @@ class TestLockstepLanes:
     @example([(0.3, 1.738024256958365e308, 0.1, 6.666666666666668e-79, 2.629280357175874e307),
               (0.3, 0.0, 0.1, 5.494505494505495e-79, 5.698458799451704e307),
               (0.3, 0.0, 0.1, 1.0, 0.0)])
-    # r**4 underflows at lam 1e300, so every term of err_phi's sum is -0.0: a
-    # numpy reduce that starts at its default +0.0 would turn the sum positive
+    # r**4 underflows at lam 1e300, so every term of err_phi's sum is -0.0, and
+    # so must the sum be
     @example([(0.0, 11.0, 1.0, 1e300, 0.0)])
     def test_lane_steps_equal_scalar_steps(self, lanes):
+        """_dp_trial on arrays with np.sin, as the lanes call it, equals
+        nystrom_step lane by lane, bit for bit, where a NaN matches a NaN of
+        either sign; where nystrom_step raises, the lane's err_psi is NaN."""
         phi, psi, h, lam, gamma = (np.array(col) for col in zip(*lanes))
         a1 = np.array([integrator_module._accel(p, lm, g) for p, _, _, lm, g in lanes])
         with np.errstate(all="ignore"):
-            dp = integrator_module._dp45_lanes(np.array((phi, psi)), a1, h, lam * 2.0, gamma)
-        lane_dp = zip(dp[0][0], dp[0][1], dp[1], dp[2][0], dp[2][1])
-        for lane, got_dp in zip(lanes, lane_dp):
+            dp = integrator_module._dp_trial(phi, psi, a1, h, lam * 2.0, gamma, np.sin)
+        for lane, got_dp in zip(lanes, zip(*dp)):
             p, v, step, lm, g = lane
             a = integrator_module._accel(p, lm, g)
             try:
