@@ -13,7 +13,8 @@ surfaces both numbers so the (tiny) discrepancy stays visible.
 
 exact_period keeps both nonlinearities and gravity: it evaluates the
 action integral of a release from rest in the dimensionless variables of
-the integrator, whose scales _dimensionless_system gives.
+the integrator, whose scales _dimensionless_system gives.  _period_bound
+bounds it from above in closed form, which caps a default run.
 """
 
 import math
@@ -94,25 +95,6 @@ _NODES = tuple((math.sin(u) ** 2, math.cos(2.0 * u), math.sin(2.0 * u), w)
                for x, w in _GL16 for u in (math.pi / 8.0 * (1.0 - x), math.pi / 8.0 * (1.0 + x)))
 
 
-def _exact_period(w_ref: float, lam: float, gamma: float, amplitude: float) -> float:
-    """exact_period from the scales of the dimensionless system."""
-    _check_angle(amplitude)
-    a = abs(amplitude)
-    s = math.sin(0.5 * a)
-    q0 = 1.0 + lam * 2.0 * (s * s)
-    total = 0.0
-    for sin2_u, cos_2u, sin_2u, weight in _NODES:
-        phi = a * cos_2u  # phi = a*sin(theta), theta = pi/2 - 2u
-        dc = math.sin(0.5 * (a + phi)) * math.sin(a * sin2_u)  # (cos(phi) - cos(a))/2
-        if not dc >= sys.float_info.min:  # a = 0, or a so small that dc underflows
-            return 2.0 * math.pi / (w_ref * math.sqrt(1.0 + gamma))
-        s = math.sin(0.5 * phi)
-        q = 1.0 + lam * 2.0 * (s * s)
-        b = (q0 * q0 + q0 * q + q * q) / (3.0 * (q0 * q) ** 3) + gamma
-        total += weight * sin_2u / (math.sqrt(dc) * math.sqrt(b))
-    return 0.5 * math.pi * a * total / w_ref
-
-
 def exact_period(params: PendulumParams, amplitude: float) -> float:
     """Period, s, of the full nonlinear pendulum (gravity as params says)
     released from rest at +-amplitude, |amplitude| < pi/2.
@@ -132,4 +114,38 @@ def exact_period(params: PendulumParams, amplitude: float) -> float:
     Raises GeometryError for |amplitude| >= pi/2, and ValueError for the
     params _dimensionless_system rejects.
     """
-    return _exact_period(*_dimensionless_system(params), amplitude)
+    w_ref, lam, gamma = _dimensionless_system(params)
+    _check_angle(amplitude)
+    a = abs(amplitude)
+    s = math.sin(0.5 * a)
+    q0 = 1.0 + lam * 2.0 * (s * s)
+    total = 0.0
+    for sin2_u, cos_2u, sin_2u, weight in _NODES:
+        phi = a * cos_2u  # phi = a*sin(theta), theta = pi/2 - 2u
+        dc = math.sin(0.5 * (a + phi)) * math.sin(a * sin2_u)  # (cos(phi) - cos(a))/2
+        if not dc >= sys.float_info.min:  # a = 0, or a so small that dc underflows
+            return 2.0 * math.pi / (w_ref * math.sqrt(1.0 + gamma))
+        s = math.sin(0.5 * phi)
+        q = 1.0 + lam * 2.0 * (s * s)
+        b = (q0 * q0 + q0 * q + q * q) / (3.0 * (q0 * q) ** 3) + gamma
+        total += weight * sin_2u / (math.sqrt(dc) * math.sqrt(b))
+    return 0.5 * math.pi * a * total / w_ref
+
+
+def _period_bound(w_ref: float, lam: float, gamma: float, amplitude: float) -> float:
+    """An upper bound on exact_period, s, in closed form from the scales of
+    the dimensionless system, for |amplitude| < pi/2.
+
+    On |phi| <= a = |amplitude| the restoring acceleration
+    sin|phi| * (q^-4 + gamma) is at least k*|phi| with
+    k = (sin(a)/a) * (q0^-4 + gamma), as sin(phi)/phi and q^-4 fall with
+    |phi|; so V(a) - V(phi) >= k*(a^2 - phi^2)/2 under the action integral,
+    and T <= 2*pi/(w_ref*sqrt(k)), the period of that harmonic swing.  At
+    a = 0 it is exactly exact_period's 2*pi/(w_ref*sqrt(1 + gamma)).
+    """
+    a = abs(amplitude)
+    s = math.sin(0.5 * a)
+    r = 1.0 / (1.0 + lam * 2.0 * (s * s))  # R0/R(a), as _accel takes it
+    r2 = r * r
+    k = (math.sin(a) / a if a else 1.0) * (r2 * r2 + gamma)
+    return 2.0 * math.pi / (w_ref * math.sqrt(k))

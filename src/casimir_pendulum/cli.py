@@ -12,7 +12,7 @@ rest, ends with the step of its second descending crossing.  The
 integrator module's docstring says how many points step together.  Each
 row depends only on the base config and its own value.
 `period --simulate` takes the same crossing-only path with one run, which
-steps and locates its crossings in plain Python.
+sets its cap, steps, and locates and averages its crossings in plain Python.
 """
 
 import argparse

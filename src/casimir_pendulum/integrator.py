@@ -29,17 +29,17 @@ psi5 = psi + sum_j b_j*ka_j, and the error estimate is
 
 integrate's loop, _advance, takes the pair's trial step on floats and the
 numpy lanes of _crossing_periods on arrays, both from _dp_trial, which fixes
-its weights and the order of every sum and writes _accel in place.
-A release from rest with no t_max ends with the step of its second
-descending zero crossing.  Runs that need only their periods (a sweep, and
-`period --simulate` as a sweep of one) go through _crossing_periods and keep
-only the states around each step that crosses zero; from
-_LOCKSTEP_MIN_LANES runs up, adaptive runs step together as lanes, each
-equal to a serial integrate at record_stride 1 bit for bit wherever np.sin
-and np.float_power equal math.sin and Python's **, as on common numpy
-builds.  A lane leaves the lockstep before a step that could end its run,
-and a run whose tip can reach the safety gap never joins it, so every run
-ends in _advance, the only code that decides a plate collision.
+its weights and the order of every sum and writes _accel in place.  A release
+from rest with no t_max ends with the step of its second descending zero
+crossing, capped by a closed-form bound on its period.  Runs that need only
+their periods (a sweep, `period --simulate`) go through _crossing_periods,
+which keeps the states around each step that crosses zero and calls no numpy
+below _LOCKSTEP_MIN_LANES runs; from there up, adaptive runs step together
+as lanes, each equal to a serial integrate at record_stride 1 bit for bit
+wherever np.sin and np.float_power equal math.sin and Python's **, as on
+common numpy builds.  A lane leaves the lockstep before a step that could
+end its run, and a run whose tip can reach the safety gap never joins it, so
+every run ends in _advance, the only code that decides a plate collision.
 
 A run never raises for physics reasons: the tip reaching the safety gap
 (collision), |phi| reaching pi/2 or a stage angle overflowing (angle
@@ -55,7 +55,7 @@ from itertools import chain
 
 import numpy as np
 
-from .analytic import _dimensionless_system, _exact_period, linear_period
+from .analytic import _dimensionless_system, _period_bound, linear_period
 from .pendulum import (
     MAX_ANGLE,
     MIN_TIP_GAP,
@@ -106,8 +106,8 @@ class IntegratorConfig:
     t_max         -- absolute end time of the run, s; None ends a release
                      from rest at phi0 with the step of its second
                      descending zero crossing (one full cycle, capped at 1.5
-                     exact periods, 2 for phi0 <= 0) and any other start
-                     after DEFAULT_T_MAX_PERIODS linearized periods
+                     upper bounds on the period, 2 for phi0 <= 0) and any other
+                     start after DEFAULT_T_MAX_PERIODS linearized periods
     method        -- fixed-step RK4 or adaptive Dormand-Prince 5(4)
     dt            -- fixed step size, s (required for RK4_FIXED)
     rel_tol, abs_tol -- adaptive error control on the dimensionless state,
@@ -304,8 +304,8 @@ def _run_start(params: PendulumParams, initial: State, config: IntegratorConfig)
     w_ref, lam, gamma = _dimensionless_system(params)
     t_max, stop = config.t_max, math.inf
     if t_max is None and initial.phi_dot == 0.0:  # crossings at T/4 + kT (3T/4 + kT if phi0 <= 0)
-        stop = 2  # one cycle, capped at 1.5T (2T)
-        t_max = (1.5 if initial.phi > 0.0 else 2.0) * _exact_period(w_ref, lam, gamma, initial.phi)
+        stop = 2  # one cycle, capped at 1.5 (2) times an upper bound on T
+        t_max = (1.5 if initial.phi > 0.0 else 2.0) * _period_bound(w_ref, lam, gamma, initial.phi)
     elif t_max is None:
         t_max = DEFAULT_T_MAX_PERIODS * linear_period(params)
     if not t_max > initial.t:
@@ -555,10 +555,10 @@ def _crossing_time(t0, t1, p0, p1, v0, v1):
 
 def _mean_period(brackets):
     """(per_cycle, mean): the spacings of the times of successive crossings'
-    brackets, and ndarray.mean of them (np.add.reduce, then a division) or None."""
+    brackets, and their exact sum's float (math.fsum) over their count or None."""
     times = [_crossing_time(*bracket) for bracket in brackets]
     per_cycle = [b - a for a, b in zip(times, times[1:])]
-    return per_cycle, float(np.add.reduce(per_cycle) / len(per_cycle)) if per_cycle else None
+    return per_cycle, math.fsum(per_cycle) / len(per_cycle) if per_cycle else None
 
 
 def estimate_period(traj: Trajectory) -> PeriodEstimate:

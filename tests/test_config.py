@@ -106,8 +106,9 @@ def test_default_run_length_is_twelve_periods():
 @pytest.mark.parametrize("phi0,periods", [(0.1, 1.5), (-0.1, 2.0), (0.0, 2.0)])
 def test_default_run_length_from_rest_is_one_cycle(phi0, periods):
     # the last row is the first after the second descending zero crossing,
-    # before the cap of 1.5 exact periods (2 from phi0 <= 0); from
-    # equilibrium, with no crossing, the run reaches the cap
+    # before 1.5 exact periods (2 from phi0 <= 0); from equilibrium, with no
+    # crossing, the run reaches the cap, 2 closed-form upper bounds on the
+    # period, which at phi0 = 0 is exact_period's small-amplitude limit
     params = parse_config({"params": FULL_DOC["params"]}).params
     traj = integrate(params, State(0.0, phi0, 0.0), IntegratorConfig())
     cap = periods * exact_period(params, phi0)

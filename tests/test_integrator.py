@@ -30,6 +30,7 @@ from hypothesis import strategies as st
 from rk_reference import crossing_times, dp45_step, nystrom_step
 from scipy.integrate import quad
 
+import casimir_pendulum.analytic as analytic_module
 import casimir_pendulum.integrator as integrator_module
 from casimir_pendulum.pendulum import MAX_ANGLE
 from casimir_pendulum import (
@@ -163,6 +164,33 @@ class TestExactPeriod:
         # continuous across the cut-over near 4e-152, where the rule takes over
         for phi0 in np.geomspace(1e-160, 1e-140, 201).tolist():
             assert abs(exact_period(params, phi0) - limit) / limit <= 1e-15, phi0
+
+    # no violation in 20,000 draws; the lowest ratio, 1 - 8e-16, was at a tiny amplitude
+    @settings(derandomize=True, database=None, max_examples=200, deadline=None)
+    @given(d=st.floats(1e-8, 1e-7), ratio=st.floats(0.1, 0.99), gravity=st.booleans(),
+           phi0=(st.floats(0.0, math.nextafter(MAX_ANGLE, 0.0))
+                 | st.floats(-324.0, -3.0).map(lambda e: 10.0**e)).flatmap(
+               lambda a: st.sampled_from([a, -a])))
+    @example(d=2e-8, ratio=0.5, gravity=True, phi0=0.0)
+    @example(d=2e-8, ratio=0.5, gravity=False, phi0=-0.0)
+    @example(d=2e-8, ratio=0.5, gravity=True, phi0=5e-324)
+    @example(d=2e-8, ratio=0.5, gravity=True, phi0=math.nextafter(MAX_ANGLE, 0.0))
+    # the stiff design, lam about 76
+    @example(d=1.5914e-8 + 2.1e-10, ratio=1.5914e-8 / (1.5914e-8 + 2.1e-10), gravity=False,
+             phi0=1.0)
+    @example(d=1.5914e-8 + 2.1e-10, ratio=1.5914e-8 / (1.5914e-8 + 2.1e-10), gravity=True,
+             phi0=-math.nextafter(MAX_ANGLE, 0.0))
+    def test_closed_form_bound(self, d, ratio, gravity, phi0):
+        """_period_bound, which caps a default run, is a finite upper bound
+        on exact_period, and is its small-amplitude limit at phi0 = 0."""
+        params = PendulumParams(d=d, l=ratio * d, mass=1e-24, atom=LANE_ATOM,
+                                include_gravity=gravity)
+        bound = analytic_module._period_bound(*analytic_module._dimensionless_system(params),
+                                              phi0)
+        assert 0.0 < bound < math.inf
+        assert bound >= exact_period(params, phi0) * (1.0 - 1e-15)
+        if phi0 == 0.0:
+            assert bound.hex() == exact_period(params, 0.0).hex()
 
     def test_rejects_amplitude_at_pi_over_2(self, params):
         for phi0 in (MAX_ANGLE, -MAX_ANGLE, math.nan):
@@ -742,13 +770,15 @@ class TestConfigValidation:
 
 def serial_outcome(params, initial, config):
     """(termination, period) of integrate then estimate_period, whose mean
-    period is ndarray.mean of its per-cycle periods, bit for bit."""
+    period is the correctly rounded sum of its per-cycle periods over their
+    count, bit for bit."""
     traj = integrate(params, initial, config)
     try:
         estimate = estimate_period(traj)
     except InsufficientCyclesError:
         return traj.termination, None
-    assert estimate.mean_period.hex() == estimate.per_cycle_periods.mean().hex()
+    per_cycle = estimate.per_cycle_periods.tolist()
+    assert estimate.mean_period.hex() == (math.fsum(per_cycle) / len(per_cycle)).hex()
     return traj.termination, estimate.mean_period
 
 
@@ -766,8 +796,8 @@ LANE_ATOM = AtomProperties(alpha0=1e-30, omega0=1e15)
 
 class TestDefaultHorizon:
     """A release from rest ends with the step of its second descending
-    crossing, near 5T/4 (7T/4 from phi0 < 0): one full cycle.  1.5 exact
-    periods (2 from phi0 <= 0) only cap it."""
+    crossing, near 5T/4 (7T/4 from phi0 < 0): one full cycle.  1.5 (2 from
+    phi0 <= 0) closed-form upper bounds on T only cap it."""
 
     # below about 1e-6 rad the absolute tolerance (1e-12) is no longer small
     # against the swing, and the run does not resolve it
@@ -809,8 +839,10 @@ rest_release = st.tuples(st.floats(1.05e-8, 5e-8), st.floats(0.3, 0.9), st.boole
 
 class TestCrossingStop:
     """The stop at the second descending crossing changes no period: the
-    run is a prefix of the one to the cap, 1.5 exact periods (2 from
-    phi0 <= 0), which holds no later crossing."""
+    run is a prefix of the one to 1.5 exact periods (2 from phi0 <= 0),
+    which holds no later crossing.  From equilibrium the two are one run:
+    the cap, 2 closed-form upper bounds on the period, is 2 exact periods
+    bit for bit there."""
 
     @settings(derandomize=True, database=None, max_examples=40, deadline=None)
     @given(release=rest_release | st.tuples(st.floats(1.05e-8, 5e-8), st.floats(0.3, 0.9),
@@ -874,6 +906,31 @@ class TestCrossingStop:
         lone = [integrator_module._crossing_periods([run], config)[0] for run in runs]
         assert exact(outcomes) == exact(lone) == exact(serial_outcome(*run, config)
                                                        for run in runs)
+
+
+class NoNumpy:
+    """Stands in for numpy: any use of it fails the test."""
+
+    def __getattr__(self, name):
+        raise AssertionError(f"numpy.{name} used")
+
+
+@pytest.mark.parametrize("phi0,phi_dot,overrides", [
+    (1e-3, 0.0, {}),  # the preset's release
+    (-0.25, 0.0, {}),
+    (0.0, 0.0, {}),  # equilibrium: to the cap, no period
+    (1e-20, 0.0, {}),  # unresolved: to the cap
+    (0.3, 1e6, {}),  # a moving start: 12 linearized periods
+    (0.2, 0.0, {"method": Method.RK4_FIXED, "dt": 4e-9}),
+    (0.2, 0.0, {"max_steps": 50}),  # step_limit before the second crossing
+])
+def test_one_run_calls_no_numpy(params, phi0, phi_dot, overrides):
+    """The period of one run, as `period --simulate` takes it, calls no
+    numpy: not in setting its horizon, its steps or its mean period."""
+    runs, config = [(params, State(0.0, phi0, phi_dot))], IntegratorConfig(**overrides)
+    expected = integrator_module._crossing_periods(runs, config)
+    with mock.patch.object(integrator_module, "np", NoNumpy()):
+        assert exact(integrator_module._crossing_periods(runs, config)) == exact(expected)
 
 
 class TestRecordStride:
