@@ -270,8 +270,9 @@ def _dp_trial(phi, psi, acc, h, lam2, gamma, sin=math.sin):
     return phi5, psi5, a7, e_phi, e_psi
 
 
-def _trajectory(rows, params: PendulumParams, termination: Termination) -> Trajectory:
-    """SI columns from recorded (t, phi, psi) rows.
+def _trajectory(rows, params: PendulumParams, run, termination: Termination) -> Trajectory:
+    """SI columns from recorded (t, phi, psi) rows of the run whose record
+    (see _run_start) is run.
 
     The energy column is the first integral of the dimensionless system,
 
@@ -279,7 +280,7 @@ def _trajectory(rows, params: PendulumParams, termination: Termination) -> Traje
 
     which equals total_energy of the same state up to rounding.
     """
-    w_ref, lam, gamma = _dimensionless_system(params)
+    w_ref, lam, gamma = run[:3]
     t, phi, psi = np.fromiter(chain.from_iterable(rows), float, 3 * len(rows)).reshape(-1, 3).T
     q = 1.0 + lam * 2.0 * np.sin(0.5 * phi) ** 2
     invariant = 0.5 * psi**2 - 1.0 / (3.0 * lam * q**3) - gamma * np.cos(phi)
@@ -295,11 +296,12 @@ def _trajectory(rows, params: PendulumParams, termination: Termination) -> Traje
 
 
 def _run_start(params: PendulumParams, initial: State, config: IntegratorConfig):
-    """(scales, state) of one run, after checking its initial angle
-    (GeometryError) and its end time (ValueError): scales is (w_ref, lam,
-    gamma, tau_end, stop), stop counting the descending zero crossings whose
-    last step ends the run (inf: none), and state is the (tau, phi, psi,
-    acc, h_next) _advance starts from, acc = _accel(phi), h_next its trial."""
+    """The record (w_ref, lam, gamma, tau_end, stop, tau, phi, psi, acc,
+    h_next, steps) of one run, after checking its initial angle
+    (GeometryError) and its end time (ValueError): stop counts the
+    descending zero crossings whose last step ends the run (inf: none),
+    (tau, phi, psi) is the state _advance starts from, acc = _accel(phi),
+    h_next its trial step and steps the count of accepted steps, 0."""
     _check_angle(initial.phi)
     w_ref, lam, gamma = _dimensionless_system(params)
     t_max, stop = config.t_max, math.inf
@@ -311,9 +313,8 @@ def _run_start(params: PendulumParams, initial: State, config: IntegratorConfig)
     if not t_max > initial.t:
         raise ValueError(f"t_max={t_max!r} must exceed initial.t={initial.t!r}")
     h_next = _INITIAL_PHASE_STEP if config.method is Method.RK45_ADAPTIVE else config.dt * w_ref
-    return ((w_ref, lam, gamma, t_max * w_ref, stop),
-            (initial.t * w_ref, initial.phi, initial.phi_dot / w_ref,
-             _accel(initial.phi, lam, gamma), h_next))
+    return (w_ref, lam, gamma, t_max * w_ref, stop, initial.t * w_ref, initial.phi,
+            initial.phi_dot / w_ref, _accel(initial.phi, lam, gamma), h_next, 0)
 
 
 def integrate(params: PendulumParams, initial: State, config: IntegratorConfig) -> Trajectory:
@@ -329,25 +330,25 @@ def integrate(params: PendulumParams, initial: State, config: IntegratorConfig) 
     violating state itself is not recorded, so every sample in the result
     is valid.
     """
-    scales, state = _run_start(params, initial, config)
-    rows = [(initial.t, initial.phi, state[2])]
-    return _trajectory(rows, params, _advance(params, config, scales, *state, 0, rows))
+    run = _run_start(params, initial, config)
+    rows = [(initial.t, initial.phi, run[7])]
+    return _trajectory(rows, params, run, _advance(params, config, run, rows))
 
 
-def _advance(params: PendulumParams, config: IntegratorConfig, scales, tau, phi, psi, acc,
-             h_next, steps, out, crossings=False) -> Termination:
-    """integrate's loop, from the state (tau, phi, psi) with acc = _accel(phi),
-    the trial step h_next and the count of accepted steps; returns the run's
-    termination.  It appends to out, once each, the (t, phi, psi) rows of the
-    state after each step whose count is a multiple of record_stride, of the
-    last one, and of the states before and after each accepted step that
-    takes phi from > 0 to <= 0, so that any stride keeps the rows around
-    every descending zero crossing that record_stride 1 records.  With
-    crossings, it appends only the (t0, t1, phi0, phi1, phi_dot0, phi_dot1)
-    bracket of each such step: the states before and after it, with
-    phi_dot = psi * w_ref as in _trajectory (t1 is the time integrate
-    records after the step).  The step of the stop-th crossing (scales'
-    last entry) ends the run, completed.
+def _advance(params: PendulumParams, config: IntegratorConfig, run, out,
+             crossings=False) -> Termination:
+    """integrate's loop, from the run's record (see _run_start): the state
+    (tau, phi, psi) with acc = _accel(phi), the trial step h_next and the
+    count of accepted steps; returns the run's termination.  It appends to
+    out, once each, the (t, phi, psi) rows of the state after each step
+    whose count is a multiple of record_stride, of the last one, and of the
+    states before and after each accepted step that takes phi from > 0 to
+    <= 0, so that any stride keeps the rows around every descending zero
+    crossing that record_stride 1 records.  With crossings, it appends only
+    the (t0, t1, phi0, phi1, phi_dot0, phi_dot1) bracket of each such step:
+    the states before and after it, with phi_dot = psi * w_ref as in
+    _trajectory (t1 is the time integrate records after the step).  The
+    step of the stop-th crossing ends the run, completed.
 
     The loop runs once per trial step, so it keeps to locals: min and max
     are written out as the comparisons Python's min and max make (a NaN
@@ -359,7 +360,7 @@ def _advance(params: PendulumParams, config: IntegratorConfig, scales, tau, phi,
     The tip is tested before |phi| >= pi/2 (the angle limit), so a step
     that does both collides.
     """
-    w_ref, lam, gamma, tau_end, stop = scales
+    w_ref, lam, gamma, tau_end, stop, tau, phi, psi, acc, h_next, steps = run
     lam2 = lam * 2.0
     d, l, gap = params.d, params.l, config.collision_gap
     reach_gap = d - l <= gap
@@ -431,8 +432,8 @@ def _advance(params: PendulumParams, config: IntegratorConfig, scales, tau, phi,
 
 
 # Below this many running lanes, the rest finish one at a time in _advance: a lockstep
-# iteration of 40 lanes, 113-122 us, costs 40-44 steps of 2.8 us (fastest of 40 runs in each
-# of four sessions; 2-core x86-64, numpy 2.4).
+# iteration of 40 lanes, 104-107 us, costs 40-46 trial steps of 2.3-2.6 us (fastest of 30
+# sweeps in each of three sessions; 2-core x86-64, numpy 2.4).
 _LOCKSTEP_MIN_LANES = 40
 
 
@@ -454,9 +455,9 @@ def _crossing_periods(runs: list[tuple[PendulumParams, State]],
     err_psi is NaN (where math.sin may raise on a stage angle at +-inf).  It
     finishes alone in _advance, as do all other runs and, below
     _LOCKSTEP_MIN_LANES running, the last lanes, so every run ends in
-    integrate's own loop.  The lanes are the columns of one float table,
-    laid out as the start tuple below, whose counts are exact below 2**53,
-    where max_steps is clamped: no run gets there.
+    integrate's own loop.  The lanes are the columns (i, *record) of one
+    float table, record being _run_start's for run i; its counts are exact
+    below 2**53, where max_steps is clamped: no run gets there.
 
     Returns, for each run, (termination, period): what integrate at
     record_stride 1 and then estimate_period(...).mean_period give for it,
@@ -467,71 +468,65 @@ def _crossing_periods(runs: list[tuple[PendulumParams, State]],
     """
     terminations: list[Termination] = [None] * len(runs)
     brackets: list[list] = [[] for _ in runs]  # (t0, t1, phi0, phi1, phi_dot0, phi_dot1)
-    start = [(i, *scales, *state, 0)  # 0 steps
-             for i, (scales, state) in enumerate(_run_start(p, s, config) for p, s in runs)]
+    start = [(i, *_run_start(p, s, config)) for i, (p, s) in enumerate(runs)]
 
     def alone(lanes):
-        for i, *lane in lanes:  # laid out as its start tuple
-            terminations[int(i)] = _advance(runs[int(i)][0], config, lane[:5], *lane[5:10],
-                                            int(lane[10]), brackets[int(i)], crossings=True)
+        for i, *run in lanes:  # (i, *record), as a start row or a lane's column
+            terminations[int(i)] = _advance(runs[int(i)][0], config, run, brackets[int(i)],
+                                            crossings=True)
 
     # adaptive runs whose tip never reaches the gap (see _advance) may step in lockstep
     adaptive, gap = config.method is Method.RK45_ADAPTIVE, config.collision_gap
     eligible = [adaptive and p.d - p.l > gap for p, _ in runs]
     lockstep = sum(eligible) >= _LOCKSTEP_MIN_LANES
-    alone(lane for lane, e in zip(start, eligible) if not (lockstep and e))
+    alone(row for row, e in zip(start, eligible) if not (lockstep and e))
     if lockstep:
-        lanes = np.array([lane for lane, e in zip(start, eligible) if e], dtype=float).T
+        lanes = np.array([row for row, e in zip(start, eligible) if e], dtype=float).T
         max_steps = min(config.max_steps, 2**53)
         rtol, atol = config.rel_tol, config.abs_tol
         with np.errstate(all="ignore"):
-            while lanes.shape[1]:
+            while lanes.shape[1] >= _LOCKSTEP_MIN_LANES:
                 # views: the steps below update the table in place
                 idx, w_ref, lam, gamma, tau_end, stop, tau, phi, psi, acc, h_next, steps = lanes
                 lam2 = lam * 2.0  # as in _advance
-                while True:
-                    # integrate's loop head; h is min(h_next, tau_end - tau), kept as h_next
-                    # by a leaving lane (_advance clips it to h again) until the controller
-                    rest = tau_end - tau
-                    np.copyto(h_next, rest, where=rest < h_next)
-                    h = h_next
-                    tau_new = tau + h
-                    stay = ((tau < tau_end) & (steps < max_steps) & (tau < tau_new)
-                            & (tau_new < math.inf))
-                    if np.count_nonzero(stay) < _LOCKSTEP_MIN_LANES:
-                        stay[:] = False
-                        break
-                    phi5, psi5, acc5, e_phi, e_psi = _dp_trial(phi, psi, acc, h, lam2, gamma,
-                                                               np.sin)
-                    scale_phi = atol + rtol * _py_max(np.abs(phi), np.abs(phi5))
-                    scale_psi = atol + rtol * _py_max(np.abs(psi), np.abs(psi5))
-                    err = _py_max(np.abs(e_phi) / scale_phi, np.abs(e_psi) / scale_psi)
-                    accepted = err <= 1.0
-                    cross = (phi > 0.0) & (phi5 <= 0.0)
-                    ends = (np.abs(phi5) >= MAX_ANGLE) | cross & (stop <= 1.0)
-                    # _advance takes these steps again: only a NaN err_psi can hide a
-                    # stage angle at +-inf, where math.sin raises
-                    stay &= ~((accepted & ends) | np.isnan(e_psi))
-                    accepted &= stay
-                    cross &= accepted
-                    if cross.any():  # _advance's brackets, taken before the step is committed
-                        for i, *bracket in zip(*[col[cross].tolist() for col in (
-                                idx, tau / w_ref, tau_new / w_ref, phi, phi5, psi * w_ref,
-                                psi5 * w_ref)]):
-                            brackets[int(i)].append(bracket)
-                    # _advance's controller: np.float_power equals ** (np.power may not),
-                    # a 0 err gives inf, and np.fmax drops the NaN of a NaN err
-                    np.copyto(h_next, h * np.minimum(np.fmax(
-                        _SAFETY * np.float_power(err, -0.2), _MIN_FACTOR), _MAX_FACTOR),
-                        where=stay)
-                    for column, new in ((acc, acc5), (tau, tau_new), (phi, phi5), (psi, psi5)):
-                        np.copyto(column, new, where=accepted)
-                    steps += accepted
-                    stop -= cross
-                    if np.count_nonzero(stay) < len(stay):
-                        break
-                alone(lanes[:, ~stay].T.tolist())
-                lanes = lanes.compress(stay, axis=1)  # lanes[:, stay] would stride each row
+                # integrate's loop head; h is min(h_next, tau_end - tau), kept as h_next
+                # by a leaving lane (_advance clips it to h again) until the controller
+                rest = tau_end - tau
+                np.copyto(h_next, rest, where=rest < h_next)
+                h = h_next
+                tau_new = tau + h
+                stay = ((tau < tau_end) & (steps < max_steps) & (tau < tau_new)
+                        & (tau_new < math.inf))
+                phi5, psi5, acc5, e_phi, e_psi = _dp_trial(phi, psi, acc, h, lam2, gamma, np.sin)
+                scale_phi = atol + rtol * _py_max(np.abs(phi), np.abs(phi5))
+                scale_psi = atol + rtol * _py_max(np.abs(psi), np.abs(psi5))
+                err = _py_max(np.abs(e_phi) / scale_phi, np.abs(e_psi) / scale_psi)
+                accepted = err <= 1.0
+                cross = (phi > 0.0) & (phi5 <= 0.0)
+                ends = (np.abs(phi5) >= MAX_ANGLE) | cross & (stop <= 1.0)
+                # _advance takes these steps again: only a NaN err_psi can hide a
+                # stage angle at +-inf, where math.sin raises
+                stay &= ~((accepted & ends) | np.isnan(e_psi))
+                accepted &= stay
+                cross &= accepted
+                if cross.any():  # _advance's brackets, taken before the step is committed
+                    for i, *bracket in zip(*[col[cross].tolist() for col in (
+                            idx, tau / w_ref, tau_new / w_ref, phi, phi5, psi * w_ref,
+                            psi5 * w_ref)]):
+                        brackets[int(i)].append(bracket)
+                # _advance's controller: np.float_power equals ** (np.power may not),
+                # a 0 err gives inf, and np.fmax drops the NaN of a NaN err
+                np.copyto(h_next, h * np.minimum(np.fmax(
+                    _SAFETY * np.float_power(err, -0.2), _MIN_FACTOR), _MAX_FACTOR),
+                    where=stay)
+                for column, new in ((acc, acc5), (tau, tau_new), (phi, phi5), (psi, psi5)):
+                    np.copyto(column, new, where=accepted)
+                steps += accepted
+                stop -= cross
+                if np.count_nonzero(stay) < len(stay):  # faster than stay.all()
+                    alone(lanes[:, ~stay].T.tolist())
+                    lanes = lanes.compress(stay, axis=1)  # lanes[:, stay] would stride each row
+        alone(lanes.T.tolist())
     return [(end, _mean_period(b)[1]) for end, b in zip(terminations, brackets)]
 
 

@@ -10,6 +10,7 @@ import io
 import json
 import math
 import os
+import shlex
 import subprocess
 import sys
 from dataclasses import replace
@@ -825,3 +826,30 @@ def test_runs_without_the_test_extras(tmp_path):
     assert result.returncode == 0, result.stderr
     assert "T_simulated = 3.7334e-07 s" in result.stdout
     assert (tmp_path / "s.csv").read_text().count("\n") == 4
+
+
+def readme_cli_examples():
+    """(argv, quoted) of each command in README's CLI block under which
+    README quotes output: the text of its `#   ` lines."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = text.split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    examples = []
+    for line in block.replace("\\\n", " ").splitlines():
+        if line.startswith("casimir-pendulum "):
+            examples.append((shlex.split(line)[1:], []))
+        elif line.startswith("#   ") and examples:
+            examples[-1][1].append(line[4:])
+    return [(argv, quoted) for argv, quoted in examples if quoted]
+
+
+def test_readme_quotes_the_cli_output(tmp_path, capsys, monkeypatch):
+    """Each output line README quotes under the preset's simulate and
+    period --simulate commands is a line of that command's stdout."""
+    examples = readme_cli_examples()
+    assert [argv[:3] for argv, _ in examples] == [["simulate", "--preset", "paper-defaults"],
+                                                  ["period", "--preset", "paper-defaults"]]
+    monkeypatch.chdir(tmp_path)
+    for argv, quoted in examples:
+        assert main(argv) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert [line for line in quoted if line not in out] == [], argv

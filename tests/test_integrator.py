@@ -394,7 +394,7 @@ def recorded_rows(params, initial, config):
     with mock.patch.object(integrator_module, "_trajectory",
                            wraps=integrator_module._trajectory) as spy:
         integrate(params, initial, config)
-    rows, _, termination = spy.call_args.args
+    rows, _, _, termination = spy.call_args.args
     return rows, termination
 
 
@@ -402,7 +402,8 @@ class TestTrajectoryColumns:
     """_trajectory's columns equal, bit for bit, those of the zip build."""
 
     def assert_columns_equal_zip_build(self, rows, params):
-        new = integrator_module._trajectory(rows, params, Termination.COMPLETED)
+        run = integrator_module._run_start(params, State(0.0, 0.0, 0.0), IntegratorConfig())
+        new = integrator_module._trajectory(rows, params, run, Termination.COMPLETED)
         old = zip_trajectory(rows, params, Termination.COMPLETED)
         assert len(new) == len(rows)
         for name in COLUMNS:
@@ -578,9 +579,8 @@ class TestDormandPrinceStep:
         config = IntegratorConfig(rel_tol=sys.float_info.max, abs_tol=sys.float_info.max,
                                   max_steps=1)
         rows = []
-        termination = integrator_module._advance(params, config,
-                                                 (1.0, lam, gamma, math.inf, math.inf),
-                                                 0.0, phi, psi, acc, h, 0, rows)
+        termination = integrator_module._advance(
+            params, config, (1.0, lam, gamma, math.inf, math.inf, 0.0, phi, psi, acc, h, 0), rows)
         assert termination is Termination.STEP_LIMIT
         assert [bits(row) for row in rows] == [bits((h, *want[:2]))]
 
@@ -1115,6 +1115,34 @@ class TestLockstepLanes:
         assert exact(outcomes) == exact(expected), (
             "lanes differ from serial runs; first suspect: this numpy build's np.sin or "
             "np.float_power is not bit-identical to math.sin or Python's **")
+
+    @settings(derandomize=True, database=None, max_examples=40, deadline=None)
+    @given(lane=lane, method=st.sampled_from(Method), t_max=st.sampled_from([None, 3e-6, 1e302]),
+           stride=st.sampled_from([1, 3]), crossings=st.booleans())
+    @example(lane=((1.5e70, 1e-8), 0.3, True, 1.3e159), method=Method.RK45_ADAPTIVE,
+             t_max=None, stride=1, crossings=True)
+    def test_record_round_trips_through_the_table(self, lane, method, t_max, stride, crossings):
+        """_run_start's record, sent through a lane table's float column and
+        back, as a leaving lane is, gives _advance the same run bit for bit:
+        its counts (stop, steps) are exact as floats."""
+        (d, l), phi0, gravity, *phi_dot = lane
+        params = PendulumParams(d=d, l=l, mass=1e-24, atom=LANE_ATOM, include_gravity=gravity)
+        config = IntegratorConfig(t_max=t_max, method=method, max_steps=400, record_stride=stride,
+                                  dt=4e-9 if method is Method.RK4_FIXED else None)
+        try:
+            record = integrator_module._run_start(params, State(0.0, phi0, *phi_dot or [0.0]),
+                                                  config)
+        except (ArithmeticError, ValueError):  # integrate raises for it too
+            reject()
+        table = np.array([(0, *record)], dtype=float).T  # one lane, laid out as the lanes'
+        [(_, *column)] = table.T.tolist()
+        assert bits(column) == bits(record)
+        outcomes = []
+        for run in (record, column):
+            out = []
+            outcomes.append((integrator_module._advance(params, config, run, out, crossings),
+                             [bits(row) for row in out]))
+        assert outcomes[0] == outcomes[1]
 
     def test_nan_err_shrinks_the_step_as_advance_does(self, monkeypatch):
         """A lane whose err is NaN while its err_psi is not stays in the
