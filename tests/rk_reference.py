@@ -1,25 +1,30 @@
-"""The tests' references: scalar steps for the Dormand-Prince pair that the
-integrator writes once, as _dp_trial, which both its scalar loop (_advance)
-and its numpy lanes call; and a vectorised crossing locator for its scalar
-one, _crossing_time.
+"""The tests' references: scalar steps for the Dormand-Prince 8(5,3) pair
+that the integrator writes once, as _dp_trial, which both its scalar loop
+(_advance) and its numpy lanes call; and a vectorised crossing locator for
+its scalar one, _crossing_time.
 
-The tableau is held exactly, as fractions.  dp45_step takes a step in the
-standard form, with stage velocities; it is independent of the integrator's
-weights and agrees with it to rounding.  The integrator takes the same step
-in Nystrom form (Hairer, Norsett & Wanner, Solving ODEs I, II.14): as the
-equation of motion has no velocity term, stage i's angle is
+The tableau is scipy's dop853 one (Prince & Dormand 1981, as Hairer's
+dop853 code holds it): A, b and the error weights E5 and E3, each float
+held exactly as a fraction.  dop853_step takes a step in the standard form,
+with stage velocities; it is independent of the integrator's weights and
+agrees with it to rounding.  The integrator takes the same step in Nystrom
+form (Hairer, Norsett & Wanner, Solving ODEs I, II.14): as the equation of
+motion has no velocity term, stage i's angle is
 
-    phi + h*c_i*psi + h^2 * sum_j ab_ij * a_j,   ab = A^2,
+    phi + h*c_i*psi + h^2 * sum_j ab_ij * a_j,   c = A.1, ab = A^2,
 
-phi5 is the angle of the last stage (whose ab row is b.A), and
-err_phi = h^2 * sum_j eb_j * a_j with eb = e.A, the psi term dropping out as
-sum(e) = 0.  NYSTROM derives those weights here in exact arithmetic, and
-nystrom_step applies them in the integrator's order, so that it equals the
-integrator's step bit for bit: with ka_j = h*a_j, each stage angle is
-phi + h*(c_i*psi + ab_i2*ka2 + ab_i1*ka1 + ab_i3*ka3 + ...), summed left to
-right with zero weights skipped, psi5 = psi + (sum_j b_j*ka_j),
-err_phi = h*(sum_j eb_j*ka_j) and err_psi = sum_j e_j*ka_j.  A subtracted
-term there is an added negated weight here, which rounds the same.
+phi8 = phi + h*psi + h^2 * sum_j (b.A)_j * a_j, and err_phi = h^2 *
+sum_j (e.A)_j * a_j for e = E5, E3, the psi term dropping out as sum(e) = 0.
+NYSTROM derives those weights here in exact arithmetic from scipy's floats;
+where the exact tableau has a 0 that its rounded floats miss (sum(e), and
+(b.A)_j = b_j*(1 - c_j) for b_4 = b_5 = 0), the weight is 0.  nystrom_step
+applies them in the integrator's order, so that it equals the integrator's
+step bit for bit: with ka_j = h*a_j, each stage angle is
+phi + h*(c_i*psi + ab_i1*ka1 + ab_i2*ka2 + ...), summed left to right with
+zero weights skipped, phi8 = phi + h*(psi + sum_j (b.A)_j*ka_j),
+psi8 = psi + (sum_j b_j*ka_j), err_phi = h*(sum_j (e.A)_j*ka_j) and
+err_psi = sum_j e_j*ka_j.  A subtracted term there is an added negated
+weight here, which rounds the same.
 """
 
 from fractions import Fraction
@@ -27,33 +32,42 @@ from functools import reduce
 from operator import add
 
 import numpy as np
+from scipy.integrate._ivp import dop853_coefficients as dop853
 
 from casimir_pendulum.integrator import _accel
 
-# Dormand & Prince 1980: the stage rows of A, the last being the 5th-order
-# weights b (first same as last), and the error weights e = b5 - b4.
-DP45_A = tuple(tuple(map(Fraction, row)) for row in (
-    ("1/5",),
-    ("3/40", "9/40"),
-    ("44/45", "-56/15", "32/9"),
-    ("19372/6561", "-25360/2187", "64448/6561", "-212/729"),
-    ("9017/3168", "-355/33", "46732/5247", "49/176", "-5103/18656"),
-    ("35/384", "0", "500/1113", "125/192", "-2187/6784", "11/84"),
-))
-DP45_E = tuple(map(Fraction, ("71/57600", "0", "-71/16695", "71/1920", "-17253/339200",
-                              "22/525", "-1/40")))
+STAGES = dop853.N_STAGES  # 12; stage 13, at the solution, is the next step's first
+DOP853_A = tuple(tuple(Fraction(float(x)) for x in row[:i])
+                 for i, row in enumerate(dop853.A[:STAGES]))  # row i: a_i1 .. a_i(i-1)
+DOP853_B = tuple(Fraction(float(x)) for x in dop853.B)
+DOP853_E5 = tuple(Fraction(float(x)) for x in dop853.E5[:STAGES])
+DOP853_E3 = tuple(Fraction(float(x)) for x in dop853.E3[:STAGES])
+assert dop853.E5[STAGES] == dop853.E3[STAGES] == 0  # no error weight on stage 13
 
 
 def _nystrom_weights():
-    """(c, ab, b, eb, e) of the Nystrom form, exact: for stages 2-7, c_i and
-    the row ab_i over a_1..a_7; then b and eb = e.A over a_1..a_7, and e."""
-    rows = [()] + list(DP45_A)  # stage 1 has no terms
-    square = [[row[j] if j < len(row) else Fraction(0) for j in range(7)] for row in rows]
-    ab = [tuple(sum(square[i][k] * square[k][j] for k in range(7)) for j in range(7))
-          for i in range(7)]
-    eb = tuple(sum(DP45_E[i] * square[i][j] for i in range(7)) for j in range(7))
-    assert sum(DP45_E) == 0  # so that psi drops out of err_phi
-    return (tuple(sum(row) for row in rows[1:]), ab[1:], square[6], eb, DP45_E)
+    """(c, ab, ba, b, (e5a, e5), (e3a, e3)) of the Nystrom form, exact: for
+    stages 2-12, c_i and the row ab_i over a_1..a_12; then phi8's weights
+    b.A, psi8's b, and for each error estimate e.A and e."""
+    square = [[row[j] if j < len(row) else Fraction(0) for j in range(STAGES)]
+              for row in DOP853_A]
+    ab = [tuple(sum(square[i][k] * square[k][j] for k in range(STAGES)) for j in range(STAGES))
+          for i in range(STAGES)]
+    c = [sum(row) for row in DOP853_A]
+
+    def dot_a(v):
+        return tuple(sum(v[i] * square[i][j] for i in range(STAGES)) for j in range(STAGES))
+
+    ba = dot_a(DOP853_B)
+    # rounding of exact zeros: sum(b) = 1 and (b.A)_j = b_j*(1 - c_j), which is 0 at b_j = 0
+    assert abs(sum(DOP853_B) - 1) < 1e-15
+    dropped = [j for j in range(STAGES) if DOP853_B[j] == 0 and ba[j] != 0]
+    assert dropped == [3, 4] and all(abs(ba[j]) < 1e-16 for j in dropped)
+    ba = tuple(Fraction(0) if j in dropped else w for j, w in enumerate(ba))
+    for e in (DOP853_E5, DOP853_E3):
+        assert abs(sum(e)) < 1e-15  # so that psi drops out of err_phi
+    return (c[1:], ab[1:], ba, DOP853_B, (dot_a(DOP853_E5), DOP853_E5),
+            (dot_a(DOP853_E3), DOP853_E3))
 
 
 NYSTROM = _nystrom_weights()
@@ -68,33 +82,36 @@ def floats(weights):
     return [float(w) for w in weights]
 
 
-def dp45_step(phi, psi, a1, h, lam, gamma):
-    """One Dormand-Prince trial step in standard form from (phi, psi) with
-    a1 = _accel(phi): (phi5, psi5, a7, err_phi, err_psi).  Stage i sits at
-    (phi + h*sum_j a_ij*v_j, v_i) with v_1 = psi, and raises ValueError
-    where math.sin does, at a stage angle of +-inf."""
+def dop853_step(phi, psi, a1, h, lam, gamma):
+    """One Dormand-Prince 8(5,3) trial step in standard form from (phi, psi)
+    with a1 = _accel(phi): (phi8, psi8, a13, e5_phi, e5_psi, e3_phi,
+    e3_psi).  Stage i sits at (phi + h*sum_j a_ij*v_j, v_i) with v_1 = psi,
+    and raises ValueError where math.sin does, at a stage angle of +-inf."""
     v, a = [psi], [a1]
-    for row in DP45_A:  # the last stage sits at (phi5, psi5)
+    for row in DOP853_A[1:]:
         x = phi + h * weighted_sum(floats(row), v)
         v.append(psi + h * weighted_sum(floats(row), a))
         a.append(_accel(x, lam, gamma))
-    e = floats(DP45_E)
-    return x, v[-1], a[-1], h * weighted_sum(e, v), h * weighted_sum(e, a)
+    b = floats(DOP853_B)
+    phi8 = phi + h * weighted_sum(b, v)
+    errors = [h * weighted_sum(floats(e), col) for e in (DOP853_E5, DOP853_E3) for col in (v, a)]
+    return (phi8, psi + h * weighted_sum(b, a), _accel(phi8, lam, gamma), *errors)
 
 
 def nystrom_step(phi, psi, a1, h, lam, gamma):
     """The same step in Nystrom form and in the integrator's order (see the
-    module docstring): (phi5, psi5, a7, err_phi, err_psi).  Raises
-    ValueError where math.sin does, at a stage angle of +-inf."""
-    c, ab, b, eb, e = NYSTROM
+    module docstring): (phi8, psi8, a13, e5_phi, e5_psi, e3_phi, e3_psi).
+    Raises ValueError where math.sin does, at a stage angle of +-inf."""
+    c, ab, ba, b, *errors = NYSTROM
     ka = [h * a1]
-    for ci, row in zip(c, ab):  # the last stage sits at phi5
-        x = phi + h * weighted_sum(floats((ci,) + row[1:2] + row[:1] + row[2:]),
-                                   [psi] + ka[1:2] + ka[:1] + ka[2:])
-        a = _accel(x, lam, gamma)
-        ka.append(h * a)
-    return (x, psi + weighted_sum(floats(b), ka), a,
-            h * weighted_sum(floats(eb), ka), weighted_sum(floats(e), ka))
+    for ci, row in zip(c, ab):
+        x = phi + h * weighted_sum(floats((ci,) + row), [psi] + ka)
+        ka.append(h * _accel(x, lam, gamma))
+    phi8 = phi + h * weighted_sum([1.0] + floats(ba), [psi] + ka)
+    out = [phi8, psi + weighted_sum(floats(b), ka), _accel(phi8, lam, gamma)]
+    for ea, e in errors:
+        out += [h * weighted_sum(floats(ea), ka), weighted_sum(floats(e), ka)]
+    return tuple(out)
 
 
 def crossing_times(t0, t1, p0, p1, v0, v1):

@@ -63,11 +63,12 @@ HUGE_T_MAX_DOC = {"params": PARAMS, "integrator": {"t_max": 1e302}}
 
 
 def accepted_steps(doc, phi0):
-    """Accepted steps of doc's run from rest at phi0 to its end."""
+    """Accepted steps of doc's run from rest at phi0 to its end: its rows
+    but the initial one and the row at each of its two crossings."""
     config = parse_config(doc)
     traj = integrate(config.params, State(0.0, phi0, 0.0), config.integrator)
     assert traj.termination is Termination.COMPLETED
-    return len(traj) - 1
+    return len(traj) - 3
 
 
 # d - l = 0.29999997 nm against a 0.3 nm safety gap: the tip reaches the gap

@@ -81,7 +81,7 @@ def test_minimal_document_defaults():
     assert config.integrator.method is Method.RK45_ADAPTIVE
     assert config.integrator.t_max is None
     assert config.integrator.rel_tol == 1e-10
-    assert config.integrator.abs_tol == 1e-12
+    assert config.integrator.abs_tol == 1e-14
     assert config.integrator.max_steps == 1_000_000
     assert config.integrator.record_stride == 1
     assert config.integrator.collision_gap == 2e-10
@@ -105,8 +105,8 @@ def test_default_run_length_is_twelve_periods():
 
 @pytest.mark.parametrize("phi0,periods", [(0.1, 1.5), (-0.1, 2.0), (0.0, 2.0)])
 def test_default_run_length_from_rest_is_one_cycle(phi0, periods):
-    # the last row is the first after the second descending zero crossing,
-    # before 1.5 exact periods (2 from phi0 <= 0); from equilibrium, with no
+    # the last row is the first after the second descending zero crossing and
+    # the one before it the state at that crossing, before 1.5 exact periods (2 from phi0 <= 0); from equilibrium, with no
     # crossing, the run reaches the cap, 2 closed-form upper bounds on the
     # period, which at phi0 = 0 is exact_period's small-amplitude limit
     params = parse_config({"params": FULL_DOC["params"]}).params
@@ -117,7 +117,8 @@ def test_default_run_length_from_rest_is_one_cycle(phi0, periods):
         assert len(descending) == 0
         assert traj.t[-1] == pytest.approx(cap, rel=1e-12)
     else:
-        assert descending.tolist() == [descending[0], len(traj) - 1]
+        assert descending.tolist() == [descending[0], len(traj) - 1 - (traj.phi[-2] <= 0.0)]
+        assert traj.phi[-3] > 0.0 >= traj.phi[-1]
         assert traj.t[-1] < cap
 
 
@@ -321,7 +322,7 @@ ROUND_TRIP = {
     ("integrator", "t_max"): (lambda c: c.integrator.t_max, float, None),
     ("integrator", "dt"): (lambda c: c.integrator.dt, float, None),
     ("integrator", "rel_tol"): (lambda c: c.integrator.rel_tol, float, 1e-10),
-    ("integrator", "abs_tol"): (lambda c: c.integrator.abs_tol, float, 1e-12),
+    ("integrator", "abs_tol"): (lambda c: c.integrator.abs_tol, float, 1e-14),
     ("integrator", "max_steps"): (lambda c: c.integrator.max_steps, int, 1_000_000),
     ("integrator", "record_stride"): (lambda c: c.integrator.record_stride, int, 1),
     ("integrator", "collision_gap"): (lambda c: c.integrator.collision_gap, float, 2e-10),
@@ -458,7 +459,7 @@ class TestPresets:
         assert config.phi0_rad == 1e-3
         assert config.integrator.method is Method.RK45_ADAPTIVE
         assert config.integrator.rel_tol == 1e-10
-        assert config.integrator.abs_tol == 1e-12
+        assert config.integrator.abs_tol == 1e-14
 
     def test_unknown_preset(self):
         with pytest.raises(ConfigError, match="paper-defaults"):

@@ -27,7 +27,7 @@ from casimir_pendulum import (
     total_energy,
 )
 from casimir_pendulum.integrator import _accel, _dimensionless_system, _rk4_step
-from rk_reference import dp45_step
+from rk_reference import dop853_step
 
 INERTIA = 3.333333333333333e-41  # kg*m^2, M*l^2/3
 TIP_AT_001 = 1.0000499995833348e-08  # m, R(0.01) = 2e-8 - 1e-8*cos(0.01)
@@ -94,7 +94,7 @@ class TestTorques:
 def core_steps(phi: float, psi: float, h: float, params: PendulumParams):
     """(phi, psi) after one step of h in tau, by RK4 and by Dormand-Prince."""
     _, lam, gamma = _dimensionless_system(params)
-    dp = dp45_step(phi, psi, _accel(phi, lam, gamma), h, lam, gamma)
+    dp = dop853_step(phi, psi, _accel(phi, lam, gamma), h, lam, gamma)
     return _rk4_step(phi, psi, h, lam, gamma), dp[:2]
 
 

@@ -196,7 +196,7 @@ def test_csv_bytes_match_reference_writer_across_blocks(tmp_path, n):
 
 def test_csv_bytes_match_reference_writer_on_integrated_run(tmp_path):
     config = load_preset("paper-defaults")
-    integ = replace(config.integrator, t_max=90 * linear_period(config.params), record_stride=1)
+    integ = replace(config.integrator, t_max=500 * linear_period(config.params), record_stride=1)
     traj = integrate(config.params, State(0.0, config.phi0_rad, 0.0), integ)
     assert traj.termination is Termination.COMPLETED
     assert len(traj) > 2 * _BLOCK_ROWS
