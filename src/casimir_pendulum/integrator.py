@@ -43,10 +43,11 @@ which keeps the bracket of each step that crosses zero and calls no numpy
 below _LOCKSTEP_MIN_LANES runs; from there up, adaptive runs step together
 as lanes, each equal to a serial integrate at record_stride 1 bit for bit
 wherever np.sin and np.float_power equal math.sin and Python's **, as on
-common numpy builds (np.sqrt and math.sqrt are both correctly rounded).  A
-lane leaves the lockstep before a step that could end its run, and a run
-whose tip can reach the safety gap never joins it, so every run ends in
-_advance, the only code that decides a plate collision.
+common numpy builds (np.sqrt and math.sqrt are both correctly rounded), and
+their crossings are located in one numpy batch.  A lane leaves the lockstep
+at integrate's loop head, or before a step that reaches pi/2 or may
+overflow, and a run whose tip can reach the safety gap never joins it, so
+every run ends in _advance, the only code that decides a termination.
 
 A run never raises for physics reasons: the tip reaching the safety gap
 (collision), |phi| reaching pi/2 or a stage angle overflowing (angle
@@ -553,9 +554,10 @@ def _crossing_bracket(w_ref, lam, gamma, tau, h, phi, psi, acc, phi1, psi1, rk4=
 
 
 # Below this many running lanes, the rest finish one at a time in _advance: runs of the
-# 200-point sweep benchmark stepped as 48 lanes to their ends took 0.97-0.98 times as long
-# as alone, as 44 lanes 1.06 times (fastest of 15 sweeps, twice; 2-core x86-64, numpy 2.4).
-_LOCKSTEP_MIN_LANES = 48
+# 200-point sweep benchmark stepped as 42 lanes to their ends took 0.91-0.97 times as long
+# as alone, as 40 lanes 1.00-1.05 times (fastest of 30 sweeps, in each of two sessions, with
+# the crossings located in one batch; 2-core x86-64, numpy 2.4).
+_LOCKSTEP_MIN_LANES = 42
 
 
 def _py_max(a, b):
@@ -568,19 +570,20 @@ def _crossing_periods(runs: list[tuple[PendulumParams, State]],
     """Integrate many runs and keep only their periods.
 
     Each run keeps, as _advance does with crossings, only the bracket of
-    each accepted step that crosses zero descending (see _crossing_bracket,
-    which a lane calls on its floats, so its bracket is _advance's).  From
-    _LOCKSTEP_MIN_LANES adaptive runs with d - l > gap up, those step
-    together as lanes.  A lane whose step might end its run leaves the
-    lockstep with its state from before that step: it fails integrate's loop
-    head, its accepted step reaches pi/2 or makes its last crossing, or its
-    e5_psi or a13 is NaN (where math.sin may raise on a stage angle at
-    +-inf, see _dp_trial).  It
-    finishes alone in _advance, as do all other runs and, below
-    _LOCKSTEP_MIN_LANES running, the last lanes, so every run ends in
-    integrate's own loop.  The lanes are the columns (i, *record) of one
-    float table, record being _run_start's for run i; its counts are exact
-    below 2**53, where max_steps is clamped: no run gets there.
+    each accepted step that crosses zero descending (see _crossing_bracket).
+    From _LOCKSTEP_MIN_LANES adaptive runs with d - l > gap up, those step
+    together as lanes, whose brackets are located after the lockstep in one
+    batch (see _crossing_brackets) and come before those _advance adds.  A
+    lane leaves the lockstep before a trial step that fails integrate's loop
+    head, so also after the step of its stop-th crossing, which sets its
+    tau_end to its end as _advance does; and with its state from before a
+    step that reaches pi/2 or whose e5_psi or a13 is NaN (where math.sin may
+    raise on a stage angle at +-inf, see _dp_trial).  It finishes alone in
+    _advance, as do all other runs and, below _LOCKSTEP_MIN_LANES running,
+    the last lanes, so integrate's own loop ends every run.  The lanes are
+    the columns (i, *record) of one float table, record being _run_start's
+    for run i; its counts are exact below 2**53, where max_steps is clamped:
+    no run gets there.
 
     Returns, for each run, (termination, period): what integrate at
     record_stride 1 and then estimate_period(...).mean_period give for it,
@@ -591,6 +594,7 @@ def _crossing_periods(runs: list[tuple[PendulumParams, State]],
     """
     terminations: list[Termination] = [None] * len(runs)
     brackets: list[list] = [[] for _ in runs]  # (t0, t1, phi0, phi1, phi_dot0, phi_dot1)
+    lockstep_brackets: list[list] = [[] for _ in runs]  # each run's first, in time order
     start = [(i, *_run_start(p, s, config)) for i, (p, s) in enumerate(runs)]
 
     def alone(lanes):
@@ -607,21 +611,26 @@ def _crossing_periods(runs: list[tuple[PendulumParams, State]],
         lanes = np.array([row for row, e in zip(start, eligible) if e], dtype=float).T
         max_steps = min(config.max_steps, 2**53)
         rtol, atol = config.rel_tol, config.abs_tol
+        found = []  # (i, *_crossing_bracket's floats) of each lockstep crossing, as columns
         with np.errstate(all="ignore"):
+            stay = True  # False for a lane whose last trial step _advance must take again
             while lanes.shape[1] >= _LOCKSTEP_MIN_LANES:
                 # views: the steps below update the table in place
                 idx, w_ref, lam, gamma, tau_end, stop, tau, phi, psi, acc, h_next, steps = lanes
-                lam2 = lam * 2.0  # as in _advance
                 # integrate's loop head; h is min(h_next, tau_end - tau), kept as h_next
                 # by a leaving lane (_advance clips it to h again) until the controller
                 rest = tau_end - tau
                 np.copyto(h_next, rest, where=rest < h_next)
                 h = h_next
                 tau_new = tau + h
-                stay = ((tau < tau_end) & (steps < max_steps) & (tau < tau_new)
-                        & (tau_new < math.inf))
+                stay &= ((tau < tau_end) & (steps < max_steps) & (tau < tau_new)
+                         & (tau_new < math.inf))
+                if np.count_nonzero(stay) < len(stay):  # faster than stay.all()
+                    alone(lanes[:, ~stay].T.tolist())
+                    lanes, stay = lanes.compress(stay, axis=1), True  # [:, stay] strides rows
+                    continue
                 phi8, psi8, acc8, e5_phi, e5_psi, e3_phi, e3_psi = _dp_trial(
-                    phi, psi, acc, h, lam2, gamma, np.sin)
+                    phi, psi, acc, h, lam * 2.0, gamma, np.sin)  # lam2 as in _advance
                 scale_phi = atol + rtol * _py_max(np.abs(phi), np.abs(phi8))
                 scale_psi = atol + rtol * _py_max(np.abs(psi), np.abs(psi8))
                 u = _py_max(np.abs(e5_phi) / scale_phi, np.abs(e5_psi) / scale_psi)
@@ -629,17 +638,16 @@ def _crossing_periods(runs: list[tuple[PendulumParams, State]],
                 u *= u
                 err = np.where(u != 0.0, u / np.sqrt(u + 0.01 * (w * w)), 0.0)
                 accepted = err <= 1.0
-                cross = (phi > 0.0) & (phi8 <= 0.0)
-                ends = (np.abs(phi8) >= MAX_ANGLE) | cross & (stop <= 1.0)
-                # _advance takes these steps again: only a NaN e5_psi or acc8 can
-                # hide a stage angle at +-inf, where math.sin raises
-                stay &= ~((accepted & ends) | np.isnan(e5_psi) | np.isnan(acc8))
+                # _advance takes these steps again, from the loop head: it ends a run at
+                # pi/2, and only a NaN e5_psi or acc8 can hide a stage angle at +-inf,
+                # where math.sin raises
+                stay = ~((accepted & (np.abs(phi8) >= MAX_ANGLE)) | np.isnan(e5_psi)
+                         | np.isnan(acc8))
                 accepted &= stay
-                cross &= accepted
-                if cross.any():  # _advance's brackets, taken before the step is committed
-                    for i, *step in zip(*[col[cross].tolist() for col in (
-                            idx, w_ref, lam, gamma, tau, h, phi, psi, acc, phi8, psi8)]):
-                        brackets[int(i)].append(_crossing_bracket(*step))
+                cross = accepted & (phi > 0.0) & (phi8 <= 0.0)
+                if cross.any():  # the step's bracket is located after the loop
+                    found.append(np.vstack((idx, w_ref, lam, gamma, tau, h, phi, psi, acc,
+                                            phi8, psi8)).compress(cross, axis=1))
                 # _advance's controller: np.float_power equals ** (np.power may not),
                 # a 0 err gives inf, and np.fmax drops the NaN of a NaN err
                 np.copyto(h_next, h * np.minimum(np.fmax(
@@ -649,11 +657,44 @@ def _crossing_periods(runs: list[tuple[PendulumParams, State]],
                     np.copyto(column, new, where=accepted)
                 steps += accepted
                 stop -= cross
-                if np.count_nonzero(stay) < len(stay):  # faster than stay.all()
-                    alone(lanes[:, ~stay].T.tolist())
-                    lanes = lanes.compress(stay, axis=1)  # lanes[:, stay] would stride each row
+                # at the stop-th crossing the run ends with this step, as in _advance
+                np.copyto(tau_end, tau, where=cross & (stop == 0.0))
+            if found:
+                idx, *step = np.hstack(found)
+                for i, bracket in zip(idx.tolist(), _crossing_brackets(*step).T.tolist()):
+                    lockstep_brackets[int(i)].append(bracket)
         alone(lanes.T.tolist())
-    return [(end, _mean_period(b)[1]) for end, b in zip(terminations, brackets)]
+    return [(end, _mean_period(a + b)[1])
+            for end, a, b in zip(terminations, lockstep_brackets, brackets)]
+
+
+def _crossing_brackets(w_ref, lam, gamma, tau, h, phi, psi, acc, phi1, psi1):
+    """_crossing_bracket of adaptive steps given as numpy columns: rows (t0,
+    t1, phi0, phi1, phi_dot0, phi_dot1), each column a step's bracket bit
+    for bit (see the module docstring).  The Hermite solve makes
+    _crossing_time's operations in its order (a zero Newton slope gives inf
+    or NaN for its NaN, outside [0, 1] as well); a step whose crossing state
+    is not finite, where math.sin may raise, is _crossing_bracket's."""
+    tau1 = tau + h
+    dt, dp = tau1 - tau, phi - phi1  # as _crossing_time(tau, tau1, phi, phi1, psi, psi1)
+    m0, m1 = dt * psi, dt * psi1
+    c2, c3 = -3.0 * dp - 2.0 * m0 - m1, 2.0 * dp + m0 + m1
+    s = phi / dp
+    for _ in range(3):
+        s = s - (phi + s * (m0 + s * (c2 + s * c3))) / (m0 + s * (2.0 * c2 + s * (3.0 * c3)))
+    hermite = (0.0 <= s) & (s <= 1.0) & ((psi < 0.0) | (psi1 < 0.0))
+    hc = np.where(hermite, tau + s * dt, tau + phi * dt / dp) - tau
+    phi_c, psi_c = _dp_trial(phi, psi, acc, hc, lam * 2.0, gamma, np.sin)[:2]
+    t0, t1, t = tau / w_ref, tau1 / w_ref, (tau + hc) / w_ref
+    row = (t0 < t) & (t < t1) & (np.abs(phi_c) < MAX_ANGLE)
+    first, second = row & (phi_c > 0.0), row & (phi_c <= 0.0)  # the crossing row's place
+    out = np.array([np.where(first, t, t0), np.where(second, t, t1),
+                    np.where(first, phi_c, phi), np.where(second, phi_c, phi1),
+                    np.where(first, psi_c, psi) * w_ref, np.where(second, psi_c, psi1) * w_ref])
+    for j in np.flatnonzero(~(np.isfinite(phi_c) & np.isfinite(psi_c))).tolist():
+        out[:, j] = _crossing_bracket(*(col.item(j) for col in (
+            w_ref, lam, gamma, tau, h, phi, psi, acc, phi1, psi1)))
+    return out
 
 
 def _crossing_time(t0, t1, p0, p1, v0, v1):

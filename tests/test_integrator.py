@@ -919,6 +919,48 @@ class TestCrossingStop:
         assert exact(outcomes) == exact(lone) == exact(serial_outcome(*run, config)
                                                        for run in runs)
 
+    @settings(derandomize=True, database=None, max_examples=4, deadline=None)
+    @given(d=st.floats(1.05e-8, 5e-8), ratio=st.floats(0.3, 0.9), gravity=st.booleans(),
+           extra=st.integers(0, 8))
+    def test_lanes_leave_while_others_step(self, d, ratio, gravity, extra):
+        """The same sweep over twice _LOCKSTEP_MIN_LANES lanes or more, at
+        the real threshold: lanes finish and leave on at least two lockstep
+        iterations after which _LOCKSTEP_MIN_LANES or more others step on,
+        and each row equals its lone run bit for bit."""
+        params = PendulumParams(d=d, l=ratio * d, mass=1e-24, atom=LANE_ATOM,
+                                include_gravity=gravity)
+        min_lanes = integrator_module._LOCKSTEP_MIN_LANES
+        runs = [(params, State(0.0, (-1) ** k * phi0, 0.0)) for k, phi0
+                in enumerate(np.geomspace(1e-3, 1.3, 2 * min_lanes + extra).tolist())]
+        config, stepping, left = IntegratorConfig(), [], []
+        dp_trial, advance = integrator_module._dp_trial, integrator_module._advance
+        locate = integrator_module._crossing_brackets
+
+        def counted(phi, *args):  # the lanes of each lockstep iteration
+            if isinstance(phi, np.ndarray):
+                stepping.append(len(phi))
+            return dp_trial(phi, *args)
+
+        def located(*args):  # its trial step to the roots is no lockstep iteration
+            n = len(stepping)
+            brackets = locate(*args)
+            del stepping[n:]
+            return brackets
+
+        def leave(*args, **kwargs):  # a run finishes alone after this many iterations
+            left.append(len(stepping))
+            return advance(*args, **kwargs)
+
+        with (mock.patch.object(integrator_module, "_dp_trial", counted),
+              mock.patch.object(integrator_module, "_crossing_brackets", located),
+              mock.patch.object(integrator_module, "_advance", leave)):
+            outcomes = integrator_module._crossing_periods(runs, config)
+        partial = {k for k in left if k < len(stepping) and stepping[k] >= min_lanes}
+        assert min(left) > 0 and len(partial) >= 2, (left, stepping)
+        lone = [integrator_module._crossing_periods([run], config)[0] for run in runs]
+        assert all(end is Termination.COMPLETED for end, _ in outcomes)
+        assert exact(outcomes) == exact(lone)
+
 
 class NoNumpy:
     """Stands in for numpy: any use of it fails the test."""
@@ -1353,6 +1395,58 @@ class TestLockstepLanes:
             if any(ab[i - 1][j] != 0 for i in reach if i > j):
                 reach.add(j)
         assert reach == set(range(12))
+
+
+class TestBatchedCrossingBrackets:
+    """_crossing_brackets, which locates the lanes' crossings in one numpy
+    batch after the lockstep, gives each step _crossing_bracket's bracket."""
+
+    # steps (w_ref, lam, gamma, tau, h, phi, psi, phi1, psi1) across zero
+    # descending, phi > 0 >= phi1, with ±0.0, subnormals and steps whose
+    # trial step to the root overflows a stage angle
+    @settings(derandomize=True, database=None, max_examples=100, deadline=None)
+    @given(steps=st.lists(st.tuples(
+        st.sampled_from([1.0, 6.3e6]) | st.floats(1e6, 1e16),
+        st.sampled_from([1e300]) | st.floats(1e-3, 1e3),
+        st.sampled_from([0.0, 2.6e307]) | st.floats(0.0, 1e3),
+        st.sampled_from([0.0, 1e3]) | st.floats(0.0, 1e3),
+        st.sampled_from([5e-324, 1e-13, 1e283]) | st.floats(1e-6, 10.0),
+        st.sampled_from([5e-324, 1e-310]) | st.floats(1e-12, 1.6),
+        st.sampled_from([0.0, -0.0, -1e308]) | st.floats(-1e3, 1e3),
+        st.sampled_from([0.0, -0.0, -5e-324]) | st.floats(-1.6, 0.0),
+        st.sampled_from([0.0, -0.0, -1e308]) | st.floats(-1e3, 1e3)), min_size=1, max_size=6))
+    # subnormal angles
+    @example([(1.0, 1.0, 0.0, 0.0, 1e-3, 5e-324, -1.0, -1e-310, -1.0),
+              (6.3e6, 1.0, 5e-6, 2.0, 0.5, 1e-310, -1e-3, -5e-324, 0.0)])
+    # zero slopes: the linear time
+    @example([(1.0, 1.0, 0.0, 0.0, 0.1, 0.05, 0.0, -0.05, 0.0),
+              (1.0, 1.0, 0.0, 0.0, 0.1, 0.05, -0.0, -0.05, -0.0)])
+    # the root's row falls on the step's start or end, outside the step
+    @example([(1.0, 1.0, 0.0, 1e3, 1e-13, 0.5, -1.0, -0.5, -1.0)])
+    # a stage angle of the trial step to the root overflows, where math.sin
+    # raises: the scalar fallback, beside a step that needs none
+    @example([(1.0, 1.0, 0.0, 0.0, 0.1, 0.05, -1.0, -0.05, -1.0),
+              (1.0, 1.0, 2.6e307, 0.0, 10.0, 0.3, -1.0, -0.3, -1.0)])
+    def test_equals_scalar_brackets(self, steps):
+        steps = [(w_ref, lam, gamma, tau, h, phi, psi, integrator_module._accel(phi, lam, gamma),
+                  phi1, psi1) for w_ref, lam, gamma, tau, h, phi, psi, phi1, psi1 in steps]
+        scalar, fallback = integrator_module._crossing_bracket, []
+
+        def spy(*step):
+            fallback.append(step)
+            return scalar(*step)
+
+        with (np.errstate(all="ignore"),
+              mock.patch.object(integrator_module, "_crossing_bracket", spy)):
+            got = integrator_module._crossing_brackets(*(np.array(col) for col in zip(*steps)))
+        for step, bracket in zip(steps, got.T.tolist()):
+            assert bits(bracket) == bits(scalar(*step)), step
+            w_ref, lam, gamma, tau, h, phi, psi, acc, phi1, psi1 = step
+            hc = integrator_module._crossing_time(tau, tau + h, phi, phi1, psi, psi1) - tau
+            try:
+                integrator_module._dp_trial(phi, psi, acc, hc, lam * 2.0, gamma)
+            except ValueError:  # math.sin of a stage angle at +-inf: the scalar's own bracket
+                assert step in fallback, step
 
 
 # DOP853's weights reach 43.5 in size (a_98), so its sums of them round at up
