@@ -6,13 +6,14 @@ the angle limit (|phi| reaching pi/2, or a step that overflows), step
 exhaustion or a stall (a step that cannot advance time to a larger finite
 value) rather than reaching t_max; a sweep exits 2 when any of its
 simulated points ends so, and still writes every row.  A sweep
-integrates its valid points in this process and keeps only the steps
-that cross zero, not each run's trajectory; each run, released from
-rest, ends with the step of its second descending crossing.  The
-integrator module's docstring says how many points step together.  Each
-row depends only on the base config and its own value.
-`period --simulate` takes the same crossing-only path with one run, which
-sets its cap, steps, and locates and averages its crossings in plain Python.
+integrates its valid points in this process and keeps only the rows around
+the steps that cross zero, not each run's trajectory; each run, released
+from rest, ends with the step of its second descending crossing.  Every
+crossing time comes from one Hermite locator, on floats or on the lanes'
+arrays; the integrator module's docstring says how many points step
+together.  Each row depends only on the base config and its own value.
+`period --simulate` takes the same path with one run, which sets its cap,
+steps, and locates and averages its crossings in plain Python.
 """
 
 import argparse

@@ -39,15 +39,17 @@ its weights and the order of every sum and writes _accel in place.  A release
 from rest with no t_max ends with the step of its second descending zero
 crossing, capped by a closed-form bound on its period.  Runs that need only
 their periods (a sweep, `period --simulate`) go through _crossing_periods,
-which keeps the bracket of each step that crosses zero and calls no numpy
-below _LOCKSTEP_MIN_LANES runs; from there up, adaptive runs step together
-as lanes, each equal to a serial integrate at record_stride 1 bit for bit
-wherever np.sin and np.float_power equal math.sin and Python's **, as on
-common numpy builds (np.sqrt and math.sqrt are both correctly rounded), and
-their crossings are located in one numpy batch.  A lane leaves the lockstep
-at integrate's loop head, or before a step that reaches pi/2 or may
-overflow, and a run whose tip can reach the safety gap never joins it, so
-every run ends in _advance, the only code that decides a termination.
+where each run records integrate's rows around its crossings and every
+crossing time comes from _crossing_time, on floats or on the lanes' arrays;
+below _LOCKSTEP_MIN_LANES runs it calls no numpy.  From there up, adaptive
+runs step together as lanes, each equal to a serial integrate at
+record_stride 1 bit for bit wherever np.sin and np.float_power equal
+math.sin and Python's **, as on common numpy builds (np.sqrt and math.sqrt
+are both correctly rounded), and their crossings are located in one numpy
+batch.  A lane leaves the lockstep at integrate's loop head, or before a
+step that reaches pi/2 or may overflow, and a run whose tip can reach the
+safety gap never joins it, so every run ends in _advance, the only code that
+decides a termination.
 
 A run never raises for physics reasons: the tip reaching the safety gap
 (collision), |phi| reaching pi/2 or a stage angle overflowing (angle
@@ -409,22 +411,21 @@ def integrate(params: PendulumParams, initial: State, config: IntegratorConfig) 
     """
     run = _run_start(params, initial, config)
     rows = [(initial.t, initial.phi, run[7])]
-    return _trajectory(rows, params, run, _advance(params, config, run, rows))
+    return _trajectory(rows, params, run,
+                       _advance(params, config, run, rows, config.record_stride))
 
 
-def _advance(params: PendulumParams, config: IntegratorConfig, run, out,
-             crossings=False) -> Termination:
+def _advance(params: PendulumParams, config: IntegratorConfig, run, out, stride) -> Termination:
     """integrate's loop, from the run's record (see _run_start): the state
     (tau, phi, psi) with acc = _accel(phi), the trial step h_next and the
     count of accepted steps; returns the run's termination.  It appends to
-    out, once each, the (t, phi, psi) rows of the state after each step
-    whose count is a multiple of record_stride, of the last one, and, for
-    each accepted step that takes phi from > 0 to <= 0, of the states before
-    it, at its crossing (see _crossing_row) and after it, so that any stride
-    keeps the rows around every descending zero crossing that record_stride
-    1 records.  With crossings, it appends only the bracket of each such
-    step that estimate_period finds on those rows (see _crossing_bracket).
-    The step of the stop-th crossing ends the run, completed.
+    out, which holds the start state's row, once each, the (t, phi, psi)
+    rows of the state after each step whose count is a multiple of stride,
+    of the last one, and, for each accepted step that takes phi from > 0 to
+    <= 0, of the states before it, at its crossing (see _crossing_row) and
+    after it, so that any stride keeps the rows around every descending zero
+    crossing that stride 1 records.  The step of the stop-th crossing ends
+    the run, completed.
 
     The loop runs once per trial step, so it keeps to locals: min and max
     are written out as the comparisons Python's min and max make (a NaN
@@ -448,7 +449,7 @@ def _advance(params: PendulumParams, config: IntegratorConfig, run, out,
         return Termination.COLLISION
     adaptive = config.method is Method.RK45_ADAPTIVE
     rtol, atol = config.rel_tol, config.abs_tol
-    max_steps, stride = config.max_steps, config.record_stride
+    max_steps = config.max_steps
     cos, sqrt, inf = math.cos, math.sqrt, math.inf
     record = out.append
     a13 = acc  # the next step's acc; RK4 steps leave it, as only _dp_trial reads acc
@@ -501,22 +502,18 @@ def _advance(params: PendulumParams, config: IntegratorConfig, run, out,
         if crossed:
             stop -= 1
             tau_end = tau_end if stop else tau + h  # at the stop-th, the run ends with this step
-            if crossings:
-                record(_crossing_bracket(w_ref, lam, gamma, tau, h, phi, psi, acc, phi_new,
-                                         psi_new, not adaptive))
-            else:
-                if steps % stride:  # the state before the step, unless the stride kept it
-                    record((tau / w_ref, phi, psi))
-                row = _crossing_row(w_ref, lam, gamma, tau, h, phi, psi, acc, phi_new, psi_new,
-                                    not adaptive)
-                if row is not None:
-                    record(row)
+            if steps % stride:  # the state before the step, unless the stride kept it
+                record((tau / w_ref, phi, psi))
+            row = _crossing_row(w_ref, lam, gamma, tau, h, phi, psi, acc, phi_new, psi_new,
+                                not adaptive)
+            if row is not None:
+                record(row)
         steps += 1
         tau += h
         phi, psi, acc = phi_new, psi_new, a13
-        if not crossings and (crossed or steps % stride == 0):
+        if crossed or steps % stride == 0:
             record((tau / w_ref, phi, psi))
-    if not (crossings or crossed) and steps % stride:  # the last accepted state, once
+    if not crossed and steps % stride:  # the last accepted state, once
         record((tau / w_ref, phi, psi))
     return termination
 
@@ -539,20 +536,6 @@ def _crossing_row(w_ref, lam, gamma, tau, h, phi, psi, acc, phi1, psi1, rk4=Fals
     return (t, phi_c, psi_c) if inside else None
 
 
-def _crossing_bracket(w_ref, lam, gamma, tau, h, phi, psi, acc, phi1, psi1, rk4=False):
-    """The (t0, t1, phi0, phi1, phi_dot0, phi_dot1) bracket of that step's
-    crossing that estimate_period finds on integrate's rows, phi_dot being
-    psi * w_ref as in _trajectory: the rows before the step and at its
-    crossing if that row's phi <= 0, at its crossing and after the step if
-    not, and before and after where there is no crossing row."""
-    before, after = (tau / w_ref, phi, psi), ((tau + h) / w_ref, phi1, psi1)
-    row = _crossing_row(w_ref, lam, gamma, tau, h, phi, psi, acc, phi1, psi1, rk4)
-    if row is not None:
-        before, after = (before, row) if row[1] <= 0.0 else (row, after)
-    (t0, p0, v0), (t1, p1, v1) = before, after
-    return t0, t1, p0, p1, v0 * w_ref, v1 * w_ref
-
-
 # Below this many running lanes, the rest finish one at a time in _advance: runs of the
 # 200-point sweep benchmark stepped as 42 lanes to their ends took 0.91-0.97 times as long
 # as alone, as 40 lanes 1.00-1.05 times (fastest of 30 sweeps, in each of two sessions, with
@@ -569,38 +552,43 @@ def _crossing_periods(runs: list[tuple[PendulumParams, State]],
                       config: IntegratorConfig) -> list[tuple[Termination, float | None]]:
     """Integrate many runs and keep only their periods.
 
-    Each run keeps, as _advance does with crossings, only the bracket of
-    each accepted step that crosses zero descending (see _crossing_bracket).
-    From _LOCKSTEP_MIN_LANES adaptive runs with d - l > gap up, those step
-    together as lanes, whose brackets are located after the lockstep in one
-    batch (see _crossing_brackets) and come before those _advance adds.  A
-    lane leaves the lockstep before a trial step that fails integrate's loop
-    head, so also after the step of its stop-th crossing, which sets its
-    tau_end to its end as _advance does; and with its state from before a
-    step that reaches pi/2 or whose e5_psi or a13 is NaN (where math.sin may
-    raise on a stage angle at +-inf, see _dp_trial).  It finishes alone in
-    _advance, as do all other runs and, below _LOCKSTEP_MIN_LANES running,
-    the last lanes, so integrate's own loop ends every run.  The lanes are
-    the columns (i, *record) of one float table, record being _run_start's
-    for run i; its counts are exact below 2**53, where max_steps is clamped:
-    no run gets there.
+    Each run records integrate's rows at a stride of 2**53, which no run
+    reaches, from the state _advance starts from: those before, at and after
+    each step that crosses zero descending, and the last.  Its crossing
+    times are _crossing_time's over the row pairs estimate_period takes,
+    phi[k] > 0 >= phi[k+1].  From _LOCKSTEP_MIN_LANES adaptive runs with
+    d - l > gap up, those step together as lanes, whose crossings are timed
+    after the lockstep in one batch (see _lane_crossing_times) and precede
+    those of _advance's rows.  A lane leaves the lockstep before a trial
+    step that fails integrate's loop head, so also after the step of its
+    stop-th crossing, which sets its tau_end to its end as _advance does;
+    and with its state from before a step that reaches pi/2 or whose e5_psi
+    or a13 is NaN (where math.sin may raise on a stage angle at +-inf, see
+    _dp_trial).  It finishes alone in _advance, as do all other runs and,
+    below _LOCKSTEP_MIN_LANES running, the last lanes, so integrate's own
+    loop ends every run.  The lanes are the columns (i, *record) of one
+    float table, record being _run_start's for run i; its counts are exact
+    below 2**53, where max_steps is clamped: no run gets there.
 
     Returns, for each run, (termination, period): what integrate at
     record_stride 1 and then estimate_period(...).mean_period give for it,
     bit for bit (see the module docstring), the period None below two
-    cycles (a run's first bracket starts at tau0 / w_ref, integrate's
-    initial.t for a start at t = 0, as every caller's).  If integrate raises
-    for some run, this raises what it raises for the first.
+    cycles (a run's first row is at tau0 / w_ref, integrate's initial.t for
+    a start at t = 0, as every caller's).  If integrate raises for some run,
+    this raises what it raises for the first.
     """
-    terminations: list[Termination] = [None] * len(runs)
-    brackets: list[list] = [[] for _ in runs]  # (t0, t1, phi0, phi1, phi_dot0, phi_dot1)
-    lockstep_brackets: list[list] = [[] for _ in runs]  # each run's first, in time order
+    ends: list = [None] * len(runs)  # (termination, crossing times) of each run's _advance
+    lockstep_times: list[list] = [[] for _ in runs]  # each run's first, in time order
     start = [(i, *_run_start(p, s, config)) for i, (p, s) in enumerate(runs)]
 
     def alone(lanes):
         for i, *run in lanes:  # (i, *record), as a start row or a lane's column
-            terminations[int(i)] = _advance(runs[int(i)][0], config, run, brackets[int(i)],
-                                            crossings=True)
+            i, w_ref = int(i), run[0]
+            rows = [(run[5] / w_ref, run[6], run[7])]  # the state _advance starts from
+            end = _advance(runs[i][0], config, run, rows, 2**53)  # a stride no run reaches
+            ends[i] = end, [_crossing_time(t0, t1, p0, p1, v0 * w_ref, v1 * w_ref)
+                            for (t0, p0, v0), (t1, p1, v1) in zip(rows, rows[1:])
+                            if p0 > 0.0 >= p1]
 
     # adaptive runs whose tip never reaches the gap (see _advance) may step in lockstep
     adaptive, gap = config.method is Method.RK45_ADAPTIVE, config.collision_gap
@@ -611,7 +599,7 @@ def _crossing_periods(runs: list[tuple[PendulumParams, State]],
         lanes = np.array([row for row, e in zip(start, eligible) if e], dtype=float).T
         max_steps = min(config.max_steps, 2**53)
         rtol, atol = config.rel_tol, config.abs_tol
-        found = []  # (i, *_crossing_bracket's floats) of each lockstep crossing, as columns
+        found = []  # (i, *_lane_crossing_times' arguments) of each lockstep crossing, as columns
         with np.errstate(all="ignore"):
             stay = True  # False for a lane whose last trial step _advance must take again
             while lanes.shape[1] >= _LOCKSTEP_MIN_LANES:
@@ -645,7 +633,7 @@ def _crossing_periods(runs: list[tuple[PendulumParams, State]],
                          | np.isnan(acc8))
                 accepted &= stay
                 cross = accepted & (phi > 0.0) & (phi8 <= 0.0)
-                if cross.any():  # the step's bracket is located after the loop
+                if cross.any():  # the step's crossing is located after the loop
                     found.append(np.vstack((idx, w_ref, lam, gamma, tau, h, phi, psi, acc,
                                             phi8, psi8)).compress(cross, axis=1))
                 # _advance's controller: np.float_power equals ** (np.power may not),
@@ -661,64 +649,69 @@ def _crossing_periods(runs: list[tuple[PendulumParams, State]],
                 np.copyto(tau_end, tau, where=cross & (stop == 0.0))
             if found:
                 idx, *step = np.hstack(found)
-                for i, bracket in zip(idx.tolist(), _crossing_brackets(*step).T.tolist()):
-                    lockstep_brackets[int(i)].append(bracket)
+                for i, t in zip(idx.tolist(), _lane_crossing_times(*step).tolist()):
+                    lockstep_times[int(i)].append(t)
         alone(lanes.T.tolist())
-    return [(end, _mean_period(a + b)[1])
-            for end, a, b in zip(terminations, lockstep_brackets, brackets)]
+    return [(end, _mean_period(a + b)[1]) for a, (end, b) in zip(lockstep_times, ends)]
 
 
-def _crossing_brackets(w_ref, lam, gamma, tau, h, phi, psi, acc, phi1, psi1):
-    """_crossing_bracket of adaptive steps given as numpy columns: rows (t0,
-    t1, phi0, phi1, phi_dot0, phi_dot1), each column a step's bracket bit
-    for bit (see the module docstring).  The Hermite solve makes
-    _crossing_time's operations in its order (a zero Newton slope gives inf
-    or NaN for its NaN, outside [0, 1] as well); a step whose crossing state
-    is not finite, where math.sin may raise, is _crossing_bracket's."""
+def _lane_crossing_times(w_ref, lam, gamma, tau, h, phi, psi, acc, phi1, psi1):
+    """The crossing time of each adaptive step, given as numpy columns, that
+    crosses zero descending: _crossing_time over the descending pair of its
+    rows before, at (see _crossing_row) and after it, as _crossing_periods
+    takes it from _advance's rows, bit for bit (see the module docstring).
+    A step whose crossing state is not finite, where math.sin may raise,
+    has a crossing row where _crossing_row gives one, the same row.  Called
+    under np.errstate."""
     tau1 = tau + h
-    dt, dp = tau1 - tau, phi - phi1  # as _crossing_time(tau, tau1, phi, phi1, psi, psi1)
-    m0, m1 = dt * psi, dt * psi1
-    c2, c3 = -3.0 * dp - 2.0 * m0 - m1, 2.0 * dp + m0 + m1
-    s = phi / dp
-    for _ in range(3):
-        s = s - (phi + s * (m0 + s * (c2 + s * c3))) / (m0 + s * (2.0 * c2 + s * (3.0 * c3)))
-    hermite = (0.0 <= s) & (s <= 1.0) & ((psi < 0.0) | (psi1 < 0.0))
-    hc = np.where(hermite, tau + s * dt, tau + phi * dt / dp) - tau
+    hc = _crossing_time(tau, tau1, phi, phi1, psi, psi1, np.where) - tau
     phi_c, psi_c = _dp_trial(phi, psi, acc, hc, lam * 2.0, gamma, np.sin)[:2]
     t0, t1, t = tau / w_ref, tau1 / w_ref, (tau + hc) / w_ref
     row = (t0 < t) & (t < t1) & (np.abs(phi_c) < MAX_ANGLE)
-    first, second = row & (phi_c > 0.0), row & (phi_c <= 0.0)  # the crossing row's place
-    out = np.array([np.where(first, t, t0), np.where(second, t, t1),
-                    np.where(first, phi_c, phi), np.where(second, phi_c, phi1),
-                    np.where(first, psi_c, psi) * w_ref, np.where(second, psi_c, psi1) * w_ref])
     for j in np.flatnonzero(~(np.isfinite(phi_c) & np.isfinite(psi_c))).tolist():
-        out[:, j] = _crossing_bracket(*(col.item(j) for col in (
-            w_ref, lam, gamma, tau, h, phi, psi, acc, phi1, psi1)))
-    return out
+        row[j] = _crossing_row(*(col.item(j) for col in (
+            w_ref, lam, gamma, tau, h, phi, psi, acc, phi1, psi1))) is not None
+    first, second = row & (phi_c > 0.0), row & (phi_c <= 0.0)  # the crossing row's place
+    return _crossing_time(np.where(first, t, t0), np.where(second, t, t1),
+                          np.where(first, phi_c, phi), np.where(second, phi_c, phi1),
+                          np.where(first, psi_c, psi) * w_ref,
+                          np.where(second, psi_c, psi1) * w_ref, np.where)
 
 
-def _crossing_time(t0, t1, p0, p1, v0, v1):
+def _if(cond, a, b):
+    """np.where(cond, a, b) on floats."""
+    return a if cond else b
+
+
+def _crossing_time(t0, t1, p0, p1, v0, v1, where=_if):
     """Time of the descending zero crossing between the samples (t0, p0, v0)
     and (t1, p1, v1) of (t, phi, phi_dot): the root of the cubic Hermite
     through them (Hairer, Norsett & Wanner, Solving ODEs I, II.6), by three
     Newton steps from the linear interpolant's root, whose O(h^2) error they
     take to rounding; or that linear time where the solve ends outside the
-    bracket or at no finite value (a step that divides by zero ends at
-    none), or where no phi_dot is negative, so the slopes show no descent."""
+    bracket or at no finite value, or where no phi_dot is negative, so the
+    slopes show no descent.
+
+    Floats, or numpy arrays with where=np.where under np.errstate: the same
+    operations in the same order.  A zero Newton slope gives the linear
+    time, on floats by its ZeroDivisionError and on arrays by the inf or NaN
+    it leaves, outside [0, 1]."""
     h, dp = t1 - t0, p0 - p1
     m0, m1 = h * v0, h * v1  # slopes per bracket length
     c2, c3 = -3.0 * dp - 2.0 * m0 - m1, 2.0 * dp + m0 + m1  # p0 + m0*s + c2*s^2 + c3*s^3
+    linear = t0 + p0 * h / dp
     s = p0 / dp
-    for _ in range(3):
-        slope = m0 + s * (2.0 * c2 + s * (3.0 * c3))
-        s = s - (p0 + s * (m0 + s * (c2 + s * c3))) / slope if slope else math.nan
-    return t0 + s * h if 0.0 <= s <= 1.0 and (v0 < 0.0 or v1 < 0.0) else t0 + p0 * h / dp
+    try:
+        for _ in range(3):
+            s = s - (p0 + s * (m0 + s * (c2 + s * c3))) / (m0 + s * (2.0 * c2 + s * (3.0 * c3)))
+    except ZeroDivisionError:
+        return linear
+    return where((0.0 <= s) & (s <= 1.0) & ((v0 < 0.0) | (v1 < 0.0)), t0 + s * h, linear)
 
 
-def _mean_period(brackets):
-    """(per_cycle, mean): the spacings of the times of successive crossings'
-    brackets, and their exact sum's float (math.fsum) over their count or None."""
-    times = [_crossing_time(*bracket) for bracket in brackets]
+def _mean_period(times):
+    """(per_cycle, mean): the spacings of successive crossing times, and
+    their exact sum's float (math.fsum) over their count or None."""
     per_cycle = [b - a for a, b in zip(times, times[1:])]
     return per_cycle, math.fsum(per_cycle) / len(per_cycle) if per_cycle else None
 
@@ -732,12 +725,14 @@ def estimate_period(traj: Trajectory) -> PeriodEstimate:
     at phi0 > 0 yields one crossing per full cycle with no half-period
     aliasing.
     """
-    descending = np.nonzero((traj.phi[:-1] > 0.0) & (traj.phi[1:] <= 0.0))[0]
-    per_cycle, mean = _mean_period(zip(*[col[i].tolist() for col in (traj.t, traj.phi, traj.phi_dot)
-                                         for i in (descending, descending + 1)]))
+    k = np.flatnonzero((traj.phi[:-1] > 0.0) & (traj.phi[1:] <= 0.0))
+    with np.errstate(all="ignore"):
+        times = _crossing_time(*[col[i] for col in (traj.t, traj.phi, traj.phi_dot)
+                                 for i in (k, k + 1)], np.where)
+    per_cycle, mean = _mean_period(times.tolist())
     if mean is None:
         raise InsufficientCyclesError(f"need >= 2 descending zero crossings to measure a "
-                                      f"period, found {len(descending)}")
+                                      f"period, found {len(k)}")
     return PeriodEstimate(mean_period=mean, per_cycle_periods=np.array(per_cycle),
                           cycles_observed=len(per_cycle))
 

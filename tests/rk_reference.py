@@ -1,7 +1,8 @@
 """The tests' references: scalar steps for the Dormand-Prince 8(5,3) pair
 that the integrator writes once, as _dp_trial, which both its scalar loop
-(_advance) and its numpy lanes call; and a vectorised crossing locator for
-its scalar one, _crossing_time.
+(_advance) and its numpy lanes call; and a vectorised crossing locator,
+written apart from _crossing_time, which locates crossings on floats and
+on the lanes' arrays.
 
 The tableau is scipy's dop853 one (Prince & Dormand 1981, as Hairer's
 dop853 code holds it): A, b and the error weights E5 and E3, each float

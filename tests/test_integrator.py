@@ -584,7 +584,8 @@ class TestDormandPrinceStep:
                                   max_steps=1)
         rows = []
         termination = integrator_module._advance(
-            params, config, (1.0, lam, gamma, math.inf, math.inf, 0.0, phi, psi, acc, h, 0), rows)
+            params, config, (1.0, lam, gamma, math.inf, math.inf, 0.0, phi, psi, acc, h, 0), rows,
+            config.record_stride)
         assert termination is Termination.STEP_LIMIT
         assert len(rows) <= 1 + (phi > 0.0 >= want[0])
         assert bits(rows[-1]) == bits((h, *want[:2]))
@@ -699,14 +700,17 @@ class TestCrossingLocator:
     @example(bracket=(2.0, 2.5, 1e-310, -5e-324, -1e-3, 0.0))
     def test_scalar_equals_the_vectorised_reference(self, bracket):
         """_crossing_time makes the vectorised reference's operations in its
-        order, so it returns the same float bit for bit."""
+        order, on floats and on arrays with np.where, so each returns the
+        same float bit for bit."""
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # the scalar solve warns of nothing
             got = integrator_module._crossing_time(*bracket)
         assert type(got) is float
+        columns = [np.array([x]) for x in bracket]
         with np.errstate(all="ignore"):
-            [want] = crossing_times(*(np.array([x]) for x in bracket)).tolist()
-        assert bits([got]) == bits([want])
+            [want] = crossing_times(*columns).tolist()
+            [lane] = integrator_module._crossing_time(*columns, np.where).tolist()
+        assert bits([got]) == bits([lane]) == bits([want])
 
     def test_estimate_period_locates_crossings(self, params):
         # about 20 samples a period, at a phase that drifts from cycle to cycle:
@@ -934,7 +938,7 @@ class TestCrossingStop:
                 in enumerate(np.geomspace(1e-3, 1.3, 2 * min_lanes + extra).tolist())]
         config, stepping, left = IntegratorConfig(), [], []
         dp_trial, advance = integrator_module._dp_trial, integrator_module._advance
-        locate = integrator_module._crossing_brackets
+        locate = integrator_module._lane_crossing_times
 
         def counted(phi, *args):  # the lanes of each lockstep iteration
             if isinstance(phi, np.ndarray):
@@ -943,16 +947,16 @@ class TestCrossingStop:
 
         def located(*args):  # its trial step to the roots is no lockstep iteration
             n = len(stepping)
-            brackets = locate(*args)
+            times = locate(*args)
             del stepping[n:]
-            return brackets
+            return times
 
         def leave(*args, **kwargs):  # a run finishes alone after this many iterations
             left.append(len(stepping))
             return advance(*args, **kwargs)
 
         with (mock.patch.object(integrator_module, "_dp_trial", counted),
-              mock.patch.object(integrator_module, "_crossing_brackets", located),
+              mock.patch.object(integrator_module, "_lane_crossing_times", located),
               mock.patch.object(integrator_module, "_advance", leave)):
             outcomes = integrator_module._crossing_periods(runs, config)
         partial = {k for k in left if k < len(stepping) and stepping[k] >= min_lanes}
@@ -1042,8 +1046,8 @@ class TestRecordStride:
 class TestCrossingRows:
     """Inside each accepted step that crosses zero descending, integrate
     records one row: one more trial step of the run's method, from the
-    step's start to the cubic Hermite root.  _crossing_periods keeps the
-    bracket that estimate_period finds on those rows."""
+    step's start to the cubic Hermite root.  _crossing_periods records the
+    same rows around each crossing and times it as estimate_period does."""
 
     @settings(derandomize=True, database=None, max_examples=40, deadline=None)
     @given(release=rest_release, rk4=st.booleans(), stride=st.integers(1, 7),
@@ -1205,6 +1209,11 @@ class TestLockstepLanes:
              [((1.0199999999e-8, 1e-8), 0.2, True), REF], 1)
     @example(Method.RK45_ADAPTIVE, None, None, 1, 10**6,
              [REF, ((1.019999998e-8, 1e-8), 0.1, True), REF], 1)
+    # a first step that crosses zero descending, whose crossing pairs the run's
+    # start row: a moving start alone in _advance, and an RK4 step a third of
+    # a period long
+    @example(Method.RK45_ADAPTIVE, None, None, 1, 10**6, [((2e-8, 1e-8), 1e-3, True, -1e7)], 2)
+    @example(Method.RK4_FIXED, 1.25e-7, None, 1, 10**6, [((2e-8, 1e-8), 0.2, True)], 1)
     def test_lanes_equal_serial_runs(self, method, dt, t_max, stride, max_steps, lanes,
                                      min_lanes):
         config = IntegratorConfig(t_max=t_max, method=method,
@@ -1231,16 +1240,16 @@ class TestLockstepLanes:
 
     @settings(derandomize=True, database=None, max_examples=40, deadline=None)
     @given(lane=lane, method=st.sampled_from(Method), t_max=st.sampled_from([None, 3e-6, 1e302]),
-           stride=st.sampled_from([1, 3]), crossings=st.booleans())
+           stride=st.sampled_from([1, 3, 2**53]))
     @example(lane=((1.5e70, 1e-8), 0.3, True, 1.33e159), method=Method.RK45_ADAPTIVE,
-             t_max=None, stride=1, crossings=True)
-    def test_record_round_trips_through_the_table(self, lane, method, t_max, stride, crossings):
+             t_max=None, stride=2**53)
+    def test_record_round_trips_through_the_table(self, lane, method, t_max, stride):
         """_run_start's record, sent through a lane table's float column and
         back, as a leaving lane is, gives _advance the same run bit for bit:
         its counts (stop, steps) are exact as floats."""
         (d, l), phi0, gravity, *phi_dot = lane
         params = PendulumParams(d=d, l=l, mass=1e-24, atom=LANE_ATOM, include_gravity=gravity)
-        config = IntegratorConfig(t_max=t_max, method=method, max_steps=400, record_stride=stride,
+        config = IntegratorConfig(t_max=t_max, method=method, max_steps=400,
                                   dt=4e-9 if method is Method.RK4_FIXED else None)
         try:
             record = integrator_module._run_start(params, State(0.0, phi0, *phi_dot or [0.0]),
@@ -1253,7 +1262,7 @@ class TestLockstepLanes:
         outcomes = []
         for run in (record, column):
             out = []
-            outcomes.append((integrator_module._advance(params, config, run, out, crossings),
+            outcomes.append((integrator_module._advance(params, config, run, out, stride),
                              [bits(row) for row in out]))
         assert outcomes[0] == outcomes[1]
 
@@ -1398,8 +1407,9 @@ class TestLockstepLanes:
 
 
 class TestBatchedCrossingBrackets:
-    """_crossing_brackets, which locates the lanes' crossings in one numpy
-    batch after the lockstep, gives each step _crossing_bracket's bracket."""
+    """_lane_crossing_times, which locates the lanes' crossings in one numpy
+    batch after the lockstep, gives each step the time _crossing_periods
+    takes from _advance's rows around it."""
 
     # steps (w_ref, lam, gamma, tau, h, phi, psi, phi1, psi1) across zero
     # descending, phi > 0 >= phi1, with ±0.0, subnormals and steps whose
@@ -1428,24 +1438,30 @@ class TestBatchedCrossingBrackets:
     @example([(1.0, 1.0, 0.0, 0.0, 0.1, 0.05, -1.0, -0.05, -1.0),
               (1.0, 1.0, 2.6e307, 0.0, 10.0, 0.3, -1.0, -0.3, -1.0)])
     def test_equals_scalar_brackets(self, steps):
+        """Each time is _crossing_time's over the descending pair of the
+        step's rows [before, _crossing_row(...), after], bit for bit."""
         steps = [(w_ref, lam, gamma, tau, h, phi, psi, integrator_module._accel(phi, lam, gamma),
                   phi1, psi1) for w_ref, lam, gamma, tau, h, phi, psi, phi1, psi1 in steps]
-        scalar, fallback = integrator_module._crossing_bracket, []
+        scalar, fallback = integrator_module._crossing_row, []
 
         def spy(*step):
             fallback.append(step)
             return scalar(*step)
 
         with (np.errstate(all="ignore"),
-              mock.patch.object(integrator_module, "_crossing_bracket", spy)):
-            got = integrator_module._crossing_brackets(*(np.array(col) for col in zip(*steps)))
-        for step, bracket in zip(steps, got.T.tolist()):
-            assert bits(bracket) == bits(scalar(*step)), step
+              mock.patch.object(integrator_module, "_crossing_row", spy)):
+            got = integrator_module._lane_crossing_times(*(np.array(col) for col in zip(*steps)))
+        for step, time in zip(steps, got.tolist()):
             w_ref, lam, gamma, tau, h, phi, psi, acc, phi1, psi1 = step
+            rows = [row for row in ((tau / w_ref, phi, psi), scalar(*step),
+                                    ((tau + h) / w_ref, phi1, psi1)) if row is not None]
+            [want] = [integrator_module._crossing_time(t0, t1, p0, p1, v0 * w_ref, v1 * w_ref)
+                      for (t0, p0, v0), (t1, p1, v1) in zip(rows, rows[1:]) if p0 > 0.0 >= p1]
+            assert bits([time]) == bits([want]), step
             hc = integrator_module._crossing_time(tau, tau + h, phi, phi1, psi, psi1) - tau
             try:
                 integrator_module._dp_trial(phi, psi, acc, hc, lam * 2.0, gamma)
-            except ValueError:  # math.sin of a stage angle at +-inf: the scalar's own bracket
+            except ValueError:  # math.sin of a stage angle at +-inf: the scalar's own row
                 assert step in fallback, step
 
 
