@@ -24,7 +24,7 @@ capped at 1.5 closed-form upper bounds on its period (2 when phi0 <= 0).
 """
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from importlib import resources
 
 from .analytic import linear_omega
@@ -86,26 +86,9 @@ class ConfigError(ValueError):
     """Invalid run configuration; the message names the offending field."""
 
 
-def _flat_fields(params: PendulumParams) -> dict:
-    """The fields of params with the atom's inlined, as _PARAMS names them:
-    a shallow copy of each instance's fields (asdict would deep-copy)."""
-    fields = dict(vars(params))
-    fields.update(vars(fields.pop("atom")))
-    return fields
-
-
-def _build_params(fields: dict) -> PendulumParams:
-    """Inverse of _flat_fields; raises ValueError for invalid values and for
-    params with no finite positive stiffness, which set no run's time scale."""
-    atom = AtomProperties(alpha0=fields.pop("alpha0"), omega0=fields.pop("omega0"))
-    params = PendulumParams(atom=atom, **fields)
-    linear_omega(params)
-    return params
-
-
 def params_to_dict(params: PendulumParams) -> dict:
     """The "params" section that parses back to params."""
-    fields = _flat_fields(params)
+    fields = {**vars(params), **vars(params.atom)}  # the atom's fields as _PARAMS names them
     return {key: kind(fields[name]) for key, (name, kind, _) in _PARAMS.items()}
 
 
@@ -130,11 +113,25 @@ class RunConfig:
         ValueError for params that parse_config would reject."""
         if name not in SWEEPABLE_PARAMS:
             raise ConfigError(f"unknown sweep parameter {name!r}; choose from {SWEEPABLE_PARAMS}")
-        if name == _PHI0:
-            return replace(self, phi0_rad=value)
-        fields = _flat_fields(self.params)
-        fields[_PARAMS[name][0]] = value
-        return replace(self, params=_build_params(fields))
+        params, phi0 = self.params, value
+        if name != _PHI0:
+            params, phi0 = _swept_params(params, name, value), self.phi0_rad
+            linear_omega(params)
+        return RunConfig(params, phi0, self.integrator, self.trajectory_csv, self.report_json)
+
+
+def _swept_params(params: PendulumParams, name: str, value: float) -> PendulumParams:
+    """params with the "params" key name set to value, built from its fields
+    (a new atom only where name is one of the atom's); raises ValueError for
+    a value PendulumParams or AtomProperties rejects, but leaves the
+    stiffness to linear_omega."""
+    fields = dict(vars(params))
+    field, atom = _PARAMS[name][0], fields["atom"]
+    if field in vars(atom):
+        fields["atom"] = AtomProperties(**{**vars(atom), field: value})
+    else:
+        fields[field] = value
+    return PendulumParams(**fields)
 
 
 def _section(data: dict, name: str) -> dict:
@@ -183,7 +180,9 @@ def parse_config(data: dict) -> RunConfig:
 
     fields = {_PARAMS[key][0]: value for key, value in _section(data, "params").items()}
     try:
-        params = _build_params(fields)
+        atom = AtomProperties(alpha0=fields.pop("alpha0"), omega0=fields.pop("omega0"))
+        params = PendulumParams(atom=atom, **fields)
+        linear_omega(params)  # params with no finite positive stiffness set no run's time scale
     except ValueError as exc:
         raise ConfigError(f"invalid 'params' section: {exc}") from exc
 

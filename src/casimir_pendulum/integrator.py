@@ -61,7 +61,7 @@ status, so parameter sweeps survive pathological points.
 import math
 from dataclasses import dataclass
 from enum import Enum
-from itertools import chain
+from itertools import chain, pairwise
 
 import numpy as np
 
@@ -579,79 +579,79 @@ def _crossing_periods(runs: list[tuple[PendulumParams, State]],
     """
     ends: list = [None] * len(runs)  # (termination, crossing times) of each run's _advance
     lockstep_times: list[list] = [[] for _ in runs]  # each run's first, in time order
-    start = [(i, *_run_start(p, s, config)) for i, (p, s) in enumerate(runs)]
+    start = [_run_start(p, s, config) for p, s in runs]
 
-    def alone(lanes):
-        for i, *run in lanes:  # (i, *record), as a start row or a lane's column
-            i, w_ref = int(i), run[0]
+    def alone(indexed):
+        for i, run in indexed:  # (i, record), the record _run_start's or a lane's column
+            w_ref = run[0]
             rows = [(run[5] / w_ref, run[6], run[7])]  # the state _advance starts from
             end = _advance(runs[i][0], config, run, rows, 2**53)  # a stride no run reaches
             ends[i] = end, [_crossing_time(t0, t1, p0, p1, v0 * w_ref, v1 * w_ref)
-                            for (t0, p0, v0), (t1, p1, v1) in zip(rows, rows[1:])
-                            if p0 > 0.0 >= p1]
+                            for (t0, p0, v0), (t1, p1, v1) in pairwise(rows) if p0 > 0.0 >= p1]
+
+    def columns(lanes):  # the (i, record) of each lane
+        return zip(lanes[0].astype(int).tolist(), lanes[1:].T.tolist())
 
     # adaptive runs whose tip never reaches the gap (see _advance) may step in lockstep
     adaptive, gap = config.method is Method.RK45_ADAPTIVE, config.collision_gap
     eligible = [adaptive and p.d - p.l > gap for p, _ in runs]
     lockstep = sum(eligible) >= _LOCKSTEP_MIN_LANES
-    alone(row for row, e in zip(start, eligible) if not (lockstep and e))
+    alone((i, run) for i, (run, e) in enumerate(zip(start, eligible)) if not (lockstep and e))
     if lockstep:
-        lanes = np.array([row for row, e in zip(start, eligible) if e], dtype=float).T
+        lanes = np.array([(i, *run) for i, (run, e) in enumerate(zip(start, eligible)) if e]).T
         max_steps = min(config.max_steps, 2**53)
         rtol, atol = config.rel_tol, config.abs_tol
         found = []  # (i, *_lane_crossing_times' arguments) of each lockstep crossing, as columns
         with np.errstate(all="ignore"):
-            stay = True  # False for a lane whose last trial step _advance must take again
             while lanes.shape[1] >= _LOCKSTEP_MIN_LANES:
                 # views: the steps below update the table in place
-                idx, w_ref, lam, gamma, tau_end, stop, tau, phi, psi, acc, h_next, steps = lanes
-                # integrate's loop head; h is min(h_next, tau_end - tau), kept as h_next
-                # by a leaving lane (_advance clips it to h again) until the controller
-                rest = tau_end - tau
-                np.copyto(h_next, rest, where=rest < h_next)
-                h = h_next
-                tau_new = tau + h
-                stay &= ((tau < tau_end) & (steps < max_steps) & (tau < tau_new)
-                         & (tau_new < math.inf))
-                if np.count_nonzero(stay) < len(stay):  # faster than stay.all()
-                    alone(lanes[:, ~stay].T.tolist())
-                    lanes, stay = lanes.compress(stay, axis=1), True  # [:, stay] strides rows
-                    continue
-                phi8, psi8, acc8, e5_phi, e5_psi, e3_phi, e3_psi = _dp_trial(
-                    phi, psi, acc, h, lam * 2.0, gamma, np.sin)  # lam2 as in _advance
-                scale_phi = atol + rtol * _py_max(np.abs(phi), np.abs(phi8))
-                scale_psi = atol + rtol * _py_max(np.abs(psi), np.abs(psi8))
-                u = _py_max(np.abs(e5_phi) / scale_phi, np.abs(e5_psi) / scale_psi)
-                w = _py_max(np.abs(e3_phi) / scale_phi, np.abs(e3_psi) / scale_psi)
-                u *= u
-                err = np.where(u != 0.0, u / np.sqrt(u + 0.01 * (w * w)), 0.0)
-                accepted = err <= 1.0
-                # _advance takes these steps again, from the loop head: it ends a run at
-                # pi/2, and only a NaN e5_psi or acc8 can hide a stage angle at +-inf,
-                # where math.sin raises
-                stay = ~((accepted & (np.abs(phi8) >= MAX_ANGLE)) | np.isnan(e5_psi)
-                         | np.isnan(acc8))
-                accepted &= stay
-                cross = accepted & (phi > 0.0) & (phi8 <= 0.0)
-                if cross.any():  # the step's crossing is located after the loop
-                    found.append(np.vstack((idx, w_ref, lam, gamma, tau, h, phi, psi, acc,
-                                            phi8, psi8)).compress(cross, axis=1))
-                # _advance's controller: np.float_power equals ** (np.power may not),
-                # a 0 err gives inf, and np.fmax drops the NaN of a NaN err
-                np.copyto(h_next, h * np.minimum(np.fmax(
-                    _SAFETY * np.float_power(err, -0.125), _MIN_FACTOR), _MAX_FACTOR),
-                    where=stay)
-                for column, new in ((acc, acc8), (tau, tau_new), (phi, phi8), (psi, psi8)):
-                    np.copyto(column, new, where=accepted)
-                steps += accepted
-                stop -= cross
-                # at the stop-th crossing the run ends with this step, as in _advance
-                np.copyto(tau_end, tau, where=cross & (stop == 0.0))
+                lam, gamma, tau_end, stop, tau, phi, psi, acc, h_next, steps = lanes[2:]
+                state, lam2 = lanes[6:10], lam * 2.0  # (tau, phi, psi, acc); lam2 as in _advance
+                stay = True  # False for a lane whose last trial step _advance must take again
+                while True:
+                    # integrate's loop head (a leaving lane keeps h as h_next); h <= 0 at tau_end
+                    h = np.minimum(h_next, tau_end - tau, out=h_next)
+                    tau_new = tau + h
+                    stay &= (steps < max_steps) & (tau < tau_new) & (tau_new < math.inf)
+                    if np.count_nonzero(stay) < len(stay):  # faster than stay.all()
+                        break
+                    phi8, psi8, acc8, e5_phi, e5_psi, e3_phi, e3_psi = _dp_trial(
+                        phi, psi, acc, h, lam2, gamma, np.sin)
+                    new = np.array((tau_new, phi8, psi8, acc8))
+                    # _advance's error, phi's and psi's terms as rows; np.fmax is Python's max
+                    # where the first operand, a lane's state, is never NaN
+                    size8 = np.abs(new[1:3])
+                    scale = atol + rtol * np.fmax(np.abs(state[1:3]), size8)
+                    ratios = np.abs(np.array(((e5_phi, e3_phi), (e5_psi, e3_psi)))) / scale[:, None]
+                    u, w = uw = _py_max(*ratios)  # squared in place next
+                    uw *= uw
+                    err = np.where(u != 0.0, u / np.sqrt(u + 0.01 * w), 0.0)
+                    accepted = err <= 1.0
+                    # _advance takes these steps again, from the loop head: it ends a run at
+                    # pi/2, and only a NaN e5_psi or acc8 can hide a stage angle at +-inf,
+                    # where math.sin raises (acc8 is never +-inf, so their sum is NaN just then)
+                    stay = ~((accepted & (size8[0] >= MAX_ANGLE)) | np.isnan(e5_psi + acc8))
+                    accepted &= stay
+                    cross = accepted & (phi > 0.0) & (phi8 <= 0.0)
+                    if np.count_nonzero(cross):  # the step's crossing is located after the loop
+                        found.append(np.vstack((lanes[:4], tau, h, state[1:], phi8, psi8))
+                                     .compress(cross, axis=1))
+                        stop -= cross
+                        # the stop-th crossing ends the run with this step; stop-0 lanes left before
+                        np.copyto(tau_end, tau_new, where=stop == 0.0)
+                    # _advance's controller: np.float_power equals ** (np.power may not),
+                    # a 0 err gives inf, and np.fmax drops the NaN of a NaN err
+                    factor = np.fmax(_SAFETY * np.float_power(err, -0.125), _MIN_FACTOR)
+                    np.copyto(h_next, h * np.minimum(factor, _MAX_FACTOR), where=stay)
+                    np.copyto(state, new, where=accepted)
+                    steps += accepted
+                alone(columns(lanes[:, ~stay]))
+                lanes = lanes.compress(stay, axis=1)  # [:, stay] strides rows
             if found:
                 idx, *step = np.hstack(found)
                 for i, t in zip(idx.tolist(), _lane_crossing_times(*step).tolist()):
                     lockstep_times[int(i)].append(t)
-        alone(lanes.T.tolist())
+        alone(columns(lanes))
     return [(end, _mean_period(a + b)[1]) for a, (end, b) in zip(lockstep_times, ends)]
 
 

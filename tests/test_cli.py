@@ -49,6 +49,21 @@ def write_config(tmp_path, doc, name="run.json"):
     return str(path)
 
 
+def lone_pair_rows(tmp_path, source, param, values):
+    """The data lines of a log sweep of param over values, read from source
+    (the --config or --preset arguments), and, for each even i, those of the
+    2-point sweep of values[i] and values[i + 1]."""
+    def data_lines(start, stop, points):
+        out = str(tmp_path / "s.csv")
+        assert main(["sweep", *source, "--param", param, "--from", repr(start), "--to", repr(stop),
+                     "--points", str(points), "--log", "--out", out]) == 0
+        with open(out) as fh:
+            return fh.read().splitlines()[1:]
+
+    full = data_lines(values[0], values[-1], len(values))
+    return full, [data_lines(values[i], values[i + 1], 2) for i in range(0, len(values), 2)]
+
+
 # the first RK4 step overflows a stage angle to inf (see test_integrator.py)
 OVERFLOW_DOC = {
     "params": PARAMS,
@@ -318,7 +333,7 @@ class TestSweep:
                      "--from", "1e-3", "--to", "3e-1", "--points", "5", "--out", out])
         assert code == 0
         periods = [float(r["T_simulated"]) for r in read_csv(out)]
-        assert all(a <= b for a, b in zip(periods, periods[1:]))
+        assert all(a < b for a, b in zip(periods, periods[1:]))  # each run from its own phi0
 
     def test_header(self, tmp_path):
         out = str(tmp_path / "s.csv")
@@ -392,18 +407,9 @@ class TestSweep:
 
     def test_row_independent_of_other_points(self, tmp_path):
         """A point's row is the same bytes alone as among 20 points."""
-        def data_lines(start, stop, points):
-            out = str(tmp_path / "s.csv")
-            assert main(["sweep", "--preset", "paper-defaults", "--param", "d_m",
-                         "--from", repr(start), "--to", repr(stop), "--points", str(points),
-                         "--log", "--out", out]) == 0
-            with open(out) as fh:
-                return fh.read().splitlines()[1:]
-
-        values = np.geomspace(1.5e-8, 5e-8, 20).tolist()
-        full = data_lines(values[0], values[-1], 20)
-        for i in range(0, 20, 2):
-            assert data_lines(values[i], values[i + 1], 2) == full[i:i + 2]
+        full, pairs = lone_pair_rows(tmp_path, ["--preset", "paper-defaults"], "d_m",
+                                     np.geomspace(1.5e-8, 5e-8, 20).tolist())
+        assert pairs == [full[i:i + 2] for i in range(0, 20, 2)]
 
     @pytest.mark.parametrize("integrator_doc", [{"method": "rk45_adaptive"},
                                                 {"method": "rk4_fixed", "dt": 4e-9}],
@@ -414,21 +420,24 @@ class TestSweep:
         byte for byte."""
         doc = {"params": dict(PARAMS, beta=2.0, include_gravity=True),  # the preset's design
                "initial": {"phi0_rad": 1e-3}, "integrator": integrator_doc}
-        config = write_config(tmp_path, doc)
-
-        def data_lines(start, stop, points):
-            out = str(tmp_path / "s.csv")
-            assert main(["sweep", "--config", config, "--param", "d_m",
-                         "--from", repr(start), "--to", repr(stop), "--points", str(points),
-                         "--log", "--out", out]) == 0
-            with open(out) as fh:
-                return fh.read().splitlines()[1:]
-
-        values = np.geomspace(1.5e-8, 5e-8, 64).tolist()
-        full = data_lines(values[0], values[-1], 64)
+        full, pairs = lone_pair_rows(tmp_path, ["--config", write_config(tmp_path, doc)], "d_m",
+                                     np.geomspace(1.5e-8, 5e-8, 64).tolist())
         assert sum(line.endswith(",true") for line in full) > integrator._LOCKSTEP_MIN_LANES
-        for i in range(0, 64, 2):
-            assert data_lines(values[i], values[i + 1], 2) == full[i:i + 2]
+        assert pairs == [full[i:i + 2] for i in range(0, 64, 2)]
+
+    @pytest.mark.parametrize("param, start, stop", [
+        ("phi0_rad", 1e-3, 0.3),  # every point keeps the preset's params, with its own start
+        ("mass_kg", 1e-25, 1e-23),  # a field of the params themselves
+        ("omega0_rad_s", 1e14, 1e16),  # a field of the atom, which each point builds anew
+    ])
+    def test_lockstep_rows_equal_lone_rows_of_each_field(self, tmp_path, param, start, stop):
+        """Whichever way a point is built from the base config, the lanes of a
+        64-point sweep write the rows that the 2-point sweeps of each pair of
+        neighbours, whose runs finish alone, write."""
+        full, pairs = lone_pair_rows(tmp_path, ["--preset", "paper-defaults"], param,
+                                     np.geomspace(start, stop, 64).tolist())
+        assert sum(line.endswith(",true") for line in full) > integrator._LOCKSTEP_MIN_LANES
+        assert pairs == [full[i:i + 2] for i in range(0, 64, 2)]
 
     @pytest.mark.parametrize("stop, points, valid", [(5e-8, 64, 52), (3e-8, 2, 2)],
                              ids=["lockstep", "alone"])
