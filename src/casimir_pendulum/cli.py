@@ -10,8 +10,10 @@ integrates its valid points in this process and keeps only the rows around
 the steps that cross zero, not each run's trajectory; each run, released
 from rest, ends with the step of its second descending crossing.  Every
 crossing time comes from one Hermite locator, on floats or on the lanes'
-arrays; the integrator module's docstring says how many points step
-together.  Each row depends only on the base config and its own value.
+arrays: from _LOCKSTEP_MIN_LANES adaptive points up, the first steps of
+their runs are taken together as numpy lanes, and integrate's own loop then
+finishes every run (see the integrator module's docstring).  Each row
+depends only on the base config and its own value.
 `period --simulate` takes the same path with one run, which sets its cap,
 steps, and locates and averages its crossings in plain Python.
 """

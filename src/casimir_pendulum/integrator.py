@@ -34,22 +34,23 @@ through its ends, gives the state at the crossing, which integrate records
 and the period's crossing times are located from.
 
 integrate's loop, _advance, takes the pair's trial step on floats and the
-numpy lanes of _crossing_periods on arrays, both from _dp_trial, which fixes
-its weights and the order of every sum and writes _accel in place.  A release
+numpy lanes of _lockstep on arrays, both from _dp_trial, which fixes its
+weights and the order of every sum and writes _accel in place.  A release
 from rest with no t_max ends with the step of its second descending zero
 crossing, capped by a closed-form bound on its period.  Runs that need only
 their periods (a sweep, `period --simulate`) go through _crossing_periods,
 where each run records integrate's rows around its crossings and every
 crossing time comes from _crossing_time, on floats or on the lanes' arrays;
-below _LOCKSTEP_MIN_LANES runs it calls no numpy.  From there up, adaptive
-runs step together as lanes, each equal to a serial integrate at
-record_stride 1 bit for bit wherever np.sin and np.float_power equal
-math.sin and Python's **, as on common numpy builds (np.sqrt and math.sqrt
-are both correctly rounded), and their crossings are located in one numpy
-batch.  A lane leaves the lockstep at integrate's loop head, or before a
-step that reaches pi/2 or may overflow, and a run whose tip can reach the
-safety gap never joins it, so every run ends in _advance, the only code that
-decides a termination.
+below _LOCKSTEP_MIN_LANES runs it calls no numpy.  From there up, the
+adaptive runs whose tip cannot reach the safety gap take a prefix of their
+steps together as lanes, each equal to a serial integrate at record_stride
+1 bit for bit wherever np.sin and np.float_power equal math.sin and
+Python's **, as on common numpy builds (np.sqrt and math.sqrt are both
+correctly rounded), and their crossings are located in one numpy batch.  A
+lane freezes at integrate's loop head, or in its state from before a step
+that reaches pi/2 or whose error or acceleration is NaN, and the lockstep
+ends when fewer than _LOCKSTEP_MIN_LANES lanes can step.  Then _advance,
+the only code that decides a termination, finishes every run.
 
 A run never raises for physics reasons: the tip reaching the safety gap
 (collision), |phi| reaching pi/2 or a stage angle overflowing (angle
@@ -543,11 +544,6 @@ def _crossing_row(w_ref, lam, gamma, tau, h, phi, psi, acc, phi1, psi1, rk4=Fals
 _LOCKSTEP_MIN_LANES = 42
 
 
-def _py_max(a, b):
-    """Python's max(a, b) for each lane: a NaN b is dropped, a NaN a kept."""
-    return np.where(b > a, b, a)
-
-
 def _crossing_periods(runs: list[tuple[PendulumParams, State]],
                       config: IntegratorConfig) -> list[tuple[Termination, float | None]]:
     """Integrate many runs and keep only their periods.
@@ -556,19 +552,10 @@ def _crossing_periods(runs: list[tuple[PendulumParams, State]],
     reaches, from the state _advance starts from: those before, at and after
     each step that crosses zero descending, and the last.  Its crossing
     times are _crossing_time's over the row pairs estimate_period takes,
-    phi[k] > 0 >= phi[k+1].  From _LOCKSTEP_MIN_LANES adaptive runs with
-    d - l > gap up, those step together as lanes, whose crossings are timed
-    after the lockstep in one batch (see _lane_crossing_times) and precede
-    those of _advance's rows.  A lane leaves the lockstep before a trial
-    step that fails integrate's loop head, so also after the step of its
-    stop-th crossing, which sets its tau_end to its end as _advance does;
-    and with its state from before a step that reaches pi/2 or whose e5_psi
-    or a13 is NaN (where math.sin may raise on a stage angle at +-inf, see
-    _dp_trial).  It finishes alone in _advance, as do all other runs and,
-    below _LOCKSTEP_MIN_LANES running, the last lanes, so integrate's own
-    loop ends every run.  The lanes are the columns (i, *record) of one
-    float table, record being _run_start's for run i; its counts are exact
-    below 2**53, where max_steps is clamped: no run gets there.
+    phi[k] > 0 >= phi[k+1]; those of the steps it took in _lockstep, which
+    first steps some runs together, come first.  _advance then finishes
+    every run from its record, once each, so integrate's own loop ends
+    every run.
 
     Returns, for each run, (termination, period): what integrate at
     record_stride 1 and then estimate_period(...).mean_period give for it,
@@ -577,82 +564,89 @@ def _crossing_periods(runs: list[tuple[PendulumParams, State]],
     a start at t = 0, as every caller's).  If integrate raises for some run,
     this raises what it raises for the first.
     """
-    ends: list = [None] * len(runs)  # (termination, crossing times) of each run's _advance
-    lockstep_times: list[list] = [[] for _ in runs]  # each run's first, in time order
-    start = [_run_start(p, s, config) for p, s in runs]
+    records = [_run_start(p, s, config) for p, s in runs]
+    outcomes = []
+    for (params, _), run, times in zip(runs, records, _lockstep(records, runs, config)):
+        w_ref = run[0]
+        rows = [(run[5] / w_ref, run[6], run[7])]  # the state _advance starts from
+        end = _advance(params, config, run, rows, 2**53)  # a stride no run reaches
+        times += [_crossing_time(t0, t1, p0, p1, v0 * w_ref, v1 * w_ref)
+                  for (t0, p0, v0), (t1, p1, v1) in pairwise(rows) if p0 > 0.0 >= p1]
+        outcomes.append((end, _mean_period(times)[1]))
+    return outcomes
 
-    def alone(indexed):
-        for i, run in indexed:  # (i, record), the record _run_start's or a lane's column
-            w_ref = run[0]
-            rows = [(run[5] / w_ref, run[6], run[7])]  # the state _advance starts from
-            end = _advance(runs[i][0], config, run, rows, 2**53)  # a stride no run reaches
-            ends[i] = end, [_crossing_time(t0, t1, p0, p1, v0 * w_ref, v1 * w_ref)
-                            for (t0, p0, v0), (t1, p1, v1) in pairwise(rows) if p0 > 0.0 >= p1]
 
-    def columns(lanes):  # the (i, record) of each lane
-        return zip(lanes[0].astype(int).tolist(), lanes[1:].T.tolist())
+def _lockstep(records, runs, config: IntegratorConfig) -> list[list[float]]:
+    """Step the adaptive runs with d - l > gap (see _advance), from
+    _LOCKSTEP_MIN_LANES of them up, together as lanes and write each back
+    to records, _run_start's for runs, as the state _advance finishes it
+    from.  Returns each run's crossing times in the lockstep, in time order,
+    located after it in one batch (see _lane_crossing_times).
 
-    # adaptive runs whose tip never reaches the gap (see _advance) may step in lockstep
-    adaptive, gap = config.method is Method.RK45_ADAPTIVE, config.collision_gap
-    eligible = [adaptive and p.d - p.l > gap for p, _ in runs]
-    lockstep = sum(eligible) >= _LOCKSTEP_MIN_LANES
-    alone((i, run) for i, (run, e) in enumerate(zip(start, eligible)) if not (lockstep and e))
-    if lockstep:
-        lanes = np.array([(i, *run) for i, (run, e) in enumerate(zip(start, eligible)) if e]).T
-        max_steps = min(config.max_steps, 2**53)
-        rtol, atol = config.rel_tol, config.abs_tol
-        found = []  # (i, *_lane_crossing_times' arguments) of each lockstep crossing, as columns
-        with np.errstate(all="ignore"):
-            while lanes.shape[1] >= _LOCKSTEP_MIN_LANES:
-                # views: the steps below update the table in place
-                lam, gamma, tau_end, stop, tau, phi, psi, acc, h_next, steps = lanes[2:]
-                state, lam2 = lanes[6:10], lam * 2.0  # (tau, phi, psi, acc); lam2 as in _advance
-                stay = True  # False for a lane whose last trial step _advance must take again
-                while True:
-                    # integrate's loop head (a leaving lane keeps h as h_next); h <= 0 at tau_end
-                    h = np.minimum(h_next, tau_end - tau, out=h_next)
-                    tau_new = tau + h
-                    stay &= (steps < max_steps) & (tau < tau_new) & (tau_new < math.inf)
-                    if np.count_nonzero(stay) < len(stay):  # faster than stay.all()
-                        break
-                    phi8, psi8, acc8, e5_phi, e5_psi, e3_phi, e3_psi = _dp_trial(
-                        phi, psi, acc, h, lam2, gamma, np.sin)
-                    new = np.array((tau_new, phi8, psi8, acc8))
-                    # _advance's error, phi's and psi's terms as rows; np.fmax is Python's max
-                    # where the first operand, a lane's state, is never NaN
-                    size8 = np.abs(new[1:3])
-                    scale = atol + rtol * np.fmax(np.abs(state[1:3]), size8)
-                    ratios = np.abs(np.array(((e5_phi, e3_phi), (e5_psi, e3_psi)))) / scale[:, None]
-                    u, w = uw = _py_max(*ratios)  # squared in place next
-                    uw *= uw
-                    err = np.where(u != 0.0, u / np.sqrt(u + 0.01 * w), 0.0)
-                    accepted = err <= 1.0
-                    # _advance takes these steps again, from the loop head: it ends a run at
-                    # pi/2, and only a NaN e5_psi or acc8 can hide a stage angle at +-inf,
-                    # where math.sin raises (acc8 is never +-inf, so their sum is NaN just then)
-                    stay = ~((accepted & (size8[0] >= MAX_ANGLE)) | np.isnan(e5_psi + acc8))
-                    accepted &= stay
-                    cross = accepted & (phi > 0.0) & (phi8 <= 0.0)
-                    if np.count_nonzero(cross):  # the step's crossing is located after the loop
-                        found.append(np.vstack((lanes[:4], tau, h, state[1:], phi8, psi8))
-                                     .compress(cross, axis=1))
-                        stop -= cross
-                        # the stop-th crossing ends the run with this step; stop-0 lanes left before
-                        np.copyto(tau_end, tau_new, where=stop == 0.0)
-                    # _advance's controller: np.float_power equals ** (np.power may not),
-                    # a 0 err gives inf, and np.fmax drops the NaN of a NaN err
-                    factor = np.fmax(_SAFETY * np.float_power(err, -0.125), _MIN_FACTOR)
-                    np.copyto(h_next, h * np.minimum(factor, _MAX_FACTOR), where=stay)
-                    np.copyto(state, new, where=accepted)
-                    steps += accepted
-                alone(columns(lanes[:, ~stay]))
-                lanes = lanes.compress(stay, axis=1)  # [:, stay] strides rows
-            if found:
-                idx, *step = np.hstack(found)
-                for i, t in zip(idx.tolist(), _lane_crossing_times(*step).tolist()):
-                    lockstep_times[int(i)].append(t)
-        alone(columns(lanes))
-    return [(end, _mean_period(a + b)[1]) for a, (end, b) in zip(lockstep_times, ends)]
+    The lanes are the columns of one float table, whose counts (stop,
+    steps) are exact below 2**53, where max_steps is clamped: no run gets
+    there.  Each lane takes _advance's steps until it freezes: before a
+    trial step that fails integrate's loop head, so also after the step of
+    its stop-th crossing, which sets its tau_end to its end as _advance
+    does; or in its state from before a step that reaches pi/2 or whose err
+    or a13 is NaN, as a stage angle at +-inf makes them (where math.sin
+    raises, see _dp_trial).  _advance takes that step again and decides
+    it.  The lockstep ends when fewer than _LOCKSTEP_MIN_LANES lanes can
+    step.
+    """
+    times: list[list[float]] = [[] for _ in runs]
+    lanes = ([i for i, (p, _) in enumerate(runs) if p.d - p.l > config.collision_gap]
+             if config.method is Method.RK45_ADAPTIVE else [])
+    if len(lanes) < _LOCKSTEP_MIN_LANES:
+        return times
+    table = np.array([records[i] for i in lanes]).T
+    # views: the steps below update the table in place
+    _, lam, gamma, tau_end, stop, tau, phi, psi, acc, h_next, steps = table
+    state, lam2 = table[5:9], lam * 2.0  # (tau, phi, psi, acc); lam2 as in _advance
+    max_steps, rtol, atol = min(config.max_steps, 2**53), config.rel_tol, config.abs_tol
+    index, live = np.array(lanes, dtype=float), np.ones(len(lanes), bool)  # live: not frozen
+    found = []  # (run index, *_lane_crossing_times' arguments) of each crossing, as columns
+    with np.errstate(all="ignore"):
+        while True:
+            # integrate's loop head (a frozen lane keeps h as h_next); h <= 0 at tau_end
+            h = np.minimum(h_next, tau_end - tau, out=h_next)
+            tau_new = tau + h
+            live &= (steps < max_steps) & (tau < tau_new) & (tau_new < math.inf)
+            if np.count_nonzero(live) < _LOCKSTEP_MIN_LANES:
+                break
+            phi8, psi8, acc8, e5_phi, e5_psi, e3_phi, e3_psi = _dp_trial(
+                phi, psi, acc, h, lam2, gamma, np.sin)
+            new = np.array((tau_new, phi8, psi8, acc8))
+            # _advance's error, phi's and psi's terms as rows, except that a NaN term makes it NaN
+            size8 = np.abs(new[1:3])
+            scale = atol + rtol * np.maximum(np.abs(state[1:3]), size8)
+            ratios = np.abs(np.array(((e5_phi, e3_phi), (e5_psi, e3_psi)))) / scale[:, None]
+            u, w = np.square(np.maximum(*ratios))
+            err = np.where(u != 0.0, u / np.sqrt(u + 0.01 * w), 0.0)
+            accepted = err <= 1.0
+            # err and acc8 are never +-inf, so their sum is NaN just where one is
+            live &= ~((accepted & (size8[0] >= MAX_ANGLE)) | np.isnan(err + acc8))
+            accepted &= live
+            cross = accepted & (phi > 0.0) & (phi8 <= 0.0)
+            if np.count_nonzero(cross):  # the step's crossing is located after the loop
+                found.append(np.vstack((index, table[:3], tau, h, state[1:], phi8, psi8))
+                             .compress(cross, axis=1))  # [:, cross] strides rows
+                stop -= cross
+                # the stop-th crossing ends the run with this step
+                np.copyto(tau_end, tau_new, where=cross & (stop == 0.0))
+            # _advance's controller: np.float_power equals ** (np.power may not), and a
+            # 0 err gives inf
+            factor = np.maximum(_SAFETY * np.float_power(err, -0.125), _MIN_FACTOR)
+            np.copyto(h_next, h * np.minimum(factor, _MAX_FACTOR), where=live)
+            np.copyto(state, new, where=accepted)
+            steps += accepted
+        if found:
+            index, *step = np.hstack(found)
+            for i, t in zip(index.astype(int).tolist(), _lane_crossing_times(*step).tolist()):
+                times[i].append(t)
+    for i, column in zip(lanes, table.T.tolist()):
+        records[i] = column
+    return times
 
 
 def _lane_crossing_times(w_ref, lam, gamma, tau, h, phi, psi, acc, phi1, psi1):

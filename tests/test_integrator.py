@@ -468,6 +468,17 @@ class TestTerminations:
         # the run ends at its first pass through phi = 0, before any descending crossing
         assert not np.any((traj.phi[:-1] > 0.0) & (traj.phi[1:] <= 0.0))
 
+    def test_collision_at_the_gap_exactly(self):
+        """A start state whose tip is exactly at the gap collides, with only
+        its row recorded; swinging outward, it would reach the angle limit
+        with the tip never below its start."""
+        d, l, phi0 = 1.03e-8, 1e-8, 0.05
+        params = PendulumParams(d=d, l=l, mass=1e-24, atom=LANE_ATOM)
+        config = IntegratorConfig(collision_gap=d - l * math.cos(phi0))
+        traj = integrate(params, State(0.0, phi0, 1e10), config)
+        assert traj.termination is Termination.COLLISION
+        assert len(traj) == 1
+
     def test_collision_gap_configurable(self, params):
         # huge safety gap: even the reference design "collides" immediately
         traj = integrate(
@@ -891,13 +902,14 @@ class TestCrossingStop:
            min_lanes=st.sampled_from([1, integrator_module._LOCKSTEP_MIN_LANES]))
     def test_lanes_stop_on_their_own_iterations(self, d, ratio, gravity, points, min_lanes):
         """A sweep of phi0 over [1e-3, 1.3], of alternating sign, whose lanes
-        reach their stops on different lockstep iterations: each row equals
-        its lone run bit for bit."""
+        reach their stops on different lockstep iterations: each run reaches
+        _advance once, after the lockstep's last iteration, and each row
+        equals its lone run bit for bit."""
         params = PendulumParams(d=d, l=ratio * d, mass=1e-24, atom=LANE_ATOM,
                                 include_gravity=gravity)
         runs = [(params, State(0.0, (-1) ** k * phi0, 0.0))
                 for k, phi0 in enumerate(np.geomspace(1e-3, 1.3, points).tolist())]
-        config, iterations, left = IntegratorConfig(), 0, []
+        config, iterations, handed = IntegratorConfig(), 0, []
         dp_trial, advance = integrator_module._dp_trial, integrator_module._advance
 
         def counted(phi, *args):
@@ -905,18 +917,24 @@ class TestCrossingStop:
             iterations += isinstance(phi, np.ndarray)  # a lockstep iteration, not _advance's step
             return dp_trial(phi, *args)
 
-        def leave(*args, **kwargs):  # a run finishes alone after this many iterations
-            left.append(iterations)
-            return advance(*args, **kwargs)
+        def finish(params, config, run, *args):  # the iterations before, and the record
+            handed.append((iterations, run))
+            return advance(params, config, run, *args)
 
         with (mock.patch.object(integrator_module, "_dp_trial", counted),
-              mock.patch.object(integrator_module, "_advance", leave),
+              mock.patch.object(integrator_module, "_advance", finish),
               mock.patch.object(integrator_module, "_LOCKSTEP_MIN_LANES", min_lanes)):
             outcomes = integrator_module._crossing_periods(runs, config)
-        # the lanes step together before any leaves; at min_lanes 1 each stays to its
-        # stop, and they stop on more distinct iterations than a quarter of the lanes
-        assert min(left) > 0
-        assert min_lanes > 1 or len(set(left)) > len(runs) // 4
+        # one hand-off per run, after every array trial step (the last of which
+        # locates the lockstep's crossings); every lane stepped before it
+        assert [k for k, _ in handed] == [iterations] * len(runs)
+        steps = [run[10] for _, run in handed]
+        assert min(steps) > 0
+        if min_lanes == 1:
+            # each lane stays to its stop, its tau_end set to its tau, and they stop
+            # after more distinct step counts than a quarter of the lanes
+            assert all(run[3] == run[5] for _, run in handed)
+            assert len(set(steps)) > len(runs) // 4
         assert all(end is Termination.COMPLETED and period is not None
                    for end, period in outcomes)
         lone = [integrator_module._crossing_periods([run], config)[0] for run in runs]
@@ -928,39 +946,42 @@ class TestCrossingStop:
            extra=st.integers(0, 8))
     def test_lanes_leave_while_others_step(self, d, ratio, gravity, extra):
         """The same sweep over twice _LOCKSTEP_MIN_LANES lanes or more, at
-        the real threshold: lanes finish and leave on at least two lockstep
-        iterations after which _LOCKSTEP_MIN_LANES or more others step on,
-        and each row equals its lone run bit for bit."""
+        the real threshold: lanes finish on at least two lockstep iterations
+        after which _LOCKSTEP_MIN_LANES or more others step on, every run
+        reaches _advance once, after the last iteration, and each row equals
+        its lone run bit for bit."""
         params = PendulumParams(d=d, l=ratio * d, mass=1e-24, atom=LANE_ATOM,
                                 include_gravity=gravity)
         min_lanes = integrator_module._LOCKSTEP_MIN_LANES
         runs = [(params, State(0.0, (-1) ** k * phi0, 0.0)) for k, phi0
                 in enumerate(np.geomspace(1e-3, 1.3, 2 * min_lanes + extra).tolist())]
-        config, stepping, left = IntegratorConfig(), [], []
+        config, ended, handed = IntegratorConfig(), [], []
         dp_trial, advance = integrator_module._dp_trial, integrator_module._advance
         locate = integrator_module._lane_crossing_times
 
-        def counted(phi, *args):  # the lanes of each lockstep iteration
+        def counted(phi, psi, acc, h, *args):  # the lanes at their ends, h = 0, each iteration
             if isinstance(phi, np.ndarray):
-                stepping.append(len(phi))
-            return dp_trial(phi, *args)
+                ended.append(np.count_nonzero(h <= 0.0))
+            return dp_trial(phi, psi, acc, h, *args)
 
         def located(*args):  # its trial step to the roots is no lockstep iteration
-            n = len(stepping)
+            n = len(ended)
             times = locate(*args)
-            del stepping[n:]
+            del ended[n:]
             return times
 
-        def leave(*args, **kwargs):  # a run finishes alone after this many iterations
-            left.append(len(stepping))
+        def finish(*args, **kwargs):
+            handed.append(len(ended))
             return advance(*args, **kwargs)
 
         with (mock.patch.object(integrator_module, "_dp_trial", counted),
               mock.patch.object(integrator_module, "_lane_crossing_times", located),
-              mock.patch.object(integrator_module, "_advance", leave)):
+              mock.patch.object(integrator_module, "_advance", finish)):
             outcomes = integrator_module._crossing_periods(runs, config)
-        partial = {k for k in left if k < len(stepping) and stepping[k] >= min_lanes}
-        assert min(left) > 0 and len(partial) >= 2, (left, stepping)
+        # an iteration steps at least min_lanes lanes, so the others had ended before it
+        assert all(len(runs) - k >= min_lanes for k in ended)
+        assert len({k for k in ended if k > 0}) >= 2, ended
+        assert handed == [len(ended)] * len(runs)
         lone = [integrator_module._crossing_periods([run], config)[0] for run in runs]
         assert all(end is Termination.COMPLETED for end, _ in outcomes)
         assert exact(outcomes) == exact(lone)
@@ -1080,6 +1101,17 @@ class TestCrossingRows:
             with mock.patch.object(integrator_module, "_LOCKSTEP_MIN_LANES", min_lanes):
                 assert exact(integrator_module._crossing_periods([(params, initial)],
                                                                  config)) == expected
+
+    @pytest.mark.parametrize("phi_c, inside", [
+        (MAX_ANGLE, False), (-MAX_ANGLE, False), (math.nextafter(MAX_ANGLE, 0.0), True)])
+    def test_crossing_row_below_the_angle_limit(self, phi_c, inside):
+        """_crossing_row keeps no row at |phi| = pi/2, the angle limit, where
+        a run ends unrecorded: a trial step to the root that lands there, as
+        a stand-in step does here, gives none."""
+        with mock.patch.object(integrator_module, "_dp_trial", lambda *args: (phi_c, -1.0)):
+            row = integrator_module._crossing_row(1.0, 1.0, 0.0, 0.0, 0.1, 0.05, -1.0, -0.05,
+                                                  -0.05, -1.0)
+        assert (row is not None) is inside
 
 
 class TestAngleLimit:
@@ -1245,8 +1277,8 @@ class TestLockstepLanes:
              t_max=None, stride=2**53)
     def test_record_round_trips_through_the_table(self, lane, method, t_max, stride):
         """_run_start's record, sent through a lane table's float column and
-        back, as a leaving lane is, gives _advance the same run bit for bit:
-        its counts (stop, steps) are exact as floats."""
+        back, as _lockstep writes each lane back, gives _advance the same run
+        bit for bit: its counts (stop, steps) are exact as floats."""
         (d, l), phi0, gravity, *phi_dot = lane
         params = PendulumParams(d=d, l=l, mass=1e-24, atom=LANE_ATOM, include_gravity=gravity)
         config = IntegratorConfig(t_max=t_max, method=method, max_steps=400,
@@ -1266,59 +1298,66 @@ class TestLockstepLanes:
                              [bits(row) for row in out]))
         assert outcomes[0] == outcomes[1]
 
-    def test_nan_err_shrinks_the_step_as_advance_does(self, monkeypatch):
-        """A lane whose err is NaN while its e5_psi and a13 are not stays in
-        the lockstep; like _advance, it rejects the step and retries from the
-        same state with h * _MIN_FACTOR (np.fmax: np.maximum would keep the
-        NaN, and the lane would stall)."""
-        dp_trial = integrator_module._dp_trial
-        calls = []
+    @staticmethod
+    def first_lane_patched(monkeypatch, patch):
+        """_crossing_periods over two REF lanes stepping to their ends, with
+        patch(step) applied to the lanes' first array trial step only: the
+        outcomes and the records handed to _advance."""
+        dp_trial, advance, calls, handed = (integrator_module._dp_trial,
+                                            integrator_module._advance, [], [])
 
-        def first_err_phi_nan(phi, *args):
-            step = dp_trial(phi, *args)
-            if isinstance(phi, np.ndarray):  # the lanes' step, not _advance's
-                if not calls:
-                    step[3][0] = math.nan
-                calls.append(1)
-            return step
-
-        config = IntegratorConfig()
-        runs = [(PendulumParams(d=d, l=l, mass=1e-24, atom=LANE_ATOM, include_gravity=gravity),
-                 State(0.0, phi0, 0.0)) for (d, l), phi0, gravity in [REF, REF]]
-        with monkeypatch.context() as patched:
-            patched.setattr(integrator_module, "_INITIAL_PHASE_STEP",
-                            integrator_module._INITIAL_PHASE_STEP * integrator_module._MIN_FACTOR)
-            retried = serial_outcome(*runs[0], config)
-        monkeypatch.setattr(integrator_module, "_dp_trial", first_err_phi_nan)
-        monkeypatch.setattr(integrator_module, "_LOCKSTEP_MIN_LANES", 1)
-        outcomes = integrator_module._crossing_periods(runs, config)
-        assert len(calls) > 1
-        assert retried[0] is Termination.COMPLETED
-        assert exact(outcomes) == exact([retried, serial_outcome(*runs[1], config)])
-
-    @pytest.mark.parametrize("index", [2, 4], ids=["a13", "e5_psi"])
-    def test_nan_stage_sends_the_lane_to_advance(self, monkeypatch, index):
-        """A lane whose a13 or e5_psi is NaN, as a stage angle at +-inf
-        makes them, leaves the lockstep before committing the step, and
-        _advance takes it again: kept, its NaN acceleration would spoil
-        every later step of the lane."""
-        dp_trial, calls = integrator_module._dp_trial, []
-
-        def first_lane_nan(phi, *args):
+        def patched(phi, *args):
             step = dp_trial(phi, *args)
             if isinstance(phi, np.ndarray) and not calls:  # the lanes' first step
-                step[index][0] = math.nan
+                patch(step)
                 calls.append(len(phi))
             return step
 
-        config = IntegratorConfig()
+        def finish(params, config, run, *args):
+            handed.append(run)
+            return advance(params, config, run, *args)
+
         runs = [(PendulumParams(d=d, l=l, mass=1e-24, atom=LANE_ATOM, include_gravity=gravity),
                  State(0.0, phi0, 0.0)) for (d, l), phi0, gravity in [REF, REF]]
-        monkeypatch.setattr(integrator_module, "_dp_trial", first_lane_nan)
-        monkeypatch.setattr(integrator_module, "_LOCKSTEP_MIN_LANES", 2)
-        outcomes = integrator_module._crossing_periods(runs, config)
+        monkeypatch.setattr(integrator_module, "_dp_trial", patched)
+        monkeypatch.setattr(integrator_module, "_advance", finish)
+        monkeypatch.setattr(integrator_module, "_LOCKSTEP_MIN_LANES", 1)
+        outcomes = integrator_module._crossing_periods(runs, IntegratorConfig())
+        monkeypatch.undo()
         assert calls == [2]
-        assert exact(outcomes) == exact([serial_outcome(*run, config) for run in runs])
+        return outcomes, handed, [serial_outcome(*run, IntegratorConfig()) for run in runs]
+
+    def test_nan_err_shrinks_the_step_as_advance_does(self, monkeypatch):
+        """A lane whose err is NaN while its e5_psi and a13 are not freezes
+        in its state from before the step, and _advance, which finishes it,
+        takes the step again and decides it: here, unpatched, as in a serial
+        run.  The other lane steps on to its end."""
+        def err_phi_nan(step):
+            step[3][0] = math.nan
+
+        outcomes, handed, serial = self.first_lane_patched(monkeypatch, err_phi_nan)
+        frozen, finished = handed
+        assert frozen[10] == 0 and frozen[5] == 0.0 and frozen[6] == REF[1]
+        assert finished[10] > 0 and finished[3] == finished[5]
+        assert exact(outcomes) == exact(serial)
+
+    # a13 or e5_psi NaN, as a stage angle at +-inf makes them; or psi8 = e5_psi =
+    # +inf, whose psi error ratio is inf/inf = NaN while a13 stays finite
+    @pytest.mark.parametrize("patch", [{2: math.nan}, {4: math.nan}, {1: math.inf, 4: math.inf}],
+                             ids=["a13", "e5_psi", "psi8_inf"])
+    def test_nan_stage_sends_the_lane_to_advance(self, monkeypatch, patch):
+        """A lane whose a13 or err is NaN freezes before committing the
+        step, and _advance takes it again: kept, its NaN acceleration would
+        spoil every later step of the lane, and an err without its NaN, as
+        Python's max drops it, would accept psi = inf."""
+        def patched(step):
+            for index, value in patch.items():
+                step[index][0] = value
+            assert math.isfinite(step[2][0]) or 2 in patch
+
+        outcomes, handed, serial = self.first_lane_patched(monkeypatch, patched)
+        assert handed[0][10] == 0 and handed[1][10] > 0
+        assert exact(outcomes) == exact(serial)
 
     def test_numpy_sin_equals_math(self):
         """The lanes equal serial runs only on a numpy build whose sin equals
@@ -1395,9 +1434,10 @@ class TestLockstepLanes:
                         assert_rounding_apart(want_dp, other, p, v, step, a, lm, g)
 
     def test_every_stage_reaches_e5_psi(self):
-        """The lanes leave the lockstep where e5_psi is NaN: a stage whose
-        angle is at +-inf has a NaN ka, which e5_psi sums directly (stages
-        6-12) or through the angle of a stage it sums (stages 2-5)."""
+        """A lane freezes where its err is NaN, as it is where e5_psi is: a
+        stage whose angle is at +-inf has a NaN ka, which e5_psi sums
+        directly (stages 6-12) or through the angle of a stage it sums
+        (stages 2-5)."""
         c, ab, ba, b, (e5a, e5), _ = NYSTROM
         reach = {j for j in range(12) if e5[j] != 0}
         for j in reversed(range(1, 12)):
