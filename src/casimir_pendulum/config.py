@@ -219,9 +219,9 @@ def preset_names() -> list[str]:
 
 
 def load_preset(name: str) -> RunConfig:
-    """Load a bundled preset by name (e.g. 'paper-defaults')."""
-    root = resources.files(__package__).joinpath("presets")
-    candidate = root.joinpath(f"{name}.json")
-    if not candidate.is_file():
+    """Load a bundled preset by one of preset_names() (e.g. 'paper-defaults');
+    a path-like name such as '../presets/paper-defaults' is unknown."""
+    if name not in preset_names():
         raise ConfigError(f"unknown preset {name!r}; available: {preset_names()}")
-    return parse_config(json.loads(candidate.read_text(encoding="utf-8")))
+    path = resources.files(__package__).joinpath("presets").joinpath(f"{name}.json")
+    return parse_config(json.loads(path.read_text(encoding="utf-8")))

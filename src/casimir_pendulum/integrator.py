@@ -39,18 +39,19 @@ weights and the order of every sum and writes _accel in place.  A release
 from rest with no t_max ends with the step of its second descending zero
 crossing, capped by a closed-form bound on its period.  Runs that need only
 their periods (a sweep, `period --simulate`) go through _crossing_periods,
-where each run records integrate's rows around its crossings and every
-crossing time comes from _crossing_time, on floats or on the lanes' arrays;
-below _LOCKSTEP_MIN_LANES runs it calls no numpy.  From there up, the
-adaptive runs whose tip cannot reach the safety gap take a prefix of their
-steps together as lanes, each equal to a serial integrate at record_stride
-1 bit for bit wherever np.sin and np.float_power equal math.sin and
-Python's **, as on common numpy builds (np.sqrt and math.sqrt are both
-correctly rounded), and their crossings are located in one numpy batch.  A
-lane freezes at integrate's loop head, or in its state from before a step
-that reaches pi/2 or whose error or acceleration is NaN, and the lockstep
-ends when fewer than _LOCKSTEP_MIN_LANES lanes can step.  Then _advance,
-the only code that decides a termination, finishes every run.
+where each run records integrate's rows around its crossings.  Whether a
+step crosses (_descends), its crossing row (_crossing_row) and time
+(_crossing_time) come from one function each, on floats or on the lanes'
+arrays; below _LOCKSTEP_MIN_LANES runs no numpy is called.  From there up,
+the adaptive runs whose tip cannot reach the safety gap take a prefix of
+their steps together as lanes, each equal to a serial integrate at
+record_stride 1 bit for bit wherever np.sin and np.float_power equal
+math.sin and Python's ** (np.sqrt and math.sqrt are both correctly
+rounded), and their crossings are located in one numpy batch.  A lane
+freezes at integrate's loop head, or in its state from before a step that
+reaches pi/2 or whose error or acceleration is NaN, until fewer than
+_LOCKSTEP_MIN_LANES lanes can step.  Then _advance, the only code that
+decides a termination, finishes every run.
 
 A run never raises for physics reasons: the tip reaching the safety gap
 (collision), |phi| reaching pi/2 or a stage angle overflowing (angle
@@ -246,9 +247,10 @@ def _dp_trial(phi, psi, acc, h, lam2, gamma, sin=math.sin):
     psi in e5_phi and e3_phi (sum(e) = 0) and ka4, ka5 in phi8
     (b_j*(1 - c_j), b_4 = b_5 = 0), the term is dropped.
     A stage angle at +-inf makes math.sin raise ValueError and np.sin return
-    NaN, and that NaN reaches e5_psi: stages 6-12 enter it directly, and
-    stages 2-5 through a later angle (2 and 4 through stage 4's and 6's, 3
-    and 5 through stage 5's and 7's); phi8 at +-inf makes a13 NaN.
+    NaN, and that NaN reaches e5_psi and psi8: stages 6-12 enter them
+    directly, and stages 2-5 through a later angle (2 and 4 through stage
+    4's and 6's, 3 and 5 through stage 5's and 7's); phi8 at +-inf makes a13
+    NaN.  _lockstep's freeze and _crossing_row's finite-psi test rely on it.
     """
     ka1 = h * acc
     x = phi + h * (0.05260015195876773 * psi)
@@ -422,11 +424,10 @@ def _advance(params: PendulumParams, config: IntegratorConfig, run, out, stride)
     count of accepted steps; returns the run's termination.  It appends to
     out, which holds the start state's row, once each, the (t, phi, psi)
     rows of the state after each step whose count is a multiple of stride,
-    of the last one, and, for each accepted step that takes phi from > 0 to
-    <= 0, of the states before it, at its crossing (see _crossing_row) and
-    after it, so that any stride keeps the rows around every descending zero
-    crossing that stride 1 records.  The step of the stop-th crossing ends
-    the run, completed.
+    of the last one, and, for each accepted step that crosses zero
+    descending (_descends), of the states before it, at its crossing (see
+    _crossing_row) and after it, which stride 1 records too.  The step of
+    the stop-th crossing ends the run, completed.
 
     The loop runs once per trial step, so it keeps to locals: min and max
     are written out as the comparisons Python's min and max make (a NaN
@@ -437,10 +438,9 @@ def _advance(params: PendulumParams, config: IntegratorConfig, run, out, stride)
     collision, and only when d - l <= gap (otherwise d - l*cos(phi) >=
     d - l > gap, as cos <= 1 and rounding is monotone): a start state
     (nothing is stepped) or step end at or below the gap, or a step across
-    phi = 0, where the tip is at d - l.
-    A release from rest turns only at its amplitude, so no pass is missed.
-    The tip is tested before |phi| >= pi/2 (the angle limit), so a step
-    that does both collides.
+    phi = 0, where the tip is at d - l.  A release from rest turns only at
+    its amplitude, so no pass is missed.  The tip is tested before |phi| >=
+    pi/2 (the angle limit), so a step that does both collides.
     """
     w_ref, lam, gamma, tau_end, stop, tau, phi, psi, acc, h_next, steps = run
     lam2 = lam * 2.0
@@ -499,16 +499,16 @@ def _advance(params: PendulumParams, config: IntegratorConfig, run, out, stride)
         if abs(phi_new) >= MAX_ANGLE:
             termination = Termination.ANGLE_LIMIT
             break
-        crossed = phi > 0.0 and phi_new <= 0.0
+        crossed = _descends(phi, phi_new)
         if crossed:
             stop -= 1
             tau_end = tau_end if stop else tau + h  # at the stop-th, the run ends with this step
             if steps % stride:  # the state before the step, unless the stride kept it
                 record((tau / w_ref, phi, psi))
-            row = _crossing_row(w_ref, lam, gamma, tau, h, phi, psi, acc, phi_new, psi_new,
-                                not adaptive)
-            if row is not None:
-                record(row)
+            t, phi_c, psi_c, kept = _crossing_row(w_ref, lam, gamma, tau, h, phi, psi, acc,
+                                                  phi_new, psi_new, not adaptive)
+            if kept:
+                record((t, phi_c, psi_c))
         steps += 1
         tau += h
         phi, psi, acc = phi_new, psi_new, a13
@@ -519,22 +519,37 @@ def _advance(params: PendulumParams, config: IntegratorConfig, run, out, stride)
     return termination
 
 
-def _crossing_row(w_ref, lam, gamma, tau, h, phi, psi, acc, phi1, psi1, rk4=False):
-    """The (t, phi, psi) row at the crossing of an accepted step of length h
+def _if(cond, a, b):
+    """np.where(cond, a, b) on floats."""
+    return a if cond else b
+
+
+def _descends(p0, p1):
+    """p0 > 0 >= p1: a step from angle p0 to p1 crosses zero descending."""
+    return (p0 > 0.0) & (p1 <= 0.0)
+
+
+def _crossing_row(w_ref, lam, gamma, tau, h, phi, psi, acc, phi1, psi1, rk4=False, where=_if,
+                  sin=math.sin):
+    """(t, phi, psi, kept) at the crossing of an accepted step of length h
     from (tau, phi, psi), acc = _accel(phi), to (phi1, psi1) across zero
     descending: one more trial step of the run's method from the same start,
-    of length the cubic Hermite root's (see _crossing_time) in tau; None
-    unless the row's time lies strictly inside the step's and its angle
-    below pi/2 (a trial step whose stage angle overflows has none)."""
-    hc = _crossing_time(tau, tau + h, phi, phi1, psi, psi1) - tau
+    of length the cubic Hermite root's (see _crossing_time) in tau, kept
+    where its time lies strictly inside the step's, its angle below pi/2
+    and its psi is finite.  On floats, a stage angle at +-inf makes the
+    state NaN; on the lanes' arrays of adaptive steps (where=np.where,
+    sin=np.sin, under np.errstate), np.sin's NaN there reaches psi (see
+    _dp_trial), so both keep the same rows."""
+    hc = _crossing_time(tau, tau + h, phi, phi1, psi, psi1, where) - tau
     try:
         phi_c, psi_c = (_rk4_step(phi, psi, hc, lam, gamma) if rk4
-                        else _dp_trial(phi, psi, acc, hc, lam * 2.0, gamma)[:2])
-    except ValueError:
-        return None
+                        else _dp_trial(phi, psi, acc, hc, lam * 2.0, gamma, sin)[:2])
+    except ValueError:  # math.sin of a stage angle at +-inf
+        phi_c = psi_c = math.nan
     t = (tau + hc) / w_ref
-    inside = tau / w_ref < t < (tau + h) / w_ref and abs(phi_c) < MAX_ANGLE
-    return (t, phi_c, psi_c) if inside else None
+    kept = ((tau / w_ref < t) & (t < (tau + h) / w_ref) & (abs(phi_c) < MAX_ANGLE)
+            & (abs(psi_c) < math.inf))
+    return t, phi_c, psi_c, kept
 
 
 # Below this many running lanes, the rest finish one at a time in _advance: runs of the
@@ -551,11 +566,10 @@ def _crossing_periods(runs: list[tuple[PendulumParams, State]],
     Each run records integrate's rows at a stride of 2**53, which no run
     reaches, from the state _advance starts from: those before, at and after
     each step that crosses zero descending, and the last.  Its crossing
-    times are _crossing_time's over the row pairs estimate_period takes,
-    phi[k] > 0 >= phi[k+1]; those of the steps it took in _lockstep, which
-    first steps some runs together, come first.  _advance then finishes
-    every run from its record, once each, so integrate's own loop ends
-    every run.
+    times are _crossing_time's over the row pairs that _descends, as in
+    estimate_period, after those of the steps it took in _lockstep, which
+    first steps some runs together.  _advance then finishes every run from
+    its record, once each.
 
     Returns, for each run, (termination, period): what integrate at
     record_stride 1 and then estimate_period(...).mean_period give for it,
@@ -571,7 +585,7 @@ def _crossing_periods(runs: list[tuple[PendulumParams, State]],
         rows = [(run[5] / w_ref, run[6], run[7])]  # the state _advance starts from
         end = _advance(params, config, run, rows, 2**53)  # a stride no run reaches
         times += [_crossing_time(t0, t1, p0, p1, v0 * w_ref, v1 * w_ref)
-                  for (t0, p0, v0), (t1, p1, v1) in pairwise(rows) if p0 > 0.0 >= p1]
+                  for (t0, p0, v0), (t1, p1, v1) in pairwise(rows) if _descends(p0, p1)]
         outcomes.append((end, _mean_period(times)[1]))
     return outcomes
 
@@ -590,9 +604,8 @@ def _lockstep(records, runs, config: IntegratorConfig) -> list[list[float]]:
     its stop-th crossing, which sets its tau_end to its end as _advance
     does; or in its state from before a step that reaches pi/2 or whose err
     or a13 is NaN, as a stage angle at +-inf makes them (where math.sin
-    raises, see _dp_trial).  _advance takes that step again and decides
-    it.  The lockstep ends when fewer than _LOCKSTEP_MIN_LANES lanes can
-    step.
+    raises, see _dp_trial).  _advance takes that step again and decides it,
+    once fewer than _LOCKSTEP_MIN_LANES lanes can step.
     """
     times: list[list[float]] = [[] for _ in runs]
     lanes = ([i for i, (p, _) in enumerate(runs) if p.d - p.l > config.collision_gap]
@@ -627,7 +640,7 @@ def _lockstep(records, runs, config: IntegratorConfig) -> list[list[float]]:
             # err and acc8 are never +-inf, so their sum is NaN just where one is
             live &= ~((accepted & (size8[0] >= MAX_ANGLE)) | np.isnan(err + acc8))
             accepted &= live
-            cross = accepted & (phi > 0.0) & (phi8 <= 0.0)
+            cross = accepted & _descends(phi, phi8)
             if np.count_nonzero(cross):  # the step's crossing is located after the loop
                 found.append(np.vstack((index, table[:3], tau, h, state[1:], phi8, psi8))
                              .compress(cross, axis=1))  # [:, cross] strides rows
@@ -652,29 +665,16 @@ def _lockstep(records, runs, config: IntegratorConfig) -> list[list[float]]:
 def _lane_crossing_times(w_ref, lam, gamma, tau, h, phi, psi, acc, phi1, psi1):
     """The crossing time of each adaptive step, given as numpy columns, that
     crosses zero descending: _crossing_time over the descending pair of its
-    rows before, at (see _crossing_row) and after it, as _crossing_periods
-    takes it from _advance's rows, bit for bit (see the module docstring).
-    A step whose crossing state is not finite, where math.sin may raise,
-    has a crossing row where _crossing_row gives one, the same row.  Called
-    under np.errstate."""
-    tau1 = tau + h
-    hc = _crossing_time(tau, tau1, phi, phi1, psi, psi1, np.where) - tau
-    phi_c, psi_c = _dp_trial(phi, psi, acc, hc, lam * 2.0, gamma, np.sin)[:2]
-    t0, t1, t = tau / w_ref, tau1 / w_ref, (tau + hc) / w_ref
-    row = (t0 < t) & (t < t1) & (np.abs(phi_c) < MAX_ANGLE)
-    for j in np.flatnonzero(~(np.isfinite(phi_c) & np.isfinite(psi_c))).tolist():
-        row[j] = _crossing_row(*(col.item(j) for col in (
-            w_ref, lam, gamma, tau, h, phi, psi, acc, phi1, psi1))) is not None
-    first, second = row & (phi_c > 0.0), row & (phi_c <= 0.0)  # the crossing row's place
-    return _crossing_time(np.where(first, t, t0), np.where(second, t, t1),
+    rows before, at (_crossing_row's, where kept) and after it, as
+    _crossing_periods takes it from _advance's rows, bit for bit (see the
+    module docstring).  Called under np.errstate."""
+    t, phi_c, psi_c, row = _crossing_row(w_ref, lam, gamma, tau, h, phi, psi, acc, phi1, psi1,
+                                         where=np.where, sin=np.sin)
+    first, second = row & _descends(phi_c, phi1), row & _descends(phi, phi_c)
+    return _crossing_time(np.where(first, t, tau / w_ref), np.where(second, t, (tau + h) / w_ref),
                           np.where(first, phi_c, phi), np.where(second, phi_c, phi1),
                           np.where(first, psi_c, psi) * w_ref,
                           np.where(second, psi_c, psi1) * w_ref, np.where)
-
-
-def _if(cond, a, b):
-    """np.where(cond, a, b) on floats."""
-    return a if cond else b
 
 
 def _crossing_time(t0, t1, p0, p1, v0, v1, where=_if):
@@ -719,7 +719,7 @@ def estimate_period(traj: Trajectory) -> PeriodEstimate:
     at phi0 > 0 yields one crossing per full cycle with no half-period
     aliasing.
     """
-    k = np.flatnonzero((traj.phi[:-1] > 0.0) & (traj.phi[1:] <= 0.0))
+    k = np.flatnonzero(_descends(traj.phi[:-1], traj.phi[1:]))
     with np.errstate(all="ignore"):
         times = _crossing_time(*[col[i] for col in (traj.t, traj.phi, traj.phi_dot)
                                  for i in (k, k + 1)], np.where)

@@ -465,6 +465,14 @@ class TestPresets:
         with pytest.raises(ConfigError, match="paper-defaults"):
             load_preset("does-not-exist")
 
+    @pytest.mark.parametrize("name", ["../presets/paper-defaults", "./paper-defaults",
+                                      "presets/../paper-defaults"])
+    def test_path_like_name_is_unknown(self, name):
+        """Only the names preset_names() lists load, not a path that reaches
+        a bundled file."""
+        with pytest.raises(ConfigError, match="unknown preset"):
+            load_preset(name)
+
 
 class TestSweptCopies:
     @pytest.mark.parametrize(

@@ -619,6 +619,8 @@ class TestDormandPrinceStep:
         monkeypatch.setattr(integrator_module, "math", SimpleNamespace(**dict(vars(math), sin=sin)))
         monkeypatch.setattr(integrator_module._accel, "__defaults__", (sin,))
         monkeypatch.setattr(integrator_module._dp_trial, "__defaults__", (sin,))
+        monkeypatch.setattr(integrator_module._crossing_row, "__defaults__",
+                            (False, integrator_module._if, sin))
         config = load_preset("paper-defaults")
         assert config.integrator.record_stride == 1
         traj = integrate(config.params, State(0.0, phi0, 0.0), config.integrator)
@@ -649,6 +651,18 @@ class TestEstimatePeriod:
         assert estimate.mean_period == pytest.approx(
             float(np.mean(estimate.per_cycle_periods)), rel=1e-15
         )
+
+    def test_crossing_that_lands_on_zero(self, params):
+        """A step from phi > 0 to exactly 0 crosses zero descending, and the
+        step from 0 on does not: one crossing a cycle, at the zero."""
+        t = np.arange(6.0)
+        phi = np.array([0.5, 0.0, -0.5, 0.5, 0.0, -0.5])
+        traj = Trajectory(t=t, phi=phi, phi_dot=np.array([0.0, -1.0, 0.0, 0.0, -1.0, 0.0]),
+                          r=np.ones_like(t), energy=np.ones_like(t), params=params,
+                          termination=Termination.COMPLETED)
+        estimate = estimate_period(traj)
+        assert estimate.mean_period == 3.0
+        assert estimate.cycles_observed == 1
 
     def test_single_crossing_is_insufficient(self, params):
         with pytest.raises(InsufficientCyclesError):
@@ -1015,7 +1029,8 @@ def test_one_run_calls_no_numpy(params, phi0, phi_dot, overrides):
 def step_rows(params, initial, config) -> Trajectory:
     """integrate's trajectory at record_stride 1 without the rows at its
     crossings: its start and the end of every accepted step."""
-    with mock.patch.object(integrator_module, "_crossing_row", lambda *args: None):
+    with mock.patch.object(integrator_module, "_crossing_row",
+                           lambda *args: (math.nan, math.nan, math.nan, False)):
         return integrate(params, initial, replace(config, record_stride=1))
 
 
@@ -1109,9 +1124,36 @@ class TestCrossingRows:
         a run ends unrecorded: a trial step to the root that lands there, as
         a stand-in step does here, gives none."""
         with mock.patch.object(integrator_module, "_dp_trial", lambda *args: (phi_c, -1.0)):
-            row = integrator_module._crossing_row(1.0, 1.0, 0.0, 0.0, 0.1, 0.05, -1.0, -0.05,
-                                                  -0.05, -1.0)
-        assert (row is not None) is inside
+            *_, kept = integrator_module._crossing_row(1.0, 1.0, 0.0, 0.0, 0.1, 0.05, -1.0,
+                                                       -0.05, -0.05, -1.0)
+        assert kept is inside
+
+    @pytest.mark.parametrize("w_ref, end", [(0.8, 0), (0.7, 1)])
+    def test_crossing_row_strictly_inside_its_step(self, w_ref, end):
+        """_crossing_row keeps no row whose time is the step's start or end:
+        here the root lies one ulp of tau inside a step two ulps long, yet
+        (tau + hc)/w_ref rounds to the start's time at w_ref 0.8 and to the
+        end's at 0.7, and a kept row would repeat that row's time."""
+        tau, h, acc = 1000.0, 2.2737367544323206e-13, integrator_module._accel(0.5, 1.0, 0.0)
+        t, phi_c, psi_c, kept = integrator_module._crossing_row(
+            w_ref, 1.0, 0.0, tau, h, 0.5, -1.0, acc, -0.5, -1.0)
+        assert t == (tau, tau + h)[end] / w_ref != (tau + h, tau)[end] / w_ref
+        assert abs(phi_c) < MAX_ANGLE and math.isfinite(psi_c)
+        assert not kept
+
+    def test_overflowing_crossing_step_keeps_no_row(self):
+        """A trial step to the root whose stage angle overflows keeps no row:
+        on floats, where math.sin raises, its state is NaN; on arrays, np.sin's
+        NaN reaches psi (see _dp_trial), and the same time is dropped."""
+        step = (1.0, 1.0, 2.6e307, 0.0, 10.0, 0.3, -1.0,
+                integrator_module._accel(0.3, 1.0, 2.6e307), -0.3, -1.0)
+        t, phi_c, psi_c, kept = integrator_module._crossing_row(*step)
+        assert math.isnan(phi_c) and math.isnan(psi_c) and not kept
+        with np.errstate(all="ignore"):
+            lane = integrator_module._crossing_row(*map(np.array, step), where=np.where,
+                                                   sin=np.sin)
+        assert bits([lane[0].item()]) == bits([t])
+        assert math.isnan(lane[2]) and not lane[3]
 
 
 class TestAngleLimit:
@@ -1473,36 +1515,30 @@ class TestBatchedCrossingBrackets:
               (1.0, 1.0, 0.0, 0.0, 0.1, 0.05, -0.0, -0.05, -0.0)])
     # the root's row falls on the step's start or end, outside the step
     @example([(1.0, 1.0, 0.0, 1e3, 1e-13, 0.5, -1.0, -0.5, -1.0)])
+    # the root is one ulp of tau inside the step, yet its time rounds to the start's
+    # or the end's
+    @example([(0.8, 1.0, 0.0, 1e3, 2.2737367544323206e-13, 0.5, -1.0, -0.5, -1.0),
+              (0.7, 1.0, 0.0, 1e3, 2.2737367544323206e-13, 0.5, -1.0, -0.5, -1.0)])
     # a stage angle of the trial step to the root overflows, where math.sin
-    # raises: the scalar fallback, beside a step that needs none
+    # raises and np.sin gives NaN, beside a step whose stages stay finite
     @example([(1.0, 1.0, 0.0, 0.0, 0.1, 0.05, -1.0, -0.05, -1.0),
               (1.0, 1.0, 2.6e307, 0.0, 10.0, 0.3, -1.0, -0.3, -1.0)])
     def test_equals_scalar_brackets(self, steps):
         """Each time is _crossing_time's over the descending pair of the
-        step's rows [before, _crossing_row(...), after], bit for bit."""
+        step's rows [before, _crossing_row(...) if kept, after], bit for
+        bit."""
         steps = [(w_ref, lam, gamma, tau, h, phi, psi, integrator_module._accel(phi, lam, gamma),
                   phi1, psi1) for w_ref, lam, gamma, tau, h, phi, psi, phi1, psi1 in steps]
-        scalar, fallback = integrator_module._crossing_row, []
-
-        def spy(*step):
-            fallback.append(step)
-            return scalar(*step)
-
-        with (np.errstate(all="ignore"),
-              mock.patch.object(integrator_module, "_crossing_row", spy)):
+        with np.errstate(all="ignore"):
             got = integrator_module._lane_crossing_times(*(np.array(col) for col in zip(*steps)))
         for step, time in zip(steps, got.tolist()):
             w_ref, lam, gamma, tau, h, phi, psi, acc, phi1, psi1 = step
-            rows = [row for row in ((tau / w_ref, phi, psi), scalar(*step),
-                                    ((tau + h) / w_ref, phi1, psi1)) if row is not None]
+            *row, kept = integrator_module._crossing_row(*step)
+            rows = [(tau / w_ref, phi, psi), *([row] if kept else []),
+                    ((tau + h) / w_ref, phi1, psi1)]
             [want] = [integrator_module._crossing_time(t0, t1, p0, p1, v0 * w_ref, v1 * w_ref)
                       for (t0, p0, v0), (t1, p1, v1) in zip(rows, rows[1:]) if p0 > 0.0 >= p1]
             assert bits([time]) == bits([want]), step
-            hc = integrator_module._crossing_time(tau, tau + h, phi, phi1, psi, psi1) - tau
-            try:
-                integrator_module._dp_trial(phi, psi, acc, hc, lam * 2.0, gamma)
-            except ValueError:  # math.sin of a stage angle at +-inf: the scalar's own row
-                assert step in fallback, step
 
 
 # DOP853's weights reach 43.5 in size (a_98), so its sums of them round at up
