@@ -8,11 +8,13 @@ value) rather than reaching t_max; a sweep exits 2 when any of its
 simulated points ends so, and still writes every row.  A sweep
 integrates its valid points in this process and keeps only the rows around
 the steps that cross zero, not each run's trajectory; each run, released
-from rest, ends with the step of its second descending crossing.  Every
-crossing time comes from one Hermite locator, on floats or on the lanes'
-arrays: from _LOCKSTEP_MIN_LANES adaptive points up, the first steps of
-their runs are taken together as numpy lanes, and integrate's own loop then
-finishes every run (see the integrator module's docstring).  Each row
+from rest at phi0 > 0, ends with the step of its first descending crossing,
+a quarter period in, and reports 4 times that time (from phi0 <= 0, with
+that of its second, one cycle).  Every crossing time comes from one
+Hermite locator, on floats or on the lanes' arrays: from
+_LOCKSTEP_MIN_LANES adaptive points up, the first steps of their runs are
+taken together as numpy lanes, and integrate's own loop then finishes
+every run (see the integrator module's docstring).  Each row
 depends only on the base config and its own value.
 `period --simulate` takes the same path with one run, which sets its cap,
 steps, and locates and averages its crossings in plain Python.
@@ -161,8 +163,10 @@ def cmd_period(args) -> int:
     initial = State(t=0.0, phi=config.phi0_rad, phi_dot=0.0)
     [(termination, period)] = _crossing_periods([(params, initial)], config.integrator)
     print(f"termination = {termination.value}")
-    if period is None:
-        print("T_simulated = n/a (fewer than 2 descending zero crossings)")
+    if period is None:  # from rest at phi0 > 0 one crossing times the period, else two
+        few = ("no descending zero crossing" if initial.phi > 0.0
+               else "fewer than 2 descending zero crossings")
+        print(f"T_simulated = n/a ({few})")
     else:
         print(f"T_simulated = {period:.4e} s")
     return EXIT_OK if termination is Termination.COMPLETED else EXIT_PHYSICS

@@ -18,9 +18,10 @@ whether it is required, lives in one table, _SCHEMA, and one reader,
 _section, checks them all.  The "params" entry comes from _PARAMS, which
 also drives sweeping and params_to_dict.  An omitted optional key keeps the
 default of the dataclass it fills.  An omitted "t_max" stays None: integrate
-then ends the release from rest with the step of its second descending zero
-crossing, so every run, and every point of a sweep, covers one full cycle,
-capped at 1.5 closed-form upper bounds on its period (2 when phi0 <= 0).
+then ends the release from rest at phi0 > 0 with the step of its first
+descending zero crossing, so every run, and every point of a sweep, covers
+a quarter swing, capped at half a closed-form upper bound on its period (at
+phi0 <= 0, the second crossing: one full cycle, capped at 2 bounds).
 """
 
 import json

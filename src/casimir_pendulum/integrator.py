@@ -36,9 +36,10 @@ and the period's crossing times are located from.
 integrate's loop, _advance, takes the pair's trial step on floats and the
 numpy lanes of _lockstep on arrays, both from _dp_trial, which fixes its
 weights and the order of every sum and writes _accel in place.  A release
-from rest with no t_max ends with the step of its second descending zero
-crossing, capped by a closed-form bound on its period.  Runs that need only
-their periods (a sweep, `period --simulate`) go through _crossing_periods,
+from rest with no t_max ends with the step of its first descending zero
+crossing, at T/4 as the potential is even (its second from phi0 <= 0),
+capped by a closed-form bound on its period.  Runs that need only their
+periods (a sweep, `period --simulate`) go through _crossing_periods,
 where each run records integrate's rows around its crossings.  Whether a
 step crosses (_descends), its crossing row (_crossing_row) and time
 (_crossing_time) come from one function each, on floats or on the lanes'
@@ -116,10 +117,10 @@ class IntegratorConfig:
     """Integration settings.
 
     t_max         -- absolute end time of the run, s; None ends a release
-                     from rest at phi0 with the step of its second
-                     descending zero crossing (one full cycle, capped at 1.5
-                     upper bounds on the period, 2 for phi0 <= 0) and any other
-                     start after DEFAULT_T_MAX_PERIODS linearized periods
+                     from rest with the step of its first descending zero
+                     crossing (its second from phi0 <= 0; capped, see
+                     _run_start) and any other start after
+                     DEFAULT_T_MAX_PERIODS linearized periods
     method        -- fixed-step RK4 or adaptive Dormand-Prince 8(5,3)
     dt            -- fixed step size, s (required for RK4_FIXED)
     rel_tol, abs_tol -- adaptive error control on the dimensionless state,
@@ -388,8 +389,8 @@ def _run_start(params: PendulumParams, initial: State, config: IntegratorConfig)
     w_ref, lam, gamma = _dimensionless_system(params)
     t_max, stop = config.t_max, math.inf
     if t_max is None and initial.phi_dot == 0.0:  # crossings at T/4 + kT (3T/4 + kT if phi0 <= 0)
-        stop = 2  # one cycle, capped at 1.5 (2) times an upper bound on T
-        t_max = (1.5 if initial.phi > 0.0 else 2.0) * _period_bound(w_ref, lam, gamma, initial.phi)
+        stop, cap = (1, 0.5) if initial.phi > 0.0 else (2, 2.0)  # cap in bounds on T, >= T
+        t_max = cap * _period_bound(w_ref, lam, gamma, initial.phi)
     elif t_max is None:
         t_max = DEFAULT_T_MAX_PERIODS * linear_period(params)
     if not t_max > initial.t:
@@ -402,7 +403,7 @@ def _run_start(params: PendulumParams, initial: State, config: IntegratorConfig)
 def integrate(params: PendulumParams, initial: State, config: IntegratorConfig) -> Trajectory:
     """Integrate the nonlinear equation of motion from initial.t to
     config.t_max (by default, for a release from rest, to the end of the
-    step that completes its first full cycle; see IntegratorConfig).
+    step of its quarter swing's crossing; see IntegratorConfig).
 
     Deterministic: identical inputs produce bit-identical trajectories.
     Collision (tip at or below the safety gap at any time in a step), the
@@ -573,20 +574,21 @@ def _crossing_periods(runs: list[tuple[PendulumParams, State]],
 
     Returns, for each run, (termination, period): what integrate at
     record_stride 1 and then estimate_period(...).mean_period give for it,
-    bit for bit (see the module docstring), the period None below two
-    cycles (a run's first row is at tau0 / w_ref, integrate's initial.t for
+    bit for bit (see the module docstring), the period None where that
+    raises (a run's first row is at tau0 / w_ref, integrate's initial.t for
     a start at t = 0, as every caller's).  If integrate raises for some run,
     this raises what it raises for the first.
     """
     records = [_run_start(p, s, config) for p, s in runs]
     outcomes = []
-    for (params, _), run, times in zip(runs, records, _lockstep(records, runs, config)):
+    for (params, initial), run, times in zip(runs, records, _lockstep(records, runs, config)):
         w_ref = run[0]
         rows = [(run[5] / w_ref, run[6], run[7])]  # the state _advance starts from
         end = _advance(params, config, run, rows, 2**53)  # a stride no run reaches
         times += [_crossing_time(t0, t1, p0, p1, v0 * w_ref, v1 * w_ref)
                   for (t0, p0, v0), (t1, p1, v1) in pairwise(rows) if _descends(p0, p1)]
-        outcomes.append((end, _mean_period(times)[1]))
+        rest = initial.phi_dot == 0.0 and initial.phi > 0.0  # estimate_period's test
+        outcomes.append((end, _mean_period(times, initial.t if rest else None)[1]))
     return outcomes
 
 
@@ -703,10 +705,13 @@ def _crossing_time(t0, t1, p0, p1, v0, v1, where=_if):
     return where((0.0 <= s) & (s <= 1.0) & ((v0 < 0.0) | (v1 < 0.0)), t0 + s * h, linear)
 
 
-def _mean_period(times):
-    """(per_cycle, mean): the spacings of successive crossing times, and
-    their exact sum's float (math.fsum) over their count or None."""
-    per_cycle = [b - a for a, b in zip(times, times[1:])]
+def _mean_period(times, t0=None):
+    """(per_cycle, mean): the spacings of successive crossing times, or,
+    given a release from rest at phi0 > 0 from t0 and one time t1, the
+    quarter swing's [4*(t1 - t0)]; and their exact sum's float (math.fsum)
+    over their count or None."""
+    per_cycle = ([4.0 * (times[0] - t0)] if t0 is not None and len(times) == 1
+                 else [b - a for a, b in zip(times, times[1:])])
     return per_cycle, math.fsum(per_cycle) / len(per_cycle) if per_cycle else None
 
 
@@ -715,18 +720,19 @@ def estimate_period(traj: Trajectory) -> PeriodEstimate:
 
     Each crossing time is located from the (t, phi, phi_dot) samples that
     bracket it (see _crossing_time); only phi_dot < 0 crossings (phi
-    passing from positive to non-positive) are used, so a release from rest
-    at phi0 > 0 yields one crossing per full cycle with no half-period
-    aliasing.
+    passing from positive to non-positive) are used, one per full cycle
+    with no half-period aliasing.  Where the first sample is at rest at
+    phi > 0, one crossing suffices: the quarter swing (see _mean_period).
     """
     k = np.flatnonzero(_descends(traj.phi[:-1], traj.phi[1:]))
     with np.errstate(all="ignore"):
         times = _crossing_time(*[col[i] for col in (traj.t, traj.phi, traj.phi_dot)
                                  for i in (k, k + 1)], np.where)
-    per_cycle, mean = _mean_period(times.tolist())
+    rest = traj.phi_dot[0] == 0.0 and traj.phi[0] > 0.0  # see _mean_period
+    per_cycle, mean = _mean_period(times.tolist(), float(traj.t[0]) if rest else None)
     if mean is None:
-        raise InsufficientCyclesError(f"need >= 2 descending zero crossings to measure a "
-                                      f"period, found {len(k)}")
+        raise InsufficientCyclesError(f"need >= {1 if rest else 2} descending zero crossings "
+                                      f"to measure a period, found {len(k)}")
     return PeriodEstimate(mean_period=mean, per_cycle_periods=np.array(per_cycle),
                           cycles_observed=len(per_cycle))
 

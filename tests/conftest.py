@@ -1,8 +1,16 @@
-"""Shared fixtures: the reference nanostring configuration."""
+"""Shared fixtures: the reference nanostring configuration, and the
+Hypothesis profile "no-shrink".
+
+`pytest --hypothesis-profile=no-shrink` reports the first failing example of
+a property as it was generated, without shrinking it.  Which tests pass or
+fail does not change, only how long a failing property takes to report:
+tests/mutants.py runs its tests so, as a mutant must only fail them.
+"""
 
 from dataclasses import replace
 
 import pytest
+from hypothesis import Phase, settings
 
 from casimir_pendulum import AtomProperties, PendulumParams
 
@@ -13,6 +21,8 @@ L = 1e-8
 MASS = 1e-24
 ALPHA0 = 1e-30
 OMEGA0 = 1e15
+
+settings.register_profile("no-shrink", phases=[Phase.explicit, Phase.reuse, Phase.generate])
 
 
 @pytest.fixture

@@ -1,8 +1,10 @@
 """Mutation checks: one-line mutants of src/ that named tier-1 tests must kill.
 
 Each mutant copies src/ to a temporary directory, replaces one line that
-must occur exactly once in its file, and runs its tests there with -x.  The
-check fails if a mutant survives (its tests pass), if its line does not
+must occur exactly once in its file, and runs its tests there with -x and
+the Hypothesis profile "no-shrink" (see tests/conftest.py), so that a
+failing property reports its first failing example unshrunk.  The check
+fails if a mutant survives (its tests pass), if its line does not
 occur exactly once, if pytest ends other than by a failing test, or if its
 tests run longer than BOUND_S.  Run from anywhere (pytest does not collect
 this file):
@@ -124,6 +126,38 @@ MUTANTS = [
         "the mean period is the float of the spacings' exact sum, in any order",
         [LANES + "test_lanes_equal_serial_runs"],
     ),
+    # the quarter swing: a release from rest at phi0 > 0 ends at its first descending
+    # crossing, and only such a run is timed by it
+    (
+        INTEGRATOR,
+        "        stop, cap = (1, 0.5) if initial.phi > 0.0 else (2, 2.0)"
+        "  # cap in bounds on T, >= T",
+        "        stop, cap = (2, 1.5) if initial.phi > 0.0 else (2, 2.0)"
+        "  # cap in bounds on T, >= T",
+        "a default release from rest at phi0 > 0 ends with the step of its first crossing",
+        ["tests/test_integrator.py::TestDefaultHorizon::test_release_from_rest_sees_one_cycle"],
+    ),
+    (
+        INTEGRATOR,
+        "    rest = traj.phi_dot[0] == 0.0 and traj.phi[0] > 0.0  # see _mean_period",
+        "    rest = traj.phi_dot[0] == 0.0 and traj.phi[0] != 0.0  # see _mean_period",
+        "one crossing of a release from phi0 < 0 times no period",
+        ["tests/test_integrator.py::TestEstimatePeriod::test_single_crossing_is_insufficient"],
+    ),
+    (
+        INTEGRATOR,
+        "        rest = initial.phi_dot == 0.0 and initial.phi > 0.0  # estimate_period's test",
+        "        rest = initial.phi_dot == 0.0 and initial.phi != 0.0  # estimate_period's test",
+        "one crossing of a lane released from phi0 < 0 times no period, as in estimate_period",
+        ["tests/test_integrator.py::TestEstimatePeriod::test_single_crossing_is_insufficient"],
+    ),
+    (
+        INTEGRATOR,
+        "    per_cycle = ([4.0 * (times[0] - t0)] if t0 is not None and len(times) == 1",
+        "    per_cycle = ([4.0 * (times[0] - t0)] if t0 is not None and len(times) >= 1",
+        "a run from rest with two crossings or more is timed by their spacings",
+        ["tests/test_integrator.py::TestEstimatePeriod::test_synthetic_unit_sinusoid"],
+    ),
     # the steps' weights
     (
         INTEGRATOR,
@@ -200,7 +234,8 @@ def run(path: str, old: str, new: str, tests: list[str]) -> str | None:
             return f"the tests would import {where.strip()}, not the mutant"
         try:
             result = subprocess.run([sys.executable, "-m", "pytest", "-x", "-q", "-p",
-                                     "no:cacheprovider", *tests], cwd=ROOT, env=env,
+                                     "no:cacheprovider", "--hypothesis-profile=no-shrink",
+                                     *tests], cwd=ROOT, env=env,
                                     capture_output=True, text=True, timeout=BOUND_S)
         except subprocess.TimeoutExpired:
             return f"its tests ran longer than {BOUND_S:g} s"

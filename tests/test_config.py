@@ -103,12 +103,14 @@ def test_default_run_length_is_twelve_periods():
     assert traj.t[-1] == pytest.approx(12 * linear_period(params), rel=1e-12)
 
 
-@pytest.mark.parametrize("phi0,periods", [(0.1, 1.5), (-0.1, 2.0), (0.0, 2.0)])
+@pytest.mark.parametrize("phi0,periods", [(0.1, 0.5), (-0.1, 2.0), (0.0, 2.0)])
 def test_default_run_length_from_rest_is_one_cycle(phi0, periods):
-    # the last row is the first after the second descending zero crossing and
-    # the one before it the state at that crossing, before 1.5 exact periods (2 from phi0 <= 0); from equilibrium, with no
-    # crossing, the run reaches the cap, 2 closed-form upper bounds on the
-    # period, which at phi0 = 0 is exact_period's small-amplitude limit
+    # the last row is the first after the first descending zero crossing (the
+    # quarter swing; the second, one cycle, from phi0 < 0) and the one before it
+    # the state at that crossing, before 0.5 exact periods (2 from phi0 < 0);
+    # from equilibrium, with no crossing, the run reaches the cap, 2 closed-form
+    # upper bounds on the period, which at phi0 = 0 is exact_period's
+    # small-amplitude limit
     params = parse_config({"params": FULL_DOC["params"]}).params
     traj = integrate(params, State(0.0, phi0, 0.0), IntegratorConfig())
     cap = periods * exact_period(params, phi0)
@@ -117,7 +119,8 @@ def test_default_run_length_from_rest_is_one_cycle(phi0, periods):
         assert len(descending) == 0
         assert traj.t[-1] == pytest.approx(cap, rel=1e-12)
     else:
-        assert descending.tolist() == [descending[0], len(traj) - 1 - (traj.phi[-2] <= 0.0)]
+        last = len(traj) - 1 - (traj.phi[-2] <= 0.0)
+        assert descending.tolist() == ([last] if phi0 > 0.0 else [descending[0], last])
         assert traj.phi[-3] > 0.0 >= traj.phi[-1]
         assert traj.t[-1] < cap
 

@@ -250,7 +250,8 @@ design_phi0 = st.floats(-3.0, math.log10(0.92)).map(lambda e: 10.0**e)
 
 
 def default_run(d, l, gravity, phi0) -> Trajectory:
-    """A release from rest at phi0 over the default horizon, one cycle."""
+    """A release from rest at phi0 over the default horizon: the quarter
+    swing for phi0 > 0, one cycle otherwise."""
     params = PendulumParams(d=d, l=l, mass=1e-24, atom=LANE_ATOM, include_gravity=gravity)
     traj = integrate(params, State(0.0, phi0, 0.0), IntegratorConfig())
     assert traj.termination is Termination.COMPLETED
@@ -290,15 +291,15 @@ class TestGeneratedDesigns:
     def test_energy_drift_bounded(self, d, ratio, gravity, phi0):
         assert energy_drift(default_run(d, ratio * d, gravity, phi0)) <= 1e-8
 
-    # the worst of 400 valid releases was 7.3e-11
+    # the worst of 400 valid releases was 5.7e-12 (1.2e-11 when one full cycle was timed)
     @settings(derandomize=True, database=None, max_examples=60, deadline=None)
     @given(d=design_d, ratio=design_ratio, gravity=st.booleans(),
            phi0=st.floats(-3.0, math.log10(1.3)).map(lambda e: 10.0**e))
     # the regime of a sweep of d at the reference design
     @example(d=2e-8, ratio=0.5, gravity=True, phi0=1e-3)
     def test_one_cycle_period_is_exact(self, d, ratio, gravity, phi0):
-        """The default horizon's one measured cycle gives the action
-        integral's period."""
+        """The default horizon's quarter swing gives the action integral's
+        period."""
         params = PendulumParams(d=d, l=ratio * d, mass=1e-24, atom=LANE_ATOM,
                                 include_gravity=gravity)
         assume(validate(params, phi0).verdict)
@@ -665,8 +666,30 @@ class TestEstimatePeriod:
         assert estimate.cycles_observed == 1
 
     def test_single_crossing_is_insufficient(self, params):
-        with pytest.raises(InsufficientCyclesError):
-            estimate_period(release(params, 1e-3, n_periods=0.9))
+        """One descending crossing times no period, except after a release
+        from rest at phi0 > 0, where it is the quarter swing's, 4*t1 (t0 =
+        0): neither a moving start nor a release from phi0 < 0 has one.
+        _crossing_periods agrees."""
+        config = IntegratorConfig(t_max=0.9 * linear_period(params))
+        for initial in (State(0.0, 1e-3, -1.0), State(0.0, -1e-3, 0.0)):
+            traj = integrate(params, initial, config)
+            assert np.count_nonzero((traj.phi[:-1] > 0.0) & (traj.phi[1:] <= 0.0)) == 1
+            with pytest.raises(InsufficientCyclesError, match="need >= 2 descending"):
+                estimate_period(traj)
+            assert integrator_module._crossing_periods([(params, initial)], config) == [
+                (Termination.COMPLETED, None)]
+        initial = State(0.0, 1e-3, 0.0)
+        traj = integrate(params, initial, config)
+        [k] = np.flatnonzero((traj.phi[:-1] > 0.0) & (traj.phi[1:] <= 0.0)).tolist()
+        t1 = integrator_module._crossing_time(*(float(col[i]) for col in
+                                                (traj.t, traj.phi, traj.phi_dot)
+                                                for i in (k, k + 1)))
+        estimate = estimate_period(traj)
+        assert estimate.cycles_observed == 1
+        assert estimate.mean_period == 4.0 * t1 == pytest.approx(exact_period(params, 1e-3),
+                                                                 rel=1e-9)
+        assert integrator_module._crossing_periods([(params, initial)], config) == [
+            (Termination.COMPLETED, estimate.mean_period)]
 
 
 def crossing_time(*columns):
@@ -830,10 +853,17 @@ def bits(values):
 LANE_ATOM = AtomProperties(alpha0=1e-30, omega0=1e15)
 
 
+# a valid release from rest: the tip stays clear of the gap
+rest_release = st.tuples(st.floats(1.05e-8, 5e-8), st.floats(0.3, 0.9), st.booleans(),
+                         st.floats(1e-3, 1.3).flatmap(lambda a: st.sampled_from([a, -a])))
+
+
 class TestDefaultHorizon:
-    """A release from rest ends with the step of its second descending
-    crossing, near 5T/4 (7T/4 from phi0 < 0): one full cycle.  1.5 (2 from
-    phi0 <= 0) closed-form upper bounds on T only cap it."""
+    """A release from rest at phi0 > 0 ends with the step of its first
+    descending crossing, near T/4: the quarter swing, whose period is
+    4*(t1 - t0).  From phi0 < 0 it ends with that of its second, near 7T/4:
+    one full cycle.  Half a closed-form upper bound on T (2 from phi0 <= 0)
+    only caps it."""
 
     # below abs_tol/rel_tol (1e-4 rad) the absolute tolerance (1e-14) takes over
     # the error control; the floor of 1e-6 rad keeps the swing resolved
@@ -844,6 +874,9 @@ class TestDefaultHorizon:
     # 12 linearized periods hold less than one cycle of this swing
     @example(d=2e-8, ratio=0.9, gravity=True, phi0=1.5707963267948963)
     def test_release_from_rest_sees_one_cycle(self, d, ratio, gravity, phi0):
+        """The run holds exactly its stop's descending crossings, the last
+        made by its last step, whose rows before, at and after that crossing
+        end the trajectory; a lone sweep lane ends on the same step."""
         params = PendulumParams(d=d, l=ratio * d, mass=1e-24, atom=LANE_ATOM,
                                 include_gravity=gravity)
         initial, config = State(0.0, phi0, 0.0), IntegratorConfig()
@@ -851,16 +884,44 @@ class TestDefaultHorizon:
         assert traj.termination is Termination.COMPLETED
         estimate = estimate_period(traj)
         assert estimate.cycles_observed == 1
-        # the last three rows are those before, at and after the crossing step
         n = len(traj)
         descending = np.nonzero((traj.phi[:-1] > 0.0) & (traj.phi[1:] <= 0.0))[0]
+        assert len(descending) == (1 if phi0 > 0.0 else 2)
         assert descending[-1] == (n - 3 if traj.phi[-2] <= 0.0 else n - 2)
         assert traj.phi[-3] > 0.0 >= traj.phi[-1]
-        assert traj.t[-1] < (1.5 if phi0 > 0.0 else 2.0) * exact_period(params, phi0)
+        assert traj.t[-1] < (0.5 if phi0 > 0.0 else 2.0) * exact_period(params, phi0)
         expected = [(Termination.COMPLETED, estimate.mean_period)]
         assert integrator_module._crossing_periods([(params, initial)], config) == expected
-        with mock.patch.object(integrator_module, "_LOCKSTEP_MIN_LANES", 1):
+        handed, advance = [], integrator_module._advance
+
+        def finish(params, config, run, *args):  # the lane's record as _advance gets it
+            handed.append(run)
+            return advance(params, config, run, *args)
+
+        with (mock.patch.object(integrator_module, "_LOCKSTEP_MIN_LANES", 1),
+              mock.patch.object(integrator_module, "_advance", finish)):
             assert integrator_module._crossing_periods([(params, initial)], config) == expected
+        # the lane's stop-th crossing set its end to the step's end, integrate's last row
+        [(w_ref, _, _, tau_end, _, tau, *_)] = handed
+        assert tau_end == tau and tau / w_ref == traj.t[-1]
+
+    # the worst of 300 draws was 8.9e-12 against exact_period, 1.4e-9 against one cycle
+    @settings(derandomize=True, database=None, max_examples=30, deadline=None)
+    @given(release=rest_release.filter(lambda r: r[3] > 0.0))
+    @example(release=(2e-8, 0.5, True, 1e-3))  # the preset
+    def test_quarter_swing_period(self, release):
+        """4*t1 of the quarter swing is the action integral's period, and
+        that of the same run over 1.5 exact periods, which times one full
+        cycle."""
+        d, ratio, gravity, phi0 = release
+        params = PendulumParams(d=d, l=ratio * d, mass=1e-24, atom=LANE_ATOM,
+                                include_gravity=gravity)
+        initial, exact = State(0.0, phi0, 0.0), exact_period(params, phi0)
+        quarter = estimate_period(integrate(params, initial, IntegratorConfig()))
+        cycle = estimate_period(integrate(params, initial, IntegratorConfig(t_max=1.5 * exact)))
+        assert quarter.cycles_observed == cycle.cycles_observed == 1
+        assert quarter.mean_period == pytest.approx(exact, rel=1e-9)
+        assert quarter.mean_period == pytest.approx(cycle.mean_period, rel=2e-9)
 
 
 def period_bits(traj):
@@ -871,17 +932,12 @@ def period_bits(traj):
         return None
 
 
-# a valid release from rest: the tip stays clear of the gap
-rest_release = st.tuples(st.floats(1.05e-8, 5e-8), st.floats(0.3, 0.9), st.booleans(),
-                         st.floats(1e-3, 1.3).flatmap(lambda a: st.sampled_from([a, -a])))
-
-
 class TestCrossingStop:
-    """The stop at the second descending crossing changes no period: the
-    run is a prefix of the one to 1.5 exact periods (2 from phi0 <= 0),
-    which holds no later crossing.  From equilibrium the two are one run:
-    the cap, 2 closed-form upper bounds on the period, is 2 exact periods
-    bit for bit there."""
+    """The stop at the first descending crossing (the second from phi0 <=
+    0) changes no period: the run is a prefix of the one to 0.5 exact
+    periods (2 from phi0 <= 0), which holds no later crossing.  From
+    equilibrium the two are one run: the cap, 2 closed-form upper bounds on
+    the period, is 2 exact periods bit for bit there."""
 
     @settings(derandomize=True, database=None, max_examples=40, deadline=None)
     @given(release=rest_release | st.tuples(st.floats(1.05e-8, 5e-8), st.floats(0.3, 0.9),
@@ -899,7 +955,7 @@ class TestCrossingStop:
         initial = State(0.0, phi0, 0.0)
         traj = integrate(params, initial, config)
         capped = integrate(params, initial, replace(
-            config, t_max=(1.5 if phi0 > 0.0 else 2.0) * exact_period(params, phi0)))
+            config, t_max=(0.5 if phi0 > 0.0 else 2.0) * exact_period(params, phi0)))
         assert traj.termination is capped.termination is Termination.COMPLETED
         n = len(traj)
         for column in ("t", "phi", "phi_dot"):
@@ -1166,17 +1222,22 @@ class TestAngleLimit:
     @given(l=st.floats(5e-9, 2e-8), clearance=st.floats(2.1e-10, 1e-8), gravity=st.booleans(),
            phi0=st.floats(1e-3, 1.5).flatmap(lambda a: st.sampled_from([a, -a])),
            rel_tol=st.floats(-12.0, -2.0).map(lambda e: 10.0**e),
-           abs_tol=st.floats(-14.0, -4.0).map(lambda e: 10.0**e))
+           abs_tol=st.floats(-14.0, -4.0).map(lambda e: 10.0**e),
+           periods=st.sampled_from([None, 12.0]))
     # error control off: the step grows tenfold until it lands beyond pi/2
-    # (rel_tol 100; at 1.0, and 10, the eighth-order step still keeps the
-    # swing) or overflows a stage angle (abs_tol 1e300)
-    @example(l=1e-8, clearance=1e-8, gravity=True, phi0=0.2, rel_tol=100.0, abs_tol=1e-12)
-    @example(l=1e-8, clearance=1e-8, gravity=True, phi0=0.2, rel_tol=1.0, abs_tol=1e300)
+    # (rel_tol 100 over 12 linearized periods; the default quarter swing ends
+    # at its crossing first, and at rel_tol 1.0, and 10, the eighth-order step
+    # still keeps the swing) or overflows a stage angle (abs_tol 1e300)
+    @example(l=1e-8, clearance=1e-8, gravity=True, phi0=0.2, rel_tol=100.0, abs_tol=1e-12,
+             periods=12.0)
+    @example(l=1e-8, clearance=1e-8, gravity=True, phi0=0.2, rel_tol=1.0, abs_tol=1e300,
+             periods=None)
     def test_release_clear_of_the_gap_never_collides(self, l, clearance, gravity, phi0,
-                                                     rel_tol, abs_tol):
+                                                     rel_tol, abs_tol, periods):
         params = PendulumParams(d=l + clearance, l=l, mass=1e-24, atom=LANE_ATOM,
                                 include_gravity=gravity)
-        config = IntegratorConfig(rel_tol=rel_tol, abs_tol=abs_tol)
+        config = IntegratorConfig(t_max=periods and periods * linear_period(params),
+                                  rel_tol=rel_tol, abs_tol=abs_tol)
         assume(params.d - params.l > config.collision_gap)
         traj = integrate(params, State(0.0, phi0, 0.0), config)
         assert traj.termination is not Termination.COLLISION
