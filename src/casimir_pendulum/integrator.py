@@ -390,9 +390,9 @@ def _run_start(params: PendulumParams, initial: State, config: IntegratorConfig)
     t_max, stop = config.t_max, math.inf
     if t_max is None and initial.phi_dot == 0.0:  # crossings at T/4 + kT (3T/4 + kT if phi0 <= 0)
         stop, cap = (1, 0.5) if initial.phi > 0.0 else (2, 2.0)  # cap in bounds on T, >= T
-        t_max = cap * _period_bound(w_ref, lam, gamma, initial.phi)
+        t_max = initial.t + cap * _period_bound(w_ref, lam, gamma, initial.phi)
     elif t_max is None:
-        t_max = DEFAULT_T_MAX_PERIODS * linear_period(params)
+        t_max = initial.t + DEFAULT_T_MAX_PERIODS * linear_period(params)
     if not t_max > initial.t:
         raise ValueError(f"t_max={t_max!r} must exceed initial.t={initial.t!r}")
     h_next = _INITIAL_PHASE_STEP if config.method is Method.RK45_ADAPTIVE else config.dt * w_ref

@@ -139,6 +139,13 @@ MUTANTS = [
     ),
     (
         INTEGRATOR,
+        "        t_max = initial.t + cap * _period_bound(w_ref, lam, gamma, initial.phi)",
+        "        t_max = cap * _period_bound(w_ref, lam, gamma, initial.phi)",
+        "the cap of a release from rest counts from its start time",
+        ["tests/test_integrator.py::TestDefaultHorizon::test_release_at_a_later_time"],
+    ),
+    (
+        INTEGRATOR,
         "    rest = traj.phi_dot[0] == 0.0 and traj.phi[0] > 0.0  # see _mean_period",
         "    rest = traj.phi_dot[0] == 0.0 and traj.phi[0] != 0.0  # see _mean_period",
         "one crossing of a release from phi0 < 0 times no period",

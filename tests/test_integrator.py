@@ -905,6 +905,22 @@ class TestDefaultHorizon:
         [(w_ref, _, _, tau_end, _, tau, *_)] = handed
         assert tau_end == tau and tau / w_ref == traj.t[-1]
 
+    @pytest.mark.parametrize("t0", [1e-7, 1e-6])
+    def test_release_at_a_later_time(self, params, t0):
+        """The default horizon and its cap count from initial.t: a release
+        from rest at t0 runs the swing of one at 0, and a moving start runs
+        DEFAULT_T_MAX_PERIODS linearized periods from t0."""
+        for phi0 in (0.2, -0.2):
+            late, early = (integrate(params, State(t, phi0, 0.0), IntegratorConfig())
+                           for t in (t0, 0.0))
+            assert late.termination is Termination.COMPLETED
+            assert len(late) == len(early)
+            assert estimate_period(late).mean_period == pytest.approx(
+                estimate_period(early).mean_period, rel=1e-12)
+        moving = integrate(params, State(t0, 0.2, 1e6), IntegratorConfig())
+        assert moving.t[-1] == pytest.approx(
+            t0 + integrator_module.DEFAULT_T_MAX_PERIODS * linear_period(params), rel=1e-12)
+
     # the worst of 300 draws was 8.9e-12 against exact_period, 1.4e-9 against one cycle
     @settings(derandomize=True, database=None, max_examples=30, deadline=None)
     @given(release=rest_release.filter(lambda r: r[3] > 0.0))
@@ -1071,7 +1087,7 @@ class NoNumpy:
     (1e-20, 0.0, {}),  # unresolved: to the cap
     (0.3, 1e6, {}),  # a moving start: 12 linearized periods
     (0.2, 0.0, {"method": Method.RK4_FIXED, "dt": 4e-9}),
-    (0.2, 0.0, {"max_steps": 50}),  # step_limit before the second crossing
+    (0.2, 0.0, {"max_steps": 4}),  # step_limit before the crossing, 7 steps in
 ])
 def test_one_run_calls_no_numpy(params, phi0, phi_dot, overrides):
     """The period of one run, as `period --simulate` takes it, calls no
