@@ -6,12 +6,12 @@ the angle limit (|phi| reaching pi/2, or a step that overflows), step
 exhaustion or a stall (a step that cannot advance time to a larger finite
 value) rather than reaching t_max; a sweep exits 2 when any of its
 simulated points ends so, and still writes every row.  A sweep
-integrates its valid points in this process and keeps only the rows around
+integrates its valid points in this process and keeps only the times of
 the steps that cross zero, not each run's trajectory; each run, released
 from rest at phi0 > 0, ends with the step of its first descending crossing,
 a quarter period in, and reports 4 times that time (from phi0 <= 0, with
-that of its second, one cycle).  Every crossing time comes from one
-Hermite locator, on floats or on the lanes' arrays: from
+that of its second, one cycle).  Each crossing is timed in the step that
+makes it, by one function on floats or on the lanes' arrays: from
 _LOCKSTEP_MIN_LANES adaptive points up, the first steps of their runs are
 taken together as numpy lanes, and integrate's own loop then finishes
 every run (see the integrator module's docstring).  Each row

@@ -30,8 +30,9 @@ psi8 = psi + sum_j b_j*ka_j, and each error estimate is
 (h*sum_j eb_j*ka_j, sum_j e_j*ka_j) with eb = e.A; nothing is divided by h.
 Inside each accepted step that crosses zero descending, one more trial step
 of the run's method, from the step's start to the root of the cubic Hermite
-through its ends, gives the state at the crossing, which integrate records
-and the period's crossing times are located from.
+through its ends, gives the state at the crossing, which integrate records.
+The crossing's time is the root of the cubic Hermite through the descending
+pair of [before, at, after], the pair estimate_period finds in those rows.
 
 integrate's loop, _advance, takes the pair's trial step on floats and the
 numpy lanes of _lockstep on arrays, both from _dp_trial, which fixes its
@@ -40,10 +41,10 @@ from rest with no t_max ends with the step of its first descending zero
 crossing, at T/4 as the potential is even (its second from phi0 <= 0),
 capped by a closed-form bound on its period.  Runs that need only their
 periods (a sweep, `period --simulate`) go through _crossing_periods,
-where each run records integrate's rows around its crossings.  Whether a
-step crosses (_descends), its crossing row (_crossing_row) and time
-(_crossing_time) come from one function each, on floats or on the lanes'
-arrays; below _LOCKSTEP_MIN_LANES runs no numpy is called.  From there up,
+which keeps only the crossing times.  Whether a step crosses (_descends)
+and its crossing row and time (_crossing_row) come from one function each,
+on floats or on the lanes' arrays, in the step that makes the crossing;
+below _LOCKSTEP_MIN_LANES runs no numpy is called.  From there up,
 the adaptive runs whose tip cannot reach the safety gap take a prefix of
 their steps together as lanes, each equal to a serial integrate at
 record_stride 1 bit for bit wherever np.sin and np.float_power equal
@@ -64,7 +65,7 @@ status, so parameter sweeps survive pathological points.
 import math
 from dataclasses import dataclass
 from enum import Enum
-from itertools import chain, pairwise
+from itertools import chain
 
 import numpy as np
 
@@ -416,10 +417,11 @@ def integrate(params: PendulumParams, initial: State, config: IntegratorConfig) 
     run = _run_start(params, initial, config)
     rows = [(initial.t, initial.phi, run[7])]
     return _trajectory(rows, params, run,
-                       _advance(params, config, run, rows, config.record_stride))
+                       _advance(params, config, run, rows, config.record_stride, []))
 
 
-def _advance(params: PendulumParams, config: IntegratorConfig, run, out, stride) -> Termination:
+def _advance(params: PendulumParams, config: IntegratorConfig, run, out, stride,
+             times) -> Termination:
     """integrate's loop, from the run's record (see _run_start): the state
     (tau, phi, psi) with acc = _accel(phi), the trial step h_next and the
     count of accepted steps; returns the run's termination.  It appends to
@@ -427,7 +429,8 @@ def _advance(params: PendulumParams, config: IntegratorConfig, run, out, stride)
     rows of the state after each step whose count is a multiple of stride,
     of the last one, and, for each accepted step that crosses zero
     descending (_descends), of the states before it, at its crossing (see
-    _crossing_row) and after it, which stride 1 records too.  The step of
+    _crossing_row) and after it, which stride 1 records too; and to times,
+    at any stride, _crossing_row's time of each such crossing.  The step of
     the stop-th crossing ends the run, completed.
 
     The loop runs once per trial step, so it keeps to locals: min and max
@@ -506,10 +509,11 @@ def _advance(params: PendulumParams, config: IntegratorConfig, run, out, stride)
             tau_end = tau_end if stop else tau + h  # at the stop-th, the run ends with this step
             if steps % stride:  # the state before the step, unless the stride kept it
                 record((tau / w_ref, phi, psi))
-            t, phi_c, psi_c, kept = _crossing_row(w_ref, lam, gamma, tau, h, phi, psi, acc,
-                                                  phi_new, psi_new, not adaptive)
+            row, kept, t = _crossing_row(w_ref, lam, gamma, tau, h, phi, psi, acc, phi_new,
+                                         psi_new, not adaptive)
             if kept:
-                record((t, phi_c, psi_c))
+                record(row)
+            times.append(t)
         steps += 1
         tau += h
         phi, psi, acc = phi_new, psi_new, a13
@@ -532,15 +536,17 @@ def _descends(p0, p1):
 
 def _crossing_row(w_ref, lam, gamma, tau, h, phi, psi, acc, phi1, psi1, rk4=False, where=_if,
                   sin=math.sin):
-    """(t, phi, psi, kept) at the crossing of an accepted step of length h
-    from (tau, phi, psi), acc = _accel(phi), to (phi1, psi1) across zero
-    descending: one more trial step of the run's method from the same start,
-    of length the cubic Hermite root's (see _crossing_time) in tau, kept
-    where its time lies strictly inside the step's, its angle below pi/2
-    and its psi is finite.  On floats, a stage angle at +-inf makes the
-    state NaN; on the lanes' arrays of adaptive steps (where=np.where,
-    sin=np.sin, under np.errstate), np.sin's NaN there reaches psi (see
-    _dp_trial), so both keep the same rows."""
+    """((t, phi, psi), kept, time) at the crossing of an accepted step of
+    length h from (tau, phi, psi), acc = _accel(phi), to (phi1, psi1) across
+    zero descending: one more trial step of the run's method from the same
+    start, of length the cubic Hermite root's (see _crossing_time) in tau,
+    kept where its time lies strictly inside the step's, its angle below
+    pi/2 and its psi is finite; and time, _crossing_time's over the
+    descending pair of the rows [before, this if kept, after], which
+    estimate_period finds in integrate's rows.  On floats, a stage angle at
+    +-inf makes the state NaN; on the lanes' arrays of adaptive steps
+    (where=np.where, sin=np.sin, under np.errstate), np.sin's NaN there
+    reaches psi (see _dp_trial), so both give the same rows and times."""
     hc = _crossing_time(tau, tau + h, phi, phi1, psi, psi1, where) - tau
     try:
         phi_c, psi_c = (_rk4_step(phi, psi, hc, lam, gamma) if rk4
@@ -550,13 +556,19 @@ def _crossing_row(w_ref, lam, gamma, tau, h, phi, psi, acc, phi1, psi1, rk4=Fals
     t = (tau + hc) / w_ref
     kept = ((tau / w_ref < t) & (t < (tau + h) / w_ref) & (abs(phi_c) < MAX_ANGLE)
             & (abs(psi_c) < math.inf))
-    return t, phi_c, psi_c, kept
+    first, second = kept & _descends(phi_c, phi1), kept & _descends(phi, phi_c)  # the row's place
+    return (t, phi_c, psi_c), kept, _crossing_time(
+        where(first, t, tau / w_ref), where(second, t, (tau + h) / w_ref),
+        where(first, phi_c, phi), where(second, phi_c, phi1), where(first, psi_c, psi) * w_ref,
+        where(second, psi_c, psi1) * w_ref, where)
 
 
-# Below this many running lanes, the rest finish one at a time in _advance: runs of the
-# 200-point sweep benchmark stepped as 42 lanes to their ends took 0.91-0.97 times as long
-# as alone, as 40 lanes 1.00-1.05 times (fastest of 30 sweeps, in each of two sessions, with
-# the crossings located in one batch; 2-core x86-64, numpy 2.4).
+# Below this many running lanes, the rest finish one at a time in _advance.  On the 200-point
+# sweep benchmark, seeds 1-3, every one of its 162-164 lanes ends inside the lockstep, on its 6th
+# step, at any threshold from 8 to 64, and a whole in-process sweep took 4.98-5.16 ms at each of
+# 8, 16, 24, 32, 42 and 64 (fastest of 40 calls, interleaved, in two sessions; 2-core x86-64,
+# numpy 2.4): no value there is faster.  42 dates from before the quarter swing, when 42 lanes
+# stepped to their ends took 0.91-0.97 times as long as alone and 40 lanes 1.00-1.05 times.
 _LOCKSTEP_MIN_LANES = 42
 
 
@@ -564,29 +576,21 @@ def _crossing_periods(runs: list[tuple[PendulumParams, State]],
                       config: IntegratorConfig) -> list[tuple[Termination, float | None]]:
     """Integrate many runs and keep only their periods.
 
-    Each run records integrate's rows at a stride of 2**53, which no run
-    reaches, from the state _advance starts from: those before, at and after
-    each step that crosses zero descending, and the last.  Its crossing
-    times are _crossing_time's over the row pairs that _descends, as in
-    estimate_period, after those of the steps it took in _lockstep, which
-    first steps some runs together.  _advance then finishes every run from
-    its record, once each.
+    A run's crossing times are those of the steps it took in _lockstep,
+    which first steps some runs together, then those _advance hands on as it
+    finishes the run from its record, once each; both are _crossing_row's.
 
     Returns, for each run, (termination, period): what integrate at
     record_stride 1 and then estimate_period(...).mean_period give for it,
     bit for bit (see the module docstring), the period None where that
-    raises (a run's first row is at tau0 / w_ref, integrate's initial.t for
-    a start at t = 0, as every caller's).  If integrate raises for some run,
-    this raises what it raises for the first.
+    raises (a first step starts at tau0 / w_ref, which is integrate's
+    initial.t for a start at t = 0, as every caller's).  If integrate
+    raises for some run, this raises what it raises for the first.
     """
     records = [_run_start(p, s, config) for p, s in runs]
     outcomes = []
     for (params, initial), run, times in zip(runs, records, _lockstep(records, runs, config)):
-        w_ref = run[0]
-        rows = [(run[5] / w_ref, run[6], run[7])]  # the state _advance starts from
-        end = _advance(params, config, run, rows, 2**53)  # a stride no run reaches
-        times += [_crossing_time(t0, t1, p0, p1, v0 * w_ref, v1 * w_ref)
-                  for (t0, p0, v0), (t1, p1, v1) in pairwise(rows) if _descends(p0, p1)]
+        end = _advance(params, config, run, [], 2**53, times)  # rows at a stride no run reaches
         rest = initial.phi_dot == 0.0 and initial.phi > 0.0  # estimate_period's test
         outcomes.append((end, _mean_period(times, initial.t if rest else None)[1]))
     return outcomes
@@ -597,7 +601,7 @@ def _lockstep(records, runs, config: IntegratorConfig) -> list[list[float]]:
     _LOCKSTEP_MIN_LANES of them up, together as lanes and write each back
     to records, _run_start's for runs, as the state _advance finishes it
     from.  Returns each run's crossing times in the lockstep, in time order,
-    located after it in one batch (see _lane_crossing_times).
+    located after it in one batch (see _crossing_row).
 
     The lanes are the columns of one float table, whose counts (stop,
     steps) are exact below 2**53, where max_steps is clamped: no run gets
@@ -620,7 +624,7 @@ def _lockstep(records, runs, config: IntegratorConfig) -> list[list[float]]:
     state, lam2 = table[5:9], lam * 2.0  # (tau, phi, psi, acc); lam2 as in _advance
     max_steps, rtol, atol = min(config.max_steps, 2**53), config.rel_tol, config.abs_tol
     index, live = np.array(lanes, dtype=float), np.ones(len(lanes), bool)  # live: not frozen
-    found = []  # (run index, *_lane_crossing_times' arguments) of each crossing, as columns
+    found = []  # (run index, *_crossing_row's arguments) of each crossing, as columns
     with np.errstate(all="ignore"):
         while True:
             # integrate's loop head (a frozen lane keeps h as h_next); h <= 0 at tau_end
@@ -657,26 +661,12 @@ def _lockstep(records, runs, config: IntegratorConfig) -> list[list[float]]:
             steps += accepted
         if found:
             index, *step = np.hstack(found)
-            for i, t in zip(index.astype(int).tolist(), _lane_crossing_times(*step).tolist()):
+            located = _crossing_row(*step, where=np.where, sin=np.sin)[2]
+            for i, t in zip(index.astype(int).tolist(), located.tolist()):
                 times[i].append(t)
     for i, column in zip(lanes, table.T.tolist()):
         records[i] = column
     return times
-
-
-def _lane_crossing_times(w_ref, lam, gamma, tau, h, phi, psi, acc, phi1, psi1):
-    """The crossing time of each adaptive step, given as numpy columns, that
-    crosses zero descending: _crossing_time over the descending pair of its
-    rows before, at (_crossing_row's, where kept) and after it, as
-    _crossing_periods takes it from _advance's rows, bit for bit (see the
-    module docstring).  Called under np.errstate."""
-    t, phi_c, psi_c, row = _crossing_row(w_ref, lam, gamma, tau, h, phi, psi, acc, phi1, psi1,
-                                         where=np.where, sin=np.sin)
-    first, second = row & _descends(phi_c, phi1), row & _descends(phi, phi_c)
-    return _crossing_time(np.where(first, t, tau / w_ref), np.where(second, t, (tau + h) / w_ref),
-                          np.where(first, phi_c, phi), np.where(second, phi_c, phi1),
-                          np.where(first, psi_c, psi) * w_ref,
-                          np.where(second, psi_c, psi1) * w_ref, np.where)
 
 
 def _crossing_time(t0, t1, p0, p1, v0, v1, where=_if):

@@ -75,9 +75,10 @@ MUTANTS = [
     ),
     (
         INTEGRATOR,
-        "    first, second = row & _descends(phi_c, phi1), row & _descends(phi, phi_c)",
-        "    second, first = row & _descends(phi_c, phi1), row & _descends(phi, phi_c)",
-        "a lane's crossing is timed over the descending pair of its rows",
+        "    first, second = kept & _descends(phi_c, phi1), kept & _descends(phi, phi_c)"
+        "  # the row's place",
+        "    second, first = kept & _descends(phi_c, phi1), kept & _descends(phi, phi_c)",
+        "a crossing is timed over the descending pair of its step's rows, on floats and lanes",
         ["tests/test_integrator.py::TestBatchedCrossingBrackets::test_equals_scalar_brackets"],
     ),
     # _advance and the runs it records
@@ -114,10 +115,17 @@ MUTANTS = [
     ),
     (
         INTEGRATOR,
-        "        rows = [(run[5] / w_ref, run[6], run[7])]  # the state _advance starts from",
-        "        rows = []",
+        "            times.append(t)",
+        "            if steps: times.append(t)",
         "a crossing in _advance's first step is timed from the state it starts from",
         [LANES + "test_lanes_equal_serial_runs"],
+    ),
+    (
+        INTEGRATOR,
+        "            times.append(t)",
+        "            pass",
+        "_advance hands on the time of every crossing it makes",
+        ["tests/test_integrator.py::TestEstimatePeriod::test_single_crossing_is_insufficient"],
     ),
     (
         INTEGRATOR,
@@ -196,6 +204,13 @@ MUTANTS = [
         "            live &= ~((accepted & (size8[0] >= MAX_ANGLE)) | np.isnan(acc8))",
         "a lane with a NaN err must freeze, so that _advance decides its step",
         [LANES + "test_nan_stage_sends_the_lane_to_advance[psi8_inf]"],
+    ),
+    (
+        INTEGRATOR,
+        "            located = _crossing_row(*step, where=np.where, sin=np.sin)[2]",
+        "            located = _crossing_row(*step, where=np.where, sin=np.sin)[0][0]",
+        "a lane's crossing is timed over its step's rows, not by its crossing row's time",
+        [LANES + "test_lanes_equal_serial_runs"],
     ),
     (
         INTEGRATOR,

@@ -582,7 +582,8 @@ class TestDormandPrinceStep:
     def test_advance_step_is_the_nystrom_step(self, step):
         """One step of integrate's loop, under tolerances that accept any
         finite trial step, records nystrom_step's (phi8, psi8) bit for bit
-        (after a row at its crossing, if it crosses zero descending)."""
+        (after a row at its crossing, if it crosses zero descending, whose
+        time it hands on)."""
         phi, psi, h, lam, gamma = step
         acc = integrator_module._accel(phi, lam, gamma)
         try:
@@ -594,12 +595,13 @@ class TestDormandPrinceStep:
         params = PendulumParams(d=2e-8, l=1e-8, mass=1e-24, atom=LANE_ATOM)  # d - l > gap
         config = IntegratorConfig(rel_tol=sys.float_info.max, abs_tol=sys.float_info.max,
                                   max_steps=1)
-        rows = []
+        rows, times = [], []
         termination = integrator_module._advance(
             params, config, (1.0, lam, gamma, math.inf, math.inf, 0.0, phi, psi, acc, h, 0), rows,
-            config.record_stride)
+            config.record_stride, times)
         assert termination is Termination.STEP_LIMIT
         assert len(rows) <= 1 + (phi > 0.0 >= want[0])
+        assert len(times) == (phi > 0.0 >= want[0])
         assert bits(rows[-1]) == bits((h, *want[:2]))
 
     @pytest.mark.parametrize("phi0", [1e-3, 0.2])
@@ -1043,25 +1045,25 @@ class TestCrossingStop:
                 in enumerate(np.geomspace(1e-3, 1.3, 2 * min_lanes + extra).tolist())]
         config, ended, handed = IntegratorConfig(), [], []
         dp_trial, advance = integrator_module._dp_trial, integrator_module._advance
-        locate = integrator_module._lane_crossing_times
+        locate = integrator_module._crossing_row
 
         def counted(phi, psi, acc, h, *args):  # the lanes at their ends, h = 0, each iteration
             if isinstance(phi, np.ndarray):
                 ended.append(np.count_nonzero(h <= 0.0))
             return dp_trial(phi, psi, acc, h, *args)
 
-        def located(*args):  # its trial step to the roots is no lockstep iteration
+        def located(*args, **kwargs):  # its trial step to the roots is no lockstep iteration
             n = len(ended)
-            times = locate(*args)
+            crossing = locate(*args, **kwargs)
             del ended[n:]
-            return times
+            return crossing
 
         def finish(*args, **kwargs):
             handed.append(len(ended))
             return advance(*args, **kwargs)
 
         with (mock.patch.object(integrator_module, "_dp_trial", counted),
-              mock.patch.object(integrator_module, "_lane_crossing_times", located),
+              mock.patch.object(integrator_module, "_crossing_row", located),
               mock.patch.object(integrator_module, "_advance", finish)):
             outcomes = integrator_module._crossing_periods(runs, config)
         # an iteration steps at least min_lanes lanes, so the others had ended before it
@@ -1102,7 +1104,7 @@ def step_rows(params, initial, config) -> Trajectory:
     """integrate's trajectory at record_stride 1 without the rows at its
     crossings: its start and the end of every accepted step."""
     with mock.patch.object(integrator_module, "_crossing_row",
-                           lambda *args: (math.nan, math.nan, math.nan, False)):
+                           lambda *args: ((math.nan, math.nan, math.nan), False, math.nan)):
         return integrate(params, initial, replace(config, record_stride=1))
 
 
@@ -1154,8 +1156,8 @@ class TestRecordStride:
 class TestCrossingRows:
     """Inside each accepted step that crosses zero descending, integrate
     records one row: one more trial step of the run's method, from the
-    step's start to the cubic Hermite root.  _crossing_periods records the
-    same rows around each crossing and times it as estimate_period does."""
+    step's start to the cubic Hermite root.  _crossing_periods times each
+    crossing over the same rows, as estimate_period does."""
 
     @settings(derandomize=True, database=None, max_examples=40, deadline=None)
     @given(release=rest_release, rk4=st.booleans(), stride=st.integers(1, 7),
@@ -1196,8 +1198,8 @@ class TestCrossingRows:
         a run ends unrecorded: a trial step to the root that lands there, as
         a stand-in step does here, gives none."""
         with mock.patch.object(integrator_module, "_dp_trial", lambda *args: (phi_c, -1.0)):
-            *_, kept = integrator_module._crossing_row(1.0, 1.0, 0.0, 0.0, 0.1, 0.05, -1.0,
-                                                       -0.05, -0.05, -1.0)
+            _, kept, _ = integrator_module._crossing_row(1.0, 1.0, 0.0, 0.0, 0.1, 0.05, -1.0,
+                                                         -0.05, -0.05, -1.0)
         assert kept is inside
 
     @pytest.mark.parametrize("w_ref, end", [(0.8, 0), (0.7, 1)])
@@ -1207,7 +1209,7 @@ class TestCrossingRows:
         (tau + hc)/w_ref rounds to the start's time at w_ref 0.8 and to the
         end's at 0.7, and a kept row would repeat that row's time."""
         tau, h, acc = 1000.0, 2.2737367544323206e-13, integrator_module._accel(0.5, 1.0, 0.0)
-        t, phi_c, psi_c, kept = integrator_module._crossing_row(
+        (t, phi_c, psi_c), kept, _ = integrator_module._crossing_row(
             w_ref, 1.0, 0.0, tau, h, 0.5, -1.0, acc, -0.5, -1.0)
         assert t == (tau, tau + h)[end] / w_ref != (tau + h, tau)[end] / w_ref
         assert abs(phi_c) < MAX_ANGLE and math.isfinite(psi_c)
@@ -1216,16 +1218,18 @@ class TestCrossingRows:
     def test_overflowing_crossing_step_keeps_no_row(self):
         """A trial step to the root whose stage angle overflows keeps no row:
         on floats, where math.sin raises, its state is NaN; on arrays, np.sin's
-        NaN reaches psi (see _dp_trial), and the same time is dropped."""
+        NaN reaches psi (see _dp_trial), and the same time is dropped.  Both
+        time the crossing over the step's ends."""
         step = (1.0, 1.0, 2.6e307, 0.0, 10.0, 0.3, -1.0,
                 integrator_module._accel(0.3, 1.0, 2.6e307), -0.3, -1.0)
-        t, phi_c, psi_c, kept = integrator_module._crossing_row(*step)
+        (t, phi_c, psi_c), kept, time = integrator_module._crossing_row(*step)
         assert math.isnan(phi_c) and math.isnan(psi_c) and not kept
+        assert time == integrator_module._crossing_time(0.0, 10.0, 0.3, -0.3, -1.0, -1.0)
         with np.errstate(all="ignore"):
-            lane = integrator_module._crossing_row(*map(np.array, step), where=np.where,
-                                                   sin=np.sin)
-        assert bits([lane[0].item()]) == bits([t])
-        assert math.isnan(lane[2]) and not lane[3]
+            (lane_t, _, lane_psi), lane_kept, lane_time = integrator_module._crossing_row(
+                *map(np.array, step), where=np.where, sin=np.sin)
+        assert bits([lane_t.item(), lane_time.item()]) == bits([t, time])
+        assert math.isnan(lane_psi) and not lane_kept
 
 
 class TestAngleLimit:
@@ -1360,9 +1364,9 @@ class TestLockstepLanes:
              [((1.0199999999e-8, 1e-8), 0.2, True), REF], 1)
     @example(Method.RK45_ADAPTIVE, None, None, 1, 10**6,
              [REF, ((1.019999998e-8, 1e-8), 0.1, True), REF], 1)
-    # a first step that crosses zero descending, whose crossing pairs the run's
-    # start row: a moving start alone in _advance, and an RK4 step a third of
-    # a period long
+    # a first step that crosses zero descending, whose crossing is timed from the
+    # state the run starts from: a moving start alone in _advance, and an RK4
+    # step a third of a period long
     @example(Method.RK45_ADAPTIVE, None, None, 1, 10**6, [((2e-8, 1e-8), 1e-3, True, -1e7)], 2)
     @example(Method.RK4_FIXED, 1.25e-7, None, 1, 10**6, [((2e-8, 1e-8), 0.2, True)], 1)
     def test_lanes_equal_serial_runs(self, method, dt, t_max, stride, max_steps, lanes,
@@ -1412,9 +1416,9 @@ class TestLockstepLanes:
         assert bits(column) == bits(record)
         outcomes = []
         for run in (record, column):
-            out = []
-            outcomes.append((integrator_module._advance(params, config, run, out, stride),
-                             [bits(row) for row in out]))
+            out, times = [], []
+            outcomes.append((integrator_module._advance(params, config, run, out, stride, times),
+                             [bits(row) for row in out], bits(times)))
         assert outcomes[0] == outcomes[1]
 
     @staticmethod
@@ -1566,9 +1570,10 @@ class TestLockstepLanes:
 
 
 class TestBatchedCrossingBrackets:
-    """_lane_crossing_times, which locates the lanes' crossings in one numpy
-    batch after the lockstep, gives each step the time _crossing_periods
-    takes from _advance's rows around it."""
+    """_crossing_row's time of a crossing step, on floats as _advance takes
+    it and on the numpy columns of the lanes' crossings, located in one batch
+    after the lockstep: the time estimate_period takes from integrate's rows
+    around the step."""
 
     # steps (w_ref, lam, gamma, tau, h, phi, psi, phi1, psi1) across zero
     # descending, phi > 0 >= phi1, with ±0.0, subnormals and steps whose
@@ -1601,21 +1606,23 @@ class TestBatchedCrossingBrackets:
     @example([(1.0, 1.0, 0.0, 0.0, 0.1, 0.05, -1.0, -0.05, -1.0),
               (1.0, 1.0, 2.6e307, 0.0, 10.0, 0.3, -1.0, -0.3, -1.0)])
     def test_equals_scalar_brackets(self, steps):
-        """Each time is _crossing_time's over the descending pair of the
-        step's rows [before, _crossing_row(...) if kept, after], bit for
-        bit."""
+        """Each time, on arrays and on floats, is _crossing_time's over the
+        descending pair of the step's rows [before, _crossing_row's row if
+        kept, after], bit for bit, and both keep the same rows."""
         steps = [(w_ref, lam, gamma, tau, h, phi, psi, integrator_module._accel(phi, lam, gamma),
                   phi1, psi1) for w_ref, lam, gamma, tau, h, phi, psi, phi1, psi1 in steps]
         with np.errstate(all="ignore"):
-            got = integrator_module._lane_crossing_times(*(np.array(col) for col in zip(*steps)))
-        for step, time in zip(steps, got.tolist()):
+            _, lanes_kept, got = integrator_module._crossing_row(
+                *(np.array(col) for col in zip(*steps)), where=np.where, sin=np.sin)
+        for step, lane_kept, time in zip(steps, lanes_kept.tolist(), got.tolist()):
             w_ref, lam, gamma, tau, h, phi, psi, acc, phi1, psi1 = step
-            *row, kept = integrator_module._crossing_row(*step)
+            row, kept, scalar = integrator_module._crossing_row(*step)
             rows = [(tau / w_ref, phi, psi), *([row] if kept else []),
                     ((tau + h) / w_ref, phi1, psi1)]
             [want] = [integrator_module._crossing_time(t0, t1, p0, p1, v0 * w_ref, v1 * w_ref)
                       for (t0, p0, v0), (t1, p1, v1) in zip(rows, rows[1:]) if p0 > 0.0 >= p1]
-            assert bits([time]) == bits([want]), step
+            assert lane_kept is kept, step
+            assert bits([time]) == bits([scalar]) == bits([want]), step
 
 
 # DOP853's weights reach 43.5 in size (a_98), so its sums of them round at up
